@@ -3,8 +3,9 @@
 Setting the environment variable ``ABASOLVE_NO_NUMBA=1`` (or ``true``/``yes``)
 selects the vectorized pure-numpy implementations.  Both paths implement the
 same pivot/evaluation rules, so results agree to floating-point noise; the
-dispatch is resolved once at import time.  ``benchmarks/bench_kernels.py``
-compares the two paths.
+dispatch is resolved once at import time.  ``tests/test_kernels.py`` checks
+that the two paths agree when numba is installed.  ``pivot`` has no numba
+twin: the numpy simplex and the LP driver's artificial drive-out share it.
 
 Score kinds are passed as integer codes: 0 quadratic, 1 log, 2 spherical,
 3 piecewise-linear (max-affine, pieces given as ``pr`` rows plus offsets
@@ -124,6 +125,23 @@ def compositions_np(k: int, d: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
+def pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Pivot tableau ``t`` on entry (row, col) in place; col enters the basis.
+
+    Only rows with a nonzero entry in the entering column change, so each
+    is updated on its own: no full-tableau temporary and no gathered copy
+    of the touched rows.  Skipping the zero rows is the rule the numba
+    kernel applies; the touched rows get the same values as a dense
+    rank-one update.
+    """
+    prow = t[row]
+    prow /= prow[col]
+    for i in np.flatnonzero(t[:, col]):
+        if i != row:
+            t[i] -= t[i, col] * prow
+    basis[row] = col
+
+
 def simplex_iterate_np(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
                        tol: float, max_iter: int, degen_limit: int):
     """Run primal simplex pivots on tableau ``t`` in place.
@@ -166,12 +184,7 @@ def simplex_iterate_np(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
                 bland = True
         else:
             degen = 0
-        piv = t[leave, enter]
-        t[leave, :] /= piv
-        factors = t[:, enter].copy()
-        factors[leave] = 0.0
-        t -= np.outer(factors, t[leave, :])
-        basis[leave] = enter
+        pivot(t, basis, leave, enter)
         iters += 1
 
 

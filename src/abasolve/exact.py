@@ -25,7 +25,8 @@ from .core import Classification, JointPrior, Method, SignalingScheme, \
     SolveReport, marginals_and_conditionals, total_value, \
     full_reveal_scheme, no_reveal_scheme
 from .errors import SizeCapExceeded, ValidationError
-from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, solve_lp
+from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, check_cell_cap, \
+    solve_lp, tableau_cells
 from .scoring import DecisionProblem, ScoreKind, ScoreSpec
 
 DEFAULT_LP_VAR_CAP = 2_000_000
@@ -99,13 +100,10 @@ def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
         raise SizeCapExceeded(
             f"obedience LP needs {n_vars} variables, cap is {cap_lp_vars}",
             required=n_vars)
-    rows_bound = len(signals) * (k + k * nb) if keep_rows is None else \
+    n_rows = len(signals) * (k + k * nb) if keep_rows is None else \
         sum(len(kr) for kr in keep_rows)
-    cells = (rows_bound + na) * n_vars
-    if cells > cell_cap:
-        raise SizeCapExceeded(
-            f"obedience LP needs {cells} matrix cells, cap is {cell_cap}",
-            required=cells)
+    # refuse before allocating: the solver's tableau is the largest array
+    check_cell_cap(tableau_cells(n_vars, n_rows, na), cell_cap)
     t, ue_a, ue_ab, unc, con = _obedience_blocks(prior, decision)
 
     objective = np.empty(n_vars)

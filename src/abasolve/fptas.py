@@ -23,7 +23,7 @@ from . import _kernels, belief, scoring
 from .core import Classification, JointPrior, Method, SignalingScheme, \
     SolveReport, marginals_and_conditionals, total_value
 from .errors import BayesPlausibilityViolated, SizeCapExceeded, ValidationError
-from .lp import LinearProgram, LPStatus, solve_lp
+from .lp import LinearProgram, LPStatus, solve_lp, tableau_cells
 from .scoring import ScoreKind, ScoreSpec
 
 DEFAULT_GRID_CAP = 5_000_000
@@ -255,9 +255,7 @@ def _eb_lp_points_cap(na: int, ne: int, nb: int, cell_cap: int) -> int:
 
 
 def _eb_cells(na: int, ne: int, nb: int, n: int) -> int:
-    rows = na + 2 * ne * nb * n
-    cols = n * na + 2 * ne * nb * n + na
-    return (rows + 1) * (cols + 1)
+    return tableau_cells(n * na, 2 * ne * nb * n, na)
 
 
 def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
@@ -296,14 +294,15 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     for a in range(na):
         a_eq[a, a::na] = 1.0
 
+    dev = meb_a[None, :, :] - grid[:, :, None]      # (n, d, na)
     eta = consistency_eta if consistency_eta is not None else 2.0 / k
     retries = 0
     while True:
+        # grid point v owns rows [2dv, 2d(v+1)) and columns [v na, (v+1) na)
         a_ub = np.zeros((2 * d * n, n_vars))
-        for v in range(n):
-            dev = meb_a - grid[v][:, None]          # (d, na)
-            a_ub[2 * d * v:2 * d * v + d, v * na:(v + 1) * na] = dev - eta
-            a_ub[2 * d * v + d:2 * d * (v + 1), v * na:(v + 1) * na] = -dev - eta
+        blocks = a_ub.reshape(n, 2 * d, n, na)
+        v = np.arange(n)
+        blocks[v, :, v, :] = np.concatenate((dev - eta, -dev - eta), axis=1)
         lp = LinearProgram(objective, a_eq, table.mu_a, a_ub,
                            np.zeros(2 * d * n))
         sol = solve_lp(lp, cell_cap)

@@ -6,7 +6,15 @@ degenerate pivots; ties in the ratio test break toward the smallest basis
 index.  Artificial columns stay in the tableau (barred from entering) so
 dual values can be read off the final objective row.
 
-The pivot loop itself lives in ``_kernels`` (numba or numpy path).
+The pivot loop itself lives in ``_kernels`` (numba or numpy path).  A pivot
+updates only the rows with a nonzero entry in the entering column: the
+other rows would have a zero multiple of the pivot row subtracted, which
+leaves them as they are.  The tableaux built here are mostly zero (an
+fptas-eb grid point's achievability rows touch only that point's |A|
+variables), so a pivot usually rewrites a few rows of hundreds.
+
+``tableau_cells`` gives the size of the tableau before it is allocated, so
+LP builders can check the cell cap before allocating their own matrices.
 """
 
 from __future__ import annotations
@@ -91,6 +99,22 @@ def debug_dump(lp: LinearProgram) -> str:
     return "\n".join(lines)
 
 
+def tableau_cells(n_vars: int, m_ub: int, m_eq: int,
+                  n_neg_ub: int = 0) -> int:
+    """Cells of the tableau ``solve_lp`` builds: a row per constraint plus
+    the objective row; a column per variable, per ub slack, per artificial
+    (eq rows and the ``n_neg_ub`` ub rows with negative rhs) plus the rhs."""
+    m = m_ub + m_eq
+    return (m + 1) * (n_vars + m_ub + n_neg_ub + m_eq + 1)
+
+
+def check_cell_cap(cells: int, cell_cap: int) -> None:
+    """Raise SizeCapExceeded when a tableau of ``cells`` exceeds the cap."""
+    if cells > cell_cap:
+        raise SizeCapExceeded(
+            f"tableau needs {cells} cells, cap is {cell_cap}", required=cells)
+
+
 def solve_lp(lp: LinearProgram, cell_cap: int = DEFAULT_CELL_CAP) -> LPSolution:
     """Solve to an optimal vertex, or report Infeasible/Unbounded.
 
@@ -106,8 +130,6 @@ def solve_lp(lp: LinearProgram, cell_cap: int = DEFAULT_CELL_CAP) -> LPSolution:
     # (turning the slack coefficient to -1) and, like eq rows, get artificials.
     rhs = np.concatenate((lp.b_ub, lp.b_eq))
     neg = rhs < 0.0
-    rows = np.vstack((lp.a_ub, lp.a_eq)) if m else np.zeros((0, n))
-    rows = np.where(neg[:, None], -rows, rows)
     rhs = np.abs(rhs)
     slack_sign = np.where(neg[:m_ub], -1.0, 1.0)
     needs_art = np.concatenate((neg[:m_ub], np.ones(m_eq, dtype=bool)))
@@ -115,25 +137,21 @@ def solve_lp(lp: LinearProgram, cell_cap: int = DEFAULT_CELL_CAP) -> LPSolution:
     n_art = art_rows.size
 
     n_total = n + m_ub + n_art
-    cells = (m + 1) * (n_total + 1)
-    if cells > cell_cap:
-        raise SizeCapExceeded(
-            f"tableau needs {cells} cells, cap is {cell_cap}", required=cells)
+    check_cell_cap(tableau_cells(n, m_ub, m_eq, n_art - m_eq), cell_cap)
 
     t = np.zeros((m + 1, n_total + 1))
-    t[:m, :n] = rows
-    for i in range(m_ub):
-        t[i, n + i] = slack_sign[i]
-    for j, i in enumerate(art_rows):
-        t[i, n + m_ub + j] = 1.0
+    t[:m_ub, :n] = lp.a_ub
+    t[m_ub:m, :n] = lp.a_eq
+    neg_rows = np.nonzero(neg)[0]
+    t[neg_rows, :n] = -t[neg_rows, :n]
+    ub_rows = np.arange(m_ub)
+    t[ub_rows, n + ub_rows] = slack_sign
+    art_cols = n + m_ub + np.arange(n_art)
+    t[art_rows, art_cols] = 1.0
     t[:m, n_total] = rhs
 
-    basis = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        if needs_art[i]:
-            basis[i] = n + m_ub + int(np.searchsorted(art_rows, i))
-        else:
-            basis[i] = n + i
+    basis = n + np.arange(m, dtype=np.int64)
+    basis[art_rows] = art_cols
 
     allowed = np.ones(n_total, dtype=np.bool_)
     allowed[n + m_ub:] = False  # artificials never enter
@@ -154,23 +172,22 @@ def solve_lp(lp: LinearProgram, cell_cap: int = DEFAULT_CELL_CAP) -> LPSolution:
         if infeas > 1e-7 * max(1.0, float(np.abs(rhs).max(initial=0.0))):
             return LPSolution(LPStatus.INFEASIBLE, None, None, None, None,
                               total_iters)
-        # drive remaining zero-level artificials out of the basis
-        for i in range(m):
-            if basis[i] >= n + m_ub:
-                row = t[i, :n + m_ub]
-                ok = np.nonzero(np.abs(row) > 1e-9)[0]
-                if ok.size:
-                    _pivot(t, basis, i, int(ok[0]))
-                # else: redundant row; artificial stays basic at level zero
+        # drive remaining zero-level artificials out of the basis; a pivot
+        # changes only its own row's basic variable, so the rows to visit
+        # are known up front
+        for i in np.nonzero(basis >= n + m_ub)[0]:
+            ok = np.nonzero(np.abs(t[i, :n + m_ub]) > 1e-9)[0]
+            if ok.size:
+                _kernels.pivot(t, basis, i, int(ok[0]))
+            # else: redundant row; artificial stays basic at level zero
 
-    # phase 2 objective row rebuilt from scratch against the current basis
+    # phase 2 objective row rebuilt from scratch against the current basis,
+    # adding the rows whose basic variable has a nonzero cost in row order
     c_full = np.zeros(n_total + 1)
     c_full[:n] = lp.objective
     t[m, :] = -c_full
-    for i in range(m):
-        cb = c_full[basis[i]]
-        if cb != 0.0:
-            t[m, :] += cb * t[i, :]
+    for i in np.nonzero(c_full[basis])[0]:
+        t[m, :] += c_full[basis[i]] * t[i, :]
     status, iters = _kernels.simplex_iterate(
         t, basis, allowed, FEAS_TOL, max_iter, DEGENERACY_LIMIT)
     total_iters += iters
@@ -187,10 +204,8 @@ def solve_lp(lp: LinearProgram, cell_cap: int = DEFAULT_CELL_CAP) -> LPSolution:
 
     # duals from the objective-row entries of slack/artificial columns
     dual = np.empty(m)
-    for i in range(m_ub):
-        dual[i] = t[m, n + i] * slack_sign[i]
-    for j, i in enumerate(art_rows):
-        dual[i] = t[m, n + m_ub + j]
+    dual[:m_ub] = t[m, n:n + m_ub] * slack_sign
+    dual[art_rows] = t[m, art_cols]
     dual[neg] = -dual[neg]
     dual_ub = dual[:m_ub].copy()
     dual_eq = dual[m_ub:].copy()
@@ -213,12 +228,3 @@ def solve_lp(lp: LinearProgram, cell_cap: int = DEFAULT_CELL_CAP) -> LPSolution:
     return LPSolution(LPStatus.OPTIMAL, xs, objective, dual_eq, dual_ub,
                       total_iters, duality_gap=abs(dual_obj - objective),
                       comp_slack_residual=comp, feasibility_residual=resid)
-
-
-def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    piv = t[row, col]
-    t[row, :] /= piv
-    factors = t[:, col].copy()
-    factors[row] = 0.0
-    t -= np.outer(factors, t[row, :])
-    basis[row] = col

@@ -175,9 +175,12 @@ def deviation_check(prior: JointPrior, score: ScoreSpec,
                     tol: float = 1e-9) -> CheckReport:
     """Verify u_B(pi; pi*) <= u_B(pi*; pi*) <= u_B(pi; pi).
 
-    The first inequality must be strict whenever Bob's cross-belief reports
-    differ from the true posteriors on a set of mass > 1e-6.  Requires
-    pi_star to be weakly better than pi for Alice.
+    For strictly proper scores the first inequality must be strict whenever
+    Bob's cross-belief reports differ from the true posteriors on a set of
+    mass > 1e-6.  A piecewise-linear G is only weakly proper: a report in
+    the truth's linear piece scores as well as the truth, so divergent
+    reports may cost Bob nothing and the chain may hold with equality.
+    Requires pi_star to be weakly better than pi for Alice.
     """
     if belief.sender_objective(prior, score, pi_star) < \
             belief.sender_objective(prior, score, pi) - 1e-12:
@@ -188,7 +191,8 @@ def deviation_check(prior: JointPrior, score: ScoreSpec,
     own = cross_belief_utilities(prior, score, pi, pi)
     chain = (cross.bob_utility <= star.bob_utility + tol and
              star.bob_utility <= own.bob_utility + tol)
-    strict_needed = cross.divergence_mass > 1e-6
+    strict_needed = score.kind is not ScoreKind.PIECEWISE and \
+        cross.divergence_mass > 1e-6
     strict_ok = (not strict_needed) or \
         (cross.bob_utility < star.bob_utility)
     details = {

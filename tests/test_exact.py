@@ -4,11 +4,13 @@ import pytest
 from abasolve.belief import sender_objective
 from abasolve.core import (Classification, JointPrior, SignalingScheme,
                            full_reveal_scheme, no_reveal_scheme)
+from abasolve import exact as exact_module
 from abasolve.errors import SizeCapExceeded, ValidationError
 from abasolve.exact import (RecommendationSignal, build_obedience_lp,
                             build_revelation_signals, certify_obedience,
                             classify_substitutes, merge_equivalent_signals,
                             solve_exact)
+from abasolve.lp import solve_lp, tableau_cells
 from abasolve.oracle import oracle_optimal
 from abasolve.scoring import (decision_problem_from_G, default_tangent_grid,
                               linearize_smooth, piecewise_score,
@@ -44,6 +46,27 @@ def test_build_obedience_lp_dimensions(xor_prior):
     assert lp.a_ub.shape == (16 + 32, 16)
     assert lp.a_eq.shape == (2, 16)
     assert lp.b_eq == pytest.approx([0.5, 0.5])
+
+
+def test_obedience_lp_refuses_the_solver_tableau_before_allocating(
+        xor_prior, monkeypatch):
+    decision = decision_problem_from_G(
+        random_piecewise(np.random.default_rng(0), ne=2, k=2))
+    lp = build_obedience_lp(xor_prior, decision)
+    cells = tableau_cells(lp.n_vars, lp.a_ub.shape[0], lp.a_eq.shape[0])
+    with pytest.raises(SizeCapExceeded) as from_solver:
+        solve_lp(lp, cell_cap=cells - 1)
+    assert from_solver.value.required == cells
+    solve_lp(lp, cell_cap=cells)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("LP blocks built before the cap check")
+
+    monkeypatch.setattr(exact_module, "_obedience_blocks", no_build)
+    with pytest.raises(SizeCapExceeded) as from_builder:
+        build_obedience_lp(xor_prior, decision, cell_cap=cells - 1)
+    assert from_builder.value.required == cells
+    assert str(from_builder.value) == str(from_solver.value)
 
 
 def test_single_action_obedience_vacuous(xor_prior):

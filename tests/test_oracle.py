@@ -9,7 +9,7 @@ from abasolve.errors import PreconditionViolated, SizeCapExceeded, \
     ValidationError
 from abasolve.oracle import (bob_report, cross_belief_utilities,
                              deviation_check, oracle_optimal)
-from abasolve.scoring import eval_G, quadratic_score
+from abasolve.scoring import eval_G, piecewise_score, quadratic_score
 
 from helpers import random_prior, random_scheme
 
@@ -144,6 +144,22 @@ def test_deviation_check_copy_nonstrict(copy_prior, quad):
     assert report.details["u_b_star"] == pytest.approx(0.0, abs=1e-9)
     # under no reveal Bob still earns the full step from G(1/2,1/2) to 1
     assert report.details["u_b_own"] == pytest.approx(0.5, abs=1e-9)
+    assert not report.details["strict_required"]
+
+
+def test_deviation_check_piecewise_weak_chain(xor_prior, xor_full_reveal):
+    # G(w) = max(w0, w1) is only weakly proper.  Bob, believing full
+    # reveal, reports a point mass where the truth is uniform; that report
+    # lies in a linear piece the truth shares, so it costs him nothing and
+    # the first inequality holds with equality although reports diverge.
+    pw = piecewise_score([((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0)])
+    noise = independent_uniform_scheme(xor_prior)
+    report = deviation_check(xor_prior, pw, xor_full_reveal, noise)
+    assert report.passed, report.details
+    assert report.details["divergence_mass"] == pytest.approx(1.0)
+    assert report.details["u_b_cross"] == pytest.approx(0.0, abs=1e-12)
+    assert report.details["u_b_star"] == pytest.approx(0.0, abs=1e-12)
+    assert report.details["u_b_own"] == pytest.approx(0.5, abs=1e-12)
     assert not report.details["strict_required"]
 
 
