@@ -8,7 +8,6 @@ grids for smooth rules, and verifies the constant-sum accounting and the
 deviation inequalities of the underlying market by direct simulation.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .belief import (PosteriorDistribution, SupportKind, alice_total_utility,
                      bob_utility_from_vEB, bob_utility_from_wA,
                      bob_utility_of_scheme, posterior_e_given_s,
@@ -43,3 +42,6 @@ from .scoring import (DecisionProblem, HolderParams, ScoreKind, ScoreSpec,
                       spherical_score)
 
 __version__ = "0.1.0"
+
+# The kernels are numpy-only; perfbench's provenance line reads this flag.
+NUMBA_ENABLED = False

@@ -99,25 +99,22 @@ def _scheme_terms(prior: JointPrior, score: ScoreSpec,
                   scheme: SignalingScheme,
                   table: ConditionalTable | None = None
                   ) -> tuple[float, float]:
-    """(E_s G(p_s), E_{s,b} G(p_{s,b})); zero-probability signals dropped."""
+    """(E_s G(p_s), E_{s,b} G(p_{s,b})); zero-probability signals dropped.
+
+    One batched evaluation over the numerators Pr(s, e) and Pr(s, b, e).
+    """
     t = _table(prior, table)
     scheme.validate(prior)
-    e_s = 0.0
-    e_sb = 0.0
-    for idx, label in enumerate(scheme.signal_labels):
-        row = scheme.pi[idx]
-        mass = float(row.sum())
-        if mass <= 0.0:
-            continue
-        p_s = posterior_e_given_s(prior, scheme, label, t)
-        e_s += mass * scoring.eval_G(score, p_s)
-        for b in range(prior.n_bob):
-            pair_mass = float(row @ np.nan_to_num(t.b_given_a[:, b]))
-            if pair_mass <= 0.0:
-                continue
-            p_sb = posterior_e_given_sb(prior, scheme, label, b, t)
-            e_sb += pair_mass * scoring.eval_G(score, p_sb)
-    return e_s, e_sb
+    pi = scheme.pi
+    n_s = scheme.n_signals
+    numer_sb = np.einsum("sa,aeb->sbe", pi, np.nan_to_num(t.eb_given_a))
+    terms = scoring.weighted_G(
+        score,
+        np.concatenate((pi @ np.nan_to_num(t.e_given_a),
+                        numer_sb.reshape(-1, prior.n_events))),
+        np.concatenate((pi.sum(axis=1),
+                        (pi @ np.nan_to_num(t.b_given_a)).ravel())))
+    return float(terms[:n_s].sum()), float(terms[n_s:].sum())
 
 
 def bob_utility_of_scheme(prior: JointPrior, score: ScoreSpec,
@@ -150,14 +147,11 @@ def bob_utility_from_wA(prior: JointPrior, score: ScoreSpec, w,
         raise PreconditionViolated(
             "posterior places mass on an alice outcome with mu(a) = 0")
     active = (wv > 0.0) & t.defined_a
-    total = -scoring.eval_G(score, wv[active] @ t.e_given_a[active])
-    for b in range(prior.n_bob):
-        lam = float(wv[active] @ t.b_given_a[active, b])
-        if lam > 0.0:
-            post = (wv[active] * t.b_given_a[active, b]) @ \
-                np.nan_to_num(t.e_given_ab[active, b]) / lam
-            total += lam * scoring.eval_G(score, post)
-    return total
+    wa, bga = wv[active], t.b_given_a[active]
+    numer_b = np.einsum("a,ab,abe->be", wa, bga,
+                        np.nan_to_num(t.e_given_ab[active]))
+    return _single_signal_ub(score, wa @ t.e_given_a[active], numer_b,
+                             wa @ bga)
 
 
 def bob_utility_from_vEB(score: ScoreSpec, v, n_events: int | None = None,
@@ -174,12 +168,14 @@ def bob_utility_from_vEB(score: ScoreSpec, v, n_events: int | None = None,
         vv = vv.reshape(n_events, n_bob)
     if abs(float(vv.sum()) - 1.0) > 1e-9 or (vv < -1e-12).any():
         raise ValidationError("v must be a distribution over E x B")
-    total = -scoring.eval_G(score, vv.sum(axis=1))
-    lam = vv.sum(axis=0)
-    for b in range(vv.shape[1]):
-        if lam[b] > 0.0:
-            total += lam[b] * scoring.eval_G(score, vv[:, b] / lam[b])
-    return total
+    return _single_signal_ub(score, vv.sum(axis=1), vv.T, vv.sum(axis=0))
+
+
+def _single_signal_ub(score: ScoreSpec, p_s, numer_b, lam) -> float:
+    """sum_b lam_b G(numer_b / lam_b) - G(p_s) in one evaluation."""
+    terms = scoring.weighted_G(score, np.vstack((p_s, numer_b)),
+                               np.concatenate(([1.0], lam)))
+    return float(terms[1:].sum() - terms[0])
 
 
 def alice_total_utility(prior: JointPrior, score: ScoreSpec,
@@ -193,12 +189,8 @@ def alice_total_utility(prior: JointPrior, score: ScoreSpec,
     t = _table(prior, table)
     e_s, e_sb = _scheme_terms(prior, score, scheme, t)
     g_prior = scoring.eval_G(score, t.mu_e)
-    e_ab = 0.0
-    for a in range(prior.n_alice):
-        for b in range(prior.n_bob):
-            mass = t.mu_ab[a, b]
-            if mass > 0.0:
-                e_ab += mass * scoring.eval_G(score, t.e_given_ab[a, b])
+    e_ab = float(scoring.weighted_G(score, np.moveaxis(prior.p, 0, 2),
+                                    t.mu_ab).sum())
     return (e_s - g_prior) + (e_ab - e_sb)
 
 

@@ -296,20 +296,16 @@ def total_value(prior: JointPrior, score: ScoreSpec) -> float:
     Nonnegative for convex G by Jensen's inequality.
     """
     table = marginals_and_conditionals(prior)
-    acc = 0.0
-    for a in range(prior.n_alice):
-        for b in range(prior.n_bob):
-            mass = table.mu_ab[a, b]
-            if mass > 0.0:
-                g = scoring.eval_G(score, table.e_given_ab[a, b])
-                if not np.isfinite(g):
-                    raise NonFiniteScore(
-                        f"G is not finite at the posterior for (a={a}, b={b})")
-                acc += mass * g
+    terms = scoring.weighted_G(score, np.moveaxis(prior.p, 0, 2), table.mu_ab)
+    bad = np.argwhere(~np.isfinite(terms))
+    if bad.size:
+        a, b = (int(i) for i in bad[0])
+        raise NonFiniteScore(
+            f"G is not finite at the posterior for (a={a}, b={b})")
     g0 = scoring.eval_G(score, table.mu_e)
     if not np.isfinite(g0):
         raise NonFiniteScore("G is not finite at the prior")
-    return acc - g0
+    return float(terms.sum()) - g0
 
 
 @dataclass(frozen=True)

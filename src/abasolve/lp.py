@@ -6,10 +6,10 @@ degenerate pivots; ties in the ratio test break toward the smallest basis
 index.  Artificial columns stay in the tableau (barred from entering) so
 dual values can be read off the final objective row.
 
-The pivot loop itself lives in ``_kernels`` (numba or numpy path).  A pivot
-updates only the rows with a nonzero entry in the entering column: the
-other rows would have a zero multiple of the pivot row subtracted, which
-leaves them as they are.  The tableaux built here are mostly zero (an
+The pivot loop itself lives in ``_kernels``.  A pivot updates only the
+rows with a nonzero entry in the entering column: the other rows would
+have a zero multiple of the pivot row subtracted, which leaves them as
+they are.  The tableaux built here are mostly zero (an
 fptas-eb grid point's achievability rows touch only that point's |A|
 variables), so a pivot usually rewrites a few rows of hundreds.
 

@@ -133,17 +133,14 @@ def cross_belief_utilities(prior: JointPrior, score: ScoreSpec,
     t = marginals_and_conditionals(prior)
     believed.validate(prior)
     actual.validate(prior)
+    e_s_term = float(scoring.weighted_G(
+        score, actual.pi @ np.nan_to_num(t.e_given_a),
+        actual.signal_masses()).sum())
     bob = 0.0
     off_mass = 0.0
     diverged = 0.0
-    e_s_term = 0.0
     for s in actual.signal_labels:
         row = actual.pi[actual.signal_index(s)]
-        mass = float(row.sum())
-        if mass <= 0.0:
-            continue
-        p_s = belief.posterior_e_given_s(prior, actual, s, t)
-        e_s_term += mass * scoring.eval_G(score, p_s)
         for b in range(prior.n_bob):
             pair_mass = float(row @ np.nan_to_num(t.b_given_a[:, b]))
             if pair_mass <= 0.0:
@@ -159,12 +156,8 @@ def cross_belief_utilities(prior: JointPrior, score: ScoreSpec,
     bob -= e_s_term
 
     g_prior = scoring.eval_G(score, t.mu_e)
-    e_ab = 0.0
-    for a in range(prior.n_alice):
-        for b in range(prior.n_bob):
-            m = t.mu_ab[a, b]
-            if m > 0.0:
-                e_ab += m * scoring.eval_G(score, t.e_given_ab[a, b])
+    e_ab = float(scoring.weighted_G(score, np.moveaxis(prior.p, 0, 2),
+                                    t.mu_ab).sum())
     # alice = [R(p_S) - R(p)] + [R(p_AB) - R(w_SB)]
     alice = (e_s_term - g_prior) + (e_ab - (bob + e_s_term))
     return CrossBeliefPayoff(believed, actual, bob, alice, off_mass, diverged)

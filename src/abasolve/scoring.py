@@ -197,6 +197,17 @@ def eval_G(score: ScoreSpec, p) -> float:
     return float(_kernels.g_rows_np(w[None, :], score.kind_code(), pr, pb, 0.0)[0])
 
 
+def weighted_G(score: ScoreSpec, numer: np.ndarray,
+               mass: np.ndarray) -> np.ndarray:
+    """mass * G(numer / mass) per posterior; mass <= 0 terms read 0.
+
+    ``numer`` holds unnormalised posteriors over E along its last axis and
+    ``mass`` their totals (see ``_kernels.weighted_g``; no log clip).
+    """
+    pr, pb = score.kernel_pieces(numer.shape[-1])
+    return _kernels.weighted_g(numer, mass, score.kind_code(), pr, pb, 0.0)
+
+
 def grad_G(score: ScoreSpec, p) -> np.ndarray:
     """A (sub)gradient of G at p.
 
@@ -278,7 +289,7 @@ def linearize_smooth(score: ScoreSpec, tangent_points) -> ScoreSpec:
 
 def default_tangent_grid(score: ScoreSpec, n_events: int, k: int = 20) -> np.ndarray:
     """K-uniform tangent points for linearization (boundary dropped for log)."""
-    grid = _kernels.compositions_np(k, n_events).astype(float) / k
+    grid = _kernels.compositions(k, n_events).astype(float) / k
     if score.kind is ScoreKind.LOG:
         grid = grid[(grid > 0.0).all(axis=1)]
     return grid

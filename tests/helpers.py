@@ -6,8 +6,10 @@ import itertools
 
 import numpy as np
 
-from abasolve.core import JointPrior, SignalingScheme
-from abasolve.scoring import ScoreSpec, piecewise_score
+from abasolve.belief import posterior_e_given_s, posterior_e_given_sb
+from abasolve.core import JointPrior, SignalingScheme, \
+    marginals_and_conditionals
+from abasolve.scoring import ScoreSpec, eval_G, piecewise_score
 
 
 def random_prior(rng: np.random.Generator, ne: int = 2, na: int = 2,
@@ -93,3 +95,32 @@ def sender_objective_decision_form(prior: JointPrior, score: ScoreSpec,
             p_sb = w[act] @ t.e_given_ab[act, b] / pm
             total -= pm * float((u @ p_sb).max())
     return total
+
+
+def scheme_terms_loop(prior: JointPrior, score: ScoreSpec,
+                      scheme: SignalingScheme) -> tuple[float, float, float]:
+    """(E_s G(p_s), E_{s,b} G(p_{s,b}), E_{A,B} G(p_{A,B})) by explicit
+    loops over signals, Bob outcomes and (a, b) pairs, one posterior and one
+    G evaluation at a time; zero-probability terms are skipped."""
+    t = marginals_and_conditionals(prior)
+    e_s = 0.0
+    e_sb = 0.0
+    for idx, label in enumerate(scheme.signal_labels):
+        row = scheme.pi[idx]
+        mass = float(row.sum())
+        if mass <= 0.0:
+            continue
+        e_s += mass * eval_G(score, posterior_e_given_s(prior, scheme, label,
+                                                        t))
+        for b in range(prior.n_bob):
+            pair_mass = float(row @ np.nan_to_num(t.b_given_a[:, b]))
+            if pair_mass <= 0.0:
+                continue
+            p_sb = posterior_e_given_sb(prior, scheme, label, b, t)
+            e_sb += pair_mass * eval_G(score, p_sb)
+    e_ab = 0.0
+    for a in range(prior.n_alice):
+        for b in range(prior.n_bob):
+            if t.mu_ab[a, b] > 0.0:
+                e_ab += t.mu_ab[a, b] * eval_G(score, t.e_given_ab[a, b])
+    return e_s, e_sb, e_ab

@@ -13,10 +13,11 @@ from abasolve.core import (JointPrior, SignalingScheme, full_reveal_scheme,
                            total_value)
 from abasolve.errors import (PreconditionViolated, ValidationError,
                              ZeroProbabilityPair, ZeroProbabilitySignal)
-from abasolve.scoring import eval_G
+from abasolve.scoring import eval_G, log_score, quadratic_score, \
+    spherical_score
 
 from helpers import (random_piecewise, random_prior, random_scheme,
-                     sender_objective_decision_form)
+                     scheme_terms_loop, sender_objective_decision_form)
 
 
 def test_posterior_e_given_s_examples(xor_prior, copy_prior, xor_full_reveal):
@@ -239,3 +240,67 @@ def test_posterior_distribution_validation():
         PosteriorDistribution(SupportKind.OVER_E, np.array([[0.5, 0.5]]))
     pd = PosteriorDistribution(SupportKind.OVER_A, np.array([0.3, 0.7]))
     assert pd.weights.sum() == 1.0
+
+
+SCORES = {
+    "quadratic": lambda rng, ne: quadratic_score(),
+    "log": lambda rng, ne: log_score(),
+    "spherical": lambda rng, ne: spherical_score(),
+    "piecewise": lambda rng, ne: random_piecewise(rng, ne, k=4),
+}
+
+
+def _degenerate_cases(rng, ne, na, nb):
+    """(prior, scheme) pairs: plain, a zero-mass A outcome, a zero-mass B
+    outcome, a never-sent signal, and posteriors on the simplex boundary."""
+    prior = random_prior(rng, ne, na, nb)
+    yield prior, random_scheme(rng, prior, 3)
+    for axis in (1, 2):
+        if prior.p.shape[axis] < 2:
+            continue
+        p = prior.p.copy()
+        np.moveaxis(p, axis, 0)[0] = 0.0
+        thin = JointPrior(p / p.sum())
+        yield thin, random_scheme(rng, thin, 3)
+    scheme = random_scheme(rng, prior, 2)
+    yield prior, SignalingScheme(("s0", "never", "s1"),
+                                 np.insert(scheme.pi, 1, 0.0, axis=0))
+    p = prior.p.copy()
+    p[rng.random(p.shape) < 0.4] = 0.0
+    p[0, :, :] = 0.0
+    p[1, 0, :] = 1.0
+    sparse = JointPrior(p / p.sum())
+    yield sparse, full_reveal_scheme(sparse)
+    yield sparse, random_scheme(rng, sparse, 2)
+
+
+@pytest.mark.parametrize("kind", list(SCORES))
+def test_scheme_values_match_loop_reference(kind):
+    """Every batched u_B site against the per-signal loop reference."""
+    rng = np.random.default_rng(211)
+    for ne, na, nb in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 3, 1)):
+        score = SCORES[kind](rng, ne)
+        for prior, scheme in _degenerate_cases(rng, ne, na, nb):
+            e_s, e_sb, e_ab = scheme_terms_loop(prior, score, scheme)
+            g0 = eval_G(score, prior.p.sum(axis=(1, 2)))
+            bob = e_sb - e_s
+            assert bob_utility_of_scheme(prior, score, scheme) == \
+                pytest.approx(bob, abs=1e-12)
+            assert sender_objective(prior, score, scheme) == \
+                pytest.approx(-bob, abs=1e-12)
+            assert alice_total_utility(prior, score, scheme) == \
+                pytest.approx((e_s - g0) + (e_ab - e_sb), abs=1e-12)
+            assert total_value(prior, score) == \
+                pytest.approx(e_ab - g0, abs=1e-12)
+            by_w = by_v = 0.0
+            for label, mass in zip(scheme.signal_labels,
+                                   scheme.signal_masses()):
+                if mass <= 0.0:
+                    continue
+                by_w += mass * bob_utility_from_wA(
+                    prior, score, induced_posterior_over_A(scheme, label))
+                by_v += mass * bob_utility_from_vEB(
+                    score, induced_posterior_over_EB(prior, scheme, label))
+            assert by_w == pytest.approx(bob, abs=1e-12)
+            assert by_v == pytest.approx(bob, abs=1e-12)
+

@@ -1,23 +1,133 @@
-"""The numba and pure-numpy kernel paths must agree."""
+"""The kernels against frozen copies of the loops they replaced.
+
+``*_ref`` below are the earlier kernels, kept verbatim (including the
+recursive composition builder) as references: the current kernels must
+reproduce them bit for bit, not merely to a tolerance.
+"""
 
 import numpy as np
 import pytest
 
 from abasolve import _kernels
+from abasolve._kernels import g_rows_np
 from abasolve.core import marginals_and_conditionals
 from abasolve.scoring import piecewise_score
 
 from helpers import random_prior, random_simplex
 
-needs_numba = pytest.mark.skipif(not _kernels.NUMBA_ENABLED,
-                                 reason="numba path disabled or unavailable")
-
 EMPTY_PR = np.zeros((0, 2))
 EMPTY_PB = np.zeros(0)
+CHUNK = 131072
+
+
+def ub_grid_wa_ref(w, bga, egab, ega, kind, pr, pb, clip):
+    n = w.shape[0]
+    out = np.empty(n)
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        wc = w[lo:hi]
+        lam = wc @ bga
+        numer = np.einsum("ca,ab,abe->cbe", wc, bga, egab)
+        safe = np.where(lam > 0.0, lam, 1.0)
+        post = numer / safe[:, :, None]
+        gpost = g_rows_np(post.reshape(-1, post.shape[2]), kind, pr, pb,
+                          clip).reshape(post.shape[0], post.shape[1])
+        first = (np.where(lam > 0.0, lam, 0.0) * gpost).sum(axis=1)
+        second = g_rows_np(wc @ ega, kind, pr, pb, clip)
+        out[lo:hi] = first - second
+    return out
+
+
+def ub_grid_veb_ref(v, ne, nb, kind, pr, pb, clip):
+    n = v.shape[0]
+    out = np.empty(n)
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        vc = v[lo:hi].reshape(hi - lo, ne, nb)
+        lam = vc.sum(axis=1)
+        safe = np.where(lam > 0.0, lam, 1.0)
+        post = np.swapaxes(vc, 1, 2) / safe[:, :, None]
+        gpost = g_rows_np(post.reshape(-1, ne), kind, pr, pb,
+                          clip).reshape(hi - lo, nb)
+        first = (np.where(lam > 0.0, lam, 0.0) * gpost).sum(axis=1)
+        second = g_rows_np(vc.sum(axis=2), kind, pr, pb, clip)
+        out[lo:hi] = first - second
+    return out
+
+
+def compositions_ref(k, d):
+    if d == 1:
+        return np.array([[k]], dtype=np.int64)
+    if d == 2:
+        first = np.arange(k + 1, dtype=np.int64)
+        return np.column_stack((first, k - first))
+    blocks = []
+    for first in range(k + 1):
+        rest = compositions_ref(k - first, d - 1)
+        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
+        blocks.append(np.hstack((head, rest)))
+    return np.vstack(blocks)
+
+
+def oracle_scan_ref(comps, n_alice, start, stop, mu_ae, mu_aeb, kind, pr, pb,
+                    clip):
+    p_count = comps.shape[0]
+    ne = mu_ae.shape[1]
+    best_val = -np.inf
+    best_idx = -1
+    for lo in range(int(start), int(stop), CHUNK):
+        hi = min(lo + CHUNK, int(stop))
+        idx = np.arange(lo, hi, dtype=np.int64)
+        digits = np.empty((hi - lo, n_alice), dtype=np.int64)
+        q = idx
+        for a in range(n_alice):
+            digits[:, a] = q % p_count
+            q = q // p_count
+        fr = comps[digits]
+        numer = np.einsum("cam,ae->cme", fr, mu_ae)
+        mass = numer.sum(axis=2)
+        safe = np.where(mass > 0.0, mass, 1.0)
+        g1 = g_rows_np((numer / safe[:, :, None]).reshape(-1, ne), kind, pr,
+                       pb, clip).reshape(mass.shape)
+        obj = (np.where(mass > 0.0, mass, 0.0) * g1).sum(axis=1)
+        numer_b = np.einsum("cam,aeb->cmbe", fr, mu_aeb)
+        mass_b = numer_b.sum(axis=3)
+        safe_b = np.where(mass_b > 0.0, mass_b, 1.0)
+        g2 = g_rows_np((numer_b / safe_b[:, :, :, None]).reshape(-1, ne),
+                       kind, pr, pb, clip).reshape(mass_b.shape)
+        obj -= (np.where(mass_b > 0.0, mass_b, 0.0) * g2).sum(axis=(1, 2))
+        chunk_best = int(np.argmax(obj))
+        if obj[chunk_best] > best_val:
+            best_val = float(obj[chunk_best])
+            best_idx = lo + chunk_best
+    return best_val, best_idx
+
+
+def score_kinds(rng, ne):
+    """(kind, pr, pb, clip) for all four kinds; log with its solver clip."""
+    return (
+        (_kernels.KIND_QUADRATIC, np.zeros((0, ne)), EMPTY_PB, 0.0),
+        (_kernels.KIND_LOG, np.zeros((0, ne)), EMPTY_PB, 1e-9),
+        (_kernels.KIND_SPHERICAL, np.zeros((0, ne)), EMPTY_PB, 0.0),
+        (_kernels.KIND_PIECEWISE, rng.uniform(-1.0, 1.0, size=(4, ne)),
+         rng.uniform(-1.0, 1.0, size=4), 0.0),
+    )
+
+
+SHAPES = ((2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 1))
 
 
 def _grid(rng, n, d):
     return np.array([random_simplex(rng, d) for _ in range(n)])
+
+
+def _boundary_prior(rng, ne, na, nb):
+    """A prior with zero entries, including a zero-mass alice outcome."""
+    prior = random_prior(rng, ne=ne, na=na, nb=nb)
+    p = prior.p.copy()
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[:, -1, :] = 0.0
+    return type(prior)(p / p.sum())
 
 
 def test_g_rows_np_kinds():
@@ -36,90 +146,87 @@ def test_g_rows_np_kinds():
 
 
 def test_compositions_paths_agree():
-    for d, k in ((1, 5), (2, 7), (3, 6), (4, 5)):
-        a = _kernels.compositions_np(k, d)
-        assert a.sum(axis=1).tolist() == [k] * a.shape[0]
-        if _kernels.NUMBA_ENABLED:
-            b = _kernels.compositions_nb(k, d)
-            assert np.array_equal(a, b)
+    for d, k in ((1, 5), (2, 7), (3, 6), (4, 5), (2, 0), (5, 0), (1, 0),
+                 (3, 40), (6, 7), (2, 999)):
+        got = _kernels.compositions(k, d)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, compositions_ref(k, d)), (k, d)
 
 
-@needs_numba
-def test_ub_grid_wa_paths_agree():
-    rng = np.random.default_rng(73)
-    for kind, pr, pb, clip in (
-            (_kernels.KIND_QUADRATIC, EMPTY_PR, EMPTY_PB, 0.0),
-            (_kernels.KIND_LOG, EMPTY_PR, EMPTY_PB, 1e-9),
-            (_kernels.KIND_SPHERICAL, EMPTY_PR, EMPTY_PB, 0.0),
-            (_kernels.KIND_PIECEWISE, np.array([[1.0, -0.5], [0.0, 0.75]]),
-             np.array([0.0, -0.25]), 0.0)):
-        prior = random_prior(rng, ne=2, na=3, nb=2)
+@pytest.mark.parametrize("ne,na,nb", SHAPES)
+def test_ub_grid_wa_matches_reference(ne, na, nb):
+    rng = np.random.default_rng(73 + 7 * ne + 5 * na + nb)
+    for prior in (random_prior(rng, ne=ne, na=na, nb=nb),
+                  _boundary_prior(rng, ne, na, nb)):
         t = marginals_and_conditionals(prior).zero_filled()
-        grid = _grid(rng, 500, 3)
-        a = _kernels.ub_grid_wa_np(grid, t.b_given_a, t.e_given_ab,
-                                   t.e_given_a, kind, pr, pb, clip)
-        b = _kernels.ub_grid_wa_nb(grid, t.b_given_a, t.e_given_ab,
-                                   t.e_given_a, kind, pr, pb, clip)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        grid = np.vstack((_grid(rng, 300, na), np.eye(na)))
+        for kind, pr, pb, clip in score_kinds(rng, ne):
+            got = _kernels.ub_grid_wa(grid, t.b_given_a, t.e_given_ab,
+                                      t.e_given_a, kind, pr, pb, clip)
+            ref = ub_grid_wa_ref(grid, t.b_given_a, t.e_given_ab,
+                                 t.e_given_a, kind, pr, pb, clip)
+            assert np.array_equal(got, ref), kind
 
 
-@needs_numba
-def test_ub_grid_veb_paths_agree():
-    rng = np.random.default_rng(79)
-    grid = _grid(rng, 500, 6)
-    a = _kernels.ub_grid_veb_np(grid, 3, 2, _kernels.KIND_QUADRATIC,
-                                np.zeros((0, 3)), EMPTY_PB, 0.0)
-    b = _kernels.ub_grid_veb_nb(grid, 3, 2, _kernels.KIND_QUADRATIC,
-                                np.zeros((0, 3)), EMPTY_PB, 0.0)
-    np.testing.assert_allclose(a, b, atol=1e-12)
+@pytest.mark.parametrize("ne,nb", ((2, 2), (3, 2), (2, 3), (4, 1)))
+def test_ub_grid_veb_matches_reference(ne, nb):
+    rng = np.random.default_rng(79 + 3 * ne + nb)
+    grid = np.vstack((_grid(rng, 300, ne * nb),
+                      _kernels.compositions(3, ne * nb) / 3.0))
+    for kind, pr, pb, clip in score_kinds(rng, ne):
+        got = _kernels.ub_grid_veb(grid, ne, nb, kind, pr, pb, clip)
+        ref = ub_grid_veb_ref(grid, ne, nb, kind, pr, pb, clip)
+        assert np.array_equal(got, ref), kind
 
 
-@needs_numba
-def test_simplex_paths_agree():
-    rng = np.random.default_rng(83)
-    for _ in range(20):
-        m, n = 4, 7
-        t = np.zeros((m + 1, n + m + 1))
-        t[:m, :n] = rng.normal(size=(m, n))
-        t[:m, n:n + m] = np.eye(m)
-        t[:m, -1] = rng.uniform(0.5, 2.0, size=m)
-        t[m, :n] = -rng.normal(size=n)
-        basis = np.arange(n, n + m, dtype=np.int64)
-        allowed = np.ones(n + m, dtype=np.bool_)
-        t2 = t.copy()
-        basis2 = basis.copy()
-        s1 = _kernels.simplex_iterate_np(t, basis, allowed, 1e-9, 1000, 100)
-        s2 = _kernels.simplex_iterate_nb(t2, basis2, allowed, 1e-9, 1000, 100)
-        assert s1 == s2
-        assert np.array_equal(basis, basis2)
-        np.testing.assert_allclose(t, t2, atol=1e-9)
-
-
-@needs_numba
-def test_oracle_scan_paths_agree():
-    rng = np.random.default_rng(89)
+def test_ub_grid_spans_chunks():
+    rng = np.random.default_rng(97)
     prior = random_prior(rng, ne=2, na=2, nb=2)
-    comps = _kernels.compositions(10, 2).astype(float) / 10
+    t = marginals_and_conditionals(prior).zero_filled()
+    grid = _kernels.compositions(CHUNK + 500, 2) / float(CHUNK + 500)
+    for kind, pr, pb, clip in score_kinds(rng, 2)[:2]:
+        got = _kernels.ub_grid_wa(grid, t.b_given_a, t.e_given_ab,
+                                  t.e_given_a, kind, pr, pb, clip)
+        ref = ub_grid_wa_ref(grid, t.b_given_a, t.e_given_ab, t.e_given_a,
+                             kind, pr, pb, clip)
+        assert np.array_equal(got, ref)
+        v = rng.dirichlet(np.ones(4), size=CHUNK + 500)
+        assert np.array_equal(
+            _kernels.ub_grid_veb(v, 2, 2, kind, pr, pb, clip),
+            ub_grid_veb_ref(v, 2, 2, kind, pr, pb, clip))
+
+
+@pytest.mark.parametrize("ne,na,nb,den,m", ((2, 2, 2, 10, 2), (3, 2, 2, 6, 3),
+                                            (2, 3, 2, 5, 2), (2, 2, 3, 8, 2),
+                                            (2, 3, 1, 4, 3)))
+def test_oracle_scan_matches_reference(ne, na, nb, den, m):
+    rng = np.random.default_rng(89 + ne + 3 * na + 5 * nb)
+    comps = _kernels.compositions(den, m).astype(float) / den
+    n_cand = comps.shape[0] ** na
+    for prior in (random_prior(rng, ne=ne, na=na, nb=nb),
+                  _boundary_prior(rng, ne, na, nb)):
+        mu_ae = np.ascontiguousarray(prior.p.sum(axis=2).T)
+        mu_aeb = np.ascontiguousarray(np.transpose(prior.p, (1, 0, 2)))
+        for kind, pr, pb, clip in score_kinds(rng, ne):
+            for start, stop in ((0, n_cand), (n_cand // 3, n_cand)):
+                got = _kernels.oracle_scan(comps, na, start, stop, mu_ae,
+                                           mu_aeb, kind, pr, pb, clip)
+                ref = oracle_scan_ref(comps, na, start, stop, mu_ae, mu_aeb,
+                                      kind, pr, pb, clip)
+                assert got[0] == ref[0] and got[1] == ref[1], kind
+
+
+def test_oracle_scan_spans_chunks():
+    rng = np.random.default_rng(101)
+    prior = random_prior(rng, ne=2, na=3, nb=2)
+    comps = _kernels.compositions(10, 3).astype(float) / 10
     mu_ae = np.ascontiguousarray(prior.p.sum(axis=2).T)
     mu_aeb = np.ascontiguousarray(np.transpose(prior.p, (1, 0, 2)))
-    n_cand = comps.shape[0] ** 2
-    a = _kernels.oracle_scan_np(comps, 2, 0, n_cand, mu_ae, mu_aeb,
-                                _kernels.KIND_QUADRATIC, EMPTY_PR, EMPTY_PB,
-                                0.0)
-    b = _kernels.oracle_scan_nb(comps, 2, 0, n_cand, mu_ae, mu_aeb,
-                                _kernels.KIND_QUADRATIC, EMPTY_PR, EMPTY_PB,
-                                0.0)
-    assert a[0] == pytest.approx(b[0], abs=1e-12)
-    assert a[1] == b[1]
-
-
-def test_numpy_fallback_env_flag():
-    import os
-    import subprocess
-    import sys
-    code = ("import abasolve._kernels as k; "
-            "print(k.NUMBA_ENABLED)")
-    env = dict(os.environ, ABASOLVE_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    n_cand = comps.shape[0] ** 3
+    assert n_cand > 2 * CHUNK
+    for kind, pr, pb, clip in score_kinds(rng, 2)[:2]:
+        got = _kernels.oracle_scan(comps, 3, 1000, n_cand, mu_ae, mu_aeb,
+                                   kind, pr, pb, clip)
+        ref = oracle_scan_ref(comps, 3, 1000, n_cand, mu_ae, mu_aeb, kind,
+                              pr, pb, clip)
+        assert got[0] == ref[0] and got[1] == ref[1]

@@ -13,6 +13,10 @@ from abasolve import _kernels
 from abasolve import lp as lp_module
 from abasolve.lp import LinearProgram, LPStatus, solve_lp
 
+# Bound at import: the tests below patch the module attribute
+# ``_kernels.simplex_iterate`` with a checker that calls this function.
+from abasolve._kernels import simplex_iterate
+
 
 def dense_pivot(t, basis, row, col):
     t[row, :] /= t[row, col]
@@ -122,8 +126,7 @@ def _checked_kernel(seen):
         t_ref, basis_ref = t.copy(), basis.copy()
         expected = simplex_iterate_dense(t_ref, basis_ref, allowed, tol,
                                          max_iter, degen_limit)
-        got = _kernels.simplex_iterate_np(t, basis, allowed, tol, max_iter,
-                                          degen_limit)
+        got = simplex_iterate(t, basis, allowed, tol, max_iter, degen_limit)
         assert got == expected
         assert np.array_equal(t, t_ref)
         assert np.array_equal(basis, basis_ref)
@@ -170,8 +173,7 @@ def test_degenerate_bland_switch_matches_dense_reference(degen_limit):
     t_ref, basis_ref = t.copy(), basis.copy()
     expected = simplex_iterate_dense(t_ref, basis_ref, allowed, 1e-9, 1000,
                                      degen_limit)
-    got = _kernels.simplex_iterate_np(t, basis, allowed, 1e-9, 1000,
-                                      degen_limit)
+    got = simplex_iterate(t, basis, allowed, 1e-9, 1000, degen_limit)
     assert got == expected
     assert got[0] == _kernels._STATUS_OPTIMAL
     assert np.array_equal(t, t_ref)
