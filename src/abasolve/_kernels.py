@@ -31,11 +31,13 @@ def g_rows_np(p: np.ndarray, kind: int, pr: np.ndarray, pb: np.ndarray,
               clip: float) -> np.ndarray:
     """Evaluate G row-wise on an (N, n) array of simplex points."""
     p = np.atleast_2d(p)
-    if kind == KIND_LOG and clip > 0.0:
-        p = (p + clip) / (1.0 + p.shape[1] * clip)
     if kind == KIND_QUADRATIC:
         return np.einsum("ij,ij->i", p, p)
     if kind == KIND_LOG:
+        if clip > 0.0:
+            # clipping makes every entry positive: no zero guard needed
+            p = (p + clip) / (1.0 + p.shape[1] * clip)
+            return (p * np.log(p)).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
         return t.sum(axis=1)

@@ -290,12 +290,14 @@ def validate_instance(spaces: OutcomeSpaces, prior: JointPrior,
     return ValidationOutcome(tuple(violations), tuple(warnings))
 
 
-def total_value(prior: JointPrior, score: ScoreSpec) -> float:
+def total_value(prior: JointPrior, score: ScoreSpec,
+                table: ConditionalTable | None = None) -> float:
     """V = E_{A,B} G(p_{A,B}) - G(p): the pie the two traders split.
 
     Nonnegative for convex G by Jensen's inequality.
     """
-    table = marginals_and_conditionals(prior)
+    if table is None:
+        table = marginals_and_conditionals(prior)
     terms = scoring.weighted_G(score, np.moveaxis(prior.p, 0, 2), table.mu_ab)
     bad = np.argwhere(~np.isfinite(terms))
     if bad.size:

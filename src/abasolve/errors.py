@@ -34,7 +34,8 @@ class SizeCapExceeded(SolverError):
 
 
 class NumericalFailure(SolverError):
-    """LP pivoting exceeded its iteration cap without converging."""
+    """LP pivoting did not converge within its iteration cap, or a
+    solver's result failed its own certificate check."""
 
 
 class BayesPlausibilityViolated(SolverError):

@@ -5,12 +5,21 @@ recommendation profile (i_0, {i_b}_b), k^(|B|+1) signals in all.  The
 obedience LP maximizes Alice's objective subject to every recommendation
 being a best response, with marginal constraints tying pi to the prior.
 
-For |A| = 2 each signal's obedience rows collapse exactly to an interval
-for the induced posterior over A (every row is linear in one ratio), so
-signals with empty intervals are dropped and only the two binding rows per
-surviving signal are kept before pivoting.  This is lossless: discarded
-rows are implied by the kept ones, and discarded signals are forced to
-zero in every feasible point.
+For |A| = 2 each obedience row is linear in the induced posterior
+t = Pr(a0|s), so it bounds t from one side, and a signal's feasible t form
+an interval.  A signal's rows come in |B|+1 components: the rows of its
+recommendation i_0 before Bob reveals, then those of i_b after he reveals
+b.  Each component's interval is computed once per recommended action,
+and each signal's interval is their intersection, taken over the whole
+k^(|B|+1) signal grid in array code.  Only signals with nonempty
+intervals are enumerated, and only the (at most two) rows binding each
+one's interval are kept before pivoting.  This is lossless: discarded rows
+are implied by the kept ones, and discarded signals are forced to zero in
+every feasible point.
+
+Every result certifies itself: an LP duality gap above ``LP_GAP_TOL`` or
+an obedience residual above ``OBEDIENCE_TOL`` raises ``NumericalFailure``
+instead of returning the report.
 """
 
 from __future__ import annotations
@@ -21,16 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import belief, scoring
-from .core import Classification, JointPrior, Method, SignalingScheme, \
-    SolveReport, marginals_and_conditionals, total_value, \
+from .core import Classification, ConditionalTable, JointPrior, Method, \
+    SignalingScheme, SolveReport, marginals_and_conditionals, total_value, \
     full_reveal_scheme, no_reveal_scheme
-from .errors import SizeCapExceeded, ValidationError
+from .errors import NumericalFailure, SizeCapExceeded, ValidationError
 from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, check_cell_cap, \
     solve_lp, tableau_cells
 from .scoring import DecisionProblem, ScoreKind, ScoreSpec
 
 DEFAULT_LP_VAR_CAP = 2_000_000
 CLASSIFY_TOL = 1e-7
+LP_GAP_TOL = 1e-7
+OBEDIENCE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -49,6 +60,13 @@ def build_revelation_signals(k: int, bob_outcomes: int,
                              cap: int = DEFAULT_LP_VAR_CAP
                              ) -> list[RecommendationSignal]:
     """All k^(|B|+1) recommendation profiles in lexicographic order."""
+    _profile_count(k, bob_outcomes, cap)
+    return [RecommendationSignal(prof[0], prof[1:])
+            for prof in itertools.product(range(k), repeat=bob_outcomes + 1)]
+
+
+def _profile_count(k: int, bob_outcomes: int, cap: int) -> int:
+    """k^(|B|+1), refused above ``cap`` before any profile is built."""
     if k < 1 or bob_outcomes < 1:
         raise ValidationError("need k >= 1 actions and |B| >= 1 outcomes")
     count = k ** (bob_outcomes + 1)
@@ -56,32 +74,33 @@ def build_revelation_signals(k: int, bob_outcomes: int,
         raise SizeCapExceeded(
             f"revelation signal set has {count} profiles, cap is {cap}",
             required=count)
-    return [RecommendationSignal(prof[0], prof[1:])
-            for prof in itertools.product(range(k), repeat=bob_outcomes + 1)]
+    return count
 
 
-def _obedience_blocks(prior: JointPrior, decision: DecisionProblem):
+def _obedience_blocks(table: ConditionalTable, decision: DecisionProblem):
     """Per-alice-outcome coefficient tensors shared by LP rows and objective.
 
     unc[i, j, a] weights pi(s, a) in the row 'recommended i beats j' before
     Bob reveals; con[i, j, a, b] after Bob reveals b.  ue_a and ue_ab carry
     the objective weights.
     """
-    t = marginals_and_conditionals(prior).zero_filled()
+    t = table.zero_filled()
     u = decision.utilities                       # (k, ne)
     k = u.shape[0]
     ue_a = np.einsum("ie,ae->ia", u, t.e_given_a)           # (k, na)
     ue_ab = np.einsum("ie,abe,ab->iab", u, t.e_given_ab, t.b_given_a)
     unc = ue_a[:, None, :] - ue_a[None, :, :]               # (k, k, na)
     con = ue_ab[:, None, :, :] - ue_ab[None, :, :, :]       # (k, k, na, nb)
-    return t, ue_a, ue_ab, unc, con
+    return ue_a, ue_ab, unc, con
 
 
 def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
                        signals: list[RecommendationSignal] | None = None,
                        cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
                        keep_rows: list[np.ndarray] | None = None,
-                       cell_cap: int = DEFAULT_CELL_CAP) -> LinearProgram:
+                       cell_cap: int = DEFAULT_CELL_CAP,
+                       table: ConditionalTable | None = None
+                       ) -> LinearProgram:
     """Assemble the obedience LP over pi(s, a) for the given signal set.
 
     Row layout: k unconditional obedience rows per signal, then k*|B|
@@ -104,7 +123,9 @@ def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
         sum(len(kr) for kr in keep_rows)
     # refuse before allocating: the solver's tableau is the largest array
     check_cell_cap(tableau_cells(n_vars, n_rows, na), cell_cap)
-    t, ue_a, ue_ab, unc, con = _obedience_blocks(prior, decision)
+    if table is None:
+        table = marginals_and_conditionals(prior)
+    ue_a, ue_ab, unc, con = _obedience_blocks(table, decision)
 
     objective = np.empty(n_vars)
     blocks = []
@@ -128,51 +149,76 @@ def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
     a_eq = np.zeros((na, n_vars))
     for a in range(na):
         a_eq[a, a::na] = 1.0
-    return LinearProgram(objective, a_eq, t.mu_a, a_ub, np.zeros(total_rows))
+    return LinearProgram(objective, a_eq, table.mu_a, a_ub,
+                         np.zeros(total_rows))
 
 
-def _feasible_intervals(signals: list[RecommendationSignal],
-                        decision: DecisionProblem, unc, con,
-                        tol: float = 1e-12):
-    """For |A| = 2: per-signal posterior interval [lo, hi] over t = Pr(a0|s)
-    plus the row indices attaining the bounds (k + k*|B| rows per signal,
-    ordered as in build_obedience_lp)."""
-    k = decision.n_actions
-    nb = con.shape[3]
-    out = []
-    for sig in signals:
-        rows = np.vstack([unc[sig.i0]] +
-                         [con[sig.ib[b], :, :, b] for b in range(nb)])
-        # row j: v0*t + v1*(1-t) >= 0 for t in [0, 1]
-        v0 = rows[:, 0]
-        v1 = rows[:, 1]
-        slope = v0 - v1
-        lo, lo_row, hi, hi_row = 0.0, -1, 1.0, -1
-        empty = False
-        for j in range(rows.shape[0]):
-            if slope[j] > tol:
-                bound = -v1[j] / slope[j]
-                if bound > lo:
-                    lo, lo_row = bound, j
-            elif slope[j] < -tol:
-                bound = -v1[j] / slope[j]
-                if bound < hi:
-                    hi, hi_row = bound, j
-            elif v1[j] < -tol:
-                empty = True
-                break
-        if empty or lo > hi + 1e-9:
-            out.append(None)
-        else:
-            keep = [j for j in (lo_row, hi_row) if j >= 0]
-            out.append((lo, hi, np.array(sorted(set(keep)), dtype=int)))
-    return out
+def _feasible_signals(unc: np.ndarray, con: np.ndarray, tol: float = 1e-12):
+    """For |A| = 2: the signals whose posterior interval is nonempty.
+
+    Row j of a signal's component c is numbered c*k + j, as in
+    build_obedience_lp: component 0 holds unc[i0], component 1+b holds
+    con[ib_b, :, :, b].  A row v0*t + v1*(1-t) >= 0 bounds t = Pr(a0|s)
+    from below when its slope v0 - v1 exceeds tol, from above when the
+    slope is below -tol, and excludes every t when it is flat with
+    v1 < -tol.  Each component's tightest bounds (first row on ties) are
+    found once per recommended action; a scan over the components then
+    keeps, on the (k,)*(|B|+1) signal grid, the first bound that is
+    strictly tighter than [0, 1] and than the earlier components'.
+
+    Returns the surviving signals in lexicographic order, their interval
+    ends ``lo`` and ``hi``, and for each the sorted rows attaining them.
+    """
+    k = unc.shape[0]
+    comps = np.concatenate((unc[None], np.moveaxis(con, 3, 0)))  # (C, k, k, 2)
+    n_comp = comps.shape[0]
+    v0, v1 = comps[..., 0], comps[..., 1]
+    slope = v0 - v1
+    rises, falls = slope > tol, slope < -tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = -v1 / slope
+    lo_cand = np.where(rises, bound, -np.inf)
+    hi_cand = np.where(falls, bound, np.inf)
+    first_row = np.arange(n_comp)[:, None] * k
+    per_action = (lo_cand.max(axis=2), hi_cand.min(axis=2),      # (C, k)
+                  first_row + lo_cand.argmax(axis=2),
+                  first_row + hi_cand.argmin(axis=2),
+                  (~rises & ~falls & (v1 < -tol)).any(axis=2))
+
+    grid = (k,) * n_comp
+    lo, hi = np.zeros(grid), np.ones(grid)
+    lo_row, hi_row = np.full(grid, -1), np.full(grid, -1)
+    empty = np.zeros(grid, dtype=bool)
+    for c in range(n_comp):
+        along = [1] * n_comp
+        along[c] = k
+        c_lo, c_hi, c_lo_row, c_hi_row, c_flat = (
+            x[c].reshape(along) for x in per_action)
+        tighter = c_lo > lo
+        lo = np.where(tighter, c_lo, lo)
+        lo_row = np.where(tighter, c_lo_row, lo_row)
+        tighter = c_hi < hi
+        hi = np.where(tighter, c_hi, hi)
+        hi_row = np.where(tighter, c_hi_row, hi_row)
+        empty |= c_flat
+    keep = np.flatnonzero(~(empty | (lo > hi + 1e-9)))
+
+    profiles = np.stack(np.unravel_index(keep, grid), axis=1).tolist()
+    signals = [RecommendationSignal(p[0], tuple(p[1:])) for p in profiles]
+    rows = np.sort(np.stack((lo_row.ravel()[keep], hi_row.ravel()[keep]),
+                            axis=1), axis=1)
+    return (signals, lo.ravel()[keep], hi.ravel()[keep],
+            [r[r >= 0] for r in rows])
 
 
 def solve_exact(prior: JointPrior, score: ScoreSpec,
                 cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
                 cell_cap: int = DEFAULT_CELL_CAP) -> SolveReport:
-    """Optimal commitment for piecewise-linear G via the obedience LP."""
+    """Optimal commitment for piecewise-linear G via the obedience LP.
+
+    Raises NumericalFailure when the LP duality gap exceeds LP_GAP_TOL or
+    the scheme's obedience residual exceeds OBEDIENCE_TOL.
+    """
     if score.kind is not ScoreKind.PIECEWISE:
         raise ValidationError(
             "solve_exact needs a piecewise-linear score; linearize first")
@@ -180,23 +226,25 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     k = decision.n_actions
     na = prior.n_alice
     nb = prior.n_bob
-    signals = build_revelation_signals(k, nb, max(cap_lp_vars // max(na, 1), 1))
+    signal_cap = max(cap_lp_vars // max(na, 1), 1)
+    n_profiles = _profile_count(k, nb, signal_cap)
+    table = marginals_and_conditionals(prior)
 
-    pruned = 0
     keep_rows = None
     if na == 2:
-        _, _, _, unc, con = _obedience_blocks(prior, decision)
-        intervals = _feasible_intervals(signals, decision, unc, con)
-        kept = [s for s, iv in zip(signals, intervals) if iv is not None]
-        keep_rows = [iv[2] for iv in intervals if iv is not None]
-        pruned = len(signals) - len(kept)
-        signals = kept
+        _, _, unc, con = _obedience_blocks(table, decision)
+        signals, _, _, keep_rows = _feasible_signals(unc, con)
+    else:
+        signals = build_revelation_signals(k, nb, signal_cap)
     lp = build_obedience_lp(prior, decision, signals, cap_lp_vars, keep_rows,
-                            cell_cap)
+                            cell_cap, table)
     sol = solve_lp(lp, cell_cap)
     if sol.status is not LPStatus.OPTIMAL:
         raise ValidationError(f"obedience LP reported {sol.status.value}; "
                               "marginal constraints should always admit a scheme")
+    if not sol.duality_gap <= LP_GAP_TOL:
+        raise NumericalFailure(f"obedience LP duality gap {sol.duality_gap!r}"
+                               f" exceeds {LP_GAP_TOL!r}")
 
     pi = sol.x.reshape(len(signals), na)
     labels = [sig.label() for sig in signals]
@@ -206,15 +254,19 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
                              pi[keep])
     recs = [r for r, m in zip(signals, keep) if m]
     scheme, recs = merge_equivalent_signals(scheme, recs)
+    violation = certify_obedience(prior, decision, scheme, recs, table=table)
+    if not violation <= OBEDIENCE_TOL:
+        raise NumericalFailure(f"scheme violates obedience by {violation!r}, "
+                               f"above {OBEDIENCE_TOL!r}")
 
-    bob = belief.bob_utility_of_scheme(prior, score, scheme)
+    bob = belief.bob_utility_of_scheme(prior, score, scheme, table)
     return SolveReport(
         scheme=scheme,
         sender_objective=-bob,
         bob_utility=bob,
-        total_value_V=total_value(prior, score),
+        total_value_V=total_value(prior, score, table),
         classification=_classify_against_benchmarks(prior, score,
-                                                    sol.objective),
+                                                    sol.objective, table),
         method=Method.EXACT,
         diagnostics={
             "lp_objective": sol.objective,
@@ -222,11 +274,10 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
             "lp_rows": lp.n_rows,
             "lp_iterations": sol.iterations,
             "lp_duality_gap": sol.duality_gap,
-            "signals_pruned": pruned,
+            "signals_pruned": n_profiles - len(signals),
             "signals_kept": scheme.n_signals,
             "pieces": k,
-            "max_obedience_violation": certify_obedience(
-                prior, decision, scheme, recs),
+            "max_obedience_violation": violation,
         },
     )
 
@@ -255,14 +306,16 @@ def merge_equivalent_signals(scheme: SignalingScheme,
 def certify_obedience(prior: JointPrior, decision: DecisionProblem,
                       scheme: SignalingScheme,
                       recommendations: list[RecommendationSignal] | None = None,
-                      mass_threshold: float = 1e-10) -> float:
+                      mass_threshold: float = 1e-10,
+                      table: ConditionalTable | None = None) -> float:
     """Largest normalized obedience violation over positive-mass signals.
 
     For each signal the recommended action must maximize the expected
     utility under Pr(e|s), and each i_b under Pr(e|s,b).  When
     recommendations are not supplied, signal labels are decoded.
     """
-    table = marginals_and_conditionals(prior)
+    if table is None:
+        table = marginals_and_conditionals(prior)
     u = decision.utilities
     worst = 0.0
     for idx, label in enumerate(scheme.signal_labels):
@@ -288,10 +341,12 @@ def certify_obedience(prior: JointPrior, decision: DecisionProblem,
 
 
 def _classify_against_benchmarks(prior: JointPrior, score: ScoreSpec,
-                                 optimum: float,
+                                 optimum: float, table: ConditionalTable,
                                  tol: float = CLASSIFY_TOL) -> Classification:
-    full = belief.sender_objective(prior, score, full_reveal_scheme(prior))
-    none = belief.sender_objective(prior, score, no_reveal_scheme(prior))
+    full = belief.sender_objective(prior, score, full_reveal_scheme(prior),
+                                   table)
+    none = belief.sender_objective(prior, score, no_reveal_scheme(prior),
+                                   table)
     full_opt = abs(optimum - full) <= tol
     none_opt = abs(optimum - none) <= tol
     if full_opt and none_opt:

@@ -202,8 +202,8 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
     table = marginals_and_conditionals(prior).zero_filled()
     if na == 1:
         scheme = SignalingScheme(("w0",), prior.marginal_alice()[None, :])
-        bob = belief.bob_utility_of_scheme(prior, score, scheme)
-        return SolveReport(scheme, -bob, bob, total_value(prior, score),
+        bob = belief.bob_utility_of_scheme(prior, score, scheme, table)
+        return SolveReport(scheme, -bob, bob, total_value(prior, score, table),
                            Classification.UNCLASSIFIED, Method.FPTAS_A,
                            {"K": 0, "grid_points": 1, "delta": delta})
     params, diag = _resolve_grid(prior, score, delta, na, grid_k,
@@ -228,7 +228,7 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
     support = np.nonzero(sol.x > 1e-12)[0]
     scheme = scheme_from_posteriors(
         prior, [(sol.x[j], grid[j]) for j in support])
-    bob = belief.bob_utility_of_scheme(prior, score, scheme)
+    bob = belief.bob_utility_of_scheme(prior, score, scheme, table)
     diag.update({
         "grid_points": n,
         "lp_objective": -sol.objective,
@@ -236,7 +236,7 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
         "lp_duality_gap": sol.duality_gap,
         "log_clip": clip,
     })
-    return SolveReport(scheme, -bob, bob, total_value(prior, score),
+    return SolveReport(scheme, -bob, bob, total_value(prior, score, table),
                        Classification.UNCLASSIFIED, Method.FPTAS_A, diag)
 
 
@@ -319,7 +319,7 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     mass = x.sum(axis=1)
     keep = np.nonzero(mass > 1e-12)[0]
     scheme = SignalingScheme(tuple(f"v{int(j)}" for j in keep), x[keep])
-    bob = belief.bob_utility_of_scheme(prior, score, scheme)
+    bob = belief.bob_utility_of_scheme(prior, score, scheme, table)
     alpha, beta, L = diag["alpha"], diag["beta"], diag["L"]
     slack = eta * d
     if beta == 1.0:
@@ -336,5 +336,5 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
         "log_clip": clip,
         "guarantee": diag["guarantee"] + eta_term,
     })
-    return SolveReport(scheme, -bob, bob, total_value(prior, score),
+    return SolveReport(scheme, -bob, bob, total_value(prior, score, table),
                        Classification.UNCLASSIFIED, Method.FPTAS_EB, diag)

@@ -124,3 +124,39 @@ def scheme_terms_loop(prior: JointPrior, score: ScoreSpec,
             if t.mu_ab[a, b] > 0.0:
                 e_ab += t.mu_ab[a, b] * eval_G(score, t.e_given_ab[a, b])
     return e_s, e_sb, e_ab
+
+
+def feasible_intervals_loop(signals, unc, con, tol: float = 1e-12):
+    """The |A| = 2 interval pruning as a loop over signals and rows, kept
+    as the reference for ``exact._feasible_signals``: per signal,
+    (lo, hi, rows attaining the bounds) or None when the interval is
+    empty."""
+    nb = con.shape[3]
+    out = []
+    for sig in signals:
+        rows = np.vstack([unc[sig.i0]] +
+                         [con[sig.ib[b], :, :, b] for b in range(nb)])
+        # row j: v0*t + v1*(1-t) >= 0 for t in [0, 1]
+        v0 = rows[:, 0]
+        v1 = rows[:, 1]
+        slope = v0 - v1
+        lo, lo_row, hi, hi_row = 0.0, -1, 1.0, -1
+        empty = False
+        for j in range(rows.shape[0]):
+            if slope[j] > tol:
+                bound = -v1[j] / slope[j]
+                if bound > lo:
+                    lo, lo_row = bound, j
+            elif slope[j] < -tol:
+                bound = -v1[j] / slope[j]
+                if bound < hi:
+                    hi, hi_row = bound, j
+            elif v1[j] < -tol:
+                empty = True
+                break
+        if empty or lo > hi + 1e-9:
+            out.append(None)
+        else:
+            keep = [j for j in (lo_row, hi_row) if j >= 0]
+            out.append((lo, hi, np.array(sorted(set(keep)), dtype=int)))
+    return out

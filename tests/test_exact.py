@@ -1,11 +1,18 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from abasolve.belief import sender_objective
 from abasolve.core import (Classification, JointPrior, SignalingScheme,
-                           full_reveal_scheme, no_reveal_scheme)
-from abasolve import exact as exact_module
-from abasolve.errors import SizeCapExceeded, ValidationError
+                           full_reveal_scheme, marginals_and_conditionals,
+                           no_reveal_scheme)
+from abasolve import cli, exact as exact_module, instances
+from abasolve.errors import NumericalFailure, SizeCapExceeded, \
+    ValidationError
 from abasolve.exact import (RecommendationSignal, build_obedience_lp,
                             build_revelation_signals, certify_obedience,
                             classify_substitutes, merge_equivalent_signals,
@@ -13,10 +20,10 @@ from abasolve.exact import (RecommendationSignal, build_obedience_lp,
 from abasolve.lp import solve_lp, tableau_cells
 from abasolve.oracle import oracle_optimal
 from abasolve.scoring import (decision_problem_from_G, default_tangent_grid,
-                              linearize_smooth, piecewise_score,
+                              linearize_smooth, log_score, piecewise_score,
                               quadratic_score)
 
-from helpers import random_piecewise, random_prior
+from helpers import feasible_intervals_loop, random_piecewise, random_prior
 
 
 def _linearized_quadratic(prior, k=20):
@@ -297,3 +304,207 @@ def test_certify_obedience_detects_violation(xor_prior):
     # masses, so some recommended action must be suboptimal
     recs = [RecommendationSignal(0, (0, 0)), RecommendationSignal(0, (0, 0))]
     assert certify_obedience(xor_prior, decision, scheme, recs) > 0.5
+
+
+# -- |A| = 2 pruning against the per-signal loop ---------------------------
+
+def _pruning_matches_loop(prior, score):
+    """Assert the array pruning reproduces the loop bit for bit; return
+    (signals, survivors)."""
+    decision = decision_problem_from_G(score)
+    _, _, unc, con = exact_module._obedience_blocks(
+        marginals_and_conditionals(prior), decision)
+    signals = build_revelation_signals(decision.n_actions, prior.n_bob)
+    ref = [(sig, iv) for sig, iv in
+           zip(signals, feasible_intervals_loop(signals, unc, con))
+           if iv is not None]
+    kept, lo, hi, rows = exact_module._feasible_signals(unc, con)
+    assert kept == [sig for sig, _ in ref]
+    assert len(lo) == len(hi) == len(rows) == len(ref)
+    for j, (_, (ref_lo, ref_hi, ref_rows)) in enumerate(ref):
+        assert lo[j] == ref_lo and hi[j] == ref_hi
+        assert np.array_equal(rows[j], ref_rows)
+    return len(signals), len(kept)
+
+
+def test_feasible_signals_match_loop_random_priors():
+    rng = np.random.default_rng(211)
+    total = kept = 0
+    for nb in (1, 2, 3):
+        for _ in range(6):
+            ne = int(rng.integers(2, 4))
+            prior = random_prior(rng, ne=ne, na=2, nb=nb)
+            score = random_piecewise(rng, ne=ne, k=int(rng.integers(2, 6)))
+            n, m = _pruning_matches_loop(prior, score)
+            total, kept = total + n, kept + m
+    assert 0 < kept < total          # both outcomes occur
+
+
+def test_feasible_signals_match_loop_ties():
+    rng = np.random.default_rng(223)
+    # duplicate pieces: equal rows inside a component
+    piece = (rng.uniform(-1, 1, size=2), 0.1)
+    score = piecewise_score([piece, ((0.3, -0.2), 0.0), piece,
+                             ((-0.4, 0.5), -0.1), piece])
+    for _ in range(4):
+        _pruning_matches_loop(random_prior(rng, ne=2, na=2, nb=2), score)
+    # B independent of (E, A) with mu(b) = 1/2: each con[..., b] is
+    # exactly unc / 2, so equal bounds recur across components
+    q = rng.gamma(1.0, size=(2, 2))
+    p = np.repeat((q / q.sum())[:, :, None] / 2, 2, axis=2)
+    prior = JointPrior(p)
+    decision = decision_problem_from_G(score)
+    _, _, unc, con = exact_module._obedience_blocks(
+        marginals_and_conditionals(prior), decision)
+    assert np.array_equal(con[..., 0], unc / 2)
+    _pruning_matches_loop(prior, score)
+    _pruning_matches_loop(prior, random_piecewise(rng, ne=2, k=4))
+
+
+def test_feasible_signals_match_loop_flat_rows(independent_prior):
+    rng = np.random.default_rng(227)
+    score = random_piecewise(rng, ne=2, k=4)
+    # E independent of A: every row is flat, and the losing ones empty
+    n, m = _pruning_matches_loop(independent_prior, score)
+    assert m < n
+    base = random_prior(rng, ne=2, na=2, nb=2).p.copy()
+    no_a1 = base.copy()
+    no_a1[:, 1, :] = 0.0                     # zero-mass A outcome
+    no_b1 = base.copy()
+    no_b1[:, :, 1] = 0.0                     # zero-mass B outcome
+    for p in (no_a1, no_b1):
+        _pruning_matches_loop(JointPrior(p / p.sum()), score)
+
+
+def test_feasible_signals_match_loop_log_boundary_tangents():
+    rng = np.random.default_rng(229)
+    grid = default_tangent_grid(log_score(), 2, 20)   # tangents to 0.05
+    score = linearize_smooth(log_score(), grid)
+    skewed = random_prior(rng, ne=2, na=2, nb=2).p.copy()
+    skewed[0] *= 1e-9                        # posteriors near the boundary
+    for prior in (random_prior(rng, ne=2, na=2, nb=2),
+                  JointPrior(skewed / skewed.sum())):
+        _pruning_matches_loop(prior, score)
+
+
+def test_feasible_signals_match_loop_single_piece(xor_prior):
+    score = piecewise_score([((0.25, -0.25), 0.1)])
+    assert _pruning_matches_loop(xor_prior, score) == (1, 1)
+
+
+def test_feasible_signals_keep_intervals_crossing_within_1e9():
+    # signal (0, 0): unc row 0 gives lo = 0.5 + gap, con row 0 gives hi = 0.5
+    rows = {}
+    for gap in (5e-10, 2e-9):
+        unc = np.zeros((2, 2, 2))
+        con = np.zeros((2, 2, 2, 1))
+        unc[0, 0] = (0.5 - gap, -(0.5 + gap))    # slope 1: t >= 0.5 + gap
+        con[0, 0, :, 0] = (-0.5, 0.5)            # slope -1: t <= 0.5
+        signals = build_revelation_signals(2, 1)
+        ref = feasible_intervals_loop(signals, unc, con)
+        kept, lo, hi, kept_rows = exact_module._feasible_signals(unc, con)
+        assert kept == [s for s, iv in zip(signals, ref) if iv is not None]
+        assert [list(r) for r in kept_rows] == \
+            [list(iv[2]) for iv in ref if iv is not None]
+        rows[gap] = kept_rows
+    assert [list(r) for r in rows[5e-10]] == [[0, 2], [0], [2], []]
+    assert [list(r) for r in rows[2e-9]] == [[0], [2], []]
+
+
+_prior_entries = st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0]),
+                           st.floats(0.0, 1.0))
+_piece_entries = st.one_of(st.sampled_from([-0.5, 0.0, 0.5]),
+                           st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nb=st.integers(1, 3), k=st.integers(1, 5))
+def test_feasible_signals_match_loop_property(data, nb, k):
+    p = data.draw(arrays(float, (2, 2, nb), elements=_prior_entries))
+    if p.sum() <= 0.0:
+        p[0, 0, 0] = 1.0
+    r = data.draw(arrays(float, (k, 2), elements=_piece_entries))
+    b = data.draw(arrays(float, (k,), elements=_piece_entries))
+    _pruning_matches_loop(JointPrior(p / p.sum()),
+                          piecewise_score(list(zip(r, b))))
+
+
+def test_solve_exact_refuses_over_cap_before_allocating(xor_prior,
+                                                        monkeypatch):
+    score = random_piecewise(np.random.default_rng(0), ne=2, k=3)
+    # 3^3 = 27 profiles against a signal cap of 40 // |A| = 20
+    with pytest.raises(SizeCapExceeded) as from_enumeration:
+        build_revelation_signals(3, 2, cap=20)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the cap check")
+
+    for name in ("marginals_and_conditionals", "_obedience_blocks",
+                 "_feasible_signals", "build_revelation_signals"):
+        monkeypatch.setattr(exact_module, name, no_build)
+    with pytest.raises(SizeCapExceeded) as refused:
+        solve_exact(xor_prior, score, cap_lp_vars=40)
+    assert str(refused.value) == str(from_enumeration.value) == \
+        "revelation signal set has 27 profiles, cap is 20"
+    assert refused.value.required == from_enumeration.value.required == 27
+
+
+def test_solve_exact_over_cap_allocates_nothing():
+    rng = np.random.default_rng(233)
+    prior = random_prior(rng, ne=2, na=2, nb=3)
+    score = random_piecewise(rng, ne=2, k=38)   # 38^4 > 2e6 / 2 profiles
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded) as refused:
+            solve_exact(prior, score)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refused.value.required == 38 ** 4
+    assert peak < 256 * 1024
+
+
+# -- self-certification ------------------------------------------------------
+
+def _with_gap(monkeypatch, gap):
+    real = exact_module.solve_lp
+
+    def solve_lp_with_gap(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), duality_gap=gap)
+
+    monkeypatch.setattr(exact_module, "solve_lp", solve_lp_with_gap)
+
+
+def test_solve_exact_raises_on_duality_gap(xor_prior, monkeypatch):
+    score = random_piecewise(np.random.default_rng(2), ne=2, k=4)
+    _with_gap(monkeypatch, exact_module.LP_GAP_TOL)
+    assert solve_exact(xor_prior, score).diagnostics["lp_duality_gap"] == \
+        exact_module.LP_GAP_TOL
+    _with_gap(monkeypatch, 2 * exact_module.LP_GAP_TOL)
+    with pytest.raises(NumericalFailure, match="duality gap"):
+        solve_exact(xor_prior, score)
+
+
+def test_solve_exact_raises_on_obedience_violation(xor_prior, monkeypatch):
+    score = random_piecewise(np.random.default_rng(2), ne=2, k=4)
+    tol = exact_module.OBEDIENCE_TOL
+    monkeypatch.setattr(exact_module, "certify_obedience",
+                        lambda *args, **kwargs: tol)
+    assert solve_exact(xor_prior, score).diagnostics[
+        "max_obedience_violation"] == tol
+    monkeypatch.setattr(exact_module, "certify_obedience",
+                        lambda *args, **kwargs: 2 * tol)
+    with pytest.raises(NumericalFailure, match="obedience"):
+        solve_exact(xor_prior, score)
+
+
+def test_cli_maps_certificate_failure_to_solver_exit(tmp_path, monkeypatch,
+                                                    capsys):
+    spaces, prior = instances.xor_instance()
+    path = tmp_path / "xor.json"
+    instances.write_json(
+        instances.instance_to_json(spaces, prior, quadratic_score()), path)
+    monkeypatch.setattr(exact_module, "certify_obedience",
+                        lambda *args, **kwargs: 1.0)
+    assert cli.main(["classify", str(path)]) == cli.EXIT_SOLVER
+    assert "solver failure" in capsys.readouterr().err

@@ -145,6 +145,21 @@ def test_g_rows_np_kinds():
     assert pw == pytest.approx([0.25, 1.0])
 
 
+def test_g_rows_np_clipped_log_matches_guarded_sum():
+    # the earlier log branch guarded zeros even after clipping
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 6):
+        p = rng.dirichlet(np.full(n, 0.3), size=2000)
+        p[rng.random(p.shape) < 0.2] = 0.0
+        for clip in (1e-9, 1e-4):
+            q = (p + clip) / (1.0 + n * clip)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ref = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)),
+                               0.0).sum(axis=1)
+            assert np.array_equal(
+                g_rows_np(p, _kernels.KIND_LOG, EMPTY_PR, EMPTY_PB, clip), ref)
+
+
 def test_compositions_paths_agree():
     for d, k in ((1, 5), (2, 7), (3, 6), (4, 5), (2, 0), (5, 0), (1, 0),
                  (3, 40), (6, 7), (2, 999)):
