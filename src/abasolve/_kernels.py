@@ -2,9 +2,10 @@
 
 ``weighted_g`` is the one place G meets a posterior: it takes unnormalised
 posteriors over E with their masses and returns mass * G(posterior).  The
-u_B functionals in ``belief``, ``core`` and ``oracle`` and the grid and
-oracle kernels here form their own numerators and call it.  ``pivot`` is
-shared by ``simplex_iterate`` and the LP driver's artificial drive-out.
+u_B functionals in ``belief``, ``core`` and ``oracle``, the point and
+tangent evaluations in ``scoring`` and the grid and oracle kernels here
+call it.  ``pivot`` is shared by ``simplex_iterate`` and the LP driver's
+artificial drive-out.
 
 Score kinds are passed as integer codes: 0 quadratic, 1 log, 2 spherical,
 3 piecewise-linear (max-affine, pieces given as ``pr`` rows plus offsets

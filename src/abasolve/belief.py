@@ -7,6 +7,9 @@ the game is constant-sum with total V = E G(p_{A,B}) - G(p).
 
 Three equivalent parameterizations of u_B are provided: by scheme, by a
 posterior w over A, and by a posterior v over E x B.
+
+A scheme's posteriors are formed in one place, ``_posterior_terms``, for
+all signals at once; the per-label functions index into its result.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scoring
+from . import _kernels, scoring
 from .core import ConditionalTable, JointPrior, SignalingScheme, \
     marginals_and_conditionals
 from .errors import PreconditionViolated, ValidationError, \
@@ -53,17 +56,29 @@ def _table(prior: JointPrior,
     return marginals_and_conditionals(prior) if table is None else table
 
 
+def _posterior_terms(pi: np.ndarray, table: ConditionalTable):
+    """Pr(s), Pr(s, e), Pr(s, b) and Pr(s, b, e) for every row s of ``pi``:
+    the masses and numerators of Pr(e|s) and Pr(e|s,b)."""
+    t = table.zero_filled()
+    return (pi.sum(axis=1), pi @ t.e_given_a, pi @ t.b_given_a,
+            np.einsum("sa,aeb->sbe", pi, t.eb_given_a))
+
+
+def _signal_terms(prior: JointPrior, scheme: SignalingScheme, s: str,
+                  table: ConditionalTable | None):
+    """``_posterior_terms`` of one signal; raises if it is never sent."""
+    row = scheme.pi[scheme.signal_index(s)][None]
+    terms = [x[0] for x in _posterior_terms(row, _table(prior, table))]
+    if terms[0] <= 0.0:
+        raise ZeroProbabilitySignal(f"signal {s!r} is never sent")
+    return terms
+
+
 def posterior_e_given_s(prior: JointPrior, scheme: SignalingScheme, s: str,
                         table: ConditionalTable | None = None
                         ) -> PosteriorDistribution:
     """Pr(e|s) = sum_a mu(e|a) pi(s,a) / sum_a pi(s,a)."""
-    t = _table(prior, table)
-    row = scheme.pi[scheme.signal_index(s)]
-    mass = float(row.sum())
-    if mass <= 0.0:
-        raise ZeroProbabilitySignal(f"signal {s!r} is never sent")
-    active = row > 0.0
-    numer = row[active] @ np.nan_to_num(t.e_given_a[active])
+    mass, numer, _, _ = _signal_terms(prior, scheme, s, table)
     return PosteriorDistribution(SupportKind.OVER_E, numer / mass)
 
 
@@ -72,27 +87,19 @@ def posterior_e_given_sb(prior: JointPrior, scheme: SignalingScheme, s: str,
                          table: ConditionalTable | None = None
                          ) -> PosteriorDistribution:
     """Pr(e|s,b) = sum_a mu(e|a,b) pi(s,a) mu(b|a) / sum_a pi(s,a) mu(b|a)."""
-    t = _table(prior, table)
-    row = scheme.pi[scheme.signal_index(s)]
-    weights = row * np.nan_to_num(t.b_given_a[:, b])
-    mass = float(weights.sum())
-    if mass <= 0.0:
+    row = scheme.pi[scheme.signal_index(s)][None]
+    _, _, mass_b, numer_b = _posterior_terms(row, _table(prior, table))
+    if mass_b[0, b] <= 0.0:
         raise ZeroProbabilityPair(f"pair (s={s!r}, b={b}) has zero probability")
-    active = weights > 0.0
-    numer = weights[active] @ t.e_given_ab[active, b]
-    return PosteriorDistribution(SupportKind.OVER_E, numer / mass)
+    return PosteriorDistribution(SupportKind.OVER_E,
+                                 numer_b[0, b] / mass_b[0, b])
 
 
 def prob_b_given_s(prior: JointPrior, scheme: SignalingScheme, s: str,
                    table: ConditionalTable | None = None) -> np.ndarray:
     """Pr(b|s) = sum_a Pr(a|s) mu(b|a)."""
-    t = _table(prior, table)
-    row = scheme.pi[scheme.signal_index(s)]
-    mass = float(row.sum())
-    if mass <= 0.0:
-        raise ZeroProbabilitySignal(f"signal {s!r} is never sent")
-    active = row > 0.0
-    return (row[active] / mass) @ np.nan_to_num(t.b_given_a[active])
+    mass, _, mass_b, _ = _signal_terms(prior, scheme, s, table)
+    return mass_b / mass
 
 
 def _scheme_terms(prior: JointPrior, score: ScoreSpec,
@@ -101,20 +108,13 @@ def _scheme_terms(prior: JointPrior, score: ScoreSpec,
                   ) -> tuple[float, float]:
     """(E_s G(p_s), E_{s,b} G(p_{s,b})); zero-probability signals dropped.
 
-    One batched evaluation over the numerators Pr(s, e) and Pr(s, b, e).
+    One batched evaluation each over Pr(s, e) and Pr(s, b, e).
     """
-    t = _table(prior, table)
     scheme.validate(prior)
-    pi = scheme.pi
-    n_s = scheme.n_signals
-    numer_sb = np.einsum("sa,aeb->sbe", pi, np.nan_to_num(t.eb_given_a))
-    terms = scoring.weighted_G(
-        score,
-        np.concatenate((pi @ np.nan_to_num(t.e_given_a),
-                        numer_sb.reshape(-1, prior.n_events))),
-        np.concatenate((pi.sum(axis=1),
-                        (pi @ np.nan_to_num(t.b_given_a)).ravel())))
-    return float(terms[:n_s].sum()), float(terms[n_s:].sum())
+    mass, numer, mass_b, numer_b = _posterior_terms(scheme.pi,
+                                                    _table(prior, table))
+    return (float(scoring.weighted_G(score, numer, mass).sum()),
+            float(scoring.weighted_G(score, numer_b, mass_b).sum()))
 
 
 def bob_utility_of_scheme(prior: JointPrior, score: ScoreSpec,
@@ -146,12 +146,11 @@ def bob_utility_from_wA(prior: JointPrior, score: ScoreSpec, w,
     if np.any((wv > 1e-12) & ~t.defined_a):
         raise PreconditionViolated(
             "posterior places mass on an alice outcome with mu(a) = 0")
-    active = (wv > 0.0) & t.defined_a
-    wa, bga = wv[active], t.b_given_a[active]
-    numer_b = np.einsum("a,ab,abe->be", wa, bga,
-                        np.nan_to_num(t.e_given_ab[active]))
-    return _single_signal_ub(score, wa @ t.e_given_a[active], numer_b,
-                             wa @ bga)
+    row = np.where((wv > 0.0) & t.defined_a, wv, 0.0)
+    pr, pb = score.kernel_pieces(prior.n_events)
+    z = t.zero_filled()
+    return float(_kernels.ub_grid_wa(row[None, :], z.b_given_a, z.e_given_ab,
+                                     z.e_given_a, score.kind_code(), pr, pb)[0])
 
 
 def bob_utility_from_vEB(score: ScoreSpec, v, n_events: int | None = None,
@@ -168,14 +167,10 @@ def bob_utility_from_vEB(score: ScoreSpec, v, n_events: int | None = None,
         vv = vv.reshape(n_events, n_bob)
     if abs(float(vv.sum()) - 1.0) > 1e-9 or (vv < -1e-12).any():
         raise ValidationError("v must be a distribution over E x B")
-    return _single_signal_ub(score, vv.sum(axis=1), vv.T, vv.sum(axis=0))
-
-
-def _single_signal_ub(score: ScoreSpec, p_s, numer_b, lam) -> float:
-    """sum_b lam_b G(numer_b / lam_b) - G(p_s) in one evaluation."""
-    terms = scoring.weighted_G(score, np.vstack((p_s, numer_b)),
-                               np.concatenate(([1.0], lam)))
-    return float(terms[1:].sum() - terms[0])
+    ne, nb = vv.shape
+    pr, pb = score.kernel_pieces(ne)
+    return float(_kernels.ub_grid_veb(vv.reshape(1, -1), ne, nb,
+                                      score.kind_code(), pr, pb)[0])
 
 
 def alice_total_utility(prior: JointPrior, score: ScoreSpec,
@@ -208,11 +203,5 @@ def induced_posterior_over_EB(prior: JointPrior, scheme: SignalingScheme,
                               table: ConditionalTable | None = None
                               ) -> np.ndarray:
     """Pr(e, b|s) as a matrix [e, b]."""
-    t = _table(prior, table)
-    row = scheme.pi[scheme.signal_index(s)]
-    mass = float(row.sum())
-    if mass <= 0.0:
-        raise ZeroProbabilitySignal(f"signal {s!r} is never sent")
-    active = row > 0.0
-    v = np.einsum("a,aeb->eb", row[active], np.nan_to_num(t.eb_given_a[active]))
-    return v / mass
+    mass, _, _, numer_b = _signal_terms(prior, scheme, s, table)
+    return numer_b.T / mass

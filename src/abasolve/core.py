@@ -151,6 +151,9 @@ class SignalingScheme:
             out.append(f"scheme: {self.pi.shape[1]} columns for "
                        f"{prior.n_alice} alice outcomes")
             return out
+        if not np.isfinite(self.pi).all():
+            out.append("scheme: entries must be finite")
+            return out
         if (self.pi < 0).any():
             out.append("scheme: negative entry")
         resid = np.abs(self.pi.sum(axis=0) - prior.marginal_alice())

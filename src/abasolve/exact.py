@@ -314,30 +314,21 @@ def certify_obedience(prior: JointPrior, decision: DecisionProblem,
     utility under Pr(e|s), and each i_b under Pr(e|s,b).  When
     recommendations are not supplied, signal labels are decoded.
     """
-    if table is None:
-        table = marginals_and_conditionals(prior)
-    u = decision.utilities
-    worst = 0.0
-    for idx, label in enumerate(scheme.signal_labels):
-        if scheme.pi[idx].sum() <= mass_threshold:
-            continue
-        if recommendations is not None:
-            rec = recommendations[idx]
-        else:
-            parts = [int(x) for x in label.split("-")]
-            rec = RecommendationSignal(parts[0], tuple(parts[1:]))
-        p_s = belief.posterior_e_given_s(prior, scheme, label, table).weights
-        vals = u @ p_s
-        worst = max(worst, float(vals.max() - vals[rec.i0]))
-        for b in range(prior.n_bob):
-            row = scheme.pi[idx]
-            if float(row @ np.nan_to_num(table.b_given_a[:, b])) <= mass_threshold:
-                continue
-            p_sb = belief.posterior_e_given_sb(prior, scheme, label, b,
-                                               table).weights
-            vals = u @ p_sb
-            worst = max(worst, float(vals.max() - vals[rec.ib[b]]))
-    return worst
+    live = np.flatnonzero(scheme.pi.sum(axis=1) > mass_threshold)
+    labels = [scheme.signal_labels[i] if recommendations is None
+              else recommendations[i].label() for i in live]
+    rec = np.array([label.split("-") for label in labels],
+                   dtype=int).reshape(live.size, 1 + prior.n_bob)
+    mass, numer, mass_b, numer_b = belief._posterior_terms(
+        scheme.pi[live], belief._table(prior, table))
+    # column 0: Pr(e|s) before Bob reveals; column 1 + b: Pr(e|s, b)
+    masses = np.column_stack((mass, mass_b))
+    on = masses > mass_threshold
+    vals = np.concatenate((numer[:, None], numer_b), axis=1) \
+        @ decision.utilities.T / np.where(on, masses, 1.0)[..., None]
+    gap = vals.max(axis=2) - np.take_along_axis(vals, rec[..., None],
+                                                axis=2)[..., 0]
+    return float(np.max(gap[on], initial=0.0))
 
 
 def _classify_against_benchmarks(prior: JointPrior, score: ScoreSpec,

@@ -23,11 +23,11 @@ from . import _kernels, belief, scoring
 from .core import Classification, JointPrior, Method, SignalingScheme, \
     SolveReport, marginals_and_conditionals, total_value
 from .errors import BayesPlausibilityViolated, SizeCapExceeded, ValidationError
-from .lp import LinearProgram, LPStatus, solve_lp, tableau_cells
+from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, solve_lp, \
+    tableau_cells
 from .scoring import ScoreKind, ScoreSpec
 
 DEFAULT_GRID_CAP = 5_000_000
-DEFAULT_CELL_CAP = 25_000_000
 LOG_CLIP = 1e-9
 EPS_CEILING = 0.49  # grid_size_K needs eps < 1; beyond this the grid is tiny anyway
 

@@ -62,6 +62,21 @@ def _labels(obj, where: str) -> tuple[str, ...]:
     return tuple(obj)
 
 
+def _number(v, where: str) -> float:
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ParseError(f"{where}: expected a number")
+    return float(v)
+
+
+def _numbers(obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise ParseError(f"{where}: expected an array of numbers")
+    for i, v in enumerate(obj):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ParseError(f"{where}[{i}]: expected a number")
+    return obj
+
+
 def score_from_json(obj) -> ScoreSpec:
     _require_keys(obj, {"kind", "pieces", "holder", "L"}, {"kind"}, "score")
     kind = obj["kind"]
@@ -70,9 +85,10 @@ def score_from_json(obj) -> ScoreSpec:
         h = obj["holder"]
         _require_keys(h, {"alpha", "beta", "c"}, {"alpha", "beta"},
                       "score.holder")
-        holder = HolderParams(float(h["alpha"]), float(h["beta"]),
-                              float(h.get("c", 0.5)))
-    bound = float(obj["L"]) if "L" in obj else None
+        holder = HolderParams(_number(h["alpha"], "score.holder.alpha"),
+                              _number(h["beta"], "score.holder.beta"),
+                              _number(h.get("c", 0.5), "score.holder.c"))
+    bound = _number(obj["L"], "score.L") if "L" in obj else None
     if kind == "piecewise":
         if "pieces" not in obj or not isinstance(obj["pieces"], list) \
                 or not obj["pieces"]:
@@ -80,9 +96,9 @@ def score_from_json(obj) -> ScoreSpec:
         pieces = []
         for i, piece in enumerate(obj["pieces"]):
             _require_keys(piece, {"r", "b"}, {"r", "b"}, f"score.pieces[{i}]")
-            pieces.append((np.asarray(piece["r"], dtype=float),
-                           float(piece["b"])))
-        lengths = {p[0].shape for p in pieces}
+            pieces.append((_numbers(piece["r"], f"score.pieces[{i}].r"),
+                           _number(piece["b"], f"score.pieces[{i}].b")))
+        lengths = {len(p[0]) for p in pieces}
         if len(lengths) != 1:
             raise ParseError("score: pieces must share one r length")
         return piecewise_score(pieces, holder=holder, bound_L=bound)
@@ -134,10 +150,7 @@ def parse_instance(path: str | Path
         for a, row in enumerate(slab):
             if not isinstance(row, list) or len(row) != nb:
                 raise ParseError(f"prior[{e}][{a}]: expected {nb} entries")
-            for b, v in enumerate(row):
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise ParseError(f"prior[{e}][{a}][{b}]: expected a number")
-                tensor[e, a, b] = float(v)
+            tensor[e, a] = _numbers(row, f"prior[{e}][{a}]")
     return spaces, JointPrior(tensor), score_from_json(doc["score"])
 
 
@@ -158,7 +171,10 @@ def scheme_from_json(obj) -> tuple[tuple[str, ...], np.ndarray]:
     rows = obj["pi"]
     if not isinstance(rows, list) or len(rows) != len(labels):
         raise ParseError("scheme: need one pi row per signal")
-    return labels, np.asarray(rows, dtype=float)
+    pi = [_numbers(row, f"scheme.pi[{s}]") for s, row in enumerate(rows)]
+    if len({len(row) for row in pi}) > 1:
+        raise ParseError("scheme.pi: rows must have equal length")
+    return labels, np.asarray(pi, dtype=float)
 
 
 def parse_scheme(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:

@@ -19,6 +19,7 @@ from .core import CheckReport, Classification, ConditionalTable, JointPrior, \
     Method, SignalingScheme, SolveReport, marginals_and_conditionals, \
     total_value
 from .errors import PreconditionViolated, SizeCapExceeded, ValidationError
+from .fptas import LOG_CLIP
 from .scoring import ScoreKind, ScoreSpec
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
@@ -51,17 +52,14 @@ def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
     p = prior.p
     mu_ae = np.ascontiguousarray(p.sum(axis=2).T)          # (na, ne)
     mu_aeb = np.ascontiguousarray(np.transpose(p, (1, 0, 2)))  # (na, ne, nb)
-    clip = 1e-9 if score.kind is ScoreKind.LOG else 0.0
+    clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0
     pr, pb = score.kernel_pieces(ne)
     best_val, best_idx = _kernels.oracle_scan(
         comps, na, 0, n_cand, mu_ae, mu_aeb, score.kind_code(), pr, pb, clip)
 
-    digits = []
-    q = best_idx
-    for _ in range(na):
-        digits.append(q % comps.shape[0])
-        q //= comps.shape[0]
-    frac = comps[digits].T                                  # (max_signals, na)
+    # candidate c gives alice outcome a the row (c // P**a) % P of comps
+    digits = np.unravel_index(best_idx, (comps.shape[0],) * na)[::-1]
+    frac = comps[list(digits)].T                            # (max_signals, na)
     pi = frac * prior.marginal_alice()[None, :]
     labels = tuple(f"s{j}" for j in range(max_signals))
     scheme = SignalingScheme(labels, pi).prune_zero_signals()
@@ -101,6 +99,20 @@ class CrossBeliefPayoff:
     divergence_mass: float  # probability that Bob's report misses the truth
 
 
+def _bob_reports(believed: SignalingScheme, labels,
+                 table: ConditionalTable) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's reports (len(labels), |B|, |E|) and off-path flags: the believed
+    Pr(e|s,b) on path, else Pr(e|b), the Pr(e|s,b) of the row mu(a)."""
+    # row -2 is never sent (labels Bob does not know); row -1 sends mu(a)
+    pi = np.vstack((believed.pi, np.zeros(believed.n_alice), table.mu_a))
+    rows = [believed.signal_labels.index(s) if s in believed.signal_labels
+            else -2 for s in labels]
+    _, _, mass_b, numer_b = belief._posterior_terms(pi[rows + [-1]], table)
+    posts = numer_b / np.where(mass_b > 0.0, mass_b, np.nan)[..., None]
+    off = ~(mass_b[:-1] > 0.0)
+    return np.where(off[..., None], posts[-1], posts[:-1]), off
+
+
 def bob_report(prior: JointPrior, believed: SignalingScheme, s: str, b: int,
                table: ConditionalTable | None = None
                ) -> tuple[belief.PosteriorDistribution, bool]:
@@ -111,14 +123,11 @@ def bob_report(prior: JointPrior, believed: SignalingScheme, s: str, b: int,
     Returns (posterior, off_path_flag).
     """
     t = marginals_and_conditionals(prior) if table is None else table
-    if s in believed.signal_labels:
-        row = believed.pi[believed.signal_index(s)]
-        if float(row @ np.nan_to_num(t.b_given_a[:, b])) > 0.0:
-            return belief.posterior_e_given_sb(prior, believed, s, b, t), False
-    if t.mu_b[b] <= 0.0:
+    reports, off = _bob_reports(believed, (s,), t)
+    if off[0, b] and t.mu_b[b] <= 0.0:
         raise ValidationError(f"bob outcome {b} has zero prior probability")
-    post = t.mu_eb[:, b] / t.mu_b[b]
-    return belief.PosteriorDistribution(belief.SupportKind.OVER_E, post), True
+    return (belief.PosteriorDistribution(belief.SupportKind.OVER_E,
+                                         reports[0, b]), bool(off[0, b]))
 
 
 def cross_belief_utilities(prior: JointPrior, score: ScoreSpec,
@@ -133,27 +142,17 @@ def cross_belief_utilities(prior: JointPrior, score: ScoreSpec,
     t = marginals_and_conditionals(prior)
     believed.validate(prior)
     actual.validate(prior)
-    e_s_term = float(scoring.weighted_G(
-        score, actual.pi @ np.nan_to_num(t.e_given_a),
-        actual.signal_masses()).sum())
-    bob = 0.0
-    off_mass = 0.0
-    diverged = 0.0
-    for s in actual.signal_labels:
-        row = actual.pi[actual.signal_index(s)]
-        for b in range(prior.n_bob):
-            pair_mass = float(row @ np.nan_to_num(t.b_given_a[:, b]))
-            if pair_mass <= 0.0:
-                continue
-            truth = belief.posterior_e_given_sb(prior, actual, s, b, t)
-            report, off = bob_report(prior, believed, s, b, t)
-            if off:
-                off_mass += pair_mass
-            if float(np.abs(report.weights - truth.weights).sum()) > 1e-9:
-                diverged += pair_mass
-            bob += pair_mass * scoring.expected_report_score(
-                score, report, truth)
-    bob -= e_s_term
+    mass, numer, mass_b, numer_b = belief._posterior_terms(actual.pi, t)
+    e_s_term = float(scoring.weighted_G(score, numer, mass).sum())
+    reports, off = _bob_reports(believed, actual.signal_labels, t)
+    sent = mass_b > 0.0
+    pair_mass = mass_b[sent]
+    truth = numer_b[sent] / pair_mass[:, None]
+    report = reports[sent]
+    bob = float((pair_mass * scoring.expected_report_score(
+        score, report, truth)).sum()) - e_s_term
+    off_mass = float(pair_mass[off[sent]].sum())
+    diverged = float(pair_mass[abs(report - truth).sum(axis=1) > 1e-9].sum())
 
     g_prior = scoring.eval_G(score, t.mu_e)
     e_ab = float(scoring.weighted_G(score, np.moveaxis(prior.p, 0, 2),

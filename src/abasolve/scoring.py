@@ -192,9 +192,7 @@ def _weights(p) -> np.ndarray:
 
 def eval_G(score: ScoreSpec, p) -> float:
     """G(p).  For the log rule, boundary points use the limit 0*log 0 = 0."""
-    w = _weights(p)
-    pr, pb = score.kernel_pieces(w.shape[0])
-    return float(_kernels.g_rows_np(w[None, :], score.kind_code(), pr, pb, 0.0)[0])
+    return float(weighted_G(score, _weights(p), np.float64(1.0)))
 
 
 def weighted_G(score: ScoreSpec, numer: np.ndarray,
@@ -208,8 +206,13 @@ def weighted_G(score: ScoreSpec, numer: np.ndarray,
     return _kernels.weighted_g(numer, mass, score.kind_code(), pr, pb, 0.0)
 
 
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each rounded as np.dot rounds it."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def grad_G(score: ScoreSpec, p) -> np.ndarray:
-    """A (sub)gradient of G at p.
+    """A (sub)gradient of G at p, row-wise over the last axis.
 
     Piecewise ties at piece boundaries resolve to the lowest piece index.
     """
@@ -220,12 +223,12 @@ def grad_G(score: ScoreSpec, p) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log(w) + 1.0
     if score.kind is ScoreKind.SPHERICAL:
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
+        nrm = np.sqrt(_row_dot(w, w))[..., None]
+        if (nrm == 0.0).any():
             raise ValidationError("spherical gradient undefined at the origin")
         return w / nrm
-    i = int(np.argmax(score.pieces_r @ w + score.pieces_b))
-    return score.pieces_r[i].copy()
+    piece = np.argmax(w @ score.pieces_r.T + score.pieces_b, axis=-1)
+    return np.take(score.pieces_r, piece, axis=0)
 
 
 def score_R(score: ScoreSpec, report, e: int) -> float:
@@ -236,27 +239,22 @@ def score_R(score: ScoreSpec, report, e: int) -> float:
     value), not an exception.
     """
     w = _weights(report)
-    if score.kind is ScoreKind.QUADRATIC:
-        return float(2.0 * w[e] - w @ w)
-    if score.kind is ScoreKind.LOG:
-        return float(np.log(w[e])) if w[e] > 0.0 else float("-inf")
-    if score.kind is ScoreKind.SPHERICAL:
-        return float(w[e] / np.linalg.norm(w))
-    i = int(np.argmax(score.pieces_r @ w + score.pieces_b))
-    return float(score.pieces_r[i, e] + score.pieces_b[i])
+    return expected_report_score(score, w, np.eye(w.shape[-1])[e])
 
 
-def expected_report_score(score: ScoreSpec, report, belief) -> float:
-    """E_{e~belief} R(report, e); equals G(report) when belief == report."""
+def expected_report_score(score: ScoreSpec, report, belief):
+    """E_{e~belief} R(report, e), row-wise over the last axis (a float for
+    one report); equals G(report) when belief == report."""
     w = _weights(report)
     q = _weights(belief)
     if score.kind is ScoreKind.LOG:
-        if np.any((q > 0.0) & (w <= 0.0)):
-            return float("-inf")
-        mask = q > 0.0
-        return float(np.sum(q[mask] * np.log(w[mask])))
-    g = eval_G(score, w)
-    return float(g + grad_G(score, w) @ (q - w))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(np.where(w > 0.0, w, 0.0))    # -inf where w <= 0
+            out = np.where(q > 0.0, q * logs, 0.0).sum(axis=-1)
+    else:
+        out = weighted_G(score, w, np.ones(w.shape[:-1])) + \
+            _row_dot(grad_G(score, w), q - w)
+    return float(out) if out.ndim == 0 else out
 
 
 def decision_problem_from_G(score: ScoreSpec) -> DecisionProblem:
@@ -274,17 +272,18 @@ def linearize_smooth(score: ScoreSpec, tangent_points) -> ScoreSpec:
     """
     if score.kind is ScoreKind.PIECEWISE:
         raise ValidationError("score is already piecewise-linear")
-    pieces = []
-    for p in tangent_points:
-        w = _weights(p)
-        if score.kind is ScoreKind.LOG and np.any(w <= 0.0):
-            raise BoundaryTangent(
-                f"log gradient diverges at tangent point {w.tolist()}")
-        g = grad_G(score, w)
-        pieces.append((g, eval_G(score, w) - float(g @ w)))
-    if not pieces:
+    w = np.asarray(tangent_points, dtype=float)
+    if w.ndim != 2 or w.shape[0] == 0:
         raise ValidationError("at least one tangent point required")
-    return piecewise_score(pieces, holder=score.holder, bound_L=score.bound_L)
+    if score.kind is ScoreKind.LOG:
+        boundary = (w <= 0.0).any(axis=1)
+        if boundary.any():
+            raise BoundaryTangent("log gradient diverges at tangent point "
+                                  f"{w[boundary.argmax()].tolist()}")
+    g = grad_G(score, w)
+    offsets = weighted_G(score, w, np.ones(len(w))) - _row_dot(g, w)
+    return ScoreSpec(ScoreKind.PIECEWISE, pieces_r=g, pieces_b=offsets,
+                     holder=score.holder, bound_L=score.bound_L)
 
 
 def default_tangent_grid(score: ScoreSpec, n_events: int, k: int = 20) -> np.ndarray:

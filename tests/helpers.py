@@ -6,10 +6,12 @@ import itertools
 
 import numpy as np
 
-from abasolve.belief import posterior_e_given_s, posterior_e_given_sb
-from abasolve.core import JointPrior, SignalingScheme, \
+from abasolve.core import JointPrior, SignalingScheme, full_reveal_scheme, \
     marginals_and_conditionals
-from abasolve.scoring import ScoreSpec, eval_G, piecewise_score
+from abasolve.errors import ValidationError, ZeroProbabilityPair, \
+    ZeroProbabilitySignal
+from abasolve.scoring import ScoreKind, ScoreSpec, eval_G, log_score, \
+    piecewise_score, quadratic_score, spherical_score
 
 
 def random_prior(rng: np.random.Generator, ne: int = 2, na: int = 2,
@@ -97,6 +99,84 @@ def sender_objective_decision_form(prior: JointPrior, score: ScoreSpec,
     return total
 
 
+SCORES = {
+    "quadratic": lambda rng, ne: quadratic_score(),
+    "log": lambda rng, ne: log_score(),
+    "spherical": lambda rng, ne: spherical_score(),
+    "piecewise": lambda rng, ne: random_piecewise(rng, ne, k=4),
+}
+
+
+def degenerate_cases(rng, ne, na, nb):
+    """(prior, scheme) pairs: plain, a zero-mass A outcome, a zero-mass B
+    outcome, a never-sent signal, and posteriors on the simplex boundary."""
+    prior = random_prior(rng, ne, na, nb)
+    yield prior, random_scheme(rng, prior, 3)
+    for axis in (1, 2):
+        if prior.p.shape[axis] < 2:
+            continue
+        p = prior.p.copy()
+        np.moveaxis(p, axis, 0)[0] = 0.0
+        thin = JointPrior(p / p.sum())
+        yield thin, random_scheme(rng, thin, 3)
+    scheme = random_scheme(rng, prior, 2)
+    yield prior, SignalingScheme(("s0", "never", "s1"),
+                                 np.insert(scheme.pi, 1, 0.0, axis=0))
+    p = prior.p.copy()
+    p[rng.random(p.shape) < 0.4] = 0.0
+    p[0, :, :] = 0.0
+    p[1, 0, :] = 1.0
+    sparse = JointPrior(p / p.sum())
+    yield sparse, full_reveal_scheme(sparse)
+    yield sparse, random_scheme(rng, sparse, 2)
+
+
+# -- per-signal reference implementations -----------------------------------
+#
+# Each posterior, certificate and report below is computed one signal, one
+# Bob outcome and one point at a time, as the library did before it formed
+# every posterior of a scheme in one batched evaluation.  They call nothing
+# of the library's posterior or scoring code beyond eval_G.
+
+
+def posterior_e_given_s_ref(prior, scheme, s, t) -> np.ndarray:
+    row = scheme.pi[scheme.signal_index(s)]
+    mass = float(row.sum())
+    if mass <= 0.0:
+        raise ZeroProbabilitySignal(f"signal {s!r} is never sent")
+    active = row > 0.0
+    return row[active] @ np.nan_to_num(t.e_given_a[active]) / mass
+
+
+def posterior_e_given_sb_ref(prior, scheme, s, b, t) -> np.ndarray:
+    row = scheme.pi[scheme.signal_index(s)]
+    weights = row * np.nan_to_num(t.b_given_a[:, b])
+    mass = float(weights.sum())
+    if mass <= 0.0:
+        raise ZeroProbabilityPair(f"pair (s={s!r}, b={b}) has zero probability")
+    active = weights > 0.0
+    return weights[active] @ t.e_given_ab[active, b] / mass
+
+
+def prob_b_given_s_ref(prior, scheme, s, t) -> np.ndarray:
+    row = scheme.pi[scheme.signal_index(s)]
+    mass = float(row.sum())
+    if mass <= 0.0:
+        raise ZeroProbabilitySignal(f"signal {s!r} is never sent")
+    active = row > 0.0
+    return (row[active] / mass) @ np.nan_to_num(t.b_given_a[active])
+
+
+def induced_posterior_over_EB_ref(prior, scheme, s, t) -> np.ndarray:
+    row = scheme.pi[scheme.signal_index(s)]
+    mass = float(row.sum())
+    if mass <= 0.0:
+        raise ZeroProbabilitySignal(f"signal {s!r} is never sent")
+    active = row > 0.0
+    v = np.einsum("a,aeb->eb", row[active], np.nan_to_num(t.eb_given_a[active]))
+    return v / mass
+
+
 def scheme_terms_loop(prior: JointPrior, score: ScoreSpec,
                       scheme: SignalingScheme) -> tuple[float, float, float]:
     """(E_s G(p_s), E_{s,b} G(p_{s,b}), E_{A,B} G(p_{A,B})) by explicit
@@ -110,13 +190,13 @@ def scheme_terms_loop(prior: JointPrior, score: ScoreSpec,
         mass = float(row.sum())
         if mass <= 0.0:
             continue
-        e_s += mass * eval_G(score, posterior_e_given_s(prior, scheme, label,
-                                                        t))
+        e_s += mass * eval_G(score, posterior_e_given_s_ref(prior, scheme,
+                                                            label, t))
         for b in range(prior.n_bob):
             pair_mass = float(row @ np.nan_to_num(t.b_given_a[:, b]))
             if pair_mass <= 0.0:
                 continue
-            p_sb = posterior_e_given_sb(prior, scheme, label, b, t)
+            p_sb = posterior_e_given_sb_ref(prior, scheme, label, b, t)
             e_sb += pair_mass * eval_G(score, p_sb)
     e_ab = 0.0
     for a in range(prior.n_alice):
@@ -124,6 +204,108 @@ def scheme_terms_loop(prior: JointPrior, score: ScoreSpec,
             if t.mu_ab[a, b] > 0.0:
                 e_ab += t.mu_ab[a, b] * eval_G(score, t.e_given_ab[a, b])
     return e_s, e_sb, e_ab
+
+
+def certify_obedience_loop(prior, decision, scheme, recommendations=None,
+                           mass_threshold: float = 1e-10) -> float:
+    """``exact.certify_obedience`` one signal and one Bob outcome at a time;
+    recommendations are (i0, (i_b, ...)) pairs or decoded from labels."""
+    t = marginals_and_conditionals(prior)
+    u = decision.utilities
+    worst = 0.0
+    for idx, label in enumerate(scheme.signal_labels):
+        row = scheme.pi[idx]
+        if row.sum() <= mass_threshold:
+            continue
+        if recommendations is not None:
+            i0, ib = recommendations[idx]
+        else:
+            parts = [int(x) for x in label.split("-")]
+            i0, ib = parts[0], parts[1:]
+        vals = u @ posterior_e_given_s_ref(prior, scheme, label, t)
+        worst = max(worst, float(vals.max() - vals[i0]))
+        for b in range(prior.n_bob):
+            if float(row @ np.nan_to_num(t.b_given_a[:, b])) <= \
+                    mass_threshold:
+                continue
+            vals = u @ posterior_e_given_sb_ref(prior, scheme, label, b, t)
+            worst = max(worst, float(vals.max() - vals[ib[b]]))
+    return worst
+
+
+def grad_G_ref(score: ScoreSpec, w: np.ndarray) -> np.ndarray:
+    if score.kind is ScoreKind.QUADRATIC:
+        return 2.0 * w
+    if score.kind is ScoreKind.LOG:
+        with np.errstate(divide="ignore"):
+            return np.log(w) + 1.0
+    if score.kind is ScoreKind.SPHERICAL:
+        nrm = float(np.linalg.norm(w))
+        if nrm == 0.0:
+            raise ValidationError("spherical gradient undefined at the origin")
+        return w / nrm
+    i = int(np.argmax(score.pieces_r @ w + score.pieces_b))
+    return score.pieces_r[i].copy()
+
+
+def expected_report_score_ref(score: ScoreSpec, w, q) -> float:
+    """E_{e~q} R(w, e) for one report w and one belief q."""
+    w = np.asarray(w, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if score.kind is ScoreKind.LOG:
+        if np.any((q > 0.0) & (w <= 0.0)):
+            return float("-inf")
+        mask = q > 0.0
+        return float(np.sum(q[mask] * np.log(w[mask])))
+    return float(eval_G(score, w) + grad_G_ref(score, w) @ (q - w))
+
+
+def linearize_smooth_loop(score: ScoreSpec, points):
+    """Tangent-plane slopes and offsets, one point at a time."""
+    slopes, offsets = [], []
+    for w in points:
+        g = grad_G_ref(score, w)
+        slopes.append(g)
+        offsets.append(eval_G(score, w) - float(g @ w))
+    return np.array(slopes), np.array(offsets)
+
+
+def bob_report_ref(prior, believed, s, b, t) -> tuple[np.ndarray, bool]:
+    if s in believed.signal_labels:
+        row = believed.pi[believed.signal_index(s)]
+        if float(row @ np.nan_to_num(t.b_given_a[:, b])) > 0.0:
+            return posterior_e_given_sb_ref(prior, believed, s, b, t), False
+    if t.mu_b[b] <= 0.0:
+        raise ValidationError(f"bob outcome {b} has zero prior probability")
+    return t.mu_eb[:, b] / t.mu_b[b], True
+
+
+def cross_belief_loop(prior, score, believed, actual):
+    """(bob, alice, off_path_mass, divergence_mass) of
+    ``oracle.cross_belief_utilities``, one (s, b) pair at a time."""
+    t = marginals_and_conditionals(prior)
+    e_s_term = 0.0
+    bob = off_mass = diverged = 0.0
+    for s in actual.signal_labels:
+        row = actual.pi[actual.signal_index(s)]
+        if row.sum() > 0.0:
+            e_s_term += float(row.sum()) * eval_G(
+                score, posterior_e_given_s_ref(prior, actual, s, t))
+        for b in range(prior.n_bob):
+            pair_mass = float(row @ np.nan_to_num(t.b_given_a[:, b]))
+            if pair_mass <= 0.0:
+                continue
+            truth = posterior_e_given_sb_ref(prior, actual, s, b, t)
+            report, off = bob_report_ref(prior, believed, s, b, t)
+            if off:
+                off_mass += pair_mass
+            if float(np.abs(report - truth).sum()) > 1e-9:
+                diverged += pair_mass
+            bob += pair_mass * expected_report_score_ref(score, report, truth)
+    bob -= e_s_term
+    _, _, e_ab = scheme_terms_loop(prior, score, actual)
+    alice = (e_s_term - eval_G(score, t.mu_e)) + (e_ab - (bob + e_s_term))
+    return bob, alice, off_mass, diverged
 
 
 def feasible_intervals_loop(signals, unc, con, tol: float = 1e-12):

@@ -16,8 +16,11 @@ from abasolve.errors import (PreconditionViolated, ValidationError,
 from abasolve.scoring import eval_G, log_score, quadratic_score, \
     spherical_score
 
-from helpers import (random_piecewise, random_prior, random_scheme,
-                     scheme_terms_loop, sender_objective_decision_form)
+from helpers import (SCORES, degenerate_cases, induced_posterior_over_EB_ref,
+                     posterior_e_given_s_ref, posterior_e_given_sb_ref,
+                     prob_b_given_s_ref, random_piecewise, random_prior,
+                     random_scheme, scheme_terms_loop,
+                     sender_objective_decision_form)
 
 
 def test_posterior_e_given_s_examples(xor_prior, copy_prior, xor_full_reveal):
@@ -242,45 +245,13 @@ def test_posterior_distribution_validation():
     assert pd.weights.sum() == 1.0
 
 
-SCORES = {
-    "quadratic": lambda rng, ne: quadratic_score(),
-    "log": lambda rng, ne: log_score(),
-    "spherical": lambda rng, ne: spherical_score(),
-    "piecewise": lambda rng, ne: random_piecewise(rng, ne, k=4),
-}
-
-
-def _degenerate_cases(rng, ne, na, nb):
-    """(prior, scheme) pairs: plain, a zero-mass A outcome, a zero-mass B
-    outcome, a never-sent signal, and posteriors on the simplex boundary."""
-    prior = random_prior(rng, ne, na, nb)
-    yield prior, random_scheme(rng, prior, 3)
-    for axis in (1, 2):
-        if prior.p.shape[axis] < 2:
-            continue
-        p = prior.p.copy()
-        np.moveaxis(p, axis, 0)[0] = 0.0
-        thin = JointPrior(p / p.sum())
-        yield thin, random_scheme(rng, thin, 3)
-    scheme = random_scheme(rng, prior, 2)
-    yield prior, SignalingScheme(("s0", "never", "s1"),
-                                 np.insert(scheme.pi, 1, 0.0, axis=0))
-    p = prior.p.copy()
-    p[rng.random(p.shape) < 0.4] = 0.0
-    p[0, :, :] = 0.0
-    p[1, 0, :] = 1.0
-    sparse = JointPrior(p / p.sum())
-    yield sparse, full_reveal_scheme(sparse)
-    yield sparse, random_scheme(rng, sparse, 2)
-
-
 @pytest.mark.parametrize("kind", list(SCORES))
 def test_scheme_values_match_loop_reference(kind):
     """Every batched u_B site against the per-signal loop reference."""
     rng = np.random.default_rng(211)
     for ne, na, nb in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 3, 1)):
         score = SCORES[kind](rng, ne)
-        for prior, scheme in _degenerate_cases(rng, ne, na, nb):
+        for prior, scheme in degenerate_cases(rng, ne, na, nb):
             e_s, e_sb, e_ab = scheme_terms_loop(prior, score, scheme)
             g0 = eval_G(score, prior.p.sum(axis=(1, 2)))
             bob = e_sb - e_s
@@ -304,3 +275,36 @@ def test_scheme_values_match_loop_reference(kind):
             assert by_w == pytest.approx(bob, abs=1e-12)
             assert by_v == pytest.approx(bob, abs=1e-12)
 
+
+
+def _same(got, want):
+    """Both calls raise the same typed error, or agree to 1e-12."""
+    try:
+        expect = want()
+    except (ZeroProbabilitySignal, ZeroProbabilityPair) as exc:
+        with pytest.raises(type(exc)):
+            got()
+        return
+    assert np.asarray(got()) == pytest.approx(expect, abs=1e-12)
+
+
+def test_per_label_posteriors_match_frozen_formulas():
+    """The per-label functions index the batched posterior terms; they
+    agree with the per-signal formulas, typed errors included."""
+    rng = np.random.default_rng(223)
+    for ne, na, nb in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 3, 1)):
+        for prior, scheme in degenerate_cases(rng, ne, na, nb):
+            t = marginals_and_conditionals(prior)
+            for s in scheme.signal_labels:
+                _same(lambda: posterior_e_given_s(prior, scheme, s).weights,
+                      lambda: posterior_e_given_s_ref(prior, scheme, s, t))
+                _same(lambda: prob_b_given_s(prior, scheme, s, t),
+                      lambda: prob_b_given_s_ref(prior, scheme, s, t))
+                _same(lambda: induced_posterior_over_EB(prior, scheme, s, t),
+                      lambda: induced_posterior_over_EB_ref(prior, scheme, s,
+                                                            t))
+                for b in range(nb):
+                    _same(lambda: posterior_e_given_sb(prior, scheme, s, b,
+                                                       t).weights,
+                          lambda: posterior_e_given_sb_ref(prior, scheme, s,
+                                                           b, t))

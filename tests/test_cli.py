@@ -99,6 +99,39 @@ def test_cli_validation_exit_codes(tmp_path, xor_path):
         cli.EXIT_VALIDATION
 
 
+PIECE = {"r": [1.0, 0.0], "b": 0.0}
+
+
+@pytest.mark.parametrize("score, pi", [
+    ({"kind": "piecewise", "pieces": [{"r": ["x", 1], "b": 0.0}]}, None),
+    ({"kind": "piecewise", "pieces": [{"r": [1.0, 0.0], "b": None}]}, None),
+    ({"kind": "piecewise", "pieces": [{"r": [True, 0.0], "b": 0.0}]}, None),
+    ({"kind": "piecewise", "pieces": [PIECE], "L": "2"}, None),
+    ({"kind": "quadratic", "holder": {"alpha": "x", "beta": 1.0}}, None),
+    ({"kind": "quadratic", "holder": {"alpha": True, "beta": 1.0}}, None),
+    (None, [[0.5, 0.0], [0.0]]),
+    (None, [[[0.5], [0.0]], [[0.0], [0.5]]]),
+    (None, [[0.5, "0"], [0.0, 0.5]]),
+    (None, [[float("nan"), 0.5], [0.5, 0.0]]),
+], ids=["r-string", "b-null", "r-bool", "L-string", "alpha-string",
+        "alpha-bool", "pi-ragged", "pi-3-deep", "pi-string", "pi-nan"])
+def test_cli_malformed_numbers_exit_validation(tmp_path, xor_path,
+                                               scheme_paths, score, pi):
+    """Malformed numbers in score and scheme documents exit 2, no
+    traceback.  NaN is written as JSON's NaN token, which parses."""
+    doc = json.loads(xor_path.read_text())
+    if score is not None:
+        doc["score"] = score
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"signals": ["a0", "a1"], "pi": pi}))
+    full, _ = scheme_paths
+    argv = ["value", str(path)] if pi is None else \
+        ["simulate", str(path), "--belief", str(full), "--actual", str(scheme)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+
+
 def test_cli_solver_failure_exit_code(xor_path):
     status = cli.main(["solve", str(xor_path), "--method", "oracle",
                        "--step", "0.001"])

@@ -142,10 +142,12 @@ def test_total_value_nonnegative_random(quad, logsc):
 def test_scheme_validation(xor_prior):
     full_reveal_scheme(xor_prior).validate(xor_prior)
     no_reveal_scheme(xor_prior).validate(xor_prior)
-    bad = SignalingScheme(("s0",), np.array([[0.4, 0.5]]))
-    with pytest.raises(ValidationError):
-        bad.validate(xor_prior)
-    assert bad.violations(xor_prior)
+    for pi in ([[0.4, 0.5]], [[np.nan, 0.5], [0.5, 0.0]]):
+        bad = SignalingScheme(tuple(f"s{i}" for i in range(len(pi))),
+                              np.array(pi))
+        with pytest.raises(ValidationError):
+            bad.validate(xor_prior)
+        assert bad.violations(xor_prior)
 
 
 def test_scheme_prune(xor_prior):

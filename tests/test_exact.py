@@ -23,7 +23,9 @@ from abasolve.scoring import (decision_problem_from_G, default_tangent_grid,
                               linearize_smooth, log_score, piecewise_score,
                               quadratic_score)
 
-from helpers import feasible_intervals_loop, random_piecewise, random_prior
+from helpers import (certify_obedience_loop, degenerate_cases,
+                     feasible_intervals_loop, posterior_e_given_s_ref,
+                     posterior_e_given_sb_ref, random_piecewise, random_prior)
 
 
 def _linearized_quadratic(prior, k=20):
@@ -304,6 +306,72 @@ def test_certify_obedience_detects_violation(xor_prior):
     # masses, so some recommended action must be suboptimal
     recs = [RecommendationSignal(0, (0, 0)), RecommendationSignal(0, (0, 0))]
     assert certify_obedience(xor_prior, decision, scheme, recs) > 0.5
+
+
+def _profiles(rng, scheme, k, nb):
+    """Random recommendation profiles (i0, (i_b, ...)), one per signal."""
+    return [(int(rng.integers(k)), tuple(rng.integers(k, size=nb).tolist()))
+            for _ in scheme.signal_labels]
+
+
+def _labelled(scheme, profiles):
+    labels = ["-".join(str(i) for i in (i0, *ib)) for i0, ib in profiles]
+    return SignalingScheme(tuple(labels), scheme.pi)
+
+
+def test_certify_obedience_matches_loop_reference():
+    """Batched certificate against the per-signal, per-b loop, with
+    recommendations passed and decoded from labels."""
+    rng = np.random.default_rng(227)
+    for ne, na, nb in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 3, 1)):
+        for prior, scheme in degenerate_cases(rng, ne, na, nb):
+            decision = decision_problem_from_G(random_piecewise(rng, ne, k=4))
+            profiles = _profiles(rng, scheme, decision.n_actions, nb)
+            recs = [RecommendationSignal(i0, ib) for i0, ib in profiles]
+            want = certify_obedience_loop(prior, decision, scheme, profiles)
+            assert want > 0.0
+            assert certify_obedience(prior, decision, scheme, recs) == \
+                pytest.approx(want, abs=1e-12)
+            assert certify_obedience(prior, decision,
+                                     _labelled(scheme, profiles)) == \
+                pytest.approx(want, abs=1e-12)
+
+
+def test_certify_obedience_skips_below_mass_threshold():
+    """A disobeyed signal, and a disobeyed (s, b) pair, each of mass
+    1e-12: skipped at the default mass_threshold, counted at 0."""
+    rng = np.random.default_rng(229)
+    p = rng.gamma(1.0, size=(2, 2, 2))
+    p[:, 0, 1] *= 1e-11                      # mu(b1 | a0) of order 1e-11
+    prior = JointPrior(p / p.sum())
+    t = marginals_and_conditionals(prior)
+    u = np.array([[1.0, -1.0], [-1.0, 1.0], [0.1, 0.1]])
+    decision = decision_problem_from_G(piecewise_score(
+        [(row, 0.0) for row in u]))
+    mu_a = prior.marginal_alice()
+    tiny = 1e-12 / t.b_given_a[0, 1]         # pair (s0, b1) has mass 1e-12
+    pi = np.array([[tiny, 0.0], mu_a - [tiny, 1e-12], [0.0, 1e-12]])
+    scheme = SignalingScheme(("s0", "s1", "s2"), pi)
+
+    def profile(s, flip):
+        """Obedient recommendations, but the least preferred action for
+        the posterior named by ``flip``: "s" for Pr(e|s), b for Pr(e|s,b)."""
+        posts = [posterior_e_given_s_ref(prior, scheme, s, t)] + \
+            [posterior_e_given_sb_ref(prior, scheme, s, b, t)
+             for b in range(2)]
+        acts = [int(np.argmin(u @ q)) if flip == j else int(np.argmax(u @ q))
+                for j, q in zip(("s", 0, 1), posts)]
+        return acts[0], tuple(acts[1:])
+
+    for flipped in ({"s2": "s"}, {"s0": 1}):     # the signal, then the pair
+        recs = [profile(s, flipped.get(s)) for s in scheme.signal_labels]
+        signals = [RecommendationSignal(i0, ib) for i0, ib in recs]
+        assert certify_obedience_loop(prior, decision, scheme, recs) == 0.0
+        assert certify_obedience(prior, decision, scheme, signals) == 0.0
+        want = certify_obedience_loop(prior, decision, scheme, recs, 0.0)
+        assert want > 0.1
+        assert certify_obedience(prior, decision, scheme, signals, 0.0) == \
+            pytest.approx(want, abs=1e-12)
 
 
 # -- |A| = 2 pruning against the per-signal loop ---------------------------

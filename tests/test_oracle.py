@@ -3,15 +3,17 @@ import pytest
 
 from abasolve.belief import (bob_utility_of_scheme, posterior_e_given_s,
                              sender_objective)
-from abasolve.core import (SignalingScheme, full_reveal_scheme,
-                           no_reveal_scheme, total_value)
+from abasolve.core import (JointPrior, SignalingScheme, full_reveal_scheme,
+                           marginals_and_conditionals, no_reveal_scheme,
+                           total_value)
 from abasolve.errors import PreconditionViolated, SizeCapExceeded, \
     ValidationError
 from abasolve.oracle import (bob_report, cross_belief_utilities,
                              deviation_check, oracle_optimal)
 from abasolve.scoring import eval_G, piecewise_score, quadratic_score
 
-from helpers import random_prior, random_scheme
+from helpers import (SCORES, bob_report_ref, cross_belief_loop,
+                     degenerate_cases, random_prior, random_scheme)
 
 
 def independent_uniform_scheme(prior):
@@ -194,3 +196,74 @@ def test_best_response_dominance(quad):
             bob_utility_of_scheme(prior, quad, actual), abs=1e-10)
         assert cross.alice_utility + cross.bob_utility == \
             pytest.approx(total_value(prior, quad), abs=1e-9)
+
+
+def _believed_variants(rng, prior, actual):
+    """Schemes Bob may believe: a random one on the same labels, one that
+    lacks the first actual label, and one sending each alice outcome to a
+    single signal (zero-mass pairs where mu(a, b) = 0, never-sent signals
+    when there are more signals than outcomes)."""
+    labels = actual.signal_labels
+    n = len(labels)
+    pi = random_scheme(rng, prior, n).pi
+    yield SignalingScheme(labels, pi)
+    yield SignalingScheme(("unsent",) + labels[1:], pi)
+    onehot = np.arange(n)[:, None] == np.arange(prior.n_alice)[None, :] % n
+    yield SignalingScheme(labels, onehot * prior.marginal_alice()[None, :])
+
+
+def _cross_belief_cases(rng):
+    for ne, na, nb in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 3, 1)):
+        for prior, actual in degenerate_cases(rng, ne, na, nb):
+            for believed in _believed_variants(rng, prior, actual):
+                yield prior, believed, actual
+    # mu(a0, b1) = 0: Bob's believed s0 carries only a0, so (s0, b1) is off
+    # path although the actual s0 sends it
+    p = random_prior(rng).p.copy()
+    p[:, 0, 1] = 0.0
+    prior = JointPrior(p / p.sum())
+    mu_a = prior.marginal_alice()
+    actual = random_scheme(rng, prior, 2)
+    yield prior, SignalingScheme(actual.signal_labels,
+                                 [[mu_a[0], 0.0], [0.0, mu_a[1]]]), actual
+    # believed full reveal of XOR reports point masses; the truth is uniform
+    xor = JointPrior(np.array([[[0.25, 0.0], [0.0, 0.25]],
+                               [[0.0, 0.25], [0.25, 0.0]]]))
+    yield xor, full_reveal_scheme(xor), SignalingScheme(
+        ("a0", "a1"), np.full((2, 2), 0.25))
+
+
+def _agree(got, want):
+    assert got == want or abs(got - want) <= 1e-12, (got, want)
+
+
+@pytest.mark.parametrize("kind", list(SCORES))
+def test_cross_belief_matches_loop_reference(kind):
+    """Batched reports and report scores against the per-(s, b) loop."""
+    rng = np.random.default_rng(233)
+    seen_off = seen_inf = False
+    for prior, believed, actual in _cross_belief_cases(rng):
+        score = SCORES[kind](rng, prior.n_events)
+        payoff = cross_belief_utilities(prior, score, believed, actual)
+        bob, alice, off_mass, diverged = cross_belief_loop(prior, score,
+                                                           believed, actual)
+        _agree(payoff.bob_utility, bob)
+        _agree(payoff.alice_utility, alice)
+        _agree(payoff.off_path_mass, off_mass)
+        _agree(payoff.divergence_mass, diverged)
+        seen_off |= off_mass > 0.0
+        seen_inf |= bob == -np.inf
+        t = marginals_and_conditionals(prior)
+        for s in actual.signal_labels + ("unseen",):
+            for b in range(prior.n_bob):
+                try:
+                    want, want_off = bob_report_ref(prior, believed, s, b, t)
+                except ValidationError:
+                    with pytest.raises(ValidationError):
+                        bob_report(prior, believed, s, b, t)
+                    continue
+                report, off = bob_report(prior, believed, s, b)
+                assert off == want_off
+                assert report.weights == pytest.approx(want, abs=1e-12)
+    assert seen_off
+    assert seen_inf == (kind == "log")

@@ -11,7 +11,8 @@ from abasolve.scoring import (HolderParams, ScoreKind, check_holder,
                               log_score, piecewise_score, quadratic_score,
                               score_R, spherical_score)
 
-from helpers import random_piecewise, random_simplex
+from helpers import (SCORES, expected_report_score_ref,
+                     linearize_smooth_loop, random_piecewise, random_simplex)
 
 LN_HALF = -0.6931471805599453
 
@@ -141,6 +142,10 @@ def test_linearize_lower_bound_property():
 def test_linearize_log_boundary_tangent():
     with pytest.raises(BoundaryTangent):
         linearize_smooth(log_score(), [np.array([1.0, 0.0])])
+    # the message names the first boundary point
+    pts = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(BoundaryTangent, match=r"\[0\.0, 1\.0\]"):
+        linearize_smooth(log_score(), pts)
 
 
 def test_default_tangent_grid_sizes():
@@ -199,3 +204,62 @@ def test_piecewise_requires_pieces():
         quadratic_score().__class__(ScoreKind.QUADRATIC,
                                     pieces_r=np.ones((1, 2)),
                                     pieces_b=np.zeros(1))
+
+
+def _report_pairs(rng, ne):
+    """(reports, beliefs) rows: interior, boundary zeros on either side (a
+    log report with a zero where the belief is positive scores -inf), and
+    dyadic points where tied pieces meet."""
+    w = rng.dirichlet(np.ones(ne), size=40)
+    q = rng.dirichlet(np.ones(ne), size=40)
+    w[:10, 0] = 0.0
+    q[5:15, -1] = 0.0
+    w[20:25] = np.eye(ne)[rng.integers(ne, size=5)]
+    w[25:30] = 1.0 / ne
+    w, q = w / w.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
+    return w, q
+
+
+@pytest.mark.parametrize("kind", list(SCORES) + ["tied"])
+def test_expected_report_score_rows_match_scalar_reference(kind):
+    rng = np.random.default_rng(239)
+    for ne in (2, 3, 4):
+        if kind == "tied":
+            # two copies of each piece, and pieces meeting at the centre
+            pieces = [(np.eye(ne)[e], 0.0) for e in range(ne)] * 2
+            score = piecewise_score(pieces)
+        else:
+            score = SCORES[kind](rng, ne)
+        w, q = _report_pairs(rng, ne)
+        want = [expected_report_score_ref(score, wi, qi)
+                for wi, qi in zip(w, q)]
+        got = expected_report_score(score, w, q)
+        assert got.shape == (40,)
+        for g, r in zip(got, want):
+            assert g == r or abs(g - r) <= 1e-12, (g, r)
+        single = expected_report_score(score, w[0], q[0])
+        assert isinstance(single, float)
+        assert single == want[0] or abs(single - want[0]) <= 1e-12
+        if kind == "log":
+            assert np.isneginf(got).any()
+
+
+@pytest.mark.parametrize("score", [quadratic_score(), log_score(),
+                                   spherical_score()],
+                         ids=["quadratic", "log", "spherical"])
+def test_linearize_smooth_matches_loop_reference(score):
+    for ne, k in ((2, 20), (3, 9), (4, 6)):
+        grid = default_tangent_grid(score, ne, k)
+        lin = linearize_smooth(score, grid)
+        slopes, offsets = linearize_smooth_loop(score, grid)
+        assert lin.pieces_r == pytest.approx(slopes, abs=1e-12)
+        assert lin.pieces_b == pytest.approx(offsets, abs=1e-12)
+        assert linearize_smooth(score, list(grid)).pieces_r == \
+            pytest.approx(slopes, abs=1e-12)
+
+
+def test_linearize_rejects_origin_and_empty():
+    with pytest.raises(ValidationError, match="origin"):
+        linearize_smooth(spherical_score(), np.array([[0.5, 0.5], [0.0, 0.0]]))
+    with pytest.raises(ValidationError, match="at least one"):
+        linearize_smooth(quadratic_score(), [])
