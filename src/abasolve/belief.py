@@ -9,7 +9,9 @@ Three equivalent parameterizations of u_B are provided: by scheme, by a
 posterior w over A, and by a posterior v over E x B.
 
 A scheme's posteriors are formed in one place, ``_posterior_terms``, for
-all signals at once; the per-label functions index into its result.
+all signals at once; the per-label functions index into its result.  Its
+coefficients mu(e|a), mu(b|a) and mu(e|a,b) come from the prior's own
+``ConditionalTable``, computed once per prior.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import _kernels, scoring
 from .core import ConditionalTable, JointPrior, SignalingScheme, \
-    marginals_and_conditionals
+    _value_terms, marginals_and_conditionals
 from .errors import PreconditionViolated, ValidationError, \
     ZeroProbabilityPair, ZeroProbabilitySignal
 from .scoring import ScoreSpec
@@ -51,11 +53,6 @@ class PosteriorDistribution:
         w.setflags(write=False)
 
 
-def _table(prior: JointPrior,
-           table: ConditionalTable | None) -> ConditionalTable:
-    return marginals_and_conditionals(prior) if table is None else table
-
-
 def _posterior_terms(pi: np.ndarray, table: ConditionalTable):
     """Pr(s), Pr(s, e), Pr(s, b) and Pr(s, b, e) for every row s of ``pi``:
     the masses and numerators of Pr(e|s) and Pr(e|s,b)."""
@@ -64,82 +61,75 @@ def _posterior_terms(pi: np.ndarray, table: ConditionalTable):
             np.einsum("sa,aeb->sbe", pi, t.eb_given_a))
 
 
-def _signal_terms(prior: JointPrior, scheme: SignalingScheme, s: str,
-                  table: ConditionalTable | None):
+def _signal_terms(prior: JointPrior, scheme: SignalingScheme, s: str):
     """``_posterior_terms`` of one signal; raises if it is never sent."""
     row = scheme.pi[scheme.signal_index(s)][None]
-    terms = [x[0] for x in _posterior_terms(row, _table(prior, table))]
+    terms = [x[0] for x in _posterior_terms(
+        row, marginals_and_conditionals(prior))]
     if terms[0] <= 0.0:
         raise ZeroProbabilitySignal(f"signal {s!r} is never sent")
     return terms
 
 
-def posterior_e_given_s(prior: JointPrior, scheme: SignalingScheme, s: str,
-                        table: ConditionalTable | None = None
-                        ) -> PosteriorDistribution:
+def posterior_e_given_s(prior: JointPrior, scheme: SignalingScheme,
+                        s: str) -> PosteriorDistribution:
     """Pr(e|s) = sum_a mu(e|a) pi(s,a) / sum_a pi(s,a)."""
-    mass, numer, _, _ = _signal_terms(prior, scheme, s, table)
+    mass, numer, _, _ = _signal_terms(prior, scheme, s)
     return PosteriorDistribution(SupportKind.OVER_E, numer / mass)
 
 
 def posterior_e_given_sb(prior: JointPrior, scheme: SignalingScheme, s: str,
-                         b: int,
-                         table: ConditionalTable | None = None
-                         ) -> PosteriorDistribution:
+                         b: int) -> PosteriorDistribution:
     """Pr(e|s,b) = sum_a mu(e|a,b) pi(s,a) mu(b|a) / sum_a pi(s,a) mu(b|a)."""
     row = scheme.pi[scheme.signal_index(s)][None]
-    _, _, mass_b, numer_b = _posterior_terms(row, _table(prior, table))
+    _, _, mass_b, numer_b = _posterior_terms(
+        row, marginals_and_conditionals(prior))
     if mass_b[0, b] <= 0.0:
         raise ZeroProbabilityPair(f"pair (s={s!r}, b={b}) has zero probability")
     return PosteriorDistribution(SupportKind.OVER_E,
                                  numer_b[0, b] / mass_b[0, b])
 
 
-def prob_b_given_s(prior: JointPrior, scheme: SignalingScheme, s: str,
-                   table: ConditionalTable | None = None) -> np.ndarray:
+def prob_b_given_s(prior: JointPrior, scheme: SignalingScheme,
+                   s: str) -> np.ndarray:
     """Pr(b|s) = sum_a Pr(a|s) mu(b|a)."""
-    mass, _, mass_b, _ = _signal_terms(prior, scheme, s, table)
+    mass, _, mass_b, _ = _signal_terms(prior, scheme, s)
     return mass_b / mass
 
 
 def _scheme_terms(prior: JointPrior, score: ScoreSpec,
-                  scheme: SignalingScheme,
-                  table: ConditionalTable | None = None
-                  ) -> tuple[float, float]:
+                  scheme: SignalingScheme) -> tuple[float, float]:
     """(E_s G(p_s), E_{s,b} G(p_{s,b})); zero-probability signals dropped.
 
     One batched evaluation each over Pr(s, e) and Pr(s, b, e).
     """
     scheme.validate(prior)
-    mass, numer, mass_b, numer_b = _posterior_terms(scheme.pi,
-                                                    _table(prior, table))
+    mass, numer, mass_b, numer_b = _posterior_terms(
+        scheme.pi, marginals_and_conditionals(prior))
     return (float(scoring.weighted_G(score, numer, mass).sum()),
             float(scoring.weighted_G(score, numer_b, mass_b).sum()))
 
 
 def bob_utility_of_scheme(prior: JointPrior, score: ScoreSpec,
-                          scheme: SignalingScheme,
-                          table: ConditionalTable | None = None) -> float:
+                          scheme: SignalingScheme) -> float:
     """u_B = E_{s,b} G(p_{s,b}) - E_s G(p_s); nonnegative for convex G."""
-    e_s, e_sb = _scheme_terms(prior, score, scheme, table)
+    e_s, e_sb = _scheme_terms(prior, score, scheme)
     return e_sb - e_s
 
 
 def sender_objective(prior: JointPrior, score: ScoreSpec,
-                     scheme: SignalingScheme,
-                     table: ConditionalTable | None = None) -> float:
+                     scheme: SignalingScheme) -> float:
     """Alice's commitment objective E_s G(p_s) - E_{s,b} G(p_{s,b}) = -u_B."""
-    return -bob_utility_of_scheme(prior, score, scheme, table)
+    return -bob_utility_of_scheme(prior, score, scheme)
 
 
-def bob_utility_from_wA(prior: JointPrior, score: ScoreSpec, w,
-                        table: ConditionalTable | None = None) -> float:
+def bob_utility_from_wA(prior: JointPrior, score: ScoreSpec, w) -> float:
     """u_B of the single signal inducing posterior w over A.
 
     Requires w absolutely continuous w.r.t. mu(a); mass on a zero-probability
     alice outcome is rejected rather than extrapolated.
     """
-    t = _table(prior, table)
+    t = marginals_and_conditionals(prior)
     wv = np.asarray(getattr(w, "weights", w), dtype=float)
     if wv.shape != (prior.n_alice,):
         raise ValidationError(f"posterior over A must have {prior.n_alice} entries")
@@ -174,18 +164,14 @@ def bob_utility_from_vEB(score: ScoreSpec, v, n_events: int | None = None,
 
 
 def alice_total_utility(prior: JointPrior, score: ScoreSpec,
-                        scheme: SignalingScheme,
-                        table: ConditionalTable | None = None) -> float:
+                        scheme: SignalingScheme) -> float:
     """Alice's two trades: R(p_S)-R(p) plus R(p_{A,B})-R(p_{S,B}).
 
     Computed term by term from the round structure, so the constant-sum
     identity alice + bob = V is a genuine numerical check.
     """
-    t = _table(prior, table)
-    e_s, e_sb = _scheme_terms(prior, score, scheme, t)
-    g_prior = scoring.eval_G(score, t.mu_e)
-    e_ab = float(scoring.weighted_G(score, np.moveaxis(prior.p, 0, 2),
-                                    t.mu_ab).sum())
+    e_s, e_sb = _scheme_terms(prior, score, scheme)
+    e_ab, g_prior = _value_terms(prior, score)
     return (e_s - g_prior) + (e_ab - e_sb)
 
 
@@ -199,9 +185,7 @@ def induced_posterior_over_A(scheme: SignalingScheme, s: str) -> np.ndarray:
 
 
 def induced_posterior_over_EB(prior: JointPrior, scheme: SignalingScheme,
-                              s: str,
-                              table: ConditionalTable | None = None
-                              ) -> np.ndarray:
+                              s: str) -> np.ndarray:
     """Pr(e, b|s) as a matrix [e, b]."""
-    mass, _, _, numer_b = _signal_terms(prior, scheme, s, table)
+    mass, _, _, numer_b = _signal_terms(prior, scheme, s)
     return numer_b.T / mass

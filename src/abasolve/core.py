@@ -3,13 +3,15 @@
 The joint prior is a tensor mu[e][a][b] over event, Alice-signal, and
 Bob-signal outcomes; all file formats and APIs use that index order.
 Conditionals on zero-probability events are flagged undefined (NaN plus a
-definedness mask) rather than filled with a default.
+definedness mask) rather than filled with a default.  A prior owns its
+``ConditionalTable``: the first ``marginals_and_conditionals(prior)``
+computes it, and every later call shares it, read-only.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,6 +75,8 @@ class JointPrior:
     """Joint distribution mu(e, a, b) as a nonnegative tensor summing to 1."""
 
     p: np.ndarray
+    _conditionals: ConditionalTable | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.p, dtype=float))
@@ -198,7 +202,8 @@ class ConditionalTable:
     Conditionals indexed with the conditioning variable first:
     ``b_given_a[a, b]``, ``e_given_a[a, e]``, ``e_given_ab[a, b, e]``,
     ``eb_given_a[a, e, b]``.  Entries conditioned on a zero-probability
-    event are NaN; ``defined_a`` / ``defined_ab`` carry the masks.
+    event are NaN; ``defined_a`` / ``defined_ab`` carry the masks.  One
+    table per prior is shared by every caller, so its arrays are read-only.
     """
 
     mu_a: np.ndarray
@@ -212,23 +217,33 @@ class ConditionalTable:
     eb_given_a: np.ndarray
     defined_a: np.ndarray
     defined_ab: np.ndarray
+    _zero_filled: ConditionalTable | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.init:
+                getattr(self, f.name).setflags(write=False)
 
     def zero_filled(self) -> "ConditionalTable":
-        """Copy with undefined conditionals replaced by zeros.
-
-        Safe wherever the undefined rows are weighted by mass that is
-        itself zero (every solver path below has that property).
-        """
-        def z(x):
-            return np.where(np.isnan(x), 0.0, x)
-        return ConditionalTable(
-            self.mu_a, self.mu_b, self.mu_e, self.mu_eb, self.mu_ab,
-            z(self.b_given_a), z(self.e_given_a), z(self.e_given_ab),
-            z(self.eb_given_a), self.defined_a, self.defined_ab)
+        """This table with undefined conditionals zeroed, computed once.
+        Safe wherever the undefined rows are weighted by mass that is itself
+        zero (every solver path below has that property)."""
+        if self._zero_filled is None:
+            def z(x):
+                return np.where(np.isnan(x), 0.0, x)
+            object.__setattr__(self, "_zero_filled", ConditionalTable(
+                self.mu_a, self.mu_b, self.mu_e, self.mu_eb, self.mu_ab,
+                z(self.b_given_a), z(self.e_given_a), z(self.e_given_ab),
+                z(self.eb_given_a), self.defined_a, self.defined_ab))
+        return self._zero_filled
 
 
 def marginals_and_conditionals(prior: JointPrior) -> ConditionalTable:
-    """Compute every marginal/conditional used by the solvers."""
+    """Every marginal/conditional used by the solvers, computed on the
+    first call for ``prior`` and stored on it."""
+    if prior._conditionals is not None:
+        return prior._conditionals
     p = prior.p  # [e, a, b]
     mu_a = p.sum(axis=(0, 2))
     mu_b = p.sum(axis=(0, 1))
@@ -247,9 +262,11 @@ def marginals_and_conditionals(prior: JointPrior) -> ConditionalTable:
         eb_given_a = np.where(defined_a[None, :, None],
                               p / mu_a[None, :, None], np.nan)
         eb_given_a = np.transpose(eb_given_a, (1, 0, 2))   # [a, e, b]
-    return ConditionalTable(mu_a, mu_b, mu_e, mu_eb, mu_ab, b_given_a,
-                            e_given_a, e_given_ab, eb_given_a, defined_a,
-                            defined_ab)
+    table = ConditionalTable(mu_a, mu_b, mu_e, mu_eb, mu_ab, b_given_a,
+                             e_given_a, e_given_ab, eb_given_a, defined_a,
+                             defined_ab)
+    object.__setattr__(prior, "_conditionals", table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -293,14 +310,9 @@ def validate_instance(spaces: OutcomeSpaces, prior: JointPrior,
     return ValidationOutcome(tuple(violations), tuple(warnings))
 
 
-def total_value(prior: JointPrior, score: ScoreSpec,
-                table: ConditionalTable | None = None) -> float:
-    """V = E_{A,B} G(p_{A,B}) - G(p): the pie the two traders split.
-
-    Nonnegative for convex G by Jensen's inequality.
-    """
-    if table is None:
-        table = marginals_and_conditionals(prior)
+def _value_terms(prior: JointPrior, score: ScoreSpec) -> tuple[float, float]:
+    """(E_{A,B} G(p_{A,B}), G(p)): the two terms of V, checked finite."""
+    table = marginals_and_conditionals(prior)
     terms = scoring.weighted_G(score, np.moveaxis(prior.p, 0, 2), table.mu_ab)
     bad = np.argwhere(~np.isfinite(terms))
     if bad.size:
@@ -310,7 +322,16 @@ def total_value(prior: JointPrior, score: ScoreSpec,
     g0 = scoring.eval_G(score, table.mu_e)
     if not np.isfinite(g0):
         raise NonFiniteScore("G is not finite at the prior")
-    return float(terms.sum()) - g0
+    return float(terms.sum()), g0
+
+
+def total_value(prior: JointPrior, score: ScoreSpec) -> float:
+    """V = E_{A,B} G(p_{A,B}) - G(p): the pie the two traders split.
+
+    Nonnegative for convex G by Jensen's inequality.
+    """
+    e_ab, g0 = _value_terms(prior, score)
+    return e_ab - g0
 
 
 @dataclass(frozen=True)

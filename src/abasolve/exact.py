@@ -98,9 +98,7 @@ def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
                        signals: list[RecommendationSignal] | None = None,
                        cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
                        keep_rows: list[np.ndarray] | None = None,
-                       cell_cap: int = DEFAULT_CELL_CAP,
-                       table: ConditionalTable | None = None
-                       ) -> LinearProgram:
+                       cell_cap: int = DEFAULT_CELL_CAP) -> LinearProgram:
     """Assemble the obedience LP over pi(s, a) for the given signal set.
 
     Row layout: k unconditional obedience rows per signal, then k*|B|
@@ -123,8 +121,7 @@ def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
         sum(len(kr) for kr in keep_rows)
     # refuse before allocating: the solver's tableau is the largest array
     check_cell_cap(tableau_cells(n_vars, n_rows, na), cell_cap)
-    if table is None:
-        table = marginals_and_conditionals(prior)
+    table = marginals_and_conditionals(prior)
     ue_a, ue_ab, unc, con = _obedience_blocks(table, decision)
 
     objective = np.empty(n_vars)
@@ -228,20 +225,21 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     nb = prior.n_bob
     signal_cap = max(cap_lp_vars // max(na, 1), 1)
     n_profiles = _profile_count(k, nb, signal_cap)
-    table = marginals_and_conditionals(prior)
 
     keep_rows = None
     if na == 2:
-        _, _, unc, con = _obedience_blocks(table, decision)
+        _, _, unc, con = _obedience_blocks(marginals_and_conditionals(prior),
+                                           decision)
         signals, _, _, keep_rows = _feasible_signals(unc, con)
     else:
         signals = build_revelation_signals(k, nb, signal_cap)
     lp = build_obedience_lp(prior, decision, signals, cap_lp_vars, keep_rows,
-                            cell_cap, table)
+                            cell_cap)
     sol = solve_lp(lp, cell_cap)
     if sol.status is not LPStatus.OPTIMAL:
-        raise ValidationError(f"obedience LP reported {sol.status.value}; "
-                              "marginal constraints should always admit a scheme")
+        raise NumericalFailure(f"obedience LP reported {sol.status.value}; "
+                               "marginal constraints should always admit a "
+                               "scheme")
     if not sol.duality_gap <= LP_GAP_TOL:
         raise NumericalFailure(f"obedience LP duality gap {sol.duality_gap!r}"
                                f" exceeds {LP_GAP_TOL!r}")
@@ -254,19 +252,19 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
                              pi[keep])
     recs = [r for r, m in zip(signals, keep) if m]
     scheme, recs = merge_equivalent_signals(scheme, recs)
-    violation = certify_obedience(prior, decision, scheme, recs, table=table)
+    violation = certify_obedience(prior, decision, scheme, recs)
     if not violation <= OBEDIENCE_TOL:
         raise NumericalFailure(f"scheme violates obedience by {violation!r}, "
                                f"above {OBEDIENCE_TOL!r}")
 
-    bob = belief.bob_utility_of_scheme(prior, score, scheme, table)
+    bob = belief.bob_utility_of_scheme(prior, score, scheme)
     return SolveReport(
         scheme=scheme,
         sender_objective=-bob,
         bob_utility=bob,
-        total_value_V=total_value(prior, score, table),
+        total_value_V=total_value(prior, score),
         classification=_classify_against_benchmarks(prior, score,
-                                                    sol.objective, table),
+                                                    sol.objective),
         method=Method.EXACT,
         diagnostics={
             "lp_objective": sol.objective,
@@ -306,8 +304,7 @@ def merge_equivalent_signals(scheme: SignalingScheme,
 def certify_obedience(prior: JointPrior, decision: DecisionProblem,
                       scheme: SignalingScheme,
                       recommendations: list[RecommendationSignal] | None = None,
-                      mass_threshold: float = 1e-10,
-                      table: ConditionalTable | None = None) -> float:
+                      mass_threshold: float = 1e-10) -> float:
     """Largest normalized obedience violation over positive-mass signals.
 
     For each signal the recommended action must maximize the expected
@@ -320,7 +317,7 @@ def certify_obedience(prior: JointPrior, decision: DecisionProblem,
     rec = np.array([label.split("-") for label in labels],
                    dtype=int).reshape(live.size, 1 + prior.n_bob)
     mass, numer, mass_b, numer_b = belief._posterior_terms(
-        scheme.pi[live], belief._table(prior, table))
+        scheme.pi[live], marginals_and_conditionals(prior))
     # column 0: Pr(e|s) before Bob reveals; column 1 + b: Pr(e|s, b)
     masses = np.column_stack((mass, mass_b))
     on = masses > mass_threshold
@@ -332,12 +329,10 @@ def certify_obedience(prior: JointPrior, decision: DecisionProblem,
 
 
 def _classify_against_benchmarks(prior: JointPrior, score: ScoreSpec,
-                                 optimum: float, table: ConditionalTable,
+                                 optimum: float,
                                  tol: float = CLASSIFY_TOL) -> Classification:
-    full = belief.sender_objective(prior, score, full_reveal_scheme(prior),
-                                   table)
-    none = belief.sender_objective(prior, score, no_reveal_scheme(prior),
-                                   table)
+    full = belief.sender_objective(prior, score, full_reveal_scheme(prior))
+    none = belief.sender_objective(prior, score, no_reveal_scheme(prior))
     full_opt = abs(optimum - full) <= tol
     none_opt = abs(optimum - none) <= tol
     if full_opt and none_opt:

@@ -22,7 +22,8 @@ import numpy as np
 from . import _kernels, belief, scoring
 from .core import Classification, JointPrior, Method, SignalingScheme, \
     SolveReport, marginals_and_conditionals, total_value
-from .errors import BayesPlausibilityViolated, SizeCapExceeded, ValidationError
+from .errors import BayesPlausibilityViolated, NumericalFailure, \
+    SizeCapExceeded, ValidationError
 from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, solve_lp, \
     tableau_cells
 from .scoring import ScoreKind, ScoreSpec
@@ -199,11 +200,10 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
                   cell_cap: int = DEFAULT_CELL_CAP) -> SolveReport:
     """Minimize Bob's utility over schemes with K-uniform posteriors on A."""
     na = prior.n_alice
-    table = marginals_and_conditionals(prior).zero_filled()
     if na == 1:
         scheme = SignalingScheme(("w0",), prior.marginal_alice()[None, :])
-        bob = belief.bob_utility_of_scheme(prior, score, scheme, table)
-        return SolveReport(scheme, -bob, bob, total_value(prior, score, table),
+        bob = belief.bob_utility_of_scheme(prior, score, scheme)
+        return SolveReport(scheme, -bob, bob, total_value(prior, score),
                            Classification.UNCLASSIFIED, Method.FPTAS_A,
                            {"K": 0, "grid_points": 1, "delta": delta})
     params, diag = _resolve_grid(prior, score, delta, na, grid_k,
@@ -211,6 +211,7 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
     grid = enumerate_k_uniform(na, params.K, cap_grid_points)
     clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0
     pr, pb = score.kernel_pieces(prior.n_events)
+    table = marginals_and_conditionals(prior).zero_filled()
     ub = _kernels.ub_grid_wa(grid, table.b_given_a, table.e_given_ab,
                              table.e_given_a, score.kind_code(), pr, pb, clip)
 
@@ -222,13 +223,13 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
     lp = LinearProgram(-ub, a_eq, b_eq, np.zeros((0, n)), np.zeros(0))
     sol = solve_lp(lp, cell_cap)
     if sol.status is not LPStatus.OPTIMAL:
-        raise ValidationError(f"grid LP reported {sol.status.value}; the "
-                              "prior marginal always lies in the grid hull")
+        raise NumericalFailure(f"grid LP reported {sol.status.value}; the "
+                               "prior marginal always lies in the grid hull")
 
     support = np.nonzero(sol.x > 1e-12)[0]
     scheme = scheme_from_posteriors(
         prior, [(sol.x[j], grid[j]) for j in support])
-    bob = belief.bob_utility_of_scheme(prior, score, scheme, table)
+    bob = belief.bob_utility_of_scheme(prior, score, scheme)
     diag.update({
         "grid_points": n,
         "lp_objective": -sol.objective,
@@ -236,7 +237,7 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
         "lp_duality_gap": sol.duality_gap,
         "log_clip": clip,
     })
-    return SolveReport(scheme, -bob, bob, total_value(prior, score, table),
+    return SolveReport(scheme, -bob, bob, total_value(prior, score),
                        Classification.UNCLASSIFIED, Method.FPTAS_A, diag)
 
 
@@ -309,7 +310,7 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
         if sol.status is LPStatus.OPTIMAL:
             break
         if retries >= 4:
-            raise ValidationError(
+            raise NumericalFailure(
                 f"achievability LP stayed {sol.status.value} after "
                 f"{retries} eta doublings")
         eta *= 2.0
@@ -319,7 +320,7 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     mass = x.sum(axis=1)
     keep = np.nonzero(mass > 1e-12)[0]
     scheme = SignalingScheme(tuple(f"v{int(j)}" for j in keep), x[keep])
-    bob = belief.bob_utility_of_scheme(prior, score, scheme, table)
+    bob = belief.bob_utility_of_scheme(prior, score, scheme)
     alpha, beta, L = diag["alpha"], diag["beta"], diag["L"]
     slack = eta * d
     if beta == 1.0:
@@ -336,5 +337,5 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
         "log_clip": clip,
         "guarantee": diag["guarantee"] + eta_term,
     })
-    return SolveReport(scheme, -bob, bob, total_value(prior, score, table),
+    return SolveReport(scheme, -bob, bob, total_value(prior, score),
                        Classification.UNCLASSIFIED, Method.FPTAS_EB, diag)

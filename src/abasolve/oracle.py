@@ -16,8 +16,8 @@ import numpy as np
 
 from . import _kernels, belief, scoring
 from .core import CheckReport, Classification, ConditionalTable, JointPrior, \
-    Method, SignalingScheme, SolveReport, marginals_and_conditionals, \
-    total_value
+    Method, SignalingScheme, SolveReport, _value_terms, \
+    marginals_and_conditionals, total_value
 from .errors import PreconditionViolated, SizeCapExceeded, ValidationError
 from .fptas import LOG_CLIP
 from .scoring import ScoreKind, ScoreSpec
@@ -113,8 +113,7 @@ def _bob_reports(believed: SignalingScheme, labels,
     return np.where(off[..., None], posts[-1], posts[:-1]), off
 
 
-def bob_report(prior: JointPrior, believed: SignalingScheme, s: str, b: int,
-               table: ConditionalTable | None = None
+def bob_report(prior: JointPrior, believed: SignalingScheme, s: str, b: int
                ) -> tuple[belief.PosteriorDistribution, bool]:
     """Bob's round-2 report on seeing (s, b) under his believed scheme.
 
@@ -122,7 +121,7 @@ def bob_report(prior: JointPrior, believed: SignalingScheme, s: str, b: int,
     back to the prior marginal over A, i.e. the report becomes Pr(e|b).
     Returns (posterior, off_path_flag).
     """
-    t = marginals_and_conditionals(prior) if table is None else table
+    t = marginals_and_conditionals(prior)
     reports, off = _bob_reports(believed, (s,), t)
     if off[0, b] and t.mu_b[b] <= 0.0:
         raise ValidationError(f"bob outcome {b} has zero prior probability")
@@ -154,9 +153,7 @@ def cross_belief_utilities(prior: JointPrior, score: ScoreSpec,
     off_mass = float(pair_mass[off[sent]].sum())
     diverged = float(pair_mass[abs(report - truth).sum(axis=1) > 1e-9].sum())
 
-    g_prior = scoring.eval_G(score, t.mu_e)
-    e_ab = float(scoring.weighted_G(score, np.moveaxis(prior.p, 0, 2),
-                                    t.mu_ab).sum())
+    e_ab, g_prior = _value_terms(prior, score)
     # alice = [R(p_S) - R(p)] + [R(p_AB) - R(w_SB)]
     alice = (e_s_term - g_prior) + (e_ab - (bob + e_s_term))
     return CrossBeliefPayoff(believed, actual, bob, alice, off_mass, diverged)

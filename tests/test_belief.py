@@ -67,15 +67,14 @@ def test_marginalization_identity():
     for _ in range(20):
         prior = random_prior(rng, ne=3, na=2, nb=3)
         scheme = random_scheme(rng, prior, n_signals=3)
-        t = marginals_and_conditionals(prior)
         for s in scheme.signal_labels:
-            p_s = posterior_e_given_s(prior, scheme, s, t).weights
-            pb = prob_b_given_s(prior, scheme, s, t)
+            p_s = posterior_e_given_s(prior, scheme, s).weights
+            pb = prob_b_given_s(prior, scheme, s)
             mix = np.zeros(3)
             for b in range(3):
                 if pb[b] > 0:
-                    mix += pb[b] * posterior_e_given_sb(prior, scheme, s, b,
-                                                        t).weights
+                    mix += pb[b] * posterior_e_given_sb(prior, scheme, s,
+                                                        b).weights
             assert mix == pytest.approx(p_s, abs=1e-10)
 
 
@@ -135,7 +134,6 @@ def test_parameterization_consistency():
         prior = random_prior(rng, ne=2, na=3, nb=2)
         scheme = random_scheme(rng, prior, n_signals=3)
         score = random_piecewise(rng, ne=2, k=3)
-        table = marginals_and_conditionals(prior)
         total = 0.0
         total_v = 0.0
         for s in scheme.signal_labels:
@@ -143,10 +141,10 @@ def test_parameterization_consistency():
             if mass <= 0:
                 continue
             w = induced_posterior_over_A(scheme, s)
-            v = induced_posterior_over_EB(prior, scheme, s, table)
-            total += mass * bob_utility_from_wA(prior, score, w, table)
+            v = induced_posterior_over_EB(prior, scheme, s)
+            total += mass * bob_utility_from_wA(prior, score, w)
             total_v += mass * bob_utility_from_vEB(score, v)
-        direct = bob_utility_of_scheme(prior, score, scheme, table)
+        direct = bob_utility_of_scheme(prior, score, scheme)
         assert total == pytest.approx(direct, abs=1e-10)
         assert total_v == pytest.approx(direct, abs=1e-10)
 
@@ -209,7 +207,6 @@ def test_garbling_full_reveal_maximizes_first_term(quad):
     rng = np.random.default_rng(37)
     for _ in range(10):
         prior = random_prior(rng, ne=2, na=2, nb=2)
-        table = marginals_and_conditionals(prior)
 
         def first_term(scheme):
             total = 0.0
@@ -217,7 +214,7 @@ def test_garbling_full_reveal_maximizes_first_term(quad):
                 mass = float(scheme.pi[scheme.signal_index(s)].sum())
                 if mass > 0:
                     total += mass * eval_G(
-                        quad, posterior_e_given_s(prior, scheme, s, table))
+                        quad, posterior_e_given_s(prior, scheme, s))
             return total
 
         best = first_term(full_reveal_scheme(prior))
@@ -298,13 +295,13 @@ def test_per_label_posteriors_match_frozen_formulas():
             for s in scheme.signal_labels:
                 _same(lambda: posterior_e_given_s(prior, scheme, s).weights,
                       lambda: posterior_e_given_s_ref(prior, scheme, s, t))
-                _same(lambda: prob_b_given_s(prior, scheme, s, t),
+                _same(lambda: prob_b_given_s(prior, scheme, s),
                       lambda: prob_b_given_s_ref(prior, scheme, s, t))
-                _same(lambda: induced_posterior_over_EB(prior, scheme, s, t),
+                _same(lambda: induced_posterior_over_EB(prior, scheme, s),
                       lambda: induced_posterior_over_EB_ref(prior, scheme, s,
                                                             t))
                 for b in range(nb):
-                    _same(lambda: posterior_e_given_sb(prior, scheme, s, b,
-                                                       t).weights,
+                    _same(lambda: posterior_e_given_sb(prior, scheme, s,
+                                                       b).weights,
                           lambda: posterior_e_given_sb_ref(prior, scheme, s,
                                                            b, t))

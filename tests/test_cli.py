@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abasolve import cli, instances
-from abasolve.errors import ParseError
+from abasolve import cli, exact, fptas, instances
+from abasolve.errors import NumericalFailure, ParseError
 from abasolve.instances import (emit_report, parse_instance, write_json,
                                 instance_to_json)
-from abasolve.scoring import quadratic_score
+from abasolve.lp import LPSolution, LPStatus
+from abasolve.scoring import piecewise_score, quadratic_score
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -136,6 +137,34 @@ def test_cli_solver_failure_exit_code(xor_path):
     status = cli.main(["solve", str(xor_path), "--method", "oracle",
                        "--step", "0.001"])
     assert status == cli.EXIT_SOLVER
+
+
+def _infeasible(lp, *args, **kwargs):
+    return LPSolution(LPStatus.INFEASIBLE, None, None, None, None, 0)
+
+
+@pytest.mark.parametrize("module, method, solve, message", [
+    (exact, "exact", lambda prior: exact.solve_exact(
+        prior, piecewise_score([([0.0, 0.0], 0.0), ([1.0, -1.0], 0.0)])),
+     "obedience LP reported Infeasible"),
+    (fptas, "fptas-a", lambda prior: fptas.fptas_a_const(
+        prior, quadratic_score(), 0.5, grid_k=4),
+     "grid LP reported Infeasible"),
+    (fptas, "fptas-eb", lambda prior: fptas.fptas_eb_const(
+        prior, quadratic_score(), 0.5, grid_k=2),
+     "achievability LP stayed Infeasible after 4 eta doublings"),
+], ids=["exact", "fptas-a", "fptas-eb"])
+def test_cli_impossible_lp_outcome_is_solver_failure(
+        xor_path, monkeypatch, capsys, module, method, solve, message):
+    # each LP always has a feasible point, so Infeasible is a solver fault
+    monkeypatch.setattr(module, "solve_lp", _infeasible)
+    _, prior = instances.xor_instance()
+    with pytest.raises(NumericalFailure, match=message):
+        solve(prior)
+    status = cli.main(["solve", str(xor_path), "--method", method,
+                       "--delta", "0.5"])
+    assert status == cli.EXIT_SOLVER
+    assert f"solver failure: {message}" in capsys.readouterr().err
 
 
 def test_cli_simulate_deviation_chain(xor_path, scheme_paths, tmp_path,

@@ -151,13 +151,11 @@ def _concavification_oracle_binary(prior, score, n_grid=2000):
     scans posterior pairs straddling mu(a0) with exact mixture weights.
     """
     from abasolve.belief import bob_utility_from_wA
-    from abasolve.core import marginals_and_conditionals
 
-    table = marginals_and_conditionals(prior)
     mu0 = prior.marginal_alice()[0]
     ts = np.linspace(0.0, 1.0, n_grid + 1)
-    ub = np.array([bob_utility_from_wA(prior, score, np.array([t, 1.0 - t]),
-                                       table) for t in ts])
+    ub = np.array([bob_utility_from_wA(prior, score, np.array([t, 1.0 - t]))
+                   for t in ts])
     left = ts <= mu0 + 1e-12
     right = ts >= mu0 - 1e-12
     tl, ul = ts[left], ub[left]

@@ -260,7 +260,7 @@ def test_cross_belief_matches_loop_reference(kind):
                     want, want_off = bob_report_ref(prior, believed, s, b, t)
                 except ValidationError:
                     with pytest.raises(ValidationError):
-                        bob_report(prior, believed, s, b, t)
+                        bob_report(prior, believed, s, b)
                     continue
                 report, off = bob_report(prior, believed, s, b)
                 assert off == want_off
