@@ -24,8 +24,8 @@ from .core import Classification, JointPrior, Method, SignalingScheme, \
     SolveReport, marginals_and_conditionals, total_value
 from .errors import BayesPlausibilityViolated, NumericalFailure, \
     SizeCapExceeded, ValidationError
-from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, solve_lp, \
-    tableau_cells
+from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, check_cell_cap, \
+    solve_lp, tableau_cells
 from .scoring import ScoreKind, ScoreSpec
 
 DEFAULT_GRID_CAP = 5_000_000
@@ -94,6 +94,21 @@ def sample_k_uniform(w: np.ndarray, k: int, n_samples: int,
     return rng.multinomial(k, w, size=n_samples) / k
 
 
+def _max_points_under(lp_cells, cell_cap: int) -> int:
+    """Largest grid size n >= 1 whose LP tableau ``lp_cells(n)`` fits the
+    cell cap (1 when none does; the cap check then refuses it)."""
+    lo, hi = 1, 1
+    while lp_cells(hi) <= cell_cap:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if lp_cells(mid) <= cell_cap:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def _max_k_under(d: int, limit_points: int) -> int:
     if d == 2:
         return max(int(limit_points) - 1, 1)
@@ -133,8 +148,15 @@ def _delta_for_epsilon(eps: float, n_bob: int, L: float, alpha: float,
 
 
 def _resolve_grid(prior: JointPrior, score: ScoreSpec, delta: float, d: int,
-                  grid_k: int | None, cap_points: int, max_lp_points: int
-                  ) -> tuple[GridParameters, dict]:
+                  grid_k: int | None, cap_points: int, cell_cap: int,
+                  lp_cells) -> tuple[GridParameters, dict]:
+    """Pick K and the guarantee it supports.
+
+    ``lp_cells(n)`` is the tableau size ``solve_lp`` will need for an
+    n-point grid.  An automatic K is capped so that the grid fits both
+    ``cap_points`` and ``cell_cap``; an explicit ``grid_k`` that exceeds
+    either cap raises SizeCapExceeded here, before the grid is built.
+    """
     ne = prior.n_events
     alpha, beta, _ = score.resolved_holder(ne)
     L = score.resolved_bound(ne)
@@ -147,7 +169,9 @@ def _resolve_grid(prior: JointPrior, score: ScoreSpec, delta: float, d: int,
             raise SizeCapExceeded(f"grid_k={k} exceeds the point cap",
                                   required=count_k_uniform(d, k))
     else:
+        max_lp_points = _max_points_under(lp_cells, cell_cap)
         k = max(min(k_target, _max_k_under(d, min(cap_points, max_lp_points))), 1)
+    check_cell_cap(lp_cells(count_k_uniform(d, k)), cell_cap)
     capped = k < k_target
     eps_eff = _epsilon_for_grid(d, k) if (capped and k >= 1) else eps_used
     guarantee = 4.0 * L * eps_eff + \
@@ -207,7 +231,8 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
                            Classification.UNCLASSIFIED, Method.FPTAS_A,
                            {"K": 0, "grid_points": 1, "delta": delta})
     params, diag = _resolve_grid(prior, score, delta, na, grid_k,
-                                 cap_grid_points, cell_cap // (na + 2))
+                                 cap_grid_points, cell_cap,
+                                 lambda n: tableau_cells(n, 0, na + 1))
     grid = enumerate_k_uniform(na, params.K, cap_grid_points)
     clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0
     pr, pb = score.kernel_pieces(prior.n_events)
@@ -241,20 +266,6 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
                        Classification.UNCLASSIFIED, Method.FPTAS_A, diag)
 
 
-def _eb_lp_points_cap(na: int, ne: int, nb: int, cell_cap: int) -> int:
-    """Largest grid size whose eb-LP tableau fits the cell cap."""
-    lo, hi = 1, 1
-    while _eb_cells(na, ne, nb, hi) <= cell_cap:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _eb_cells(na, ne, nb, mid) <= cell_cap:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def _eb_cells(na: int, ne: int, nb: int, n: int) -> int:
     return tableau_cells(n * na, 2 * ne * nb * n, na)
 
@@ -278,8 +289,8 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     d = ne * nb
     table = marginals_and_conditionals(prior).zero_filled()
     params, diag = _resolve_grid(prior, score, delta, d, grid_k,
-                                 cap_grid_points,
-                                 _eb_lp_points_cap(na, ne, nb, cell_cap))
+                                 cap_grid_points, cell_cap,
+                                 lambda n: _eb_cells(na, ne, nb, n))
     k = max(params.K, 1)
     grid = enumerate_k_uniform(d, k, cap_grid_points)
     n = grid.shape[0]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from abasolve import _kernels, fptas
 from abasolve.belief import (bob_utility_from_vEB, bob_utility_from_wA,
                              induced_posterior_over_A)
 from abasolve.core import JointPrior
@@ -12,6 +13,7 @@ from abasolve.fptas import (count_k_uniform, enumerate_k_uniform,
                             epsilon_for_delta, fptas_a_const, fptas_eb_const,
                             grid_size_K, sample_k_uniform,
                             scheme_from_posteriors)
+from abasolve.lp import tableau_cells
 from abasolve.oracle import oracle_optimal
 from abasolve.scoring import HolderParams, quadratic_score, spherical_score
 
@@ -129,6 +131,38 @@ def test_fptas_a_default_cap_full_grid(xor_prior, quad):
     assert diag["grid_capped"] and diag["K_target"] > diag["K"]
     assert report.bob_utility <= 1e-9
     assert 0.05 < diag["guarantee"] < 1.0
+
+
+@pytest.mark.parametrize("cell_cap", (1000, 5000, 100_000))
+def test_fptas_a_cell_cap_runs_capped_grid(cell_cap):
+    # the grid LP's tableau has (|A|+2)(n+|A|+2) cells; sizing the grid at
+    # cell_cap // (|A|+2) points overshot the cap by (|A|+2)^2 cells
+    prior = random_prior(np.random.default_rng(5), ne=2, na=2, nb=2)
+    report = fptas_a_const(prior, quadratic_score(), 0.01, cell_cap=cell_cap)
+    diag = report.diagnostics
+    assert diag["grid_capped"]
+    assert tableau_cells(diag["grid_points"], 0, 3) <= cell_cap
+    assert tableau_cells(diag["grid_points"] + 1, 0, 3) > cell_cap
+
+
+@pytest.mark.parametrize("solver,na,grid_k,cells", (
+    (fptas_a_const, 4, 40, tableau_cells(count_k_uniform(4, 40), 0, 5)),
+    (fptas_eb_const, 2, 6, tableau_cells(2 * 84, 2 * 4 * 84, 2)),
+))
+def test_explicit_grid_k_over_cell_cap_fails_before_grid(monkeypatch, solver,
+                                                         na, grid_k, cells):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the cell-cap check")
+
+    monkeypatch.setattr(fptas, "enumerate_k_uniform", refuse)
+    monkeypatch.setattr(_kernels, "ub_grid_wa", refuse)
+    monkeypatch.setattr(_kernels, "ub_grid_veb", refuse)
+    prior = random_prior(np.random.default_rng(1), ne=2, na=na, nb=2)
+    with pytest.raises(SizeCapExceeded) as err:
+        solver(prior, quadratic_score(), 0.05, grid_k=grid_k,
+               cell_cap=10_000)
+    assert err.value.required == cells
+    assert str(err.value) == f"tableau needs {cells} cells, cap is 10000"
 
 
 def test_fptas_a_decomposition_is_bayes_plausible():
