@@ -17,18 +17,16 @@ from .core import (CheckReport, Classification, ConditionalTable, JointPrior,
                    ValidationOutcome, full_reveal_scheme,
                    marginals_and_conditionals, no_reveal_scheme, total_value,
                    validate_instance)
-from .exact import (RecommendationSignal, build_obedience_lp,
-                    build_revelation_signals, certify_obedience,
-                    classify_substitutes, merge_equivalent_signals,
-                    solve_exact)
+from .exact import (build_obedience_lp, build_revelation_signals,
+                    certify_obedience, classify_substitutes, solve_exact)
 from .errors import (BayesPlausibilityViolated, BoundaryTangent,
                      NonFiniteScore, NumericalFailure, ParseError,
                      PreconditionViolated, SizeCapExceeded, SolverError,
                      ValidationError, ZeroProbabilityPair,
                      ZeroProbabilitySignal)
-from .fptas import (GridParameters, enumerate_k_uniform, epsilon_for_delta,
-                    fptas_a_const, fptas_eb_const, grid_size_K,
-                    sample_k_uniform, scheme_from_posteriors)
+from .fptas import (enumerate_k_uniform, epsilon_for_delta, fptas_a_const,
+                    fptas_eb_const, grid_size_K, sample_k_uniform,
+                    scheme_from_posteriors)
 from .instances import (copy_instance, emit_report, independent_instance,
                         parse_instance, xor_instance)
 from .lp import LinearProgram, LPSolution, LPStatus, debug_dump, solve_lp

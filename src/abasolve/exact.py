@@ -1,21 +1,24 @@
 """Exact optimal-commitment solver for piecewise-linear G.
 
 The revelation principle bounds the signal set: one signal per
-recommendation profile (i_0, {i_b}_b), k^(|B|+1) signals in all.  The
-obedience LP maximizes Alice's objective subject to every recommendation
-being a best response, with marginal constraints tying pi to the prior.
+recommendation profile (i_0, i_1, ..., i_|B|), the action recommended
+before Bob reveals and the one recommended after he reveals each b.  The
+profiles are enumerated once, as the rows of a (k^(|B|+1), 1+|B|) int
+array, and then filtered; that array is the signal set from the LP to the
+scheme's labels.  The obedience LP maximizes Alice's objective subject to
+every recommendation being a best response, with marginal constraints
+tying pi to the prior.
 
 For |A| = 2 each obedience row is linear in the induced posterior
 t = Pr(a0|s), so it bounds t from one side, and a signal's feasible t form
 an interval.  A signal's rows come in |B|+1 components: the rows of its
 recommendation i_0 before Bob reveals, then those of i_b after he reveals
 b.  Each component's interval is computed once per recommended action,
-and each signal's interval is their intersection, taken over the whole
-k^(|B|+1) signal grid in array code.  Only signals with nonempty
-intervals are enumerated, and only the (at most two) rows binding each
-one's interval are kept before pivoting.  This is lossless: discarded rows
-are implied by the kept ones, and discarded signals are forced to zero in
-every feasible point.
+and each profile's interval is their intersection, looked up by the
+profile's columns.  Only profiles with nonempty intervals are kept, and
+only the (at most two) rows binding each one's interval go to the LP.
+This is lossless: discarded rows are implied by the kept ones, and
+discarded signals are forced to zero in every feasible point.
 
 Every result certifies itself: an LP duality gap above ``LP_GAP_TOL`` or
 an obedience residual above ``OBEDIENCE_TOL`` raises ``NumericalFailure``
@@ -23,9 +26,6 @@ instead of returning the report.
 """
 
 from __future__ import annotations
-
-import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,29 +44,10 @@ LP_GAP_TOL = 1e-7
 OBEDIENCE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class RecommendationSignal:
-    """A revelation-principle signal: action i0 up front, i_b once Bob
-    reveals outcome b."""
-
-    i0: int
-    ib: tuple[int, ...]
-
-    def label(self) -> str:
-        return "-".join(str(i) for i in (self.i0, *self.ib))
-
-
 def build_revelation_signals(k: int, bob_outcomes: int,
-                             cap: int = DEFAULT_LP_VAR_CAP
-                             ) -> list[RecommendationSignal]:
-    """All k^(|B|+1) recommendation profiles in lexicographic order."""
-    _profile_count(k, bob_outcomes, cap)
-    return [RecommendationSignal(prof[0], prof[1:])
-            for prof in itertools.product(range(k), repeat=bob_outcomes + 1)]
-
-
-def _profile_count(k: int, bob_outcomes: int, cap: int) -> int:
-    """k^(|B|+1), refused above ``cap`` before any profile is built."""
+                             cap: int = DEFAULT_LP_VAR_CAP) -> np.ndarray:
+    """All k^(|B|+1) recommendation profiles as the rows of an int array,
+    in lexicographic order; refused above ``cap`` before any is built."""
     if k < 1 or bob_outcomes < 1:
         raise ValidationError("need k >= 1 actions and |B| >= 1 outcomes")
     count = k ** (bob_outcomes + 1)
@@ -74,7 +55,8 @@ def _profile_count(k: int, bob_outcomes: int, cap: int) -> int:
         raise SizeCapExceeded(
             f"revelation signal set has {count} profiles, cap is {cap}",
             required=count)
-    return count
+    return np.indices((k,) * (bob_outcomes + 1)).reshape(bob_outcomes + 1,
+                                                         count).T
 
 
 def _obedience_blocks(table: ConditionalTable, decision: DecisionProblem):
@@ -94,80 +76,76 @@ def _obedience_blocks(table: ConditionalTable, decision: DecisionProblem):
     return ue_a, ue_ab, unc, con
 
 
-def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
-                       signals: list[RecommendationSignal] | None = None,
-                       cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
-                       keep_rows: list[np.ndarray] | None = None,
-                       cell_cap: int = DEFAULT_CELL_CAP) -> LinearProgram:
-    """Assemble the obedience LP over pi(s, a) for the given signal set.
+def _components(unc: np.ndarray, con: np.ndarray) -> np.ndarray:
+    """unc and con stacked by profile column: (1+|B|, k, k, |A|), component
+    0 before Bob reveals, component 1+b after he reveals b."""
+    return np.concatenate((unc[None], np.moveaxis(con, 3, 0)))
 
-    Row layout: k unconditional obedience rows per signal, then k*|B|
-    conditional rows per signal (as >= 0, stored negated as <= 0), then the
-    |A| marginal equalities.  ``keep_rows`` optionally restricts each
-    signal's obedience rows to the given indices (used by the exact
-    |A| = 2 reduction).
+
+def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
+                       signals: np.ndarray | None = None,
+                       cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
+                       keep_rows: np.ndarray | None = None,
+                       cell_cap: int = DEFAULT_CELL_CAP) -> LinearProgram:
+    """Assemble the obedience LP over pi(s, a) for the given profile rows.
+
+    Row layout: per signal, the k obedience rows of its component 0, then
+    the k rows of each component 1+b (as >= 0, stored negated as <= 0);
+    then the |A| marginal equalities.  ``keep_rows``, a boolean
+    (signals, k(1+|B|)) mask, optionally restricts each signal's obedience
+    rows (used by the exact |A| = 2 reduction).
     """
     k = decision.n_actions
     na = prior.n_alice
     nb = prior.n_bob
     if signals is None:
         signals = build_revelation_signals(k, nb, cap_lp_vars)
-    n_vars = len(signals) * na
+    n_signals = signals.shape[0]
+    n_vars = n_signals * na
     if n_vars > cap_lp_vars:
         raise SizeCapExceeded(
             f"obedience LP needs {n_vars} variables, cap is {cap_lp_vars}",
             required=n_vars)
-    n_rows = len(signals) * (k + k * nb) if keep_rows is None else \
-        sum(len(kr) for kr in keep_rows)
+    n_rows = n_signals * (k + k * nb) if keep_rows is None else \
+        int(np.count_nonzero(keep_rows))
     # refuse before allocating: the solver's tableau is the largest array
     check_cell_cap(tableau_cells(n_vars, n_rows, na), cell_cap)
     table = marginals_and_conditionals(prior)
     ue_a, ue_ab, unc, con = _obedience_blocks(table, decision)
 
-    objective = np.empty(n_vars)
-    blocks = []
-    for si, sig in enumerate(signals):
-        sig_rows = np.empty((k + k * nb, na))
-        sig_rows[:k] = -unc[sig.i0]                      # -(rec - other) <= 0
-        for b in range(nb):
-            sig_rows[k + b * k:k + (b + 1) * k] = -con[sig.ib[b], :, :, b]
-        if keep_rows is not None:
-            sig_rows = sig_rows[keep_rows[si]]
-        blocks.append(sig_rows)
-        objective[si * na:(si + 1) * na] = \
-            ue_a[sig.i0] - sum(ue_ab[sig.ib[b], :, b] for b in range(nb))
-
-    total_rows = sum(b.shape[0] for b in blocks)
-    a_ub = np.zeros((total_rows, n_vars))
-    r = 0
-    for si, block in enumerate(blocks):
-        a_ub[r:r + block.shape[0], si * na:(si + 1) * na] = block
-        r += block.shape[0]
-    a_eq = np.zeros((na, n_vars))
-    for a in range(na):
-        a_eq[a, a::na] = 1.0
-    return LinearProgram(objective, a_eq, table.mu_a, a_ub,
-                         np.zeros(total_rows))
+    objective = (ue_a[signals[:, 0]] - sum(ue_ab[signals[:, 1 + b], :, b]
+                                           for b in range(nb))).ravel()
+    if keep_rows is None:
+        keep_rows = np.ones((n_signals, k + k * nb), dtype=bool)
+    sig, row = np.nonzero(keep_rows)
+    comp, j = np.divmod(row, k)
+    a_ub = np.zeros((n_rows, n_vars))
+    a_ub[np.arange(n_rows)[:, None], sig[:, None] * na + np.arange(na)] = \
+        -_components(unc, con)[comp, signals[sig, comp], j]
+    return LinearProgram(objective, np.tile(np.eye(na), n_signals),
+                         table.mu_a, a_ub, np.zeros(n_rows))
 
 
-def _feasible_signals(unc: np.ndarray, con: np.ndarray, tol: float = 1e-12):
-    """For |A| = 2: the signals whose posterior interval is nonempty.
+def _feasible_signals(unc: np.ndarray, con: np.ndarray, profiles: np.ndarray,
+                      tol: float = 1e-12):
+    """For |A| = 2: the profiles whose posterior interval is nonempty.
 
     Row j of a signal's component c is numbered c*k + j, as in
-    build_obedience_lp: component 0 holds unc[i0], component 1+b holds
-    con[ib_b, :, :, b].  A row v0*t + v1*(1-t) >= 0 bounds t = Pr(a0|s)
+    build_obedience_lp: component 0 holds unc[i_0], component 1+b holds
+    con[i_b, :, :, b].  A row v0*t + v1*(1-t) >= 0 bounds t = Pr(a0|s)
     from below when its slope v0 - v1 exceeds tol, from above when the
     slope is below -tol, and excludes every t when it is flat with
     v1 < -tol.  Each component's tightest bounds (first row on ties) are
     found once per recommended action; a scan over the components then
-    keeps, on the (k,)*(|B|+1) signal grid, the first bound that is
-    strictly tighter than [0, 1] and than the earlier components'.
+    keeps, per profile, the first bound that is strictly tighter than
+    [0, 1] and than the earlier components'.
 
-    Returns the surviving signals in lexicographic order, their interval
-    ends ``lo`` and ``hi``, and for each the sorted rows attaining them.
+    Returns the indices of the surviving profiles, their interval ends
+    ``lo`` and ``hi``, and a boolean (survivors, k(1+|B|)) mask of the
+    rows attaining them.
     """
     k = unc.shape[0]
-    comps = np.concatenate((unc[None], np.moveaxis(con, 3, 0)))  # (C, k, k, 2)
+    comps = _components(unc, con)                          # (C, k, k, 2)
     n_comp = comps.shape[0]
     v0, v1 = comps[..., 0], comps[..., 1]
     slope = v0 - v1
@@ -182,15 +160,13 @@ def _feasible_signals(unc: np.ndarray, con: np.ndarray, tol: float = 1e-12):
                   first_row + hi_cand.argmin(axis=2),
                   (~rises & ~falls & (v1 < -tol)).any(axis=2))
 
-    grid = (k,) * n_comp
-    lo, hi = np.zeros(grid), np.ones(grid)
-    lo_row, hi_row = np.full(grid, -1), np.full(grid, -1)
-    empty = np.zeros(grid, dtype=bool)
+    n = profiles.shape[0]
+    lo, hi = np.zeros(n), np.ones(n)
+    lo_row, hi_row = np.full(n, -1), np.full(n, -1)
+    empty = np.zeros(n, dtype=bool)
     for c in range(n_comp):
-        along = [1] * n_comp
-        along[c] = k
         c_lo, c_hi, c_lo_row, c_hi_row, c_flat = (
-            x[c].reshape(along) for x in per_action)
+            x[c, profiles[:, c]] for x in per_action)
         tighter = c_lo > lo
         lo = np.where(tighter, c_lo, lo)
         lo_row = np.where(tighter, c_lo_row, lo_row)
@@ -200,12 +176,11 @@ def _feasible_signals(unc: np.ndarray, con: np.ndarray, tol: float = 1e-12):
         empty |= c_flat
     keep = np.flatnonzero(~(empty | (lo > hi + 1e-9)))
 
-    profiles = np.stack(np.unravel_index(keep, grid), axis=1).tolist()
-    signals = [RecommendationSignal(p[0], tuple(p[1:])) for p in profiles]
-    rows = np.sort(np.stack((lo_row.ravel()[keep], hi_row.ravel()[keep]),
-                            axis=1), axis=1)
-    return (signals, lo.ravel()[keep], hi.ravel()[keep],
-            [r[r >= 0] for r in rows])
+    # an end no row attains (-1) marks the spare last column, dropped below
+    mask = np.zeros((keep.size, n_comp * k + 1), dtype=bool)
+    mask[np.arange(keep.size)[:, None],
+         np.stack((lo_row[keep], hi_row[keep]), axis=1)] = True
+    return keep, lo[keep], hi[keep], mask[:, :-1]
 
 
 def solve_exact(prior: JointPrior, score: ScoreSpec,
@@ -223,18 +198,18 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     k = decision.n_actions
     na = prior.n_alice
     nb = prior.n_bob
-    signal_cap = max(cap_lp_vars // max(na, 1), 1)
-    n_profiles = _profile_count(k, nb, signal_cap)
+    profiles = build_revelation_signals(k, nb,
+                                        max(cap_lp_vars // max(na, 1), 1))
+    n_profiles = len(profiles)
 
     keep_rows = None
     if na == 2:
         _, _, unc, con = _obedience_blocks(marginals_and_conditionals(prior),
                                            decision)
-        signals, _, _, keep_rows = _feasible_signals(unc, con)
-    else:
-        signals = build_revelation_signals(k, nb, signal_cap)
-    lp = build_obedience_lp(prior, decision, signals, cap_lp_vars, keep_rows,
-                            cell_cap)
+        kept, _, _, keep_rows = _feasible_signals(unc, con, profiles)
+        profiles = profiles[kept]
+    lp = build_obedience_lp(prior, decision, profiles, cap_lp_vars,
+                            keep_rows, cell_cap)
     sol = solve_lp(lp, cell_cap)
     if sol.status is not LPStatus.OPTIMAL:
         raise NumericalFailure(f"obedience LP reported {sol.status.value}; "
@@ -244,15 +219,12 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
         raise NumericalFailure(f"obedience LP duality gap {sol.duality_gap!r}"
                                f" exceeds {LP_GAP_TOL!r}")
 
-    pi = sol.x.reshape(len(signals), na)
-    labels = [sig.label() for sig in signals]
-    mass = pi.sum(axis=1)
-    keep = mass > 1e-10
-    scheme = SignalingScheme(tuple(l for l, m in zip(labels, keep) if m),
-                             pi[keep])
-    recs = [r for r, m in zip(signals, keep) if m]
-    scheme, recs = merge_equivalent_signals(scheme, recs)
-    violation = certify_obedience(prior, decision, scheme, recs)
+    pi = sol.x.reshape(len(profiles), na)
+    live = pi.sum(axis=1) > 1e-10
+    scheme = SignalingScheme(
+        tuple("-".join(map(str, p)) for p in profiles[live].tolist()),
+        pi[live])
+    violation = certify_obedience(prior, decision, scheme)
     if not violation <= OBEDIENCE_TOL:
         raise NumericalFailure(f"scheme violates obedience by {violation!r}, "
                                f"above {OBEDIENCE_TOL!r}")
@@ -272,7 +244,7 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
             "lp_rows": lp.n_rows,
             "lp_iterations": sol.iterations,
             "lp_duality_gap": sol.duality_gap,
-            "signals_pruned": n_profiles - len(signals),
+            "signals_pruned": n_profiles - len(profiles),
             "signals_kept": scheme.n_signals,
             "pieces": k,
             "max_obedience_violation": violation,
@@ -280,41 +252,17 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     )
 
 
-def merge_equivalent_signals(scheme: SignalingScheme,
-                             recommendations: list[RecommendationSignal]
-                             ) -> tuple[SignalingScheme,
-                                        list[RecommendationSignal]]:
-    """Sum the columns of signals carrying identical recommendation profiles."""
-    groups: dict[tuple, int] = {}
-    rows = []
-    labels = []
-    recs = []
-    for idx, rec in enumerate(recommendations):
-        key = (rec.i0, rec.ib)
-        if key in groups:
-            rows[groups[key]] = rows[groups[key]] + scheme.pi[idx]
-        else:
-            groups[key] = len(rows)
-            rows.append(scheme.pi[idx].copy())
-            labels.append(scheme.signal_labels[idx])
-            recs.append(rec)
-    return SignalingScheme(tuple(labels), np.array(rows)), recs
-
-
 def certify_obedience(prior: JointPrior, decision: DecisionProblem,
                       scheme: SignalingScheme,
-                      recommendations: list[RecommendationSignal] | None = None,
                       mass_threshold: float = 1e-10) -> float:
     """Largest normalized obedience violation over positive-mass signals.
 
-    For each signal the recommended action must maximize the expected
-    utility under Pr(e|s), and each i_b under Pr(e|s,b).  When
-    recommendations are not supplied, signal labels are decoded.
+    Each signal's label is its recommendation profile "i0-i1-...-i|B|", as
+    ``solve_exact`` writes it.  The recommended action i_0 must maximize
+    the expected utility under Pr(e|s), and each i_b under Pr(e|s,b).
     """
     live = np.flatnonzero(scheme.pi.sum(axis=1) > mass_threshold)
-    labels = [scheme.signal_labels[i] if recommendations is None
-              else recommendations[i].label() for i in live]
-    rec = np.array([label.split("-") for label in labels],
+    rec = np.array([scheme.signal_labels[i].split("-") for i in live],
                    dtype=int).reshape(live.size, 1 + prior.n_bob)
     mass, numer, mass_b, numer_b = belief._posterior_terms(
         scheme.pi[live], marginals_and_conditionals(prior))

@@ -15,7 +15,6 @@ instead of refusing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +30,6 @@ from .scoring import ScoreKind, ScoreSpec
 DEFAULT_GRID_CAP = 5_000_000
 LOG_CLIP = 1e-9
 EPS_CEILING = 0.49  # grid_size_K needs eps < 1; beyond this the grid is tiny anyway
-
-
-@dataclass(frozen=True)
-class GridParameters:
-    delta: float
-    epsilon: float
-    K: int
-    d: int
 
 
 def epsilon_for_delta(delta: float, n_bob: int, L: float, alpha: float,
@@ -149,13 +140,14 @@ def _delta_for_epsilon(eps: float, n_bob: int, L: float, alpha: float,
 
 def _resolve_grid(prior: JointPrior, score: ScoreSpec, delta: float, d: int,
                   grid_k: int | None, cap_points: int, cell_cap: int,
-                  lp_cells) -> tuple[GridParameters, dict]:
-    """Pick K and the guarantee it supports.
+                  lp_cells) -> tuple[int, dict]:
+    """Pick K and the guarantee it supports; return (K, diagnostics).
 
     ``lp_cells(n)`` is the tableau size ``solve_lp`` will need for an
     n-point grid.  An automatic K is capped so that the grid fits both
-    ``cap_points`` and ``cell_cap``; an explicit ``grid_k`` that exceeds
-    either cap raises SizeCapExceeded here, before the grid is built.
+    ``cap_points`` and ``cell_cap``; an explicit ``grid_k`` below 1 raises
+    ValidationError, and one that exceeds either cap SizeCapExceeded,
+    here, before the grid is built.
     """
     ne = prior.n_events
     alpha, beta, _ = score.resolved_holder(ne)
@@ -164,6 +156,8 @@ def _resolve_grid(prior: JointPrior, score: ScoreSpec, delta: float, d: int,
     eps_used = min(eps, EPS_CEILING)
     k_target = grid_size_K(d, eps_used) if d >= 2 else 0
     if grid_k is not None:
+        if grid_k < 1:
+            raise ValidationError(f"grid_k={grid_k} must be at least 1")
         k = grid_k
         if count_k_uniform(d, k) > cap_points:
             raise SizeCapExceeded(f"grid_k={k} exceeds the point cap",
@@ -173,7 +167,7 @@ def _resolve_grid(prior: JointPrior, score: ScoreSpec, delta: float, d: int,
         k = max(min(k_target, _max_k_under(d, min(cap_points, max_lp_points))), 1)
     check_cell_cap(lp_cells(count_k_uniform(d, k)), cell_cap)
     capped = k < k_target
-    eps_eff = _epsilon_for_grid(d, k) if (capped and k >= 1) else eps_used
+    eps_eff = _epsilon_for_grid(d, k) if capped else eps_used
     guarantee = 4.0 * L * eps_eff + \
         (_delta_for_epsilon(eps_eff, prior.n_bob, L, alpha, beta)
          if capped else delta)
@@ -189,7 +183,7 @@ def _resolve_grid(prior: JointPrior, score: ScoreSpec, delta: float, d: int,
         "beta": beta,
         "L": L,
     }
-    return GridParameters(delta, eps_used, k, d), diag
+    return k, diag
 
 
 def scheme_from_posteriors(prior: JointPrior, posteriors,
@@ -230,10 +224,10 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
         return SolveReport(scheme, -bob, bob, total_value(prior, score),
                            Classification.UNCLASSIFIED, Method.FPTAS_A,
                            {"K": 0, "grid_points": 1, "delta": delta})
-    params, diag = _resolve_grid(prior, score, delta, na, grid_k,
-                                 cap_grid_points, cell_cap,
-                                 lambda n: tableau_cells(n, 0, na + 1))
-    grid = enumerate_k_uniform(na, params.K, cap_grid_points)
+    k, diag = _resolve_grid(prior, score, delta, na, grid_k,
+                            cap_grid_points, cell_cap,
+                            lambda n: tableau_cells(n, 0, na + 1))
+    grid = enumerate_k_uniform(na, k, cap_grid_points)
     clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0
     pr, pb = score.kernel_pieces(prior.n_events)
     table = marginals_and_conditionals(prior).zero_filled()
@@ -288,10 +282,9 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     ne, na, nb = prior.n_events, prior.n_alice, prior.n_bob
     d = ne * nb
     table = marginals_and_conditionals(prior).zero_filled()
-    params, diag = _resolve_grid(prior, score, delta, d, grid_k,
-                                 cap_grid_points, cell_cap,
-                                 lambda n: _eb_cells(na, ne, nb, n))
-    k = max(params.K, 1)
+    k, diag = _resolve_grid(prior, score, delta, d, grid_k,
+                            cap_grid_points, cell_cap,
+                            lambda n: _eb_cells(na, ne, nb, n))
     grid = enumerate_k_uniform(d, k, cap_grid_points)
     n = grid.shape[0]
     clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0

@@ -308,16 +308,15 @@ def cross_belief_loop(prior, score, believed, actual):
     return bob, alice, off_mass, diverged
 
 
-def feasible_intervals_loop(signals, unc, con, tol: float = 1e-12):
-    """The |A| = 2 interval pruning as a loop over signals and rows, kept
-    as the reference for ``exact._feasible_signals``: per signal,
-    (lo, hi, rows attaining the bounds) or None when the interval is
-    empty."""
+def feasible_intervals_loop(profiles, unc, con, tol: float = 1e-12):
+    """The |A| = 2 interval pruning as a loop over profiles and rows, kept
+    as the reference for ``exact._feasible_signals``: per profile row
+    (i_0, i_1, ..., i_|B|), (lo, hi, rows attaining the bounds) or None
+    when the interval is empty."""
     nb = con.shape[3]
     out = []
-    for sig in signals:
-        rows = np.vstack([unc[sig.i0]] +
-                         [con[sig.ib[b], :, :, b] for b in range(nb)])
+    for i0, *ib in np.asarray(profiles).tolist():
+        rows = np.vstack([unc[i0]] + [con[ib[b], :, :, b] for b in range(nb)])
         # row j: v0*t + v1*(1-t) >= 0 for t in [0, 1]
         v0 = rows[:, 0]
         v1 = rows[:, 1]
@@ -342,3 +341,39 @@ def feasible_intervals_loop(signals, unc, con, tol: float = 1e-12):
             keep = [j for j in (lo_row, hi_row) if j >= 0]
             out.append((lo, hi, np.array(sorted(set(keep)), dtype=int)))
     return out
+
+
+def obedience_lp_loop(prior, decision, profiles, keep_rows=None):
+    """``exact.build_obedience_lp`` assembled one signal at a time, kept as
+    its reference: (objective, a_eq, a_ub, b_ub).  ``keep_rows`` is a list
+    of each signal's kept row indices."""
+    from abasolve.exact import _obedience_blocks
+
+    k = decision.n_actions
+    na, nb = prior.n_alice, prior.n_bob
+    ue_a, ue_ab, unc, con = _obedience_blocks(
+        marginals_and_conditionals(prior), decision)
+    signals = np.asarray(profiles).tolist()
+    n_vars = len(signals) * na
+    objective = np.empty(n_vars)
+    blocks = []
+    for si, (i0, *ib) in enumerate(signals):
+        sig_rows = np.empty((k + k * nb, na))
+        sig_rows[:k] = -unc[i0]                          # -(rec - other) <= 0
+        for b in range(nb):
+            sig_rows[k + b * k:k + (b + 1) * k] = -con[ib[b], :, :, b]
+        if keep_rows is not None:
+            sig_rows = sig_rows[keep_rows[si]]
+        blocks.append(sig_rows)
+        objective[si * na:(si + 1) * na] = \
+            ue_a[i0] - sum(ue_ab[ib[b], :, b] for b in range(nb))
+    total_rows = sum(b.shape[0] for b in blocks)
+    a_ub = np.zeros((total_rows, n_vars))
+    r = 0
+    for si, block in enumerate(blocks):
+        a_ub[r:r + block.shape[0], si * na:(si + 1) * na] = block
+        r += block.shape[0]
+    a_eq = np.zeros((na, n_vars))
+    for a in range(na):
+        a_eq[a, a::na] = 1.0
+    return objective, a_eq, a_ub, np.zeros(total_rows)

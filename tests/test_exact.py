@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,9 +14,8 @@ from abasolve.core import (Classification, JointPrior, SignalingScheme,
 from abasolve import cli, exact as exact_module, instances
 from abasolve.errors import NumericalFailure, SizeCapExceeded, \
     ValidationError
-from abasolve.exact import (RecommendationSignal, build_obedience_lp,
-                            build_revelation_signals, certify_obedience,
-                            classify_substitutes, merge_equivalent_signals,
+from abasolve.exact import (build_obedience_lp, build_revelation_signals,
+                            certify_obedience, classify_substitutes,
                             solve_exact)
 from abasolve.lp import solve_lp, tableau_cells
 from abasolve.oracle import oracle_optimal
@@ -24,8 +24,9 @@ from abasolve.scoring import (decision_problem_from_G, default_tangent_grid,
                               quadratic_score)
 
 from helpers import (certify_obedience_loop, degenerate_cases,
-                     feasible_intervals_loop, posterior_e_given_s_ref,
-                     posterior_e_given_sb_ref, random_piecewise, random_prior)
+                     feasible_intervals_loop, obedience_lp_loop,
+                     posterior_e_given_s_ref, posterior_e_given_sb_ref,
+                     random_piecewise, random_prior)
 
 
 def _linearized_quadratic(prior, k=20):
@@ -34,15 +35,16 @@ def _linearized_quadratic(prior, k=20):
 
 
 def test_build_revelation_signals_counts():
-    assert len(build_revelation_signals(2, 1)) == 4
-    assert len(build_revelation_signals(2, 2)) == 8
-    assert len(build_revelation_signals(3, 2)) == 27
+    assert build_revelation_signals(2, 1).shape == (4, 2)
+    assert build_revelation_signals(2, 2).shape == (8, 3)
+    assert build_revelation_signals(3, 2).shape == (27, 3)
 
 
 def test_build_revelation_signals_order_and_cap():
-    signals = build_revelation_signals(2, 1)
-    assert [(s.i0, s.ib) for s in signals] == \
-        [(0, (0,)), (0, (1,)), (1, (0,)), (1, (1,))]
+    assert build_revelation_signals(2, 1).tolist() == \
+        [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert build_revelation_signals(3, 2).tolist() == \
+        [list(p) for p in itertools.product(range(3), repeat=3)]
     with pytest.raises(SizeCapExceeded):
         build_revelation_signals(10, 5, cap=1000)
 
@@ -76,6 +78,34 @@ def test_obedience_lp_refuses_the_solver_tableau_before_allocating(
         build_obedience_lp(xor_prior, decision, cell_cap=cells - 1)
     assert from_builder.value.required == cells
     assert str(from_builder.value) == str(from_solver.value)
+
+
+def test_build_obedience_lp_matches_loop_reference():
+    """The array assembly against the per-signal loop, bit for bit, with
+    every profile and with the |A| = 2 survivors and their kept rows."""
+    rng = np.random.default_rng(239)
+    for na in (2, 3):
+        for nb in (1, 2, 3):
+            ne = int(rng.integers(2, 4))
+            prior = random_prior(rng, ne=ne, na=na, nb=nb)
+            decision = decision_problem_from_G(
+                random_piecewise(rng, ne, k=int(rng.integers(1, 5))))
+            profiles = build_revelation_signals(decision.n_actions, nb)
+            cases = [(profiles, None, None)]
+            if na == 2:
+                _, _, unc, con = exact_module._obedience_blocks(
+                    marginals_and_conditionals(prior), decision)
+                kept, _, _, mask = exact_module._feasible_signals(
+                    unc, con, profiles)
+                cases.append((profiles[kept], mask,
+                              [np.flatnonzero(m) for m in mask]))
+            for signals, mask, rows in cases:
+                got = build_obedience_lp(prior, decision, signals,
+                                         keep_rows=mask)
+                want = obedience_lp_loop(prior, decision, signals, rows)
+                for g, w in zip((got.objective, got.a_eq, got.a_ub, got.b_ub),
+                                want):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_single_action_obedience_vacuous(xor_prior):
@@ -222,28 +252,6 @@ def test_solve_exact_three_events():
     assert report.diagnostics["lp_objective"] >= oracle_opt - 1e-9
 
 
-def test_merge_equivalent_signals_merges_duplicates(xor_prior):
-    rec = RecommendationSignal(0, (0, 1))
-    other = RecommendationSignal(1, (0, 1))
-    pi = np.array([[0.2, 0.1], [0.1, 0.3], [0.2, 0.1]])
-    scheme = SignalingScheme(("x", "y", "z"), pi)
-    merged, recs = merge_equivalent_signals(scheme, [rec, other, rec])
-    assert merged.n_signals == 2
-    assert merged.pi[0] == pytest.approx([0.4, 0.2])
-    assert recs == [rec, other]
-    score = random_piecewise(np.random.default_rng(11), ne=2, k=2)
-    assert sender_objective(xor_prior, score, merged) == \
-        pytest.approx(sender_objective(xor_prior, score, scheme), abs=1e-10)
-
-
-def test_merge_identity_when_distinct(xor_prior):
-    recs = [RecommendationSignal(0, (0, 0)), RecommendationSignal(1, (1, 1))]
-    scheme = full_reveal_scheme(xor_prior)
-    merged, out = merge_equivalent_signals(scheme, recs)
-    assert merged.pi == pytest.approx(scheme.pi)
-    assert out == recs
-
-
 def test_classify_golden(xor_prior, copy_prior, independent_prior, quad):
     assert classify_substitutes(xor_prior, quad).classification is \
         Classification.COMPLEMENTS
@@ -302,8 +310,9 @@ def test_certify_obedience_detects_violation(xor_prior):
     scheme = full_reveal_scheme(xor_prior)
     # deliberately wrong recommendations: conditional posteriors are point
     # masses, so some recommended action must be suboptimal
-    recs = [RecommendationSignal(0, (0, 0)), RecommendationSignal(0, (0, 0))]
-    assert certify_obedience(xor_prior, decision, scheme, recs) > 0.5
+    recs = [(0, (0, 0)), (0, (0, 0))]
+    assert certify_obedience(xor_prior, decision,
+                             _labelled(scheme, recs)) > 0.5
 
 
 def _profiles(rng, scheme, k, nb):
@@ -319,17 +328,14 @@ def _labelled(scheme, profiles):
 
 def test_certify_obedience_matches_loop_reference():
     """Batched certificate against the per-signal, per-b loop, with
-    recommendations passed and decoded from labels."""
+    recommendations decoded from labels."""
     rng = np.random.default_rng(227)
     for ne, na, nb in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 3, 1)):
         for prior, scheme in degenerate_cases(rng, ne, na, nb):
             decision = decision_problem_from_G(random_piecewise(rng, ne, k=4))
             profiles = _profiles(rng, scheme, decision.n_actions, nb)
-            recs = [RecommendationSignal(i0, ib) for i0, ib in profiles]
             want = certify_obedience_loop(prior, decision, scheme, profiles)
             assert want > 0.0
-            assert certify_obedience(prior, decision, scheme, recs) == \
-                pytest.approx(want, abs=1e-12)
             assert certify_obedience(prior, decision,
                                      _labelled(scheme, profiles)) == \
                 pytest.approx(want, abs=1e-12)
@@ -363,12 +369,13 @@ def test_certify_obedience_skips_below_mass_threshold():
 
     for flipped in ({"s2": "s"}, {"s0": 1}):     # the signal, then the pair
         recs = [profile(s, flipped.get(s)) for s in scheme.signal_labels]
-        signals = [RecommendationSignal(i0, ib) for i0, ib in recs]
+        labelled = _labelled(scheme, recs)
         assert certify_obedience_loop(prior, decision, scheme, recs) == 0.0
-        assert certify_obedience(prior, decision, scheme, signals) == 0.0
+        assert certify_obedience(prior, decision, labelled) == 0.0
         want = certify_obedience_loop(prior, decision, scheme, recs, 0.0)
         assert want > 0.1
-        assert certify_obedience(prior, decision, scheme, signals, 0.0) == \
+        assert certify_obedience(prior, decision, labelled,
+                                 mass_threshold=0.0) == \
             pytest.approx(want, abs=1e-12)
 
 
@@ -376,21 +383,22 @@ def test_certify_obedience_skips_below_mass_threshold():
 
 def _pruning_matches_loop(prior, score):
     """Assert the array pruning reproduces the loop bit for bit; return
-    (signals, survivors)."""
+    (profiles, survivors)."""
     decision = decision_problem_from_G(score)
     _, _, unc, con = exact_module._obedience_blocks(
         marginals_and_conditionals(prior), decision)
-    signals = build_revelation_signals(decision.n_actions, prior.n_bob)
-    ref = [(sig, iv) for sig, iv in
-           zip(signals, feasible_intervals_loop(signals, unc, con))
+    profiles = build_revelation_signals(decision.n_actions, prior.n_bob)
+    ref = [(j, iv) for j, iv in
+           enumerate(feasible_intervals_loop(profiles, unc, con))
            if iv is not None]
-    kept, lo, hi, rows = exact_module._feasible_signals(unc, con)
-    assert kept == [sig for sig, _ in ref]
-    assert len(lo) == len(hi) == len(rows) == len(ref)
+    kept, lo, hi, mask = exact_module._feasible_signals(unc, con, profiles)
+    assert kept.tolist() == [j for j, _ in ref]
+    assert len(lo) == len(hi) == len(mask) == len(ref)
+    assert mask.shape[1] == decision.n_actions * (1 + prior.n_bob)
     for j, (_, (ref_lo, ref_hi, ref_rows)) in enumerate(ref):
         assert lo[j] == ref_lo and hi[j] == ref_hi
-        assert np.array_equal(rows[j], ref_rows)
-    return len(signals), len(kept)
+        assert np.array_equal(np.flatnonzero(mask[j]), ref_rows)
+    return len(profiles), len(kept)
 
 
 def test_feasible_signals_match_loop_random_priors():
@@ -466,15 +474,17 @@ def test_feasible_signals_keep_intervals_crossing_within_1e9():
         con = np.zeros((2, 2, 2, 1))
         unc[0, 0] = (0.5 - gap, -(0.5 + gap))    # slope 1: t >= 0.5 + gap
         con[0, 0, :, 0] = (-0.5, 0.5)            # slope -1: t <= 0.5
-        signals = build_revelation_signals(2, 1)
-        ref = feasible_intervals_loop(signals, unc, con)
-        kept, lo, hi, kept_rows = exact_module._feasible_signals(unc, con)
-        assert kept == [s for s, iv in zip(signals, ref) if iv is not None]
-        assert [list(r) for r in kept_rows] == \
-            [list(iv[2]) for iv in ref if iv is not None]
+        profiles = build_revelation_signals(2, 1)
+        ref = feasible_intervals_loop(profiles, unc, con)
+        kept, lo, hi, mask = exact_module._feasible_signals(unc, con,
+                                                            profiles)
+        assert kept.tolist() == [j for j, iv in enumerate(ref)
+                                 if iv is not None]
+        kept_rows = [np.flatnonzero(m).tolist() for m in mask]
+        assert kept_rows == [iv[2].tolist() for iv in ref if iv is not None]
         rows[gap] = kept_rows
-    assert [list(r) for r in rows[5e-10]] == [[0, 2], [0], [2], []]
-    assert [list(r) for r in rows[2e-9]] == [[0], [2], []]
+    assert rows[5e-10] == [[0, 2], [0], [2], []]
+    assert rows[2e-9] == [[0], [2], []]
 
 
 _prior_entries = st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0]),
@@ -505,8 +515,9 @@ def test_solve_exact_refuses_over_cap_before_allocating(xor_prior,
     def no_build(*args, **kwargs):
         raise AssertionError("built before the cap check")
 
+    # the cap check is build_revelation_signals' own, before np.indices
     for name in ("marginals_and_conditionals", "_obedience_blocks",
-                 "_feasible_signals", "build_revelation_signals"):
+                 "_feasible_signals", "build_obedience_lp"):
         monkeypatch.setattr(exact_module, name, no_build)
     with pytest.raises(SizeCapExceeded) as refused:
         solve_exact(xor_prior, score, cap_lp_vars=40)

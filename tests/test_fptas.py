@@ -165,6 +165,19 @@ def test_explicit_grid_k_over_cell_cap_fails_before_grid(monkeypatch, solver,
     assert str(err.value) == f"tableau needs {cells} cells, cap is 10000"
 
 
+@pytest.mark.parametrize("solver", (fptas_a_const, fptas_eb_const))
+@pytest.mark.parametrize("grid_k", (0, -1))
+def test_explicit_grid_k_below_one_is_a_validation_error(monkeypatch, solver,
+                                                         grid_k):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid built for an invalid grid_k")
+
+    monkeypatch.setattr(fptas, "enumerate_k_uniform", refuse)
+    prior = random_prior(np.random.default_rng(2), ne=2, na=2, nb=2)
+    with pytest.raises(ValidationError, match=f"grid_k={grid_k} must be"):
+        solver(prior, quadratic_score(), 0.05, grid_k=grid_k)
+
+
 def test_fptas_a_decomposition_is_bayes_plausible():
     rng = np.random.default_rng(43)
     for _ in range(5):

@@ -9,6 +9,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from abasolve import exact
+from abasolve.scoring import quadratic_score
+
+from helpers import random_prior
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -39,3 +47,22 @@ def test_tracer_sites_resolve(monkeypatch):
                        attr) is original, f"{mod}.{attr}"
     assert {p: p.stat().st_mtime_ns
             for p in SPANS.parent.rglob("*")} == before
+
+
+@pytest.mark.parametrize("na", (2, 3))
+def test_tracer_counts_every_profile_once(monkeypatch, na):
+    """Both exact paths enumerate through ``build_revelation_signals``, so
+    the traced profile count is k^(|B|+1) and the LP never sees more."""
+    spans = _load_spans(monkeypatch)
+    prior = random_prior(np.random.default_rng(na), ne=2, na=na, nb=2)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = tracer.root(0, exact.classify_substitutes, prior,
+                             quadratic_score(), 4)
+    finally:
+        tracer.uninstall()
+    k = report.diagnostics["pieces"]
+    assert tracer.counts["exact.signals_generated"] == k ** (prior.n_bob + 1)
+    assert 0 < tracer.counts["exact.signals_to_lp"] <= \
+        tracer.counts["exact.signals_generated"]
