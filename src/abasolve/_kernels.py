@@ -5,7 +5,8 @@ posteriors over E with their masses and returns mass * G(posterior).  The
 u_B functionals in ``belief``, ``core`` and ``oracle``, the point and
 tangent evaluations in ``scoring`` and the grid and oracle kernels here
 call it.  ``pivot`` is shared by ``simplex_iterate`` and the LP driver's
-artificial drive-out.
+artificial drive-out.  ``envelope_iterate`` is the pivot loop of the
+revised simplex: it keeps no tableau, only an m x m basis.
 
 ``ub_grid_wa`` keeps the grid index as the fastest axis: its numerator is
 one BLAS matmul of a precomputed (|B||E|, |A|) matrix with a chunk of the
@@ -201,6 +202,54 @@ def simplex_iterate(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
         else:
             degen = 0
         pivot(t, basis, leave, enter)
+        iters += 1
+
+
+def envelope_iterate(ext: np.ndarray, basis: np.ndarray, x_b: np.ndarray,
+                     tol: float, max_iter: int, degen_limit: int):
+    """Run revised-simplex pivots for min c.x s.t. P^T x = mu, x >= 0.
+
+    ``ext`` is the (m+1, n) row-major stack of P^T over the cost row c;
+    ``basis`` holds the m basic columns and ``x_b`` their values, both
+    updated in place.  Each pivot solves B^T y = c_B and prices every column
+    in one matrix-vector product, red = [-y, 1] @ ext = c - y P^T, written
+    into one preallocated buffer; optimality is all reduced costs >= -tol.
+    Pricing and the ratio test follow ``simplex_iterate``.  Returns
+    (status, iterations, y, red) with y and red from the last pricing pass.
+    """
+    m = ext.shape[0] - 1
+    red = np.empty(ext.shape[1])
+    weights = np.ones(m + 1)
+    iters = 0
+    degen = 0
+    bland = False
+    while True:
+        b = ext[:m, basis]
+        y = np.linalg.solve(b.T, ext[m, basis])
+        weights[:m] = -y
+        np.dot(weights, ext, out=red)
+        enter = int(np.argmax(red < -tol)) if bland else int(np.argmin(red))
+        if red[enter] >= -tol:
+            return _STATUS_OPTIMAL, iters, y, red
+        if iters >= max_iter:
+            return _STATUS_ITERLIMIT, iters, y, red
+        d = np.linalg.solve(b, ext[:m, enter])
+        pos = d > tol
+        if not pos.any():
+            return _STATUS_UNBOUNDED, iters, y, red
+        ratios = np.where(pos, x_b / np.where(pos, d, 1.0), np.inf)
+        rmin = ratios.min()
+        cand = np.nonzero(ratios <= rmin + 1e-12)[0]
+        leave = int(cand[np.argmin(basis[cand])])
+        if rmin <= 1e-12:
+            degen += 1
+            if degen > degen_limit:
+                bland = True
+        else:
+            degen = 0
+        x_b -= rmin * d
+        x_b[leave] = rmin
+        basis[leave] = enter
         iters += 1
 
 

@@ -7,6 +7,12 @@ delta via the u_B continuity bound, size the grid so an empirical K-sample
 approximation of any posterior stays within epsilon with probability
 1 - epsilon, and solve one LP over the grid weights.
 
+fptas-a's LP is the concavification LP over the grid, |A| rows wide, and
+runs on ``lp.solve_envelope``'s revised simplex; its answer must pass a
+feasibility-residual and a duality-gap certificate.  fptas-eb's LP, with
+its per-grid-point achievability rows, runs on the dense tableau of
+``lp.solve_lp``.  Both grids are sized by the tableau's cell cap.
+
 When the delta-mandated K exceeds the configured caps, the solver runs at
 the capped K and reports the achievable (weaker) guarantee in diagnostics
 instead of refusing.
@@ -24,12 +30,16 @@ from .core import Classification, JointPrior, Method, SignalingScheme, \
 from .errors import BayesPlausibilityViolated, NumericalFailure, \
     SizeCapExceeded, ValidationError
 from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, check_cell_cap, \
-    solve_lp, tableau_cells
+    solve_envelope, solve_lp, tableau_cells
 from .scoring import ScoreKind, ScoreSpec
 
 DEFAULT_GRID_CAP = 5_000_000
 LOG_CLIP = 1e-9
 EPS_CEILING = 0.49  # grid_size_K needs eps < 1; beyond this the grid is tiny anyway
+# certificate bounds on fptas-a's grid LP solution: feasibility residual
+# (see lp.solve_envelope) and duality gap, the latter as exact.LP_GAP_TOL
+GRID_FEAS_TOL = 1e-9
+GRID_GAP_TOL = 1e-7
 
 
 def epsilon_for_delta(delta: float, n_bob: int, L: float, alpha: float,
@@ -216,7 +226,15 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
                   grid_k: int | None = None,
                   cap_grid_points: int = DEFAULT_GRID_CAP,
                   cell_cap: int = DEFAULT_CELL_CAP) -> SolveReport:
-    """Minimize Bob's utility over schemes with K-uniform posteriors on A."""
+    """Minimize Bob's utility over schemes with K-uniform posteriors on A.
+
+    The grid LP -- weights on the grid points averaging to mu(a), at least
+    cost in u_B -- goes to ``lp.solve_envelope``; a feasibility residual
+    above GRID_FEAS_TOL or a duality gap above GRID_GAP_TOL raises
+    NumericalFailure.  ``cell_cap`` sizes and refuses K by the
+    (|A|+2)(n+|A|+2) cells of a dense tableau for this LP, which is not
+    built.
+    """
     na = prior.n_alice
     if na == 1:
         scheme = SignalingScheme(("w0",), prior.marginal_alice()[None, :])
@@ -235,15 +253,17 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
                              table.e_given_a, score.kind_code(), pr, pb, clip)
 
     n = grid.shape[0]
-    a_eq = np.empty((na + 1, n))
-    a_eq[:na] = grid.T
-    a_eq[na] = 1.0
-    b_eq = np.concatenate((table.mu_a, [1.0]))
-    lp = LinearProgram(-ub, a_eq, b_eq, np.zeros((0, n)), np.zeros(0))
-    sol = solve_lp(lp, cell_cap)
+    sol = solve_envelope(ub, grid, table.mu_a)
     if sol.status is not LPStatus.OPTIMAL:
         raise NumericalFailure(f"grid LP reported {sol.status.value}; the "
                                "prior marginal always lies in the grid hull")
+    if not sol.feasibility_residual <= GRID_FEAS_TOL:
+        raise NumericalFailure(
+            f"grid LP feasibility residual {sol.feasibility_residual!r} "
+            f"exceeds {GRID_FEAS_TOL!r}")
+    if not sol.duality_gap <= GRID_GAP_TOL:
+        raise NumericalFailure(f"grid LP duality gap {sol.duality_gap!r} "
+                               f"exceeds {GRID_GAP_TOL!r}")
 
     support = np.nonzero(sol.x > 1e-12)[0]
     scheme = scheme_from_posteriors(
@@ -251,7 +271,7 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
     bob = belief.bob_utility_of_scheme(prior, score, scheme)
     diag.update({
         "grid_points": n,
-        "lp_objective": -sol.objective,
+        "lp_objective": sol.objective,
         "lp_iterations": sol.iterations,
         "lp_duality_gap": sol.duality_gap,
         "log_clip": clip,

@@ -1,10 +1,13 @@
-"""Dense two-phase primal simplex over an explicit tableau.
+"""Two primal simplex engines: a dense two-phase tableau for general LPs and
+a revised simplex for the small-row envelope LP.
 
-Maximizes c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0.  Pricing is
-Dantzig's rule, switching permanently to Bland's rule after a run of
-degenerate pivots; ties in the ratio test break toward the smallest basis
-index.  Artificial columns stay in the tableau (barred from entering) so
-dual values can be read off the final objective row.
+``solve_lp`` maximizes c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0
+over an explicit tableau; the exact solver's obedience LP and fptas-eb's
+achievability LP use it.  Pricing is Dantzig's rule, switching permanently
+to Bland's rule after a run of degenerate pivots; ties in the ratio test
+break toward the smallest basis index.  Artificial columns stay in the
+tableau (barred from entering) so dual values can be read off the final
+objective row.
 
 The pivot loop itself lives in ``_kernels``.  A pivot updates only the
 rows with a nonzero entry in the entering column: the other rows would
@@ -15,6 +18,15 @@ variables), so a pivot usually rewrites a few rows of hundreds.
 
 ``tableau_cells`` gives the size of the tableau before it is allocated, so
 LP builders can check the cell cap before allocating their own matrices.
+
+``solve_envelope`` minimizes c.x subject to P^T x = mu, x >= 0, where P's
+rows lie on the probability simplex and include its vertices: fptas-a's
+concavification LP over a posterior grid (Kamenica & Gentzkow 2011).  It
+keeps only the m = |A| independent rows (x sums to 1 because every row of
+P does) and starts from the vertex basis B = I, x_B = mu, so it needs no
+phase 1, no artificials and no tableau; each pivot is one pricing pass over
+the columns plus m x m solves (Dantzig & Orchard-Hays 1954), with the same
+pricing rules and tolerances as ``solve_lp``.
 """
 
 from __future__ import annotations
@@ -228,3 +240,46 @@ def solve_lp(lp: LinearProgram, cell_cap: int = DEFAULT_CELL_CAP) -> LPSolution:
     return LPSolution(LPStatus.OPTIMAL, xs, objective, dual_eq, dual_ub,
                       total_iters, duality_gap=abs(dual_obj - objective),
                       comp_slack_residual=comp, feasibility_residual=resid)
+
+
+def solve_envelope(cost: np.ndarray, points: np.ndarray,
+                   mu: np.ndarray) -> LPSolution:
+    """min cost.x  s.t.  points^T x = mu, x >= 0, by revised simplex.
+
+    ``points`` holds n rows on the probability simplex over m outcomes,
+    every vertex e_a among them; ``mu`` lies on the simplex too, so the LP
+    is always feasible and bounded.  The solution carries ``dual_eq`` = y
+    with reduced costs cost - y points^T >= -FEAS_TOL, a
+    ``feasibility_residual`` of max(|points^T x - mu|, |sum x - 1|,
+    max(-x, 0)), and a ``duality_gap`` that bounds how far cost.x lies above
+    the optimum: |cost.x - y.mu| plus the most negative reduced cost, since
+    every feasible x sums to 1.
+
+    Raises ValidationError when a vertex is missing and NumericalFailure
+    when pivoting exceeds 50*(rows+cols) iterations.
+    """
+    n, m = points.shape
+    ext = np.empty((m + 1, n))
+    ext[:m] = points.T
+    ext[m] = cost
+    basis = np.argmax(ext[:m], axis=1)
+    if not (ext[np.arange(m), basis] == 1.0).all():
+        raise ValidationError("envelope LP points must include every vertex "
+                              "of the simplex")
+    x_b = np.array(mu, dtype=float)
+    max_iter = 50 * (m + n)
+    status, iters, y, red = _kernels.envelope_iterate(
+        ext, basis, x_b, FEAS_TOL, max_iter, DEGENERACY_LIMIT)
+    if status == _kernels._STATUS_ITERLIMIT:
+        raise NumericalFailure(f"revised simplex exceeded {max_iter} pivots")
+    if status == _kernels._STATUS_UNBOUNDED:
+        return LPSolution(LPStatus.UNBOUNDED, None, None, None, None, iters)
+
+    x = np.zeros(n)
+    x[basis] = x_b
+    objective = float(ext[m, basis] @ x_b)
+    resid = max(float(np.abs(ext[:m, basis] @ x_b - mu).max()),
+                abs(float(x_b.sum()) - 1.0), max(0.0, -float(x_b.min())))
+    gap = abs(objective - float(y @ mu)) + max(0.0, -float(red.min()))
+    return LPSolution(LPStatus.OPTIMAL, x, objective, y, None, iters,
+                      duality_gap=gap, feasibility_residual=resid)

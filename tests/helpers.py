@@ -377,3 +377,63 @@ def obedience_lp_loop(prior, decision, profiles, keep_rows=None):
     for a in range(na):
         a_eq[a, a::na] = 1.0
     return objective, a_eq, a_ub, np.zeros(total_rows)
+
+
+def envelope_lp_tableau(cost, points, mu):
+    """fptas-a's grid LP assembled for the dense tableau, kept as a
+    reference for ``lp.solve_envelope``: maximize -cost.x over the |A|
+    marginal rows plus the redundant sum(x) = 1 row.  Returns the minimum
+    of cost.x."""
+    from abasolve.lp import LinearProgram, LPStatus, solve_lp
+
+    n, na = points.shape
+    a_eq = np.empty((na + 1, n))
+    a_eq[:na] = points.T
+    a_eq[na] = 1.0
+    b_eq = np.concatenate((mu, [1.0]))
+    sol = solve_lp(LinearProgram(-np.asarray(cost), a_eq, b_eq,
+                                 np.zeros((0, n)), np.zeros(0)))
+    assert sol.status is LPStatus.OPTIMAL
+    return -sol.objective
+
+
+def envelope_simplex_loop(cost, points, mu, degen_limit: int,
+                          tol: float = 1e-9):
+    """``lp.solve_envelope``'s pivot rules written out one column at a time,
+    kept as its reference: start at the vertex basis; enter the first
+    column of least reduced cost (Dantzig), or the first column with a
+    reduced cost below -tol once more than ``degen_limit`` degenerate pivots
+    ran in a row (Bland); among tied ratio-test rows, the smallest basic
+    column leaves.  Returns (x, y, pivots)."""
+    n, m = points.shape
+    basis = [next(j for j in range(n) if points[j, a] == 1.0)
+             for a in range(m)]
+    x_b = np.array(mu, dtype=float)
+    pivots = degen = 0
+    bland = False
+    while True:
+        b = points[basis].T
+        y = np.linalg.solve(b.T, cost[basis])
+        red = [cost[j] - sum(y[a] * points[j, a] for a in range(m))
+               for j in range(n)]
+        if bland:
+            enter = next((j for j in range(n) if red[j] < -tol), None)
+        else:
+            enter = min(range(n), key=lambda j: (red[j], j))
+            if red[enter] >= -tol:
+                enter = None
+        if enter is None:
+            x = np.zeros(n)
+            x[basis] = x_b
+            return x, y, pivots
+        d = np.linalg.solve(b, points[enter])
+        ratios = [x_b[i] / d[i] if d[i] > tol else np.inf for i in range(m)]
+        rmin = min(ratios)
+        leave = min((i for i in range(m) if ratios[i] <= rmin + 1e-12),
+                    key=lambda i: basis[i])
+        degen = degen + 1 if rmin <= 1e-12 else 0
+        bland = bland or degen > degen_limit
+        x_b = x_b - rmin * d
+        x_b[leave] = rmin
+        basis[leave] = enter
+        pivots += 1

@@ -139,25 +139,26 @@ def test_cli_solver_failure_exit_code(xor_path):
     assert status == cli.EXIT_SOLVER
 
 
-def _infeasible(lp, *args, **kwargs):
+def _infeasible(*args, **kwargs):
     return LPSolution(LPStatus.INFEASIBLE, None, None, None, None, 0)
 
 
-@pytest.mark.parametrize("module, method, solve, message", [
-    (exact, "exact", lambda prior: exact.solve_exact(
+@pytest.mark.parametrize("module, lp_routine, method, solve, message", [
+    (exact, "solve_lp", "exact", lambda prior: exact.solve_exact(
         prior, piecewise_score([([0.0, 0.0], 0.0), ([1.0, -1.0], 0.0)])),
      "obedience LP reported Infeasible"),
-    (fptas, "fptas-a", lambda prior: fptas.fptas_a_const(
+    (fptas, "solve_envelope", "fptas-a", lambda prior: fptas.fptas_a_const(
         prior, quadratic_score(), 0.5, grid_k=4),
      "grid LP reported Infeasible"),
-    (fptas, "fptas-eb", lambda prior: fptas.fptas_eb_const(
+    (fptas, "solve_lp", "fptas-eb", lambda prior: fptas.fptas_eb_const(
         prior, quadratic_score(), 0.5, grid_k=2),
      "achievability LP stayed Infeasible after 4 eta doublings"),
 ], ids=["exact", "fptas-a", "fptas-eb"])
 def test_cli_impossible_lp_outcome_is_solver_failure(
-        xor_path, monkeypatch, capsys, module, method, solve, message):
+        xor_path, monkeypatch, capsys, module, lp_routine, method, solve,
+        message):
     # each LP always has a feasible point, so Infeasible is a solver fault
-    monkeypatch.setattr(module, "solve_lp", _infeasible)
+    monkeypatch.setattr(module, lp_routine, _infeasible)
     _, prior = instances.xor_instance()
     with pytest.raises(NumericalFailure, match=message):
         solve(prior)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from abasolve import _kernels, fptas
+from abasolve import _kernels, fptas, lp
 from abasolve.belief import (bob_utility_from_vEB, bob_utility_from_wA,
                              induced_posterior_over_A)
 from abasolve.core import JointPrior
@@ -176,6 +178,77 @@ def test_explicit_grid_k_below_one_is_a_validation_error(monkeypatch, solver,
     prior = random_prior(np.random.default_rng(2), ne=2, na=2, nb=2)
     with pytest.raises(ValidationError, match=f"grid_k={grid_k} must be"):
         solver(prior, quadratic_score(), 0.05, grid_k=grid_k)
+
+
+def test_fptas_a_builds_no_tableau(monkeypatch, quad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fptas-a ran the dense tableau")
+
+    for module, name in ((lp, "solve_lp"), (fptas, "solve_lp"),
+                         (_kernels, "simplex_iterate"), (_kernels, "pivot")):
+        monkeypatch.setattr(module, name, refuse)
+    rng = np.random.default_rng(8)
+    for na, grid_k in ((2, 60), (3, 15), (4, 8)):
+        prior = random_prior(rng, ne=2, na=na, nb=2)
+        report = fptas_a_const(prior, quad, 0.05, grid_k=grid_k)
+        assert report.scheme.violations(prior) == []
+
+
+def test_fptas_a_memory_is_grid_plus_a_few_buffers(quad):
+    # on a 10^6-point |A| = 2 grid the LP may add its 3-row pricing copy of
+    # the grid and three more n-length buffers.  The dense tableau it
+    # replaced held 4n cells next to a 3n-cell a_eq and their copies: 17n
+    # floats at the peak.
+    prior = random_prior(np.random.default_rng(7), ne=2, na=2, nb=2)
+    fptas_a_const(prior, quad, 0.05, grid_k=9)
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        report = fptas_a_const(prior, quad, 0.05, grid_k=n - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.diagnostics["grid_points"] == n
+    grid_and_ub = 3 * n * 8
+    assert peak <= grid_and_ub + 6 * n * 8
+
+
+def _feasibility_residual(sol, points, mu):
+    return max(np.abs(points.T @ sol.x - mu).max(), abs(sol.x.sum() - 1.0),
+               max(0.0, -sol.x.min()))
+
+
+def _scale_x(sol, points, mu):
+    moved = dataclasses.replace(sol, x=sol.x * (1.0 + 1e-6))
+    return dataclasses.replace(
+        moved, feasibility_residual=_feasibility_residual(moved, points, mu))
+
+
+def _lower_dual(sol, points, mu):
+    # every point sums to 1, so y - t keeps every reduced cost >= -tol and
+    # moves the dual objective y.mu by t
+    y = sol.dual_eq - 1e-6
+    return dataclasses.replace(sol, dual_eq=y, duality_gap=abs(
+        sol.objective - float(y @ mu)))
+
+
+@pytest.mark.parametrize("perturb, message", (
+    (_scale_x, "grid LP feasibility residual .* exceeds 1e-09"),
+    (_lower_dual, "grid LP duality gap .* exceeds 1e-07"),
+), ids=["feasibility", "gap"])
+def test_fptas_a_certificate_gate(monkeypatch, xor_prior, quad, perturb,
+                                  message):
+    solve = fptas.solve_envelope
+
+    def perturbed(cost, points, mu):
+        sol = solve(cost, points, mu)
+        assert _feasibility_residual(sol, points, mu) <= \
+            fptas.GRID_FEAS_TOL and sol.duality_gap <= fptas.GRID_GAP_TOL
+        return perturb(sol, points, mu)
+
+    monkeypatch.setattr(fptas, "solve_envelope", perturbed)
+    with pytest.raises(NumericalFailure, match=message):
+        fptas_a_const(xor_prior, quad, 0.5, grid_k=20)
 
 
 def test_fptas_a_decomposition_is_bayes_plausible():
