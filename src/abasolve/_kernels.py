@@ -13,6 +13,12 @@ one BLAS matmul of a precomputed (|B||E|, |A|) matrix with a chunk of the
 grid transposed, and every later elementwise pass and length-|E| reduction
 runs over contiguous grid rows rather than over the |E| = 2..4 axis.
 
+``oracle_scan`` evaluates G once per point of the oracle's fraction
+lattice, not once per candidate scheme: a signal's unnormalised posteriors
+depend on a candidate only through the fractions it gives each alice
+outcome.  The scan then gathers from that table and reduces with the numpy
+sums the per-candidate form used, so its answers are bit-identical to it.
+
 Score kinds are passed as integer codes: 0 quadratic, 1 log, 2 spherical,
 3 piecewise-linear (max-affine, pieces given as ``pr`` rows plus offsets
 ``pb``).  Non-piecewise calls pass empty ``pr``/``pb`` arrays.
@@ -263,25 +269,62 @@ def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,
     mu(e, a) transposed to (na, ne); ``mu_aeb`` is mu(e, a, b) transposed to
     (na, ne, nb).  Sender objective: sum_s mass_s G(p_s) - sum_{s,b} mass_sb
     G(p_sb).  Ties keep the lowest candidate index.
+
+    Signal s's unnormalised posteriors depend on the candidate only through
+    its fraction vector q = (comps[d_a(c), s])_a, a point of the lattice
+    V^na, where V holds the distinct fractions in ``comps``.  So the kernel
+    first tabulates, per lattice point, ``first`` = mass G(p) before Bob
+    reveals and ``second[:, b]`` = mass_b G(p_b) after he reveals b, in
+    chunks of ``_CHUNK`` lattice rows; then, per chunk of candidates, it maps
+    each (candidate, signal) pair to its lattice index and gathers.  G is
+    evaluated (1 + nb) V^na times instead of m (1 + nb) per candidate.
+
+    Size: the table holds V^na (1 + nb) floats.  The oracle's ``comps`` are
+    the compositions of den into m parts, over den, so V <= den + 1 and
+    V <= P: the table has no more rows than there are candidates, and the
+    oracle's limits (|A| <= 3, 1/grid_step <= 100, its candidate cap) keep
+    it within 101^3 rows, (1 + nb) * 8.2 MB.
+
+    The result is bit-identical to evaluating every candidate's posteriors
+    directly: each table entry comes from the same einsum products and sum
+    over a, the same masses and the same ``weighted_g`` call, and the
+    gathered (c, m) and (c, m, nb) arrays are reduced by the same numpy
+    sums, in the same shapes and hence the same pairwise order, as the
+    per-candidate arrays were.
     """
-    p_count = comps.shape[0]
+    p_count, m = comps.shape
+    nb = mu_aeb.shape[2]
+    vals, code = np.unique(comps, return_inverse=True)
+    n_vals = vals.shape[0]
+    # code_w[a][d, s]: lattice-index contribution of row d at alice outcome a
+    code_w = [code.reshape(p_count, m) * n_vals ** a for a in range(n_alice)]
+    n_lat = n_vals ** n_alice
+    first = np.empty(n_lat)
+    second = np.empty((n_lat, nb))
+    for lo in range(0, n_lat, _CHUNK):
+        hi = min(lo + _CHUNK, n_lat)
+        q = np.arange(lo, hi, dtype=np.int64)
+        frac = np.empty((hi - lo, n_alice))                 # (l, na)
+        for a in range(n_alice):
+            q, digit = np.divmod(q, n_vals)
+            frac[:, a] = vals[digit]
+        numer = np.einsum("la,ae->le", frac, mu_ae)         # (l, ne)
+        first[lo:hi] = weighted_g(numer, numer.sum(axis=1), kind, pr, pb,
+                                  clip)
+        numer_b = np.einsum("la,aeb->lbe", frac, mu_aeb)    # (l, nb, ne)
+        second[lo:hi] = weighted_g(numer_b, numer_b.sum(axis=2), kind, pr,
+                                   pb, clip)
+
     best_val = -np.inf
     best_idx = -1
     for lo in range(int(start), int(stop), _CHUNK):
         hi = min(lo + _CHUNK, int(stop))
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((hi - lo, n_alice), dtype=np.int64)
-        q = idx
-        for a in range(n_alice):
-            digits[:, a] = q % p_count
-            q = q // p_count
-        fr = comps[digits]                                  # (c, na, m)
-        numer = np.einsum("cam,ae->cme", fr, mu_ae)         # (c, m, ne)
-        obj = weighted_g(numer, numer.sum(axis=2), kind, pr, pb,
-                         clip).sum(axis=1)
-        numer_b = np.einsum("cam,aeb->cmbe", fr, mu_aeb)    # (c, m, nb, ne)
-        obj -= weighted_g(numer_b, numer_b.sum(axis=3), kind, pr, pb,
-                          clip).sum(axis=(1, 2))
+        q, digit = np.divmod(np.arange(lo, hi, dtype=np.int64), p_count)
+        ell = code_w[0][digit]                              # (c, m)
+        for a in range(1, n_alice):
+            q, digit = np.divmod(q, p_count)
+            ell += code_w[a][digit]
+        obj = first[ell].sum(axis=1) - second[ell].sum(axis=(1, 2))
         chunk_best = int(np.argmax(obj))
         if obj[chunk_best] > best_val:
             best_val = float(obj[chunk_best])

@@ -86,14 +86,17 @@ def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
                        signals: np.ndarray | None = None,
                        cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
                        keep_rows: np.ndarray | None = None,
-                       cell_cap: int = DEFAULT_CELL_CAP) -> LinearProgram:
+                       cell_cap: int = DEFAULT_CELL_CAP, *,
+                       _blocks: tuple | None = None) -> LinearProgram:
     """Assemble the obedience LP over pi(s, a) for the given profile rows.
 
     Row layout: per signal, the k obedience rows of its component 0, then
     the k rows of each component 1+b (as >= 0, stored negated as <= 0);
     then the |A| marginal equalities.  ``keep_rows``, a boolean
     (signals, k(1+|B|)) mask, optionally restricts each signal's obedience
-    rows (used by the exact |A| = 2 reduction).
+    rows (used by the exact |A| = 2 reduction).  ``_blocks`` takes
+    ``_obedience_blocks(table, decision)`` from a caller that already has
+    them (``solve_exact`` at |A| = 2), so they are not computed twice.
     """
     k = decision.n_actions
     na = prior.n_alice
@@ -111,7 +114,9 @@ def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
     # refuse before allocating: the solver's tableau is the largest array
     check_cell_cap(tableau_cells(n_vars, n_rows, na), cell_cap)
     table = marginals_and_conditionals(prior)
-    ue_a, ue_ab, unc, con = _obedience_blocks(table, decision)
+    if _blocks is None:
+        _blocks = _obedience_blocks(table, decision)
+    ue_a, ue_ab, unc, con = _blocks
 
     objective = (ue_a[signals[:, 0]] - sum(ue_ab[signals[:, 1 + b], :, b]
                                            for b in range(nb))).ravel()
@@ -202,14 +207,15 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
                                         max(cap_lp_vars // max(na, 1), 1))
     n_profiles = len(profiles)
 
-    keep_rows = None
+    keep_rows = blocks = None
     if na == 2:
-        _, _, unc, con = _obedience_blocks(marginals_and_conditionals(prior),
-                                           decision)
-        kept, _, _, keep_rows = _feasible_signals(unc, con, profiles)
+        blocks = _obedience_blocks(marginals_and_conditionals(prior),
+                                   decision)
+        kept, _, _, keep_rows = _feasible_signals(blocks[2], blocks[3],
+                                                  profiles)
         profiles = profiles[kept]
     lp = build_obedience_lp(prior, decision, profiles, cap_lp_vars,
-                            keep_rows, cell_cap)
+                            keep_rows, cell_cap, _blocks=blocks)
     sol = solve_lp(lp, cell_cap)
     if sol.status is not LPStatus.OPTIMAL:
         raise NumericalFailure(f"obedience LP reported {sol.status.value}; "

@@ -8,10 +8,10 @@ approximation of any posterior stays within epsilon with probability
 1 - epsilon, and solve one LP over the grid weights.
 
 fptas-a's LP is the concavification LP over the grid, |A| rows wide, and
-runs on ``lp.solve_envelope``'s revised simplex; its answer must pass a
-feasibility-residual and a duality-gap certificate.  fptas-eb's LP, with
-its per-grid-point achievability rows, runs on the dense tableau of
-``lp.solve_lp``.  Both grids are sized by the tableau's cell cap.
+runs on ``lp.solve_envelope``'s revised simplex.  fptas-eb's LP, with its
+per-grid-point achievability rows, runs on the dense tableau of
+``lp.solve_lp``.  Either answer must pass a feasibility-residual and a
+duality-gap certificate.  Both grids are sized by the tableau's cell cap.
 
 When the delta-mandated K exceeds the configured caps, the solver runs at
 the capped K and reports the achievable (weaker) guarantee in diagnostics
@@ -29,15 +29,16 @@ from .core import Classification, JointPrior, Method, SignalingScheme, \
     SolveReport, marginals_and_conditionals, total_value
 from .errors import BayesPlausibilityViolated, NumericalFailure, \
     SizeCapExceeded, ValidationError
-from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, check_cell_cap, \
-    solve_envelope, solve_lp, tableau_cells
+from .lp import DEFAULT_CELL_CAP, LinearProgram, LPSolution, LPStatus, \
+    check_cell_cap, solve_envelope, solve_lp, tableau_cells
 from .scoring import ScoreKind, ScoreSpec
 
 DEFAULT_GRID_CAP = 5_000_000
 LOG_CLIP = 1e-9
 EPS_CEILING = 0.49  # grid_size_K needs eps < 1; beyond this the grid is tiny anyway
-# certificate bounds on fptas-a's grid LP solution: feasibility residual
-# (see lp.solve_envelope) and duality gap, the latter as exact.LP_GAP_TOL
+# certificate bounds on both grid LPs' solutions: feasibility residual
+# (see lp.solve_envelope and lp.solve_lp) and duality gap, the latter as
+# exact.LP_GAP_TOL
 GRID_FEAS_TOL = 1e-9
 GRID_GAP_TOL = 1e-7
 
@@ -222,6 +223,19 @@ def scheme_from_posteriors(prior: JointPrior, posteriors,
     return SignalingScheme(labels, lams[:, None] * ws)
 
 
+def _certify_grid_lp(sol: LPSolution) -> None:
+    """Raise NumericalFailure unless an optimal grid-LP solution's
+    feasibility residual and duality gap are within GRID_FEAS_TOL and
+    GRID_GAP_TOL."""
+    if not sol.feasibility_residual <= GRID_FEAS_TOL:
+        raise NumericalFailure(
+            f"grid LP feasibility residual {sol.feasibility_residual!r} "
+            f"exceeds {GRID_FEAS_TOL!r}")
+    if not sol.duality_gap <= GRID_GAP_TOL:
+        raise NumericalFailure(f"grid LP duality gap {sol.duality_gap!r} "
+                               f"exceeds {GRID_GAP_TOL!r}")
+
+
 def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
                   grid_k: int | None = None,
                   cap_grid_points: int = DEFAULT_GRID_CAP,
@@ -257,13 +271,7 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
     if sol.status is not LPStatus.OPTIMAL:
         raise NumericalFailure(f"grid LP reported {sol.status.value}; the "
                                "prior marginal always lies in the grid hull")
-    if not sol.feasibility_residual <= GRID_FEAS_TOL:
-        raise NumericalFailure(
-            f"grid LP feasibility residual {sol.feasibility_residual!r} "
-            f"exceeds {GRID_FEAS_TOL!r}")
-    if not sol.duality_gap <= GRID_GAP_TOL:
-        raise NumericalFailure(f"grid LP duality gap {sol.duality_gap!r} "
-                               f"exceeds {GRID_GAP_TOL!r}")
+    _certify_grid_lp(sol)
 
     support = np.nonzero(sol.x > 1e-12)[0]
     scheme = scheme_from_posteriors(
@@ -297,7 +305,8 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     induce posteriors in the convex hull of {mu(.,.|a)}_a, which the plain
     Bayes constraint does not enforce.  Infeasibility (possible only for
     user-supplied eta below the rounding slack) retries with eta doubled,
-    up to 4 times.
+    up to 4 times.  A feasibility residual above GRID_FEAS_TOL or a duality
+    gap above GRID_GAP_TOL raises NumericalFailure.
     """
     ne, na, nb = prior.n_events, prior.n_alice, prior.n_bob
     d = ne * nb
@@ -339,6 +348,8 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
                 f"{retries} eta doublings")
         eta *= 2.0
         retries += 1
+
+    _certify_grid_lp(sol)
 
     x = sol.x.reshape(n, na)
     mass = x.sum(axis=1)

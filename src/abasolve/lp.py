@@ -130,6 +130,13 @@ def check_cell_cap(cells: int, cell_cap: int) -> None:
 def solve_lp(lp: LinearProgram, cell_cap: int = DEFAULT_CELL_CAP) -> LPSolution:
     """Solve to an optimal vertex, or report Infeasible/Unbounded.
 
+    The solution's ``duality_gap`` is |b.y - c.x| plus the dual
+    infeasibility of the final basis: the most negative reduced cost in the
+    tableau's objective row over the structural columns and the most
+    negative ub dual (a slack column's reduced cost).  The first term is 0
+    at every basis; the second shows a pivot loop that stops short of
+    optimality.
+
     Raises NumericalFailure when pivoting exceeds 50*(rows+cols) iterations
     and SizeCapExceeded when the tableau would not fit the cell cap.
     """
@@ -237,8 +244,13 @@ def solve_lp(lp: LinearProgram, cell_cap: int = DEFAULT_CELL_CAP) -> LPSolution:
         comp += float(np.abs(dual_ub * slack_ub).sum())
     dual_obj = float((dual_ub @ lp.b_ub if m_ub else 0.0) +
                      (dual_eq @ lp.b_eq if m_eq else 0.0))
+    # b.y = c.x holds at every basis, so the gap adds the dual infeasibility
+    # an early stop leaves: the most negative reduced cost of a column that
+    # may enter, structural or slack (a slack's is its row's ub dual)
+    dual_infeas = max(0.0, -float(t[m, :n + m_ub].min(initial=0.0)))
     return LPSolution(LPStatus.OPTIMAL, xs, objective, dual_eq, dual_ub,
-                      total_iters, duality_gap=abs(dual_obj - objective),
+                      total_iters,
+                      duality_gap=abs(dual_obj - objective) + dual_infeas,
                       comp_slack_residual=comp, feasibility_residual=resid)
 
 

@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 
+from abasolve import _kernels
 from abasolve.core import JointPrior, SignalingScheme, full_reveal_scheme, \
     marginals_and_conditionals
 from abasolve.errors import ValidationError, ZeroProbabilityPair, \
@@ -36,6 +37,22 @@ def random_piecewise(rng: np.random.Generator, ne: int = 2,
 
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.dirichlet(np.ones(n))
+
+
+def stop_simplex_early(monkeypatch, full_calls: int, pivots: int) -> None:
+    """Patch ``_kernels.simplex_iterate``: its first ``full_calls`` calls
+    run as usual (phase 1, when the LP has one), every later call stops
+    after ``pivots`` pivots and reports the basis optimal."""
+    real = _kernels.simplex_iterate
+    calls = []
+
+    def early(t, basis, allowed, tol, max_iter, degen_limit):
+        calls.append(None)
+        if len(calls) <= full_calls:
+            return real(t, basis, allowed, tol, max_iter, degen_limit)
+        return 0, real(t, basis, allowed, tol, pivots, degen_limit)[1]
+
+    monkeypatch.setattr(_kernels, "simplex_iterate", early)
 
 
 def lp_vertex_oracle(c, a_eq, b_eq, a_ub, b_ub, tol: float = 1e-9):

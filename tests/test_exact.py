@@ -26,7 +26,7 @@ from abasolve.scoring import (decision_problem_from_G, default_tangent_grid,
 from helpers import (certify_obedience_loop, degenerate_cases,
                      feasible_intervals_loop, obedience_lp_loop,
                      posterior_e_given_s_ref, posterior_e_given_sb_ref,
-                     random_piecewise, random_prior)
+                     random_piecewise, random_prior, stop_simplex_early)
 
 
 def _linearized_quadratic(prior, k=20):
@@ -560,6 +560,36 @@ def test_solve_exact_raises_on_duality_gap(xor_prior, monkeypatch):
     _with_gap(monkeypatch, 2 * exact_module.LP_GAP_TOL)
     with pytest.raises(NumericalFailure, match="duality gap"):
         solve_exact(xor_prior, score)
+
+
+@pytest.mark.parametrize("na", (2, 3))
+def test_solve_exact_raises_when_phase_2_stops_early(monkeypatch, na):
+    # the obedience LP's marginal rows give it a phase 1; a phase 2 that
+    # stops before its first pivot leaves a negative reduced cost, which
+    # the duality gap must show
+    prior = random_prior(np.random.default_rng(5), ne=2, na=na, nb=2)
+    score = _linearized_quadratic(prior, k=4)
+    assert solve_exact(prior, score).diagnostics["lp_duality_gap"] <= \
+        exact_module.LP_GAP_TOL
+    stop_simplex_early(monkeypatch, full_calls=1, pivots=0)
+    with pytest.raises(NumericalFailure, match="duality gap"):
+        solve_exact(prior, score)
+
+
+def test_obedience_blocks_computed_once(monkeypatch):
+    real = exact_module._obedience_blocks
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(exact_module, "_obedience_blocks", counted)
+    for na in (2, 3):
+        prior = random_prior(np.random.default_rng(na), ne=2, na=na, nb=2)
+        calls.clear()
+        solve_exact(prior, _linearized_quadratic(prior, k=4))
+        assert len(calls) == 1, na
 
 
 def test_solve_exact_raises_on_obedience_violation(xor_prior, monkeypatch):

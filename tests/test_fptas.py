@@ -19,7 +19,7 @@ from abasolve.lp import tableau_cells
 from abasolve.oracle import oracle_optimal
 from abasolve.scoring import HolderParams, quadratic_score, spherical_score
 
-from helpers import random_piecewise, random_prior
+from helpers import random_piecewise, random_prior, stop_simplex_early
 
 
 def test_epsilon_for_delta_lipschitz_branch():
@@ -433,6 +433,40 @@ def test_fptas_eb_eta_retry_exhaustion():
     with pytest.raises(NumericalFailure):
         fptas_eb_const(prior, quadratic_score(), delta=0.5, grid_k=5,
                        consistency_eta=1e-9)
+
+
+@pytest.mark.parametrize("field, tol, message", (
+    ("feasibility_residual", fptas.GRID_FEAS_TOL,
+     "grid LP feasibility residual .* exceeds 1e-09"),
+    ("duality_gap", fptas.GRID_GAP_TOL, "grid LP duality gap .* exceeds 1e-07"),
+), ids=["feasibility", "gap"])
+def test_fptas_eb_certificate_gate(monkeypatch, xor_prior, quad, field, tol,
+                                   message):
+    solve = fptas.solve_lp
+
+    def solve_with(value):
+        def patched(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            assert sol.feasibility_residual <= fptas.GRID_FEAS_TOL and \
+                sol.duality_gap <= fptas.GRID_GAP_TOL
+            return dataclasses.replace(sol, **{field: value})
+        monkeypatch.setattr(fptas, "solve_lp", patched)
+
+    solve_with(tol)
+    fptas_eb_const(xor_prior, quad, 0.5, grid_k=4)
+    solve_with(2 * tol)
+    with pytest.raises(NumericalFailure, match=message):
+        fptas_eb_const(xor_prior, quad, 0.5, grid_k=4)
+
+
+def test_fptas_eb_raises_when_phase_2_stops_early(monkeypatch, quad):
+    # seed 1: the basis phase 1 leaves is not optimal for phase 2
+    prior = random_prior(np.random.default_rng(1), ne=2, na=2, nb=2)
+    assert fptas_eb_const(prior, quad, 0.5, grid_k=4).diagnostics[
+        "lp_duality_gap"] <= fptas.GRID_GAP_TOL
+    stop_simplex_early(monkeypatch, full_calls=1, pivots=0)
+    with pytest.raises(NumericalFailure, match="grid LP duality gap"):
+        fptas_eb_const(prior, quad, 0.5, grid_k=4)
 
 
 def test_fptas_eb_default_eta(copy_prior, quad):

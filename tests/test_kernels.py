@@ -6,7 +6,9 @@ reproduce them bit for bit, not merely to a tolerance.  The one exception
 is ``ub_grid_wa_ref``, the three-operand einsum form of ``ub_grid_wa``: the
 kernel's numerator is now a matmul, which rounds differently, so the kernel
 matches it to ``UB_ATOL`` and matches ``ub_grid_wa_frozen``, a frozen copy
-of the matmul form, bit for bit.
+of the matmul form, bit for bit.  ``oracle_scan_per_candidate`` is the
+oracle scan as it was before the lattice table: it evaluates every
+candidate's posteriors, and the memory test compares against it.
 """
 
 import tracemalloc
@@ -125,6 +127,33 @@ def oracle_scan_ref(comps, n_alice, start, stop, mu_ae, mu_aeb, kind, pr, pb,
         g2 = g_rows_np((numer_b / safe_b[:, :, :, None]).reshape(-1, ne),
                        kind, pr, pb, clip).reshape(mass_b.shape)
         obj -= (np.where(mass_b > 0.0, mass_b, 0.0) * g2).sum(axis=(1, 2))
+        chunk_best = int(np.argmax(obj))
+        if obj[chunk_best] > best_val:
+            best_val = float(obj[chunk_best])
+            best_idx = lo + chunk_best
+    return best_val, best_idx
+
+
+def oracle_scan_per_candidate(comps, n_alice, start, stop, mu_ae, mu_aeb,
+                              kind, pr, pb, clip):
+    p_count = comps.shape[0]
+    best_val = -np.inf
+    best_idx = -1
+    for lo in range(int(start), int(stop), CHUNK):
+        hi = min(lo + CHUNK, int(stop))
+        idx = np.arange(lo, hi, dtype=np.int64)
+        digits = np.empty((hi - lo, n_alice), dtype=np.int64)
+        q = idx
+        for a in range(n_alice):
+            digits[:, a] = q % p_count
+            q = q // p_count
+        fr = comps[digits]
+        numer = np.einsum("cam,ae->cme", fr, mu_ae)
+        obj = _kernels.weighted_g(numer, numer.sum(axis=2), kind, pr, pb,
+                                  clip).sum(axis=1)
+        numer_b = np.einsum("cam,aeb->cmbe", fr, mu_aeb)
+        obj -= _kernels.weighted_g(numer_b, numer_b.sum(axis=3), kind, pr,
+                                   pb, clip).sum(axis=(1, 2))
         chunk_best = int(np.argmax(obj))
         if obj[chunk_best] > best_val:
             best_val = float(obj[chunk_best])
@@ -265,9 +294,13 @@ def test_ub_grid_wa_memory_stays_per_chunk():
         assert peak < out.nbytes + 4 * unit, (kind, peak)
 
 
+# m * nb >= 8 in (2, 2, 3, 6, 3) and (2, 3, 3, 4, 3): numpy's sum over the
+# (m, nb) axes no longer adds those terms one by one
 @pytest.mark.parametrize("ne,na,nb,den,m", ((2, 2, 2, 10, 2), (3, 2, 2, 6, 3),
                                             (2, 3, 2, 5, 2), (2, 2, 3, 8, 2),
-                                            (2, 3, 1, 4, 3)))
+                                            (2, 3, 1, 4, 3), (2, 2, 3, 6, 3),
+                                            (2, 3, 3, 4, 3), (3, 2, 2, 10, 1),
+                                            (2, 3, 2, 6, 1)))
 def test_oracle_scan_matches_reference(ne, na, nb, den, m):
     rng = np.random.default_rng(89 + ne + 3 * na + 5 * nb)
     comps = _kernels.compositions(den, m).astype(float) / den
@@ -299,3 +332,28 @@ def test_oracle_scan_spans_chunks():
         ref = oracle_scan_ref(comps, 3, 1000, n_cand, mu_ae, mu_aeb, kind,
                               pr, pb, clip)
         assert got[0] == ref[0] and got[1] == ref[1]
+
+
+def test_oracle_scan_memory_at_most_per_candidate_form():
+    # the large verify rung: |A| = 3, den 66, two signals, 67^3 candidates.
+    # The lattice table holds 67^3 (1 + nb) floats; the per-candidate form
+    # materialises m (1 + nb) posteriors per candidate of a chunk instead.
+    rng = np.random.default_rng(107)
+    ne, na, nb, den, m = 2, 3, 2, 66, 2
+    prior = random_prior(rng, ne=ne, na=na, nb=nb)
+    comps = _kernels.compositions(den, m).astype(float) / den
+    mu_ae = np.ascontiguousarray(prior.p.sum(axis=2).T)
+    mu_aeb = np.ascontiguousarray(np.transpose(prior.p, (1, 0, 2)))
+    n_cand = comps.shape[0] ** na
+    for kind, pr, pb, clip in score_kinds(rng, ne)[:2]:
+        peaks, results = [], []
+        for scan in (_kernels.oracle_scan, oracle_scan_per_candidate):
+            tracemalloc.start()
+            try:
+                results.append(scan(comps, na, 0, n_cand, mu_ae, mu_aeb,
+                                    kind, pr, pb, clip))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert results[0] == results[1], kind
+        assert peaks[0] <= peaks[1], (kind, peaks)

@@ -4,7 +4,7 @@ import pytest
 from abasolve.errors import SizeCapExceeded, ValidationError
 from abasolve.lp import LinearProgram, LPStatus, debug_dump, solve_lp
 
-from helpers import lp_vertex_oracle
+from helpers import lp_vertex_oracle, stop_simplex_early
 
 
 def _lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None):
@@ -128,6 +128,36 @@ def test_duals_certify_optimum():
     # dual feasibility: A^T y >= c
     assert (lp.a_ub.T @ y - lp.objective >= -1e-9).all()
     assert y @ lp.b_ub == pytest.approx(sol.objective, abs=1e-9)
+
+
+def test_duality_gap_shows_a_negative_reduced_cost(monkeypatch):
+    # max x0 + 2 x1 + 3 x2 s.t. x0 + x1 + x2 = 1: phase 1 ends at x0 = 1;
+    # a phase 2 that stops there reports 1 against the optimum 3, and its
+    # duals leave reduced costs (0, -1, -2)
+    lp = _lp([1.0, 2.0, 3.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
+    sol = solve_lp(lp)
+    assert sol.objective == pytest.approx(3.0)
+    assert sol.duality_gap <= 1e-12
+    stop_simplex_early(monkeypatch, full_calls=1, pivots=0)
+    sol = solve_lp(lp)
+    assert sol.objective == 1.0
+    assert sol.duality_gap == pytest.approx(2.0)
+
+
+def test_duality_gap_shows_a_wrong_signed_ub_dual(monkeypatch):
+    # max 2 x0 + 2 x1 s.t. 2 x0 + x1 <= 3, 2 x0 <= 2: two pivots reach
+    # x = (1, 1) with objective 4 (optimum 6 at x = (0, 3)); every
+    # structural reduced cost is 0 there, but the second row's dual is -1
+    lp = _lp([2.0, 2.0], a_ub=[[2.0, 1.0], [2.0, 0.0]], b_ub=[3.0, 2.0])
+    sol = solve_lp(lp)
+    assert sol.objective == pytest.approx(6.0)
+    assert sol.duality_gap <= 1e-12
+    stop_simplex_early(monkeypatch, full_calls=0, pivots=2)
+    sol = solve_lp(lp)
+    assert sol.objective == pytest.approx(4.0)
+    assert sol.dual_ub == pytest.approx([2.0, -1.0])
+    assert (sol.dual_ub @ lp.a_ub - lp.objective == 0.0).all()
+    assert sol.duality_gap == pytest.approx(1.0)
 
 
 def test_debug_dump():

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abasolve import exact
-from abasolve.scoring import quadratic_score
+from abasolve import _kernels, exact, oracle
+from abasolve.scoring import log_score, quadratic_score
 
 from helpers import random_prior
 
@@ -66,3 +66,22 @@ def test_tracer_counts_every_profile_once(monkeypatch, na):
     assert tracer.counts["exact.signals_generated"] == k ** (prior.n_bob + 1)
     assert 0 < tracer.counts["exact.signals_to_lp"] <= \
         tracer.counts["exact.signals_generated"]
+
+
+@pytest.mark.parametrize("na,den,m", ((2, 10, 3), (3, 6, 2)))
+def test_tracer_counts_oracle_candidates(monkeypatch, na, den, m):
+    """The tracer reads the scanned range from ``oracle_scan``'s third and
+    fourth positional arguments; a traced ``oracle_optimal`` must count
+    every candidate, P^|A| for the P fraction rows."""
+    spans = _load_spans(monkeypatch)
+    prior = random_prior(np.random.default_rng(na), ne=2, na=na, nb=2)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = tracer.root(0, oracle.oracle_optimal, prior, log_score(),
+                             1.0 / den, m)
+    finally:
+        tracer.uninstall()
+    n_rows = _kernels.compositions(den, m).shape[0]
+    assert tracer.counts["kernels.oracle_candidates"] == n_rows ** na
+    assert report.diagnostics["candidates"] == n_rows ** na
