@@ -3,7 +3,8 @@
 Alice trades in rounds 1 and 3 of a three-round market, Bob in round 2;
 Alice commits publicly to a signaling scheme before play.  This package
 computes her optimal commitment exactly for piecewise-linear expected-score
-functions via an obedience LP, delta-optimally over K-uniform posterior
+functions, as the concavification LP over the vertices of the arrangement
+on which Bob's utility is linear, delta-optimally over K-uniform posterior
 grids for smooth rules, and verifies the constant-sum accounting and the
 deviation inequalities of the underlying market by direct simulation.
 """

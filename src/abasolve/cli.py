@@ -160,7 +160,10 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--tangent-k", type=int, default=20,
                         help="tangent grid resolution for smooth scores")
         sp.add_argument("--cap-lp-vars", type=int,
-                        default=exact.DEFAULT_LP_VAR_CAP)
+                        default=exact.DEFAULT_LP_VAR_CAP,
+                        help="cap on the exact solver's candidate points "
+                        "(vertices of the arrangement on which u_B is "
+                        "linear), checked before any is built")
         sp.add_argument("--cap-grid-points", type=int,
                         default=fptas.DEFAULT_GRID_CAP)
 

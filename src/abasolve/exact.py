@@ -1,31 +1,31 @@
 """Exact optimal-commitment solver for piecewise-linear G.
 
-The revelation principle bounds the signal set: one signal per
-recommendation profile (i_0, i_1, ..., i_|B|), the action recommended
-before Bob reveals and the one recommended after he reveals each b.  The
-profiles are enumerated once, as the rows of a (k^(|B|+1), 1+|B|) int
-array, and then filtered; that array is the signal set from the LP to the
-scheme's labels.  The obedience LP maximizes Alice's objective subject to
-every recommendation being a best response, with marginal constraints
-tying pi to the prior.
+Alice's optimum is the lower convex envelope of u_B over the posteriors
+w in Delta_A, taken at mu_A (Kamenica & Gentzkow 2011).  With
+G(p) = max_i u_i . p,
 
-For |A| = 2 each obedience row is linear in the induced posterior
-t = Pr(a0|s), so it bounds t from one side, and a signal's feasible t form
-an interval.  A signal's rows come in |B|+1 components: the rows of its
-recommendation i_0 before Bob reveals, then those of i_b after he reveals
-b.  Each component's interval is computed once per recommended action,
-and each profile's interval is their intersection, looked up by the
-profile's columns.  Only profiles with nonempty intervals are kept, and
-only the (at most two) rows binding each one's interval go to the LP.
-This is lossless: discarded rows are implied by the kept ones, and
-discarded signals are forced to zero in every feasible point.
+    u_B(w) = sum_b max_i ue_ab[i, :, b] . w  -  max_i ue_a[i] . w,
 
-Every result certifies itself: an LP duality gap above ``LP_GAP_TOL`` or
-an obedience residual above ``OBEDIENCE_TOL`` raises ``NumericalFailure``
-instead of returning the report.
+so u_B is linear on each cell of the arrangement of hyperplanes through
+the origin with normals ue_a[i] - ue_a[j] and ue_ab[i, :, b] -
+ue_ab[j, :, b].  A point of a cell is a convex combination of the cell's
+vertices, with u_B interpolated linearly, so the envelope LP over those
+vertices is exact.  A vertex meets |A| - 1 independent normals or facets
+w_a = 0: it is their generalised cross product, scaled onto Delta_A.
+``solve_exact`` builds every candidate, costs them with the exact u_B and
+solves the LP with ``lp.solve_envelope``, in fptas-a's pipeline.
+
+The answer is a revelation scheme: each vertex with LP mass is labelled
+with its lowest-index argmax recommendation profile (i_0, i_1, ..., i_|B|),
+and vertices that share a profile merge into one signal, pi rows summed.
+This is lossless: a profile that is an argmax at every merged vertex is
+one at their mixture, by linearity, so objective and obedience carry over.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -34,14 +34,15 @@ from .core import Classification, ConditionalTable, JointPrior, Method, \
     SignalingScheme, SolveReport, marginals_and_conditionals, total_value, \
     full_reveal_scheme, no_reveal_scheme
 from .errors import NumericalFailure, SizeCapExceeded, ValidationError
+from .fptas import GRID_GAP_TOL, _envelope_lp
 from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, check_cell_cap, \
     solve_lp, tableau_cells
 from .scoring import DecisionProblem, ScoreKind, ScoreSpec
 
 DEFAULT_LP_VAR_CAP = 2_000_000
 CLASSIFY_TOL = 1e-7
-LP_GAP_TOL = 1e-7
 OBEDIENCE_TOL = 1e-7
+_POINT_CHUNK = 65_536
 
 
 def build_revelation_signals(k: int, bob_outcomes: int,
@@ -85,18 +86,12 @@ def _components(unc: np.ndarray, con: np.ndarray) -> np.ndarray:
 def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
                        signals: np.ndarray | None = None,
                        cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
-                       keep_rows: np.ndarray | None = None,
-                       cell_cap: int = DEFAULT_CELL_CAP, *,
-                       _blocks: tuple | None = None) -> LinearProgram:
+                       cell_cap: int = DEFAULT_CELL_CAP) -> LinearProgram:
     """Assemble the obedience LP over pi(s, a) for the given profile rows.
 
     Row layout: per signal, the k obedience rows of its component 0, then
     the k rows of each component 1+b (as >= 0, stored negated as <= 0);
-    then the |A| marginal equalities.  ``keep_rows``, a boolean
-    (signals, k(1+|B|)) mask, optionally restricts each signal's obedience
-    rows (used by the exact |A| = 2 reduction).  ``_blocks`` takes
-    ``_obedience_blocks(table, decision)`` from a caller that already has
-    them (``solve_exact`` at |A| = 2), so they are not computed twice.
+    then the |A| marginal equalities.
     """
     k = decision.n_actions
     na = prior.n_alice
@@ -109,20 +104,15 @@ def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
         raise SizeCapExceeded(
             f"obedience LP needs {n_vars} variables, cap is {cap_lp_vars}",
             required=n_vars)
-    n_rows = n_signals * (k + k * nb) if keep_rows is None else \
-        int(np.count_nonzero(keep_rows))
+    n_rows = n_signals * (k + k * nb)
     # refuse before allocating: the solver's tableau is the largest array
     check_cell_cap(tableau_cells(n_vars, n_rows, na), cell_cap)
     table = marginals_and_conditionals(prior)
-    if _blocks is None:
-        _blocks = _obedience_blocks(table, decision)
-    ue_a, ue_ab, unc, con = _blocks
+    ue_a, ue_ab, unc, con = _obedience_blocks(table, decision)
 
     objective = (ue_a[signals[:, 0]] - sum(ue_ab[signals[:, 1 + b], :, b]
                                            for b in range(nb))).ravel()
-    if keep_rows is None:
-        keep_rows = np.ones((n_signals, k + k * nb), dtype=bool)
-    sig, row = np.nonzero(keep_rows)
+    sig, row = np.divmod(np.arange(n_rows), k + k * nb)
     comp, j = np.divmod(row, k)
     a_ub = np.zeros((n_rows, n_vars))
     a_ub[np.arange(n_rows)[:, None], sig[:, None] * na + np.arange(na)] = \
@@ -131,131 +121,119 @@ def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
                          table.mu_a, a_ub, np.zeros(n_rows))
 
 
-def _feasible_signals(unc: np.ndarray, con: np.ndarray, profiles: np.ndarray,
-                      tol: float = 1e-12):
-    """For |A| = 2: the profiles whose posterior interval is nonempty.
+def _cross(sub: np.ndarray) -> np.ndarray:
+    """Generalised cross products of a stack of (n-1) x n matrices: their
+    signed (n-1)-minors, by Laplace expansion along the first row, so a
+    minor whose terms all vanish is exactly zero."""
+    n = sub.shape[-1]
+    if n == 1:
+        return np.ones(sub.shape[:-2] + (1,))
+    return np.stack([(-1) ** a * (np.delete(sub[..., 0, :], a, axis=-1) *
+                                  _cross(np.delete(sub[..., 1:, :], a,
+                                                   axis=-1))).sum(axis=-1)
+                     for a in range(n)], axis=-1)
 
-    Row j of a signal's component c is numbered c*k + j, as in
-    build_obedience_lp: component 0 holds unc[i_0], component 1+b holds
-    con[i_b, :, :, b].  A row v0*t + v1*(1-t) >= 0 bounds t = Pr(a0|s)
-    from below when its slope v0 - v1 exceeds tol, from above when the
-    slope is below -tol, and excludes every t when it is flat with
-    v1 < -tol.  Each component's tightest bounds (first row on ties) are
-    found once per recommended action; a scan over the components then
-    keeps, per profile, the first bound that is strictly tighter than
-    [0, 1] and than the earlier components'.
 
-    Returns the indices of the surviving profiles, their interval ends
-    ``lo`` and ``hi``, and a boolean (survivors, k(1+|B|)) mask of the
-    rows attaining them.
+def _arrangement_points(unc: np.ndarray, con: np.ndarray) -> np.ndarray:
+    """Delta_A's vertices, then every candidate vertex of u_B's arrangement
+    on Delta_A, as the rows of an (n, |A|) array.
+
+    Each (|A|-1)-subset of the rows (the nonzero normals for i < j, then
+    the facets e_a) gives its generalised cross product v, the signed
+    minors, kept when its entries share one sign and scaled to sum 1.  A
+    vertex on a face of Delta_A is also the cross product of a subset that
+    holds the face's facets, and ``_cross`` computes its entries off the
+    face as exact zeros, so rounding does not drop it.
+
+    Subsets go in chunks of ``_POINT_CHUNK``.  Peak memory (tracemalloc,
+    |A| = 3) is about 10 MB of chunk temporaries plus 16|A| B per kept
+    point: at the default cap of 2,000,000 candidates, at most about
+    110 MB; a random 1,734,453-candidate instance keeps 9,364 points and
+    peaks at 9.8 MB.
     """
-    k = unc.shape[0]
-    comps = _components(unc, con)                          # (C, k, k, 2)
-    n_comp = comps.shape[0]
-    v0, v1 = comps[..., 0], comps[..., 1]
-    slope = v0 - v1
-    rises, falls = slope > tol, slope < -tol
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = -v1 / slope
-    lo_cand = np.where(rises, bound, -np.inf)
-    hi_cand = np.where(falls, bound, np.inf)
-    first_row = np.arange(n_comp)[:, None] * k
-    per_action = (lo_cand.max(axis=2), hi_cand.min(axis=2),      # (C, k)
-                  first_row + lo_cand.argmax(axis=2),
-                  first_row + hi_cand.argmin(axis=2),
-                  (~rises & ~falls & (v1 < -tol)).any(axis=2))
-
-    n = profiles.shape[0]
-    lo, hi = np.zeros(n), np.ones(n)
-    lo_row, hi_row = np.full(n, -1), np.full(n, -1)
-    empty = np.zeros(n, dtype=bool)
-    for c in range(n_comp):
-        c_lo, c_hi, c_lo_row, c_hi_row, c_flat = (
-            x[c, profiles[:, c]] for x in per_action)
-        tighter = c_lo > lo
-        lo = np.where(tighter, c_lo, lo)
-        lo_row = np.where(tighter, c_lo_row, lo_row)
-        tighter = c_hi < hi
-        hi = np.where(tighter, c_hi, hi)
-        hi_row = np.where(tighter, c_hi_row, hi_row)
-        empty |= c_flat
-    keep = np.flatnonzero(~(empty | (lo > hi + 1e-9)))
-
-    # an end no row attains (-1) marks the spare last column, dropped below
-    mask = np.zeros((keep.size, n_comp * k + 1), dtype=bool)
-    mask[np.arange(keep.size)[:, None],
-         np.stack((lo_row[keep], hi_row[keep]), axis=1)] = True
-    return keep, lo[keep], hi[keep], mask[:, :-1]
+    k, _, na = unc.shape
+    i, j = np.triu_indices(k, 1)
+    normals = _components(unc, con)[:, i, j].reshape(-1, na)
+    rows = np.concatenate((normals[np.abs(normals).max(axis=1) > 0.0],
+                           np.eye(na)))
+    points = [np.eye(na)]
+    subsets = itertools.combinations(range(rows.shape[0]), na - 1)
+    while (flat := np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(subsets, _POINT_CHUNK)), dtype=np.intp)).size:
+        v = _cross(rows[flat.reshape(-1, na - 1)])
+        v *= np.where(v.sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
+        v = v[(v >= 0.0).all(axis=1) & (v > 0.0).any(axis=1)]
+        points.append(v / v.sum(axis=1, keepdims=True))
+    return np.concatenate(points)
 
 
 def solve_exact(prior: JointPrior, score: ScoreSpec,
-                cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
-                cell_cap: int = DEFAULT_CELL_CAP) -> SolveReport:
-    """Optimal commitment for piecewise-linear G via the obedience LP.
+                cap_lp_vars: int = DEFAULT_LP_VAR_CAP) -> SolveReport:
+    """Optimal commitment for piecewise-linear G, as a revelation scheme.
 
-    Raises NumericalFailure when the LP duality gap exceeds LP_GAP_TOL or
-    the scheme's obedience residual exceeds OBEDIENCE_TOL.
+    ``cap_lp_vars`` caps the candidate points, C(C(k,2)(|B|+1) + |A|,
+    |A|-1) for k pieces, counted before anything is built.  Raises
+    NumericalFailure when the LP fails its certificate, when its value and
+    the scheme's sender objective differ by more than GRID_GAP_TOL, or
+    when the obedience residual exceeds OBEDIENCE_TOL.
     """
     if score.kind is not ScoreKind.PIECEWISE:
         raise ValidationError(
             "solve_exact needs a piecewise-linear score; linearize first")
     decision = scoring.decision_problem_from_G(score)
-    k = decision.n_actions
-    na = prior.n_alice
-    nb = prior.n_bob
-    profiles = build_revelation_signals(k, nb,
-                                        max(cap_lp_vars // max(na, 1), 1))
-    n_profiles = len(profiles)
+    k, na, nb = decision.n_actions, prior.n_alice, prior.n_bob
+    count = math.comb(math.comb(k, 2) * (nb + 1) + na, na - 1)
+    if count > cap_lp_vars:
+        raise SizeCapExceeded(f"arrangement has {count} candidate points, "
+                              f"cap is {cap_lp_vars}", required=count)
+    ue_a, ue_ab, unc, con = _obedience_blocks(
+        marginals_and_conditionals(prior), decision)
+    points = _arrangement_points(unc, con)
+    sol = _envelope_lp(prior, score, points, 0.0, "vertex")
 
-    keep_rows = blocks = None
-    if na == 2:
-        blocks = _obedience_blocks(marginals_and_conditionals(prior),
-                                   decision)
-        kept, _, _, keep_rows = _feasible_signals(blocks[2], blocks[3],
-                                                  profiles)
-        profiles = profiles[kept]
-    lp = build_obedience_lp(prior, decision, profiles, cap_lp_vars,
-                            keep_rows, cell_cap, _blocks=blocks)
-    sol = solve_lp(lp, cell_cap)
-    if sol.status is not LPStatus.OPTIMAL:
-        raise NumericalFailure(f"obedience LP reported {sol.status.value}; "
-                               "marginal constraints should always admit a "
-                               "scheme")
-    if not sol.duality_gap <= LP_GAP_TOL:
-        raise NumericalFailure(f"obedience LP duality gap {sol.duality_gap!r}"
-                               f" exceeds {LP_GAP_TOL!r}")
-
-    pi = sol.x.reshape(len(profiles), na)
-    live = pi.sum(axis=1) > 1e-10
+    # merge the support points by lowest-index argmax profile (lossless)
+    support = np.flatnonzero(sol.x > 1e-10)
+    w = points[support]
+    profile = np.einsum("va,iac->vci", w, np.concatenate(
+        (ue_a[:, :, None], ue_ab), axis=2)).argmax(axis=2)
+    profiles, group = np.unique(profile, axis=0, return_inverse=True)
+    pi = np.zeros((profiles.shape[0], na))
+    np.add.at(pi, group.ravel(), sol.x[support, None] * w)
     scheme = SignalingScheme(
-        tuple("-".join(map(str, p)) for p in profiles[live].tolist()),
-        pi[live])
+        tuple("-".join(map(str, p)) for p in profiles.tolist()), pi)
     violation = certify_obedience(prior, decision, scheme)
     if not violation <= OBEDIENCE_TOL:
         raise NumericalFailure(f"scheme violates obedience by {violation!r}, "
                                f"above {OBEDIENCE_TOL!r}")
 
     bob = belief.bob_utility_of_scheme(prior, score, scheme)
+    optimum = -sol.objective
+    if not abs(optimum + bob) <= GRID_GAP_TOL:
+        raise NumericalFailure(
+            f"vertex LP value {optimum!r} and the scheme's sender objective "
+            f"{-bob!r} differ by more than {GRID_GAP_TOL!r}")
     return SolveReport(
-        scheme=scheme,
-        sender_objective=-bob,
-        bob_utility=bob,
-        total_value_V=total_value(prior, score),
-        classification=_classify_against_benchmarks(prior, score,
-                                                    sol.objective),
-        method=Method.EXACT,
-        diagnostics={
-            "lp_objective": sol.objective,
-            "lp_vars": lp.n_vars,
-            "lp_rows": lp.n_rows,
-            "lp_iterations": sol.iterations,
-            "lp_duality_gap": sol.duality_gap,
-            "signals_pruned": n_profiles - len(profiles),
-            "signals_kept": scheme.n_signals,
-            "pieces": k,
-            "max_obedience_violation": violation,
-        },
-    )
+        scheme, -bob, bob, total_value(prior, score),
+        _classify_against_benchmarks(prior, score, optimum), Method.EXACT,
+        {"lp_objective": optimum, "lp_vars": points.shape[0], "lp_rows": na,
+         "lp_iterations": sol.iterations, "lp_duality_gap": sol.duality_gap,
+         "signals_kept": scheme.n_signals, "pieces": k,
+         "max_obedience_violation": violation})
+
+
+def obedience_lp_optimum(prior: JointPrior, score: ScoreSpec,
+                         cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
+                         cell_cap: int = DEFAULT_CELL_CAP) -> float:
+    """Alice's optimum by the obedience LP over all k^(|B|+1) profiles on
+    the dense tableau: the reference ``solve_exact`` is tested against."""
+    decision = scoring.decision_problem_from_G(score)
+    profiles = build_revelation_signals(decision.n_actions, prior.n_bob,
+                                        max(cap_lp_vars // prior.n_alice, 1))
+    sol = solve_lp(build_obedience_lp(prior, decision, profiles, cap_lp_vars,
+                                      cell_cap), cell_cap)
+    if sol.status is not LPStatus.OPTIMAL:
+        raise NumericalFailure(f"obedience LP reported {sol.status.value}")
+    return sol.objective
 
 
 def certify_obedience(prior: JointPrior, decision: DecisionProblem,
@@ -300,15 +278,14 @@ def _classify_against_benchmarks(prior: JointPrior, score: ScoreSpec,
 
 def classify_substitutes(prior: JointPrior, score: ScoreSpec,
                          tangent_k: int = 20,
-                         cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
-                         cell_cap: int = DEFAULT_CELL_CAP) -> SolveReport:
+                         cap_lp_vars: int = DEFAULT_LP_VAR_CAP) -> SolveReport:
     """Classify the (A, B) signal pair; smooth scores are linearized first."""
     linearized = False
     if score.kind is not ScoreKind.PIECEWISE:
         grid = scoring.default_tangent_grid(score, prior.n_events, tangent_k)
         score = scoring.linearize_smooth(score, grid)
         linearized = True
-    report = solve_exact(prior, score, cap_lp_vars, cell_cap)
+    report = solve_exact(prior, score, cap_lp_vars)
     if linearized:
         report.diagnostics["linearized"] = True
         report.diagnostics["tangent_k"] = tangent_k

@@ -7,11 +7,14 @@ delta via the u_B continuity bound, size the grid so an empirical K-sample
 approximation of any posterior stays within epsilon with probability
 1 - epsilon, and solve one LP over the grid weights.
 
-fptas-a's LP is the concavification LP over the grid, |A| rows wide, and
-runs on ``lp.solve_envelope``'s revised simplex.  fptas-eb's LP, with its
-per-grid-point achievability rows, runs on the dense tableau of
-``lp.solve_lp``.  Either answer must pass a feasibility-residual and a
-duality-gap certificate.  Both grids are sized by the tableau's cell cap.
+fptas-a's LP is the concavification LP over the grid, |A| rows wide.  It
+goes through ``_envelope_lp``, the pipeline it shares with the exact
+solver's LP over arrangement vertices: u_B at each point by
+``_kernels.ub_grid_wa``, ``lp.solve_envelope``'s revised simplex, then the
+status check and the certificate.  fptas-eb's LP, with its per-grid-point
+achievability rows, runs on the dense tableau of ``lp.solve_lp``.  Every
+answer must pass a feasibility-residual and a duality-gap certificate.
+Both grids are sized by the tableau's cell cap.
 
 When the delta-mandated K exceeds the configured caps, the solver runs at
 the capped K and reports the achievable (weaker) guarantee in diagnostics
@@ -36,9 +39,9 @@ from .scoring import ScoreKind, ScoreSpec
 DEFAULT_GRID_CAP = 5_000_000
 LOG_CLIP = 1e-9
 EPS_CEILING = 0.49  # grid_size_K needs eps < 1; beyond this the grid is tiny anyway
-# certificate bounds on both grid LPs' solutions: feasibility residual
-# (see lp.solve_envelope and lp.solve_lp) and duality gap, the latter as
-# exact.LP_GAP_TOL
+# certificate bounds on the solutions of both grid LPs and of the exact
+# solver's vertex LP: feasibility residual (see lp.solve_envelope and
+# lp.solve_lp) and duality gap
 GRID_FEAS_TOL = 1e-9
 GRID_GAP_TOL = 1e-7
 
@@ -223,17 +226,36 @@ def scheme_from_posteriors(prior: JointPrior, posteriors,
     return SignalingScheme(labels, lams[:, None] * ws)
 
 
-def _certify_grid_lp(sol: LPSolution) -> None:
-    """Raise NumericalFailure unless an optimal grid-LP solution's
-    feasibility residual and duality gap are within GRID_FEAS_TOL and
-    GRID_GAP_TOL."""
+def _certify_lp(sol: LPSolution, name: str) -> None:
+    """Raise NumericalFailure unless an optimal LP solution's feasibility
+    residual and duality gap are within GRID_FEAS_TOL and GRID_GAP_TOL."""
     if not sol.feasibility_residual <= GRID_FEAS_TOL:
         raise NumericalFailure(
-            f"grid LP feasibility residual {sol.feasibility_residual!r} "
+            f"{name} LP feasibility residual {sol.feasibility_residual!r} "
             f"exceeds {GRID_FEAS_TOL!r}")
     if not sol.duality_gap <= GRID_GAP_TOL:
-        raise NumericalFailure(f"grid LP duality gap {sol.duality_gap!r} "
+        raise NumericalFailure(f"{name} LP duality gap {sol.duality_gap!r} "
                                f"exceeds {GRID_GAP_TOL!r}")
+
+
+def _envelope_lp(prior: JointPrior, score: ScoreSpec, points: np.ndarray,
+                 clip: float, name: str) -> LPSolution:
+    """min sum_j x_j u_B(points_j) s.t. sum_j x_j points_j = mu_A, x >= 0:
+    costs by ``_kernels.ub_grid_wa``, solved by ``solve_envelope`` and
+    certified.  ``points`` must hold every vertex of Delta_A; ``name``
+    labels the LP in the NumericalFailure messages.
+    """
+    pr, pb = score.kernel_pieces(prior.n_events)
+    table = marginals_and_conditionals(prior).zero_filled()
+    ub = _kernels.ub_grid_wa(points, table.b_given_a, table.e_given_ab,
+                             table.e_given_a, score.kind_code(), pr, pb, clip)
+    sol = solve_envelope(ub, points, table.mu_a)
+    if sol.status is not LPStatus.OPTIMAL:
+        raise NumericalFailure(f"{name} LP reported {sol.status.value}; the "
+                               f"prior marginal always lies in the {name} "
+                               "hull")
+    _certify_lp(sol, name)
+    return sol
 
 
 def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
@@ -261,24 +283,14 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
                             lambda n: tableau_cells(n, 0, na + 1))
     grid = enumerate_k_uniform(na, k, cap_grid_points)
     clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0
-    pr, pb = score.kernel_pieces(prior.n_events)
-    table = marginals_and_conditionals(prior).zero_filled()
-    ub = _kernels.ub_grid_wa(grid, table.b_given_a, table.e_given_ab,
-                             table.e_given_a, score.kind_code(), pr, pb, clip)
-
-    n = grid.shape[0]
-    sol = solve_envelope(ub, grid, table.mu_a)
-    if sol.status is not LPStatus.OPTIMAL:
-        raise NumericalFailure(f"grid LP reported {sol.status.value}; the "
-                               "prior marginal always lies in the grid hull")
-    _certify_grid_lp(sol)
+    sol = _envelope_lp(prior, score, grid, clip, "grid")
 
     support = np.nonzero(sol.x > 1e-12)[0]
     scheme = scheme_from_posteriors(
         prior, [(sol.x[j], grid[j]) for j in support])
     bob = belief.bob_utility_of_scheme(prior, score, scheme)
     diag.update({
-        "grid_points": n,
+        "grid_points": grid.shape[0],
         "lp_objective": sol.objective,
         "lp_iterations": sol.iterations,
         "lp_duality_gap": sol.duality_gap,
@@ -349,7 +361,7 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
         eta *= 2.0
         retries += 1
 
-    _certify_grid_lp(sol)
+    _certify_lp(sol, "grid")
 
     x = sol.x.reshape(n, na)
     mass = x.sum(axis=1)

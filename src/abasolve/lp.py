@@ -2,8 +2,8 @@
 a revised simplex for the small-row envelope LP.
 
 ``solve_lp`` maximizes c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0
-over an explicit tableau; the exact solver's obedience LP and fptas-eb's
-achievability LP use it.  Pricing is Dantzig's rule, switching permanently
+over an explicit tableau; fptas-eb's achievability LP and the obedience-LP
+reference in ``exact`` use it.  Pricing is Dantzig's rule, switching permanently
 to Bland's rule after a run of degenerate pivots; ties in the ratio test
 break toward the smallest basis index.  Artificial columns stay in the
 tableau (barred from entering) so dual values can be read off the final
@@ -20,8 +20,9 @@ variables), so a pivot usually rewrites a few rows of hundreds.
 LP builders can check the cell cap before allocating their own matrices.
 
 ``solve_envelope`` minimizes c.x subject to P^T x = mu, x >= 0, where P's
-rows lie on the probability simplex and include its vertices: fptas-a's
-concavification LP over a posterior grid (Kamenica & Gentzkow 2011).  It
+rows lie on the probability simplex and include its vertices: the
+concavification LP (Kamenica & Gentzkow 2011) over fptas-a's posterior grid
+or over the exact solver's arrangement vertices.  It
 keeps only the m = |A| independent rows (x sums to 1 because every row of
 P does) and starts from the vertex basis B = I, x_B = mu, so it needs no
 phase 1, no artificials and no tableau; each pivot is one pricing pass over

@@ -325,45 +325,9 @@ def cross_belief_loop(prior, score, believed, actual):
     return bob, alice, off_mass, diverged
 
 
-def feasible_intervals_loop(profiles, unc, con, tol: float = 1e-12):
-    """The |A| = 2 interval pruning as a loop over profiles and rows, kept
-    as the reference for ``exact._feasible_signals``: per profile row
-    (i_0, i_1, ..., i_|B|), (lo, hi, rows attaining the bounds) or None
-    when the interval is empty."""
-    nb = con.shape[3]
-    out = []
-    for i0, *ib in np.asarray(profiles).tolist():
-        rows = np.vstack([unc[i0]] + [con[ib[b], :, :, b] for b in range(nb)])
-        # row j: v0*t + v1*(1-t) >= 0 for t in [0, 1]
-        v0 = rows[:, 0]
-        v1 = rows[:, 1]
-        slope = v0 - v1
-        lo, lo_row, hi, hi_row = 0.0, -1, 1.0, -1
-        empty = False
-        for j in range(rows.shape[0]):
-            if slope[j] > tol:
-                bound = -v1[j] / slope[j]
-                if bound > lo:
-                    lo, lo_row = bound, j
-            elif slope[j] < -tol:
-                bound = -v1[j] / slope[j]
-                if bound < hi:
-                    hi, hi_row = bound, j
-            elif v1[j] < -tol:
-                empty = True
-                break
-        if empty or lo > hi + 1e-9:
-            out.append(None)
-        else:
-            keep = [j for j in (lo_row, hi_row) if j >= 0]
-            out.append((lo, hi, np.array(sorted(set(keep)), dtype=int)))
-    return out
-
-
-def obedience_lp_loop(prior, decision, profiles, keep_rows=None):
+def obedience_lp_loop(prior, decision, profiles):
     """``exact.build_obedience_lp`` assembled one signal at a time, kept as
-    its reference: (objective, a_eq, a_ub, b_ub).  ``keep_rows`` is a list
-    of each signal's kept row indices."""
+    its reference: (objective, a_eq, a_ub, b_ub)."""
     from abasolve.exact import _obedience_blocks
 
     k = decision.n_actions
@@ -379,8 +343,6 @@ def obedience_lp_loop(prior, decision, profiles, keep_rows=None):
         sig_rows[:k] = -unc[i0]                          # -(rec - other) <= 0
         for b in range(nb):
             sig_rows[k + b * k:k + (b + 1) * k] = -con[ib[b], :, :, b]
-        if keep_rows is not None:
-            sig_rows = sig_rows[keep_rows[si]]
         blocks.append(sig_rows)
         objective[si * na:(si + 1) * na] = \
             ue_a[i0] - sum(ue_ab[ib[b], :, b] for b in range(nb))

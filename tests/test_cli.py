@@ -144,9 +144,9 @@ def _infeasible(*args, **kwargs):
 
 
 @pytest.mark.parametrize("module, lp_routine, method, solve, message", [
-    (exact, "solve_lp", "exact", lambda prior: exact.solve_exact(
+    (fptas, "solve_envelope", "exact", lambda prior: exact.solve_exact(
         prior, piecewise_score([([0.0, 0.0], 0.0), ([1.0, -1.0], 0.0)])),
-     "obedience LP reported Infeasible"),
+     "vertex LP reported Infeasible"),
     (fptas, "solve_envelope", "fptas-a", lambda prior: fptas.fptas_a_const(
         prior, quadratic_score(), 0.5, grid_k=4),
      "grid LP reported Infeasible"),

@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
 from abasolve.belief import sender_objective
 from abasolve.core import (Classification, JointPrior, SignalingScheme,
                            full_reveal_scheme, marginals_and_conditionals,
                            no_reveal_scheme)
-from abasolve import cli, exact as exact_module, instances
+from abasolve import _kernels, cli, exact as exact_module, fptas, \
+    instances, lp
 from abasolve.errors import NumericalFailure, SizeCapExceeded, \
     ValidationError
 from abasolve.exact import (build_obedience_lp, build_revelation_signals,
                             certify_obedience, classify_substitutes,
-                            solve_exact)
+                            obedience_lp_optimum, solve_exact)
 from abasolve.lp import solve_lp, tableau_cells
 from abasolve.oracle import oracle_optimal
 from abasolve.scoring import (decision_problem_from_G, default_tangent_grid,
@@ -24,9 +26,8 @@ from abasolve.scoring import (decision_problem_from_G, default_tangent_grid,
                               quadratic_score)
 
 from helpers import (certify_obedience_loop, degenerate_cases,
-                     feasible_intervals_loop, obedience_lp_loop,
-                     posterior_e_given_s_ref, posterior_e_given_sb_ref,
-                     random_piecewise, random_prior, stop_simplex_early)
+                     obedience_lp_loop, posterior_e_given_s_ref,
+                     posterior_e_given_sb_ref, random_piecewise, random_prior)
 
 
 def _linearized_quadratic(prior, k=20):
@@ -81,8 +82,7 @@ def test_obedience_lp_refuses_the_solver_tableau_before_allocating(
 
 
 def test_build_obedience_lp_matches_loop_reference():
-    """The array assembly against the per-signal loop, bit for bit, with
-    every profile and with the |A| = 2 survivors and their kept rows."""
+    """The array assembly against the per-signal loop, bit for bit."""
     rng = np.random.default_rng(239)
     for na in (2, 3):
         for nb in (1, 2, 3):
@@ -91,21 +91,11 @@ def test_build_obedience_lp_matches_loop_reference():
             decision = decision_problem_from_G(
                 random_piecewise(rng, ne, k=int(rng.integers(1, 5))))
             profiles = build_revelation_signals(decision.n_actions, nb)
-            cases = [(profiles, None, None)]
-            if na == 2:
-                _, _, unc, con = exact_module._obedience_blocks(
-                    marginals_and_conditionals(prior), decision)
-                kept, _, _, mask = exact_module._feasible_signals(
-                    unc, con, profiles)
-                cases.append((profiles[kept], mask,
-                              [np.flatnonzero(m) for m in mask]))
-            for signals, mask, rows in cases:
-                got = build_obedience_lp(prior, decision, signals,
-                                         keep_rows=mask)
-                want = obedience_lp_loop(prior, decision, signals, rows)
-                for g, w in zip((got.objective, got.a_eq, got.a_ub, got.b_ub),
-                                want):
-                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            got = build_obedience_lp(prior, decision, profiles)
+            want = obedience_lp_loop(prior, decision, profiles)
+            for g, w in zip((got.objective, got.a_eq, got.a_ub, got.b_ub),
+                            want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_single_action_obedience_vacuous(xor_prior):
@@ -225,12 +215,10 @@ def test_pruned_lp_matches_full_lp():
 
 
 def test_solve_exact_unpruned_path_matches():
-    # |A| = 3 exercises the full-LP path (no interval pruning)
     rng = np.random.default_rng(7)
     prior = random_prior(rng, ne=2, na=3, nb=2)
     score = random_piecewise(rng, ne=2, k=3)
     report = solve_exact(prior, score)
-    assert report.diagnostics["signals_pruned"] == 0
     oracle_opt = oracle_optimal(prior, score, grid_step=1 / 12,
                                 max_signals=3).sender_objective
     assert report.diagnostics["lp_objective"] >= oracle_opt - 1e-9
@@ -379,157 +367,161 @@ def test_certify_obedience_skips_below_mass_threshold():
             pytest.approx(want, abs=1e-12)
 
 
-# -- |A| = 2 pruning against the per-signal loop ---------------------------
-
-def _pruning_matches_loop(prior, score):
-    """Assert the array pruning reproduces the loop bit for bit; return
-    (profiles, survivors)."""
-    decision = decision_problem_from_G(score)
-    _, _, unc, con = exact_module._obedience_blocks(
-        marginals_and_conditionals(prior), decision)
-    profiles = build_revelation_signals(decision.n_actions, prior.n_bob)
-    ref = [(j, iv) for j, iv in
-           enumerate(feasible_intervals_loop(profiles, unc, con))
-           if iv is not None]
-    kept, lo, hi, mask = exact_module._feasible_signals(unc, con, profiles)
-    assert kept.tolist() == [j for j, _ in ref]
-    assert len(lo) == len(hi) == len(mask) == len(ref)
-    assert mask.shape[1] == decision.n_actions * (1 + prior.n_bob)
-    for j, (_, (ref_lo, ref_hi, ref_rows)) in enumerate(ref):
-        assert lo[j] == ref_lo and hi[j] == ref_hi
-        assert np.array_equal(np.flatnonzero(mask[j]), ref_rows)
-    return len(profiles), len(kept)
-
-
-def test_feasible_signals_match_loop_random_priors():
-    rng = np.random.default_rng(211)
-    total = kept = 0
-    for nb in (1, 2, 3):
-        for _ in range(6):
-            ne = int(rng.integers(2, 4))
-            prior = random_prior(rng, ne=ne, na=2, nb=nb)
-            score = random_piecewise(rng, ne=ne, k=int(rng.integers(2, 6)))
-            n, m = _pruning_matches_loop(prior, score)
-            total, kept = total + n, kept + m
-    assert 0 < kept < total          # both outcomes occur
-
-
-def test_feasible_signals_match_loop_ties():
-    rng = np.random.default_rng(223)
-    # duplicate pieces: equal rows inside a component
-    piece = (rng.uniform(-1, 1, size=2), 0.1)
-    score = piecewise_score([piece, ((0.3, -0.2), 0.0), piece,
-                             ((-0.4, 0.5), -0.1), piece])
-    for _ in range(4):
-        _pruning_matches_loop(random_prior(rng, ne=2, na=2, nb=2), score)
-    # B independent of (E, A) with mu(b) = 1/2: each con[..., b] is
-    # exactly unc / 2, so equal bounds recur across components
-    q = rng.gamma(1.0, size=(2, 2))
-    p = np.repeat((q / q.sum())[:, :, None] / 2, 2, axis=2)
-    prior = JointPrior(p)
-    decision = decision_problem_from_G(score)
-    _, _, unc, con = exact_module._obedience_blocks(
-        marginals_and_conditionals(prior), decision)
-    assert np.array_equal(con[..., 0], unc / 2)
-    _pruning_matches_loop(prior, score)
-    _pruning_matches_loop(prior, random_piecewise(rng, ne=2, k=4))
-
-
-def test_feasible_signals_match_loop_flat_rows(independent_prior):
-    rng = np.random.default_rng(227)
-    score = random_piecewise(rng, ne=2, k=4)
-    # E independent of A: every row is flat, and the losing ones empty
-    n, m = _pruning_matches_loop(independent_prior, score)
-    assert m < n
-    base = random_prior(rng, ne=2, na=2, nb=2).p.copy()
-    no_a1 = base.copy()
-    no_a1[:, 1, :] = 0.0                     # zero-mass A outcome
-    no_b1 = base.copy()
-    no_b1[:, :, 1] = 0.0                     # zero-mass B outcome
-    for p in (no_a1, no_b1):
-        _pruning_matches_loop(JointPrior(p / p.sum()), score)
-
-
-def test_feasible_signals_match_loop_log_boundary_tangents():
-    rng = np.random.default_rng(229)
-    grid = default_tangent_grid(log_score(), 2, 20)   # tangents to 0.05
-    score = linearize_smooth(log_score(), grid)
-    skewed = random_prior(rng, ne=2, na=2, nb=2).p.copy()
-    skewed[0] *= 1e-9                        # posteriors near the boundary
-    for prior in (random_prior(rng, ne=2, na=2, nb=2),
-                  JointPrior(skewed / skewed.sum())):
-        _pruning_matches_loop(prior, score)
-
-
-def test_feasible_signals_match_loop_single_piece(xor_prior):
-    score = piecewise_score([((0.25, -0.25), 0.1)])
-    assert _pruning_matches_loop(xor_prior, score) == (1, 1)
-
-
-def test_feasible_signals_keep_intervals_crossing_within_1e9():
-    # signal (0, 0): unc row 0 gives lo = 0.5 + gap, con row 0 gives hi = 0.5
-    rows = {}
-    for gap in (5e-10, 2e-9):
-        unc = np.zeros((2, 2, 2))
-        con = np.zeros((2, 2, 2, 1))
-        unc[0, 0] = (0.5 - gap, -(0.5 + gap))    # slope 1: t >= 0.5 + gap
-        con[0, 0, :, 0] = (-0.5, 0.5)            # slope -1: t <= 0.5
-        profiles = build_revelation_signals(2, 1)
-        ref = feasible_intervals_loop(profiles, unc, con)
-        kept, lo, hi, mask = exact_module._feasible_signals(unc, con,
-                                                            profiles)
-        assert kept.tolist() == [j for j, iv in enumerate(ref)
-                                 if iv is not None]
-        kept_rows = [np.flatnonzero(m).tolist() for m in mask]
-        assert kept_rows == [iv[2].tolist() for iv in ref if iv is not None]
-        rows[gap] = kept_rows
-    assert rows[5e-10] == [[0, 2], [0], [2], []]
-    assert rows[2e-9] == [[0], [2], []]
-
-
 _prior_entries = st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0]),
                            st.floats(0.0, 1.0))
 _piece_entries = st.one_of(st.sampled_from([-0.5, 0.0, 0.5]),
                            st.floats(-1.0, 1.0))
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), nb=st.integers(1, 3), k=st.integers(1, 5))
-def test_feasible_signals_match_loop_property(data, nb, k):
-    p = data.draw(arrays(float, (2, 2, nb), elements=_prior_entries))
+def _obedience_lp_highs(prior, score):
+    """The LP of ``obedience_lp_optimum``, solved by scipy's HiGHS.  At its
+    default tolerances (1e-7) HiGHS buys objective by violating obedience
+    rows with coefficients near 1e-7 (a prior entry of that size)."""
+    obedience = build_obedience_lp(prior, decision_problem_from_G(score))
+    res = linprog(-obedience.objective, A_ub=obedience.a_ub,
+                  b_ub=obedience.b_ub, A_eq=obedience.a_eq,
+                  b_eq=obedience.b_eq, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return -res.fun
+
+
+def _degenerate_prior(rng, ne, na, nb):
+    """A random prior; one time in three each, an A or a B outcome (when
+    there are two or more) gets zero mass."""
+    p = random_prior(rng, ne=ne, na=na, nb=nb).p.copy()
+    axis = int(rng.integers(1, 4))
+    if axis < 3 and p.shape[axis] > 1:
+        np.moveaxis(p, axis, 0)[int(rng.integers(p.shape[axis]))] = 0.0
+    return JointPrior(p / p.sum())
+
+
+def test_solve_exact_matches_obedience_lp_optimum():
+    """Against the dense-tableau obedience LP, on |A| and |B| in {1,2,3},
+    zero-mass outcomes and duplicate pieces."""
+    rng = np.random.default_rng(251)
+    for na, nb in itertools.product((1, 2, 3), repeat=2):
+        for _ in range(4):
+            ne = int(rng.integers(2, 4))
+            prior = _degenerate_prior(rng, ne, na, nb)
+            drawn = random_piecewise(rng, ne, k=int(rng.integers(1, 5 - nb)))
+            pieces = list(zip(drawn.pieces_r, drawn.pieces_b))
+            score = piecewise_score(pieces + pieces[:int(rng.integers(2))])
+            assert solve_exact(prior, score).diagnostics["lp_objective"] == \
+                pytest.approx(obedience_lp_optimum(prior, score), abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), na=st.integers(1, 3), nb=st.integers(1, 3),
+       ne=st.integers(2, 3))
+def test_solve_exact_matches_obedience_lp_property(data, na, nb, ne):
+    """The envelope LP over the arrangement's vertices against the obedience
+    LP over every profile, on priors with zero-mass outcomes and on scores
+    with duplicate pieces or log tangents near the boundary.  HiGHS solves
+    the obedience LP: the dense tableau can return a wrong optimum, or
+    pivot for minutes, when a prior entry is near 1e-7."""
+    p = data.draw(arrays(float, (ne, na, nb), elements=_prior_entries))
     if p.sum() <= 0.0:
         p[0, 0, 0] = 1.0
-    r = data.draw(arrays(float, (k, 2), elements=_piece_entries))
-    b = data.draw(arrays(float, (k,), elements=_piece_entries))
-    _pruning_matches_loop(JointPrior(p / p.sum()),
-                          piecewise_score(list(zip(r, b))))
+    prior = JointPrior(p / p.sum())
+    # the obedience LP is dense: k^(|B|+1) (k (|B|+1) + |A|) entries
+    max_k = {1: 8, 2: 5, 3: 3}[nb]
+    if data.draw(st.booleans()):
+        # interior tangents at multiples of 1/tangent_k, down to 1/9:
+        # tangent_k - 1 pieces for |E| = 2; 1, 3 or 6 for |E| = 3
+        tangent_k = data.draw(st.integers(2, max_k + 1) if ne == 2 else
+                              st.integers(3, 5 if max_k >= 6 else 4))
+        score = linearize_smooth(log_score(), default_tangent_grid(
+            log_score(), ne, tangent_k))
+    else:
+        k = data.draw(st.integers(1, max_k - 1))
+        r = data.draw(arrays(float, (k, ne), elements=_piece_entries))
+        b = data.draw(arrays(float, (k,), elements=_piece_entries))
+        pieces = list(zip(r, b))
+        score = piecewise_score(pieces + pieces[:data.draw(st.integers(0, 1))])
+    report = solve_exact(prior, score)
+    assert report.diagnostics["lp_objective"] == \
+        pytest.approx(_obedience_lp_highs(prior, score), abs=1e-9)
+    # vertices that share a profile are one signal, and ties between
+    # duplicate pieces go to the lower index
+    labels = report.scheme.signal_labels
+    assert len(set(labels)) == len(labels)
+    later_copies = {j for _, j in score.duplicate_piece_indices()}
+    assert not later_copies & {int(i) for s in labels for i in s.split("-")}
+
+
+def test_solve_exact_matches_obedience_lp_log_boundary_tangents():
+    # tangents down to 0.1 and posteriors within 1e-9 of the boundary
+    rng = np.random.default_rng(229)
+    score = linearize_smooth(log_score(),
+                             default_tangent_grid(log_score(), 2, 10))
+    for na in (2, 3):
+        p = random_prior(rng, ne=2, na=na, nb=1).p.copy()
+        p[0] *= 1e-9
+        prior = JointPrior(p / p.sum())
+        assert solve_exact(prior, score).diagnostics["lp_objective"] == \
+            pytest.approx(obedience_lp_optimum(prior, score), abs=1e-9)
+
+
+@pytest.mark.parametrize("ne, na, nb, tangent_k", ((3, 2, 2, 20),
+                                                   (2, 3, 2, 6)))
+def test_cases_the_obedience_lp_refuses_classify(ne, na, nb, tangent_k):
+    """Random quadratic priors whose obedience LP is over the default caps
+    (231^3 profiles; 59M tableau cells) now classify."""
+    prior = random_prior(np.random.default_rng(0), ne=ne, na=na, nb=nb)
+    score = _linearized_quadratic(prior, tangent_k)
+    with pytest.raises(SizeCapExceeded):
+        obedience_lp_optimum(prior, score)
+    report = classify_substitutes(prior, quadratic_score(), tangent_k)
+    assert report.classification is not Classification.UNCLASSIFIED
+    assert report.scheme.violations(prior) == []
+    full = sender_objective(prior, score, full_reveal_scheme(prior))
+    none = sender_objective(prior, score, no_reveal_scheme(prior))
+    assert report.diagnostics["lp_objective"] >= max(full, none) - 1e-9
+
+
+def test_solve_exact_builds_no_tableau(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_exact ran the dense tableau")
+
+    for module, name in ((lp, "solve_lp"), (exact_module, "solve_lp"),
+                         (_kernels, "simplex_iterate"), (_kernels, "pivot")):
+        monkeypatch.setattr(module, name, refuse)
+    rng = np.random.default_rng(241)
+    for na in (1, 2, 3):
+        prior = random_prior(rng, ne=2, na=na, nb=2)
+        report = solve_exact(prior, random_piecewise(rng, ne=2, k=4))
+        assert report.scheme.violations(prior) == []
 
 
 def test_solve_exact_refuses_over_cap_before_allocating(xor_prior,
                                                         monkeypatch):
     score = random_piecewise(np.random.default_rng(0), ne=2, k=3)
-    # 3^3 = 27 profiles against a signal cap of 40 // |A| = 20
-    with pytest.raises(SizeCapExceeded) as from_enumeration:
-        build_revelation_signals(3, 2, cap=20)
 
     def no_build(*args, **kwargs):
         raise AssertionError("built before the cap check")
 
-    # the cap check is build_revelation_signals' own, before np.indices
+    # |A| = 2, |B| = 2, k = 3: C(3,2) * 3 = 9 normals and 2 facets give
+    # C(11, 1) = 11 candidate points, counted before anything is built
     for name in ("marginals_and_conditionals", "_obedience_blocks",
-                 "_feasible_signals", "build_obedience_lp"):
+                 "_arrangement_points", "_envelope_lp"):
         monkeypatch.setattr(exact_module, name, no_build)
     with pytest.raises(SizeCapExceeded) as refused:
-        solve_exact(xor_prior, score, cap_lp_vars=40)
-    assert str(refused.value) == str(from_enumeration.value) == \
-        "revelation signal set has 27 profiles, cap is 20"
-    assert refused.value.required == from_enumeration.value.required == 27
+        solve_exact(xor_prior, score, cap_lp_vars=10)
+    assert str(refused.value) == \
+        "arrangement has 11 candidate points, cap is 10"
+    assert refused.value.required == 11
+    monkeypatch.undo()
+    assert solve_exact(xor_prior, score, cap_lp_vars=11).diagnostics[
+        "lp_vars"] <= 2 + 11
 
 
 def test_solve_exact_over_cap_allocates_nothing():
     rng = np.random.default_rng(233)
-    prior = random_prior(rng, ne=2, na=2, nb=3)
-    score = random_piecewise(rng, ne=2, k=38)   # 38^4 > 2e6 / 2 profiles
+    prior = random_prior(rng, ne=2, na=3, nb=3)
+    score = random_piecewise(rng, ne=2, k=33)
+    # C(C(33,2) * 4 + 3, 2) = C(2115, 2) candidates > the 2e6 default cap
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapExceeded) as refused:
@@ -537,43 +529,71 @@ def test_solve_exact_over_cap_allocates_nothing():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert refused.value.required == 38 ** 4
+    assert refused.value.required == 2115 * 2114 // 2
     assert peak < 256 * 1024
 
 
 # -- self-certification ------------------------------------------------------
 
 def _with_gap(monkeypatch, gap):
-    real = exact_module.solve_lp
+    real = fptas.solve_envelope
 
-    def solve_lp_with_gap(*args, **kwargs):
+    def solve_envelope_with_gap(*args, **kwargs):
         return dataclasses.replace(real(*args, **kwargs), duality_gap=gap)
 
-    monkeypatch.setattr(exact_module, "solve_lp", solve_lp_with_gap)
+    monkeypatch.setattr(fptas, "solve_envelope", solve_envelope_with_gap)
 
 
 def test_solve_exact_raises_on_duality_gap(xor_prior, monkeypatch):
     score = random_piecewise(np.random.default_rng(2), ne=2, k=4)
-    _with_gap(monkeypatch, exact_module.LP_GAP_TOL)
+    _with_gap(monkeypatch, fptas.GRID_GAP_TOL)
     assert solve_exact(xor_prior, score).diagnostics["lp_duality_gap"] == \
-        exact_module.LP_GAP_TOL
-    _with_gap(monkeypatch, 2 * exact_module.LP_GAP_TOL)
-    with pytest.raises(NumericalFailure, match="duality gap"):
+        fptas.GRID_GAP_TOL
+    _with_gap(monkeypatch, 2 * fptas.GRID_GAP_TOL)
+    with pytest.raises(NumericalFailure, match="vertex LP duality gap"):
         solve_exact(xor_prior, score)
 
 
 @pytest.mark.parametrize("na", (2, 3))
 def test_solve_exact_raises_when_phase_2_stops_early(monkeypatch, na):
-    # the obedience LP's marginal rows give it a phase 1; a phase 2 that
-    # stops before its first pivot leaves a negative reduced cost, which
-    # the duality gap must show
+    # solve_envelope has no phase 1: its pivots start from the simplex's
+    # vertices, which are not optimal here.  A pivot loop that stops
+    # before its first pivot leaves a negative reduced cost, which the
+    # duality gap must show.
     prior = random_prior(np.random.default_rng(5), ne=2, na=na, nb=2)
     score = _linearized_quadratic(prior, k=4)
-    assert solve_exact(prior, score).diagnostics["lp_duality_gap"] <= \
-        exact_module.LP_GAP_TOL
-    stop_simplex_early(monkeypatch, full_calls=1, pivots=0)
+    report = solve_exact(prior, score)
+    assert report.diagnostics["lp_iterations"] > 0
+    assert report.diagnostics["lp_duality_gap"] <= fptas.GRID_GAP_TOL
+    real = _kernels.envelope_iterate
+
+    def stop_at_once(ext, basis, x_b, tol, max_iter, degen_limit):
+        return (_kernels._STATUS_OPTIMAL,
+                *real(ext, basis, x_b, tol, 0, degen_limit)[1:])
+
+    monkeypatch.setattr(_kernels, "envelope_iterate", stop_at_once)
     with pytest.raises(NumericalFailure, match="duality gap"):
         solve_exact(prior, score)
+
+
+@pytest.mark.parametrize("shift, raises", ((0.5e-7, False), (1e-6, True)))
+def test_solve_exact_checks_lp_value_against_scheme(xor_prior, monkeypatch,
+                                                    shift, raises):
+    # a constant added to every cost moves the LP value but neither its
+    # optimal basis nor the u_B that belief recomputes for the scheme
+    score = random_piecewise(np.random.default_rng(2), ne=2, k=4)
+    want = solve_exact(xor_prior, score).sender_objective
+    real = _kernels.ub_grid_wa
+    monkeypatch.setattr(_kernels, "ub_grid_wa",
+                        lambda *args: real(*args) + shift)
+    if raises:
+        with pytest.raises(NumericalFailure, match="sender objective"):
+            solve_exact(xor_prior, score)
+    else:
+        report = solve_exact(xor_prior, score)
+        assert report.sender_objective == want
+        assert report.diagnostics["lp_objective"] == \
+            pytest.approx(want - shift, abs=1e-15)
 
 
 def test_obedience_blocks_computed_once(monkeypatch):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from abasolve import _kernels, exact, oracle
-from abasolve.scoring import log_score, quadratic_score
+from abasolve.scoring import (default_tangent_grid, linearize_smooth,
+                              log_score, quadratic_score)
 
 from helpers import random_prior
 
@@ -51,18 +52,20 @@ def test_tracer_sites_resolve(monkeypatch):
 
 @pytest.mark.parametrize("na", (2, 3))
 def test_tracer_counts_every_profile_once(monkeypatch, na):
-    """Both exact paths enumerate through ``build_revelation_signals``, so
-    the traced profile count is k^(|B|+1) and the LP never sees more."""
+    """The obedience LP reference enumerates through
+    ``build_revelation_signals``, so the traced profile count is
+    k^(|B|+1) and the LP never sees more."""
     spans = _load_spans(monkeypatch)
     prior = random_prior(np.random.default_rng(na), ne=2, na=na, nb=2)
+    score = linearize_smooth(quadratic_score(), default_tangent_grid(
+        quadratic_score(), prior.n_events, 4))
     tracer = spans.Tracer()
     tracer.install()
     try:
-        report = tracer.root(0, exact.classify_substitutes, prior,
-                             quadratic_score(), 4)
+        tracer.root(0, exact.obedience_lp_optimum, prior, score)
     finally:
         tracer.uninstall()
-    k = report.diagnostics["pieces"]
+    k = score.k_pieces
     assert tracer.counts["exact.signals_generated"] == k ** (prior.n_bob + 1)
     assert 0 < tracer.counts["exact.signals_to_lp"] <= \
         tracer.counts["exact.signals_generated"]
