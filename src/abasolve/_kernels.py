@@ -19,19 +19,30 @@ depend on a candidate only through the fractions it gives each alice
 outcome.  The scan then gathers from that table and reduces with the numpy
 sums the per-candidate form used, so its answers are bit-identical to it.
 
-Score kinds are passed as integer codes: 0 quadratic, 1 log, 2 spherical,
-3 piecewise-linear (max-affine, pieces given as ``pr`` rows plus offsets
-``pb``).  Non-piecewise calls pass empty ``pr``/``pb`` arrays.
+Every kernel that evaluates G takes the ``scoring.ScoreSpec`` itself and
+the solver's log ``clip``.  This module imports nothing else from the
+package, so ``ScoreKind``, the enum its dispatch reads, is defined here and
+re-exported by ``scoring``.
 """
 
 from __future__ import annotations
 
+import enum
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-KIND_QUADRATIC = 0
-KIND_LOG = 1
-KIND_SPHERICAL = 2
-KIND_PIECEWISE = 3
+if TYPE_CHECKING:
+    from .core import ConditionalTable
+    from .scoring import ScoreSpec
+
+
+class ScoreKind(str, enum.Enum):
+    QUADRATIC = "quadratic"
+    LOG = "log"
+    SPHERICAL = "spherical"
+    PIECEWISE = "piecewise"
+
 
 _STATUS_OPTIMAL = 0
 _STATUS_UNBOUNDED = 1
@@ -43,13 +54,13 @@ _CHUNK = 131072  # fixed chunk size keeps results deterministic
 _WA_CHUNK = 32768
 
 
-def g_rows_np(p: np.ndarray, kind: int, pr: np.ndarray, pb: np.ndarray,
-              clip: float) -> np.ndarray:
+def g_rows_np(p: np.ndarray, score: ScoreSpec, clip: float) -> np.ndarray:
     """Evaluate G row-wise on an (N, n) array of simplex points."""
     p = np.atleast_2d(p)
-    if kind == KIND_QUADRATIC:
+    kind = score.kind
+    if kind is ScoreKind.QUADRATIC:
         return np.einsum("ij,ij->i", p, p)
-    if kind == KIND_LOG:
+    if kind is ScoreKind.LOG:
         if clip > 0.0:
             # clipping makes every entry positive: no zero guard needed
             p = (p + clip) / (1.0 + p.shape[1] * clip)
@@ -57,13 +68,13 @@ def g_rows_np(p: np.ndarray, kind: int, pr: np.ndarray, pb: np.ndarray,
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
         return t.sum(axis=1)
-    if kind == KIND_SPHERICAL:
+    if kind is ScoreKind.SPHERICAL:
         return np.sqrt(np.einsum("ij,ij->i", p, p))
-    return (p @ pr.T + pb[None, :]).max(axis=1)
+    return (p @ score.pieces_r.T + score.pieces_b[None, :]).max(axis=1)
 
 
-def weighted_g(numer: np.ndarray, mass: np.ndarray, kind: int,
-               pr: np.ndarray, pb: np.ndarray, clip: float) -> np.ndarray:
+def weighted_g(numer: np.ndarray, mass: np.ndarray, score: ScoreSpec,
+               clip: float = 0.0) -> np.ndarray:
     """mass * G(numer / mass) for each posterior, shaped like ``mass``.
 
     ``numer`` holds unnormalised posteriors over E along its last axis and
@@ -72,18 +83,17 @@ def weighted_g(numer: np.ndarray, mass: np.ndarray, kind: int,
     """
     safe = np.where(mass > 0.0, mass, 1.0)
     g = g_rows_np((numer / safe[..., None]).reshape(-1, numer.shape[-1]),
-                  kind, pr, pb, clip).reshape(mass.shape)
+                  score, clip).reshape(mass.shape)
     return np.where(mass > 0.0, mass, 0.0) * g
 
 
-def ub_grid_wa(w: np.ndarray, bga: np.ndarray, egab: np.ndarray,
-               ega: np.ndarray, kind: int, pr: np.ndarray, pb: np.ndarray,
+def ub_grid_wa(w: np.ndarray, table: ConditionalTable, score: ScoreSpec,
                clip: float = 0.0) -> np.ndarray:
     """Bob's utility u_B(w) at each row of ``w`` (posteriors over A).
 
-    ``bga``  is mu(b|a) shaped (na, nb), ``egab`` is mu(e|a,b) shaped
-    (na, nb, ne), ``ega`` is mu(e|a) shaped (na, ne); undefined conditionals
-    must be zero-filled by the caller (such rows can never carry mass).
+    The coefficients mu(b|a), mu(e|a,b) and mu(e|a) come from the prior's
+    ``table``, zero-filled here: an undefined conditional sits on a row
+    that can never carry mass.
 
     The grid index is the fastest axis throughout.  mu(b|a) mu(e|a,b) is
     precomputed once as an (nb*ne, na) matrix ``m``, so for a chunk of rows
@@ -94,8 +104,10 @@ def ub_grid_wa(w: np.ndarray, bga: np.ndarray, egab: np.ndarray,
     copy.  Rows go in chunks of ``_WA_CHUNK``, so that the chunk's
     temporaries stay in cache.
     """
-    na, nb, ne = egab.shape
-    m = (bga[:, :, None] * egab).reshape(na, nb * ne).T
+    t = table.zero_filled()
+    bga, ega = t.b_given_a, t.e_given_a
+    na, nb, ne = t.e_given_ab.shape
+    m = (bga[:, :, None] * t.e_given_ab).reshape(na, nb * ne).T
     n = w.shape[0]
     out = np.empty(n)
     for lo in range(0, n, _WA_CHUNK):
@@ -103,18 +115,17 @@ def ub_grid_wa(w: np.ndarray, bga: np.ndarray, egab: np.ndarray,
         wt = w[lo:hi].T
         numer = m @ wt                                     # (nb*ne, c)
         lam = bga.T @ wt                                   # (nb, c)
-        first = weighted_g(numer[:ne].T, lam[0], kind, pr, pb, clip)
+        first = weighted_g(numer[:ne].T, lam[0], score, clip)
         for b in range(1, nb):
-            first += weighted_g(numer[b * ne:(b + 1) * ne].T, lam[b], kind,
-                                pr, pb, clip)
-        second = weighted_g((ega.T @ wt).T, np.ones(hi - lo), kind, pr, pb,
-                            clip)
+            first += weighted_g(numer[b * ne:(b + 1) * ne].T, lam[b], score,
+                                clip)
+        second = weighted_g((ega.T @ wt).T, np.ones(hi - lo), score, clip)
         out[lo:hi] = first - second
     return out
 
 
-def ub_grid_veb(v: np.ndarray, ne: int, nb: int, kind: int, pr: np.ndarray,
-                pb: np.ndarray, clip: float = 0.0) -> np.ndarray:
+def ub_grid_veb(v: np.ndarray, ne: int, nb: int, score: ScoreSpec,
+                clip: float = 0.0) -> np.ndarray:
     """Bob's utility u_B(v) at each row of ``v`` (posteriors over E x B).
 
     Rows are joint weights flattened e-major: v[:, e * nb + b].
@@ -124,10 +135,9 @@ def ub_grid_veb(v: np.ndarray, ne: int, nb: int, kind: int, pr: np.ndarray,
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         vc = v[lo:hi].reshape(hi - lo, ne, nb)
-        first = weighted_g(np.swapaxes(vc, 1, 2), vc.sum(axis=1), kind, pr,
-                           pb, clip).sum(axis=1)
-        second = weighted_g(vc.sum(axis=2), np.ones(hi - lo), kind, pr, pb,
-                            clip)
+        first = weighted_g(np.swapaxes(vc, 1, 2), vc.sum(axis=1), score,
+                           clip).sum(axis=1)
+        second = weighted_g(vc.sum(axis=2), np.ones(hi - lo), score, clip)
         out[lo:hi] = first - second
     return out
 
@@ -260,8 +270,8 @@ def envelope_iterate(ext: np.ndarray, basis: np.ndarray, x_b: np.ndarray,
 
 
 def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,
-                mu_ae: np.ndarray, mu_aeb: np.ndarray, kind: int,
-                pr: np.ndarray, pb: np.ndarray, clip: float = 0.0):
+                mu_ae: np.ndarray, mu_aeb: np.ndarray, score: ScoreSpec,
+                clip: float = 0.0):
     """Scan candidate schemes [start, stop) and return (best value, index).
 
     ``comps`` holds the P per-outcome signal-fraction rows (P, m); candidate
@@ -309,11 +319,9 @@ def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,
             q, digit = np.divmod(q, n_vals)
             frac[:, a] = vals[digit]
         numer = np.einsum("la,ae->le", frac, mu_ae)         # (l, ne)
-        first[lo:hi] = weighted_g(numer, numer.sum(axis=1), kind, pr, pb,
-                                  clip)
+        first[lo:hi] = weighted_g(numer, numer.sum(axis=1), score, clip)
         numer_b = np.einsum("la,aeb->lbe", frac, mu_aeb)    # (l, nb, ne)
-        second[lo:hi] = weighted_g(numer_b, numer_b.sum(axis=2), kind, pr,
-                                   pb, clip)
+        second[lo:hi] = weighted_g(numer_b, numer_b.sum(axis=2), score, clip)
 
     best_val = -np.inf
     best_idx = -1

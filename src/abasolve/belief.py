@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, scoring
+from . import _kernels
 from .core import ConditionalTable, JointPrior, SignalingScheme, \
     _value_terms, marginals_and_conditionals
 from .errors import PreconditionViolated, ValidationError, \
@@ -106,8 +106,8 @@ def _scheme_terms(prior: JointPrior, score: ScoreSpec,
     scheme.validate(prior)
     mass, numer, mass_b, numer_b = _posterior_terms(
         scheme.pi, marginals_and_conditionals(prior))
-    return (float(scoring.weighted_G(score, numer, mass).sum()),
-            float(scoring.weighted_G(score, numer_b, mass_b).sum()))
+    return (float(_kernels.weighted_g(numer, mass, score).sum()),
+            float(_kernels.weighted_g(numer_b, mass_b, score).sum()))
 
 
 def bob_utility_of_scheme(prior: JointPrior, score: ScoreSpec,
@@ -137,10 +137,7 @@ def bob_utility_from_wA(prior: JointPrior, score: ScoreSpec, w) -> float:
         raise PreconditionViolated(
             "posterior places mass on an alice outcome with mu(a) = 0")
     row = np.where((wv > 0.0) & t.defined_a, wv, 0.0)
-    pr, pb = score.kernel_pieces(prior.n_events)
-    z = t.zero_filled()
-    return float(_kernels.ub_grid_wa(row[None, :], z.b_given_a, z.e_given_ab,
-                                     z.e_given_a, score.kind_code(), pr, pb)[0])
+    return float(_kernels.ub_grid_wa(row[None, :], t, score)[0])
 
 
 def bob_utility_from_vEB(score: ScoreSpec, v, n_events: int | None = None,
@@ -158,9 +155,7 @@ def bob_utility_from_vEB(score: ScoreSpec, v, n_events: int | None = None,
     if abs(float(vv.sum()) - 1.0) > 1e-9 or (vv < -1e-12).any():
         raise ValidationError("v must be a distribution over E x B")
     ne, nb = vv.shape
-    pr, pb = score.kernel_pieces(ne)
-    return float(_kernels.ub_grid_veb(vv.reshape(1, -1), ne, nb,
-                                      score.kind_code(), pr, pb)[0])
+    return float(_kernels.ub_grid_veb(vv.reshape(1, -1), ne, nb, score)[0])
 
 
 def alice_total_utility(prior: JointPrior, score: ScoreSpec,

@@ -9,6 +9,7 @@ human-readable summary goes to standard output.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -43,8 +44,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.method in ("fptas-a", "fptas-eb") and \
-                (self.delta is None or not self.delta > 0):
-            raise ValidationError("--delta > 0 is required for FPTAS methods")
+                (self.delta is None or not 0 < self.delta < math.inf):
+            raise ValidationError(
+                "a finite --delta > 0 is required for FPTAS methods")
 
 
 def _load(config: RunConfig) -> tuple[OutcomeSpaces, JointPrior, ScoreSpec]:

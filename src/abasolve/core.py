@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import scoring
+from . import _kernels, scoring
 from .errors import NonFiniteScore, ValidationError
 from .scoring import ScoreKind, ScoreSpec
 
@@ -313,7 +313,7 @@ def validate_instance(spaces: OutcomeSpaces, prior: JointPrior,
 def _value_terms(prior: JointPrior, score: ScoreSpec) -> tuple[float, float]:
     """(E_{A,B} G(p_{A,B}), G(p)): the two terms of V, checked finite."""
     table = marginals_and_conditionals(prior)
-    terms = scoring.weighted_G(score, np.moveaxis(prior.p, 0, 2), table.mu_ab)
+    terms = _kernels.weighted_g(np.moveaxis(prior.p, 0, 2), table.mu_ab, score)
     bad = np.argwhere(~np.isfinite(terms))
     if bad.size:
         a, b = (int(i) for i in bad[0])

@@ -14,7 +14,8 @@ solver's LP over arrangement vertices: u_B at each point by
 status check and the certificate.  fptas-eb's LP, with its per-grid-point
 achievability rows, runs on the dense tableau of ``lp.solve_lp``.  Every
 answer must pass a feasibility-residual and a duality-gap certificate.
-Both grids are sized by the tableau's cell cap.
+Both grids are sized by the point cap; fptas-eb's also by the cell cap of
+the tableau it builds.
 
 When the delta-mandated K exceeds the configured caps, the solver runs at
 the capped K and reports the achievable (weaker) guarantee in diagnostics
@@ -27,7 +28,7 @@ import math
 
 import numpy as np
 
-from . import _kernels, belief, scoring
+from . import _kernels, belief
 from .core import Classification, JointPrior, Method, SignalingScheme, \
     SolveReport, marginals_and_conditionals, total_value
 from .errors import BayesPlausibilityViolated, NumericalFailure, \
@@ -56,8 +57,10 @@ def epsilon_for_delta(delta: float, n_bob: int, L: float, alpha: float,
     inflating the first denominator to 6|B|L + 6 alpha, which re-derives
     the same continuity bound for Lipschitz G.
     """
-    if delta <= 0 or L <= 0 or alpha <= 0 or not (0 < beta <= 1) or n_bob < 1:
-        raise ValidationError("need delta, L, alpha > 0, beta in (0,1], |B| >= 1")
+    if not 0 < delta < math.inf:
+        raise ValidationError(f"delta={delta!r} must be finite and positive")
+    if L <= 0 or alpha <= 0 or not (0 < beta <= 1) or n_bob < 1:
+        raise ValidationError("need L, alpha > 0, beta in (0,1], |B| >= 1")
     if beta == 1.0:
         return 0.5 * delta / (6.0 * n_bob * L + 6.0 * alpha)
     first = 0.5 * (delta / (6.0 * n_bob * L)) ** (1.0 / beta)
@@ -152,16 +155,24 @@ def _delta_for_epsilon(eps: float, n_bob: int, L: float, alpha: float,
                6.0 * alpha * (2.0 * eps) ** (beta * (1.0 - beta)))
 
 
+def _continuity_modulus(n_bob: int, L: float, alpha: float, beta: float,
+                        x: float) -> float:
+    """3|B|L x + 3 alpha x^(1-beta): how far u_B can move when the
+    posteriors move by x in l1 (for beta = 1 the two terms share x)."""
+    if beta == 1.0:
+        return (3 * n_bob * L + 3 * alpha) * x
+    return 3 * n_bob * L * x + 3 * alpha * x ** (1.0 - beta)
+
+
 def _resolve_grid(prior: JointPrior, score: ScoreSpec, delta: float, d: int,
-                  grid_k: int | None, cap_points: int, cell_cap: int,
-                  lp_cells) -> tuple[int, dict]:
+                  grid_k: int | None, cap_points: int,
+                  lp_points=None) -> tuple[int, dict]:
     """Pick K and the guarantee it supports; return (K, diagnostics).
 
-    ``lp_cells(n)`` is the tableau size ``solve_lp`` will need for an
-    n-point grid.  An automatic K is capped so that the grid fits both
-    ``cap_points`` and ``cell_cap``; an explicit ``grid_k`` below 1 raises
-    ValidationError, and one that exceeds either cap SizeCapExceeded,
-    here, before the grid is built.
+    An automatic K is capped so that the grid fits ``cap_points`` and, when
+    given, ``lp_points()``, the most points the solver's LP can take; an
+    explicit ``grid_k`` below 1 raises ValidationError, and one whose grid
+    exceeds ``cap_points`` SizeCapExceeded, here, before the grid is built.
     """
     ne = prior.n_events
     alpha, beta, _ = score.resolved_holder(ne)
@@ -177,9 +188,9 @@ def _resolve_grid(prior: JointPrior, score: ScoreSpec, delta: float, d: int,
             raise SizeCapExceeded(f"grid_k={k} exceeds the point cap",
                                   required=count_k_uniform(d, k))
     else:
-        max_lp_points = _max_points_under(lp_cells, cell_cap)
-        k = max(min(k_target, _max_k_under(d, min(cap_points, max_lp_points))), 1)
-    check_cell_cap(lp_cells(count_k_uniform(d, k)), cell_cap)
+        limit = cap_points if lp_points is None else \
+            min(cap_points, lp_points())
+        k = max(min(k_target, _max_k_under(d, limit)), 1)
     capped = k < k_target
     eps_eff = _epsilon_for_grid(d, k) if capped else eps_used
     guarantee = 4.0 * L * eps_eff + \
@@ -245,11 +256,9 @@ def _envelope_lp(prior: JointPrior, score: ScoreSpec, points: np.ndarray,
     certified.  ``points`` must hold every vertex of Delta_A; ``name``
     labels the LP in the NumericalFailure messages.
     """
-    pr, pb = score.kernel_pieces(prior.n_events)
-    table = marginals_and_conditionals(prior).zero_filled()
-    ub = _kernels.ub_grid_wa(points, table.b_given_a, table.e_given_ab,
-                             table.e_given_a, score.kind_code(), pr, pb, clip)
-    sol = solve_envelope(ub, points, table.mu_a)
+    table = marginals_and_conditionals(prior)
+    sol = solve_envelope(_kernels.ub_grid_wa(points, table, score, clip),
+                         points, table.mu_a)
     if sol.status is not LPStatus.OPTIMAL:
         raise NumericalFailure(f"{name} LP reported {sol.status.value}; the "
                                f"prior marginal always lies in the {name} "
@@ -260,16 +269,14 @@ def _envelope_lp(prior: JointPrior, score: ScoreSpec, points: np.ndarray,
 
 def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
                   grid_k: int | None = None,
-                  cap_grid_points: int = DEFAULT_GRID_CAP,
-                  cell_cap: int = DEFAULT_CELL_CAP) -> SolveReport:
+                  cap_grid_points: int = DEFAULT_GRID_CAP) -> SolveReport:
     """Minimize Bob's utility over schemes with K-uniform posteriors on A.
 
     The grid LP -- weights on the grid points averaging to mu(a), at least
     cost in u_B -- goes to ``lp.solve_envelope``; a feasibility residual
     above GRID_FEAS_TOL or a duality gap above GRID_GAP_TOL raises
-    NumericalFailure.  ``cell_cap`` sizes and refuses K by the
-    (|A|+2)(n+|A|+2) cells of a dense tableau for this LP, which is not
-    built.
+    NumericalFailure.  It builds no tableau, so ``cap_grid_points`` alone
+    sizes and refuses K.
     """
     na = prior.n_alice
     if na == 1:
@@ -278,9 +285,7 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
         return SolveReport(scheme, -bob, bob, total_value(prior, score),
                            Classification.UNCLASSIFIED, Method.FPTAS_A,
                            {"K": 0, "grid_points": 1, "delta": delta})
-    k, diag = _resolve_grid(prior, score, delta, na, grid_k,
-                            cap_grid_points, cell_cap,
-                            lambda n: tableau_cells(n, 0, na + 1))
+    k, diag = _resolve_grid(prior, score, delta, na, grid_k, cap_grid_points)
     grid = enumerate_k_uniform(na, k, cap_grid_points)
     clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0
     sol = _envelope_lp(prior, score, grid, clip, "grid")
@@ -300,10 +305,6 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
                        Classification.UNCLASSIFIED, Method.FPTAS_A, diag)
 
 
-def _eb_cells(na: int, ne: int, nb: int, n: int) -> int:
-    return tableau_cells(n * na, 2 * ne * nb * n, na)
-
-
 def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
                    consistency_eta: float | None = None,
                    grid_k: int | None = None,
@@ -318,19 +319,27 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     Bayes constraint does not enforce.  Infeasibility (possible only for
     user-supplied eta below the rounding slack) retries with eta doubled,
     up to 4 times.  A feasibility residual above GRID_FEAS_TOL or a duality
-    gap above GRID_GAP_TOL raises NumericalFailure.
+    gap above GRID_GAP_TOL raises NumericalFailure.  An automatic K fits
+    both ``cap_grid_points`` and ``cell_cap``; an explicit ``grid_k`` over
+    either is refused before the grid is built.
     """
+    if consistency_eta is not None and not 0 < consistency_eta < math.inf:
+        raise ValidationError(f"consistency_eta={consistency_eta!r} must be "
+                              "finite and positive")
     ne, na, nb = prior.n_events, prior.n_alice, prior.n_bob
     d = ne * nb
     table = marginals_and_conditionals(prior).zero_filled()
-    k, diag = _resolve_grid(prior, score, delta, d, grid_k,
-                            cap_grid_points, cell_cap,
-                            lambda n: _eb_cells(na, ne, nb, n))
+
+    def cells(n):
+        return tableau_cells(n * na, 2 * d * n, na)
+
+    k, diag = _resolve_grid(prior, score, delta, d, grid_k, cap_grid_points,
+                            lambda: _max_points_under(cells, cell_cap))
+    check_cell_cap(cells(count_k_uniform(d, k)), cell_cap)
     grid = enumerate_k_uniform(d, k, cap_grid_points)
     n = grid.shape[0]
     clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0
-    pr, pb = score.kernel_pieces(ne)
-    ub = _kernels.ub_grid_veb(grid, ne, nb, score.kind_code(), pr, pb, clip)
+    ub = _kernels.ub_grid_veb(grid, ne, nb, score, clip)
 
     # mu(e,b|a) flattened e-major to match grid columns
     meb_a = np.transpose(table.eb_given_a, (1, 2, 0)).reshape(d, na)
@@ -369,11 +378,7 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     scheme = SignalingScheme(tuple(f"v{int(j)}" for j in keep), x[keep])
     bob = belief.bob_utility_of_scheme(prior, score, scheme)
     alpha, beta, L = diag["alpha"], diag["beta"], diag["L"]
-    slack = eta * d
-    if beta == 1.0:
-        eta_term = (3 * nb * L + 3 * alpha) * slack
-    else:
-        eta_term = 3 * nb * L * slack + 3 * alpha * slack ** (1.0 - beta)
+    eta_term = _continuity_modulus(nb, L, alpha, beta, eta * d)
     diag.update({
         "grid_points": n,
         "eta": eta,

@@ -12,12 +12,13 @@ reals so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .core import JointPrior, OutcomeSpaces, SolveReport
-from .errors import ParseError
+from .errors import NonFiniteScore, ParseError
 from .scoring import HolderParams, ScoreKind, ScoreSpec, piecewise_score
 
 
@@ -188,7 +189,9 @@ def parse_scheme(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def write_json(obj, path: str | Path | None) -> str:
-    """Serialize with fixed key order and 17-significant-digit floats."""
+    """Serialize with fixed key order and 17-significant-digit floats; a
+    non-finite float raises NonFiniteScore rather than writing invalid
+    JSON."""
     text = _dumps(obj, 0) + "\n"
     if path is not None:
         Path(path).write_text(text)
@@ -219,6 +222,9 @@ def _dumps(obj, indent: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise NonFiniteScore(f"cannot write {float(obj)!r}: JSON has no "
+                                 "non-finite numbers")
         return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)

@@ -19,7 +19,7 @@ from .core import CheckReport, Classification, ConditionalTable, JointPrior, \
     Method, SignalingScheme, SolveReport, _value_terms, \
     marginals_and_conditionals, total_value
 from .errors import PreconditionViolated, SizeCapExceeded, ValidationError
-from .fptas import LOG_CLIP
+from .fptas import LOG_CLIP, _continuity_modulus
 from .scoring import ScoreKind, ScoreSpec
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
@@ -36,6 +36,10 @@ def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
     (reported in diagnostics).
     """
     na, nb, ne = prior.n_alice, prior.n_bob, prior.n_events
+    if not 0 < grid_step <= 1:
+        raise ValidationError(f"grid_step={grid_step!r} must lie in (0, 1]")
+    if max_signals < 1:
+        raise ValidationError(f"max_signals={max_signals} must be at least 1")
     if na > 3 or max_signals > 3 or round(1.0 / grid_step) > 100:
         raise SizeCapExceeded(
             "oracle limits: |A| <= 3, max_signals <= 3, 1/grid_step <= 100")
@@ -53,9 +57,8 @@ def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
     mu_ae = np.ascontiguousarray(p.sum(axis=2).T)          # (na, ne)
     mu_aeb = np.ascontiguousarray(np.transpose(p, (1, 0, 2)))  # (na, ne, nb)
     clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0
-    pr, pb = score.kernel_pieces(ne)
-    best_val, best_idx = _kernels.oracle_scan(
-        comps, na, 0, n_cand, mu_ae, mu_aeb, score.kind_code(), pr, pb, clip)
+    best_val, best_idx = _kernels.oracle_scan(comps, na, 0, n_cand, mu_ae,
+                                              mu_aeb, score, clip)
 
     # candidate c gives alice outcome a the row (c // P**a) % P of comps
     digits = np.unravel_index(best_idx, (comps.shape[0],) * na)[::-1]
@@ -67,9 +70,6 @@ def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
     bob = belief.bob_utility_of_scheme(prior, score, scheme)
     alpha, beta, _ = score.resolved_holder(ne)
     L = score.resolved_bound(ne)
-    step_l1 = na * grid_step
-    modulus = 3 * nb * L * step_l1 + 3 * alpha * step_l1 ** (1.0 - beta) \
-        if beta < 1.0 else (3 * nb * L + 3 * alpha) * step_l1
     return SolveReport(
         scheme=scheme,
         sender_objective=-bob,
@@ -82,7 +82,8 @@ def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
             "grid_step": grid_step,
             "max_signals": max_signals,
             "scan_objective": best_val,
-            "grid_modulus": modulus,
+            "grid_modulus": _continuity_modulus(nb, L, alpha, beta,
+                                                na * grid_step),
         },
     )
 
@@ -142,7 +143,7 @@ def cross_belief_utilities(prior: JointPrior, score: ScoreSpec,
     believed.validate(prior)
     actual.validate(prior)
     mass, numer, mass_b, numer_b = belief._posterior_terms(actual.pi, t)
-    e_s_term = float(scoring.weighted_G(score, numer, mass).sum())
+    e_s_term = float(_kernels.weighted_g(numer, mass, score).sum())
     reports, off = _bob_reports(believed, actual.signal_labels, t)
     sent = mass_b > 0.0
     pair_mass = mass_b[sent]

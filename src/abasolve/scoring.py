@@ -9,29 +9,14 @@ finite decision problem, which is what the exact solver exploits.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import ScoreKind
 from .errors import BoundaryTangent, ValidationError
-
-
-class ScoreKind(str, enum.Enum):
-    QUADRATIC = "quadratic"
-    LOG = "log"
-    SPHERICAL = "spherical"
-    PIECEWISE = "piecewise"
-
-
-_KIND_CODES = {
-    ScoreKind.QUADRATIC: _kernels.KIND_QUADRATIC,
-    ScoreKind.LOG: _kernels.KIND_LOG,
-    ScoreKind.SPHERICAL: _kernels.KIND_SPHERICAL,
-    ScoreKind.PIECEWISE: _kernels.KIND_PIECEWISE,
-}
 
 
 @dataclass(frozen=True)
@@ -82,15 +67,6 @@ class ScoreSpec:
     @property
     def k_pieces(self) -> int:
         return 0 if self.pieces_r is None else self.pieces_r.shape[0]
-
-    def kind_code(self) -> int:
-        return _KIND_CODES[self.kind]
-
-    def kernel_pieces(self, n_events: int) -> tuple[np.ndarray, np.ndarray]:
-        """(pr, pb) arrays for the numeric kernels; empty for built-ins."""
-        if self.kind is ScoreKind.PIECEWISE:
-            return self.pieces_r, self.pieces_b
-        return np.zeros((0, n_events)), np.zeros(0)
 
     def duplicate_piece_indices(self) -> list[tuple[int, int]]:
         """Pairs (i, j), i < j, of identical pieces (permitted but flagged)."""
@@ -192,18 +168,7 @@ def _weights(p) -> np.ndarray:
 
 def eval_G(score: ScoreSpec, p) -> float:
     """G(p).  For the log rule, boundary points use the limit 0*log 0 = 0."""
-    return float(weighted_G(score, _weights(p), np.float64(1.0)))
-
-
-def weighted_G(score: ScoreSpec, numer: np.ndarray,
-               mass: np.ndarray) -> np.ndarray:
-    """mass * G(numer / mass) per posterior; mass <= 0 terms read 0.
-
-    ``numer`` holds unnormalised posteriors over E along its last axis and
-    ``mass`` their totals (see ``_kernels.weighted_g``; no log clip).
-    """
-    pr, pb = score.kernel_pieces(numer.shape[-1])
-    return _kernels.weighted_g(numer, mass, score.kind_code(), pr, pb, 0.0)
+    return float(_kernels.weighted_g(_weights(p), np.float64(1.0), score))
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -252,7 +217,7 @@ def expected_report_score(score: ScoreSpec, report, belief):
             logs = np.log(np.where(w > 0.0, w, 0.0))    # -inf where w <= 0
             out = np.where(q > 0.0, q * logs, 0.0).sum(axis=-1)
     else:
-        out = weighted_G(score, w, np.ones(w.shape[:-1])) + \
+        out = _kernels.weighted_g(w, np.ones(w.shape[:-1]), score) + \
             _row_dot(grad_G(score, w), q - w)
     return float(out) if out.ndim == 0 else out
 
@@ -281,13 +246,15 @@ def linearize_smooth(score: ScoreSpec, tangent_points) -> ScoreSpec:
             raise BoundaryTangent("log gradient diverges at tangent point "
                                   f"{w[boundary.argmax()].tolist()}")
     g = grad_G(score, w)
-    offsets = weighted_G(score, w, np.ones(len(w))) - _row_dot(g, w)
+    offsets = _kernels.weighted_g(w, np.ones(len(w)), score) - _row_dot(g, w)
     return ScoreSpec(ScoreKind.PIECEWISE, pieces_r=g, pieces_b=offsets,
                      holder=score.holder, bound_L=score.bound_L)
 
 
 def default_tangent_grid(score: ScoreSpec, n_events: int, k: int = 20) -> np.ndarray:
     """K-uniform tangent points for linearization (boundary dropped for log)."""
+    if k < 1:
+        raise ValidationError(f"tangent_k={k} must be at least 1")
     grid = _kernels.compositions(k, n_events).astype(float) / k
     if score.kind is ScoreKind.LOG:
         grid = grid[(grid > 0.0).all(axis=1)]

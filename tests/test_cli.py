@@ -1,11 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from abasolve import cli, exact, fptas, instances
-from abasolve.errors import NumericalFailure, ParseError
+from abasolve.errors import NonFiniteScore, NumericalFailure, ParseError
 from abasolve.instances import (emit_report, parse_instance, write_json,
                                 instance_to_json)
 from abasolve.lp import LPSolution, LPStatus
@@ -133,6 +134,32 @@ def test_cli_malformed_numbers_exit_validation(tmp_path, xor_path,
     assert cli.main(argv) == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--method", "oracle", "--step", "0"],
+     "grid_step=0.0 must lie in (0, 1]"),
+    (["solve", "--method", "oracle", "--step", "-0.5"],
+     "grid_step=-0.5 must lie in (0, 1]"),
+    (["solve", "--method", "oracle", "--max-signals", "0"],
+     "max_signals=0 must be at least 1"),
+    (["classify", "--tangent-k", "-3"], "tangent_k=-3 must be at least 1"),
+    (["classify", "--tangent-k", "0"], "tangent_k=0 must be at least 1"),
+    (["solve", "--method", "fptas-eb", "--delta", "0.1", "--eta", "-1"],
+     "consistency_eta=-1.0 must be finite and positive"),
+    (["solve", "--method", "fptas-a", "--delta", "inf"],
+     "a finite --delta > 0 is required for FPTAS methods"),
+    (["solve", "--method", "fptas-eb", "--delta", "nan"],
+     "a finite --delta > 0 is required for FPTAS methods"),
+], ids=["step-0", "step-negative", "max-signals-0", "tangent-k-negative",
+        "tangent-k-0", "eta-negative", "delta-inf", "delta-nan"])
+def test_cli_out_of_range_argument_exits_validation(xor_path, capsys, argv,
+                                                    message):
+    """An out-of-range solver argument exits 2 with a message that names
+    it, not with a traceback or a solver failure."""
+    status = cli.main([argv[0], str(xor_path)] + argv[1:])
+    assert status == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_solver_failure_exit_code(xor_path):
     status = cli.main(["solve", str(xor_path), "--method", "oracle",
                        "--step", "0.001"])
@@ -232,6 +259,34 @@ def test_write_json_float_format(tmp_path):
     assert json.loads(write_json({"f": np.bool_(True), "g": np.float64(0.5),
                                   "h": np.int64(3)}, None)) == \
         {"f": True, "g": 0.5, "h": 3}
+
+
+@pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    # JSON has no inf or nan; json.loads rejects a document holding them
+    path = tmp_path / "x.json"
+    for doc in ({"a": value}, {"a": [1.0, np.float64(value)]},
+                {"a": {"b": value}}):
+        with pytest.raises(NonFiniteScore, match="JSON has no non-finite"):
+            write_json(doc, path)
+        assert not path.exists()
+
+
+def test_cli_simulate_non_finite_payoff_is_solver_failure(
+        xor_path, scheme_paths, tmp_path, capsys):
+    # under the log score Bob's cross-belief payoff is -inf here: he
+    # reports probability 0 for outcomes that occur
+    doc = json.loads(xor_path.read_text())
+    doc["score"] = {"kind": "log"}
+    path = tmp_path / "xor_log.json"
+    path.write_text(json.dumps(doc))
+    full, noise = scheme_paths
+    out = tmp_path / "sim.json"
+    status = cli.main(["simulate", str(path), "--belief", str(full),
+                       "--actual", str(noise), "--out", str(out)])
+    assert status == cli.EXIT_SOLVER
+    assert "cannot write -inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_cap_flow_through(xor_path, tmp_path):

@@ -17,7 +17,8 @@ from abasolve.fptas import (count_k_uniform, enumerate_k_uniform,
                             scheme_from_posteriors)
 from abasolve.lp import tableau_cells
 from abasolve.oracle import oracle_optimal
-from abasolve.scoring import HolderParams, quadratic_score, spherical_score
+from abasolve.scoring import (HolderParams, log_score, quadratic_score,
+                              spherical_score)
 
 from helpers import random_piecewise, random_prior, stop_simplex_early
 
@@ -42,6 +43,16 @@ def test_epsilon_for_delta_second_branch():
     assert epsilon_for_delta(12.0, 1, 1.0, 2.0, 0.5) == pytest.approx(0.5)
     with pytest.raises(ValidationError):
         epsilon_for_delta(-1.0, 2, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("delta", (math.inf, math.nan))
+def test_non_finite_delta_is_a_validation_error(xor_prior, quad, delta):
+    # a run at delta = inf would report inf delta, epsilon and guarantee,
+    # which JSON cannot hold
+    with pytest.raises(ValidationError, match="must be finite and positive"):
+        epsilon_for_delta(delta, 2, 1.0, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="must be finite and positive"):
+        fptas_a_const(xor_prior, quad, delta)
 
 
 def test_grid_size_K_examples():
@@ -135,36 +146,53 @@ def test_fptas_a_default_cap_full_grid(xor_prior, quad):
     assert 0.05 < diag["guarantee"] < 1.0
 
 
-@pytest.mark.parametrize("cell_cap", (1000, 5000, 100_000))
-def test_fptas_a_cell_cap_runs_capped_grid(cell_cap):
-    # the grid LP's tableau has (|A|+2)(n+|A|+2) cells; sizing the grid at
-    # cell_cap // (|A|+2) points overshot the cap by (|A|+2)^2 cells
-    prior = random_prior(np.random.default_rng(5), ne=2, na=2, nb=2)
-    report = fptas_a_const(prior, quadratic_score(), 0.01, cell_cap=cell_cap)
+@pytest.mark.parametrize("na,cap", ((2, 1000), (3, 5000), (4, 100_000)))
+def test_fptas_a_point_cap_runs_capped_grid(na, cap):
+    # fptas-a builds no tableau: the point cap alone sizes an automatic K,
+    # to the largest K whose grid fits it
+    prior = random_prior(np.random.default_rng(5), ne=2, na=na, nb=2)
+    report = fptas_a_const(prior, quadratic_score(), 0.01,
+                           cap_grid_points=cap)
     diag = report.diagnostics
     assert diag["grid_capped"]
-    assert tableau_cells(diag["grid_points"], 0, 3) <= cell_cap
-    assert tableau_cells(diag["grid_points"] + 1, 0, 3) > cell_cap
+    assert diag["grid_points"] == count_k_uniform(na, diag["K"]) <= cap
+    assert count_k_uniform(na, diag["K"] + 1) > cap
 
 
-@pytest.mark.parametrize("solver,na,grid_k,cells", (
-    (fptas_a_const, 4, 40, tableau_cells(count_k_uniform(4, 40), 0, 5)),
-    (fptas_eb_const, 2, 6, tableau_cells(2 * 84, 2 * 4 * 84, 2)),
-))
-def test_explicit_grid_k_over_cell_cap_fails_before_grid(monkeypatch, solver,
-                                                         na, grid_k, cells):
+def _refuse_grid(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("ran before the cell-cap check")
+        raise AssertionError("ran before the cap check")
 
     monkeypatch.setattr(fptas, "enumerate_k_uniform", refuse)
     monkeypatch.setattr(_kernels, "ub_grid_wa", refuse)
     monkeypatch.setattr(_kernels, "ub_grid_veb", refuse)
+
+
+@pytest.mark.parametrize("solver,na,grid_k,cells", (
+    (fptas_eb_const, 2, 6, tableau_cells(2 * 84, 2 * 4 * 84, 2)),
+))
+def test_explicit_grid_k_over_cell_cap_fails_before_grid(monkeypatch, solver,
+                                                         na, grid_k, cells):
+    _refuse_grid(monkeypatch)
     prior = random_prior(np.random.default_rng(1), ne=2, na=na, nb=2)
     with pytest.raises(SizeCapExceeded) as err:
         solver(prior, quadratic_score(), 0.05, grid_k=grid_k,
                cell_cap=10_000)
     assert err.value.required == cells
     assert str(err.value) == f"tableau needs {cells} cells, cap is 10000"
+
+
+@pytest.mark.parametrize("na,grid_k", ((2, 10_000), (4, 40)))
+def test_fptas_a_explicit_grid_k_over_point_cap_fails_before_grid(
+        monkeypatch, na, grid_k):
+    _refuse_grid(monkeypatch)
+    prior = random_prior(np.random.default_rng(1), ne=2, na=na, nb=2)
+    points = count_k_uniform(na, grid_k)
+    with pytest.raises(SizeCapExceeded) as err:
+        fptas_a_const(prior, quadratic_score(), 0.05, grid_k=grid_k,
+                      cap_grid_points=points - 1)
+    assert err.value.required == points
+    assert str(err.value) == f"grid_k={grid_k} exceeds the point cap"
 
 
 @pytest.mark.parametrize("solver", (fptas_a_const, fptas_eb_const))
@@ -467,6 +495,31 @@ def test_fptas_eb_raises_when_phase_2_stops_early(monkeypatch, quad):
     stop_simplex_early(monkeypatch, full_calls=1, pivots=0)
     with pytest.raises(NumericalFailure, match="grid LP duality gap"):
         fptas_eb_const(prior, quad, 0.5, grid_k=4)
+
+
+@pytest.mark.parametrize("score", (quadratic_score(), log_score()),
+                         ids=["beta-1", "beta-0.6"])
+def test_continuity_modulus_diagnostics(score):
+    # both diagnostics come from fptas._continuity_modulus; the formulas
+    # are written out here in their original operation order
+    prior = random_prior(np.random.default_rng(11), ne=2, na=2, nb=2)
+    alpha, beta, _ = score.resolved_holder(2)
+    L = score.resolved_bound(2)
+    step_l1 = 2 * 0.1
+    modulus = 3 * 2 * L * step_l1 + 3 * alpha * step_l1 ** (1.0 - beta) \
+        if beta < 1.0 else (3 * 2 * L + 3 * alpha) * step_l1
+    assert oracle_optimal(prior, score, 0.1).diagnostics["grid_modulus"] == \
+        modulus
+    report = fptas_eb_const(prior, score, 0.5, grid_k=3)
+    slack = report.diagnostics["eta"] * 4
+    if beta == 1.0:
+        eta_term = (3 * 2 * L + 3 * alpha) * slack
+    else:
+        eta_term = 3 * 2 * L * slack + 3 * alpha * slack ** (1.0 - beta)
+    _, grid_diag = fptas._resolve_grid(prior, score, 0.5, 4, 3,
+                                       fptas.DEFAULT_GRID_CAP)
+    assert report.diagnostics["guarantee"] == \
+        grid_diag["guarantee"] + eta_term
 
 
 def test_fptas_eb_default_eta(copy_prior, quad):

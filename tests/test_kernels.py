@@ -19,18 +19,18 @@ import pytest
 from abasolve import _kernels
 from abasolve._kernels import g_rows_np
 from abasolve.core import marginals_and_conditionals
-from abasolve.scoring import piecewise_score
+from abasolve.scoring import (ScoreKind, ScoreSpec, log_score,
+                              piecewise_score, quadratic_score,
+                              spherical_score)
 
 from helpers import random_prior, random_simplex
 
-EMPTY_PR = np.zeros((0, 2))
-EMPTY_PB = np.zeros(0)
 CHUNK = 131072
 WA_CHUNK = 32768
 UB_ATOL = 1e-14
 
 
-def ub_grid_wa_ref(w, bga, egab, ega, kind, pr, pb, clip):
+def ub_grid_wa_ref(w, bga, egab, ega, score, clip):
     n = w.shape[0]
     out = np.empty(n)
     for lo in range(0, n, CHUNK):
@@ -40,15 +40,15 @@ def ub_grid_wa_ref(w, bga, egab, ega, kind, pr, pb, clip):
         numer = np.einsum("ca,ab,abe->cbe", wc, bga, egab)
         safe = np.where(lam > 0.0, lam, 1.0)
         post = numer / safe[:, :, None]
-        gpost = g_rows_np(post.reshape(-1, post.shape[2]), kind, pr, pb,
+        gpost = g_rows_np(post.reshape(-1, post.shape[2]), score,
                           clip).reshape(post.shape[0], post.shape[1])
         first = (np.where(lam > 0.0, lam, 0.0) * gpost).sum(axis=1)
-        second = g_rows_np(wc @ ega, kind, pr, pb, clip)
+        second = g_rows_np(wc @ ega, score, clip)
         out[lo:hi] = first - second
     return out
 
 
-def ub_grid_wa_frozen(w, bga, egab, ega, kind, pr, pb, clip):
+def ub_grid_wa_frozen(w, bga, egab, ega, score, clip):
     na, nb, ne = egab.shape
     m = (bga[:, :, None] * egab).reshape(na, nb * ne).T
     n = w.shape[0]
@@ -63,13 +63,13 @@ def ub_grid_wa_frozen(w, bga, egab, ega, kind, pr, pb, clip):
             safe = np.where(lam[b] > 0.0, lam[b], 1.0)
             post = numer[b * ne:(b + 1) * ne].T / safe[:, None]
             term = np.where(lam[b] > 0.0, lam[b], 0.0) * g_rows_np(
-                post, kind, pr, pb, clip)
+                post, score, clip)
             first = term if first is None else first + term
-        out[lo:hi] = first - g_rows_np((ega.T @ wt).T, kind, pr, pb, clip)
+        out[lo:hi] = first - g_rows_np((ega.T @ wt).T, score, clip)
     return out
 
 
-def ub_grid_veb_ref(v, ne, nb, kind, pr, pb, clip):
+def ub_grid_veb_ref(v, ne, nb, score, clip):
     n = v.shape[0]
     out = np.empty(n)
     for lo in range(0, n, CHUNK):
@@ -78,10 +78,10 @@ def ub_grid_veb_ref(v, ne, nb, kind, pr, pb, clip):
         lam = vc.sum(axis=1)
         safe = np.where(lam > 0.0, lam, 1.0)
         post = np.swapaxes(vc, 1, 2) / safe[:, :, None]
-        gpost = g_rows_np(post.reshape(-1, ne), kind, pr, pb,
+        gpost = g_rows_np(post.reshape(-1, ne), score,
                           clip).reshape(hi - lo, nb)
         first = (np.where(lam > 0.0, lam, 0.0) * gpost).sum(axis=1)
-        second = g_rows_np(vc.sum(axis=2), kind, pr, pb, clip)
+        second = g_rows_np(vc.sum(axis=2), score, clip)
         out[lo:hi] = first - second
     return out
 
@@ -100,8 +100,7 @@ def compositions_ref(k, d):
     return np.vstack(blocks)
 
 
-def oracle_scan_ref(comps, n_alice, start, stop, mu_ae, mu_aeb, kind, pr, pb,
-                    clip):
+def oracle_scan_ref(comps, n_alice, start, stop, mu_ae, mu_aeb, score, clip):
     p_count = comps.shape[0]
     ne = mu_ae.shape[1]
     best_val = -np.inf
@@ -118,14 +117,14 @@ def oracle_scan_ref(comps, n_alice, start, stop, mu_ae, mu_aeb, kind, pr, pb,
         numer = np.einsum("cam,ae->cme", fr, mu_ae)
         mass = numer.sum(axis=2)
         safe = np.where(mass > 0.0, mass, 1.0)
-        g1 = g_rows_np((numer / safe[:, :, None]).reshape(-1, ne), kind, pr,
-                       pb, clip).reshape(mass.shape)
+        g1 = g_rows_np((numer / safe[:, :, None]).reshape(-1, ne), score,
+                       clip).reshape(mass.shape)
         obj = (np.where(mass > 0.0, mass, 0.0) * g1).sum(axis=1)
         numer_b = np.einsum("cam,aeb->cmbe", fr, mu_aeb)
         mass_b = numer_b.sum(axis=3)
         safe_b = np.where(mass_b > 0.0, mass_b, 1.0)
         g2 = g_rows_np((numer_b / safe_b[:, :, :, None]).reshape(-1, ne),
-                       kind, pr, pb, clip).reshape(mass_b.shape)
+                       score, clip).reshape(mass_b.shape)
         obj -= (np.where(mass_b > 0.0, mass_b, 0.0) * g2).sum(axis=(1, 2))
         chunk_best = int(np.argmax(obj))
         if obj[chunk_best] > best_val:
@@ -135,7 +134,7 @@ def oracle_scan_ref(comps, n_alice, start, stop, mu_ae, mu_aeb, kind, pr, pb,
 
 
 def oracle_scan_per_candidate(comps, n_alice, start, stop, mu_ae, mu_aeb,
-                              kind, pr, pb, clip):
+                              score, clip):
     p_count = comps.shape[0]
     best_val = -np.inf
     best_idx = -1
@@ -149,11 +148,11 @@ def oracle_scan_per_candidate(comps, n_alice, start, stop, mu_ae, mu_aeb,
             q = q // p_count
         fr = comps[digits]
         numer = np.einsum("cam,ae->cme", fr, mu_ae)
-        obj = _kernels.weighted_g(numer, numer.sum(axis=2), kind, pr, pb,
+        obj = _kernels.weighted_g(numer, numer.sum(axis=2), score,
                                   clip).sum(axis=1)
         numer_b = np.einsum("cam,aeb->cmbe", fr, mu_aeb)
-        obj -= _kernels.weighted_g(numer_b, numer_b.sum(axis=3), kind, pr,
-                                   pb, clip).sum(axis=(1, 2))
+        obj -= _kernels.weighted_g(numer_b, numer_b.sum(axis=3), score,
+                                   clip).sum(axis=(1, 2))
         chunk_best = int(np.argmax(obj))
         if obj[chunk_best] > best_val:
             best_val = float(obj[chunk_best])
@@ -162,13 +161,13 @@ def oracle_scan_per_candidate(comps, n_alice, start, stop, mu_ae, mu_aeb,
 
 
 def score_kinds(rng, ne):
-    """(kind, pr, pb, clip) for all four kinds; log with its solver clip."""
+    """(score, clip) for all four kinds; log with its solver clip."""
     return (
-        (_kernels.KIND_QUADRATIC, np.zeros((0, ne)), EMPTY_PB, 0.0),
-        (_kernels.KIND_LOG, np.zeros((0, ne)), EMPTY_PB, 1e-9),
-        (_kernels.KIND_SPHERICAL, np.zeros((0, ne)), EMPTY_PB, 0.0),
-        (_kernels.KIND_PIECEWISE, rng.uniform(-1.0, 1.0, size=(4, ne)),
-         rng.uniform(-1.0, 1.0, size=4), 0.0),
+        (quadratic_score(), 0.0),
+        (log_score(), 1e-9),
+        (spherical_score(), 0.0),
+        (ScoreSpec(ScoreKind.PIECEWISE, rng.uniform(-1.0, 1.0, size=(4, ne)),
+                   rng.uniform(-1.0, 1.0, size=4)), 0.0),
     )
 
 
@@ -190,17 +189,14 @@ def _boundary_prior(rng, ne, na, nb):
 
 def test_g_rows_np_kinds():
     p = np.array([[0.5, 0.5], [1.0, 0.0]])
-    assert _kernels.g_rows_np(p, _kernels.KIND_QUADRATIC, EMPTY_PR, EMPTY_PB,
-                              0.0) == pytest.approx([0.5, 1.0])
-    logs = _kernels.g_rows_np(p, _kernels.KIND_LOG, EMPTY_PR, EMPTY_PB, 0.0)
+    assert _kernels.g_rows_np(p, quadratic_score(), 0.0) == \
+        pytest.approx([0.5, 1.0])
+    logs = _kernels.g_rows_np(p, log_score(), 0.0)
     assert logs == pytest.approx([-0.6931471805599453, 0.0])
-    sph = _kernels.g_rows_np(p, _kernels.KIND_SPHERICAL, EMPTY_PR, EMPTY_PB,
-                             0.0)
+    sph = _kernels.g_rows_np(p, spherical_score(), 0.0)
     assert sph == pytest.approx([np.sqrt(0.5), 1.0])
     score = piecewise_score([((1.0, -1.0), 0.0), ((-1.0, 1.0), 0.25)])
-    pw = _kernels.g_rows_np(p, _kernels.KIND_PIECEWISE, score.pieces_r,
-                            score.pieces_b, 0.0)
-    assert pw == pytest.approx([0.25, 1.0])
+    assert _kernels.g_rows_np(p, score, 0.0) == pytest.approx([0.25, 1.0])
 
 
 def test_g_rows_np_clipped_log_matches_guarded_sum():
@@ -215,7 +211,7 @@ def test_g_rows_np_clipped_log_matches_guarded_sum():
                 ref = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)),
                                0.0).sum(axis=1)
             assert np.array_equal(
-                g_rows_np(p, _kernels.KIND_LOG, EMPTY_PR, EMPTY_PB, clip), ref)
+                g_rows_np(p, log_score(), clip), ref)
 
 
 def test_compositions_paths_agree():
@@ -231,15 +227,15 @@ def test_ub_grid_wa_matches_reference(ne, na, nb):
     rng = np.random.default_rng(73 + 7 * ne + 5 * na + nb)
     for prior in (random_prior(rng, ne=ne, na=na, nb=nb),
                   _boundary_prior(rng, ne, na, nb)):
-        t = marginals_and_conditionals(prior).zero_filled()
+        table = marginals_and_conditionals(prior)
+        t = table.zero_filled()
         grid = np.vstack((_grid(rng, 300, na), np.eye(na)))
-        for kind, pr, pb, clip in score_kinds(rng, ne):
-            args = (grid, t.b_given_a, t.e_given_ab, t.e_given_a, kind, pr,
-                    pb, clip)
-            got = _kernels.ub_grid_wa(*args)
-            assert np.array_equal(got, ub_grid_wa_frozen(*args)), kind
+        for score, clip in score_kinds(rng, ne):
+            args = (grid, t.b_given_a, t.e_given_ab, t.e_given_a, score, clip)
+            got = _kernels.ub_grid_wa(grid, table, score, clip)
+            assert np.array_equal(got, ub_grid_wa_frozen(*args)), score.kind
             np.testing.assert_allclose(got, ub_grid_wa_ref(*args), rtol=0.0,
-                                       atol=UB_ATOL, err_msg=str(kind))
+                                       atol=UB_ATOL, err_msg=score.kind)
 
 
 @pytest.mark.parametrize("ne,nb", ((2, 2), (3, 2), (2, 3), (4, 1)))
@@ -247,30 +243,30 @@ def test_ub_grid_veb_matches_reference(ne, nb):
     rng = np.random.default_rng(79 + 3 * ne + nb)
     grid = np.vstack((_grid(rng, 300, ne * nb),
                       _kernels.compositions(3, ne * nb) / 3.0))
-    for kind, pr, pb, clip in score_kinds(rng, ne):
-        got = _kernels.ub_grid_veb(grid, ne, nb, kind, pr, pb, clip)
-        ref = ub_grid_veb_ref(grid, ne, nb, kind, pr, pb, clip)
-        assert np.array_equal(got, ref), kind
+    for score, clip in score_kinds(rng, ne):
+        got = _kernels.ub_grid_veb(grid, ne, nb, score, clip)
+        ref = ub_grid_veb_ref(grid, ne, nb, score, clip)
+        assert np.array_equal(got, ref), score.kind
 
 
 def test_ub_grid_spans_chunks():
     rng = np.random.default_rng(97)
     prior = random_prior(rng, ne=2, na=2, nb=2)
-    t = marginals_and_conditionals(prior).zero_filled()
+    table = marginals_and_conditionals(prior)
+    t = table.zero_filled()
     # two full ub_grid_wa chunks and a partial third
     k = 2 * _kernels._WA_CHUNK + 500
     grid = _kernels.compositions(k, 2) / float(k)
-    for kind, pr, pb, clip in score_kinds(rng, 2)[:2]:
-        args = (grid, t.b_given_a, t.e_given_ab, t.e_given_a, kind, pr, pb,
-                clip)
-        got = _kernels.ub_grid_wa(*args)
+    for score, clip in score_kinds(rng, 2)[:2]:
+        args = (grid, t.b_given_a, t.e_given_ab, t.e_given_a, score, clip)
+        got = _kernels.ub_grid_wa(grid, table, score, clip)
         assert np.array_equal(got, ub_grid_wa_frozen(*args))
         np.testing.assert_allclose(got, ub_grid_wa_ref(*args), rtol=0.0,
                                    atol=UB_ATOL)
         v = rng.dirichlet(np.ones(4), size=CHUNK + 500)
         assert np.array_equal(
-            _kernels.ub_grid_veb(v, 2, 2, kind, pr, pb, clip),
-            ub_grid_veb_ref(v, 2, 2, kind, pr, pb, clip))
+            _kernels.ub_grid_veb(v, 2, 2, score, clip),
+            ub_grid_veb_ref(v, 2, 2, score, clip))
 
 
 def test_ub_grid_wa_memory_stays_per_chunk():
@@ -279,19 +275,17 @@ def test_ub_grid_wa_memory_stays_per_chunk():
     # measured); materialising the full (n, nb, ne) numerator adds 12.
     rng = np.random.default_rng(103)
     ne, na, nb, n = 3, 2, 4, 400_000
-    t = marginals_and_conditionals(random_prior(rng, ne=ne, na=na,
-                                                nb=nb)).zero_filled()
+    table = marginals_and_conditionals(random_prior(rng, ne=ne, na=na, nb=nb))
     grid = rng.dirichlet(np.ones(na), size=n)
     unit = _kernels._WA_CHUNK * nb * ne * 8
-    for kind, pr, pb, clip in score_kinds(rng, ne):
+    for score, clip in score_kinds(rng, ne):
         tracemalloc.start()
         try:
-            out = _kernels.ub_grid_wa(grid, t.b_given_a, t.e_given_ab,
-                                      t.e_given_a, kind, pr, pb, clip)
+            out = _kernels.ub_grid_wa(grid, table, score, clip)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < out.nbytes + 4 * unit, (kind, peak)
+        assert peak < out.nbytes + 4 * unit, (score.kind, peak)
 
 
 # m * nb >= 8 in (2, 2, 3, 6, 3) and (2, 3, 3, 4, 3): numpy's sum over the
@@ -309,13 +303,13 @@ def test_oracle_scan_matches_reference(ne, na, nb, den, m):
                   _boundary_prior(rng, ne, na, nb)):
         mu_ae = np.ascontiguousarray(prior.p.sum(axis=2).T)
         mu_aeb = np.ascontiguousarray(np.transpose(prior.p, (1, 0, 2)))
-        for kind, pr, pb, clip in score_kinds(rng, ne):
+        for score, clip in score_kinds(rng, ne):
             for start, stop in ((0, n_cand), (n_cand // 3, n_cand)):
                 got = _kernels.oracle_scan(comps, na, start, stop, mu_ae,
-                                           mu_aeb, kind, pr, pb, clip)
+                                           mu_aeb, score, clip)
                 ref = oracle_scan_ref(comps, na, start, stop, mu_ae, mu_aeb,
-                                      kind, pr, pb, clip)
-                assert got[0] == ref[0] and got[1] == ref[1], kind
+                                      score, clip)
+                assert got[0] == ref[0] and got[1] == ref[1], score.kind
 
 
 def test_oracle_scan_spans_chunks():
@@ -326,11 +320,11 @@ def test_oracle_scan_spans_chunks():
     mu_aeb = np.ascontiguousarray(np.transpose(prior.p, (1, 0, 2)))
     n_cand = comps.shape[0] ** 3
     assert n_cand > 2 * CHUNK
-    for kind, pr, pb, clip in score_kinds(rng, 2)[:2]:
+    for score, clip in score_kinds(rng, 2)[:2]:
         got = _kernels.oracle_scan(comps, 3, 1000, n_cand, mu_ae, mu_aeb,
-                                   kind, pr, pb, clip)
-        ref = oracle_scan_ref(comps, 3, 1000, n_cand, mu_ae, mu_aeb, kind,
-                              pr, pb, clip)
+                                   score, clip)
+        ref = oracle_scan_ref(comps, 3, 1000, n_cand, mu_ae, mu_aeb, score,
+                              clip)
         assert got[0] == ref[0] and got[1] == ref[1]
 
 
@@ -345,15 +339,15 @@ def test_oracle_scan_memory_at_most_per_candidate_form():
     mu_ae = np.ascontiguousarray(prior.p.sum(axis=2).T)
     mu_aeb = np.ascontiguousarray(np.transpose(prior.p, (1, 0, 2)))
     n_cand = comps.shape[0] ** na
-    for kind, pr, pb, clip in score_kinds(rng, ne)[:2]:
+    for score, clip in score_kinds(rng, ne)[:2]:
         peaks, results = [], []
         for scan in (_kernels.oracle_scan, oracle_scan_per_candidate):
             tracemalloc.start()
             try:
                 results.append(scan(comps, na, 0, n_cand, mu_ae, mu_aeb,
-                                    kind, pr, pb, clip))
+                                    score, clip))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert results[0] == results[1], kind
-        assert peaks[0] <= peaks[1], (kind, peaks)
+        assert results[0] == results[1], score.kind
+        assert peaks[0] <= peaks[1], (score.kind, peaks)
