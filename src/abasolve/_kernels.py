@@ -3,8 +3,8 @@
 ``weighted_g`` is the one place G meets a posterior: it takes unnormalised
 posteriors over E with their masses and returns mass * G(posterior).  The
 u_B functionals in ``belief``, ``core`` and ``oracle``, the point and
-tangent evaluations in ``scoring`` and the grid and oracle kernels here
-call it.  ``pivot`` is shared by ``simplex_iterate`` and the LP driver's
+tangent evaluations in ``scoring`` and the grid kernels here call it.
+``pivot`` is shared by ``simplex_iterate`` and the LP driver's
 artificial drive-out.  ``envelope_iterate`` is the pivot loop of the
 revised simplex: it keeps no tableau, only an m x m basis.
 
@@ -13,11 +13,10 @@ one BLAS matmul of a precomputed (|B||E|, |A|) matrix with a chunk of the
 grid transposed, and every later elementwise pass and length-|E| reduction
 runs over contiguous grid rows rather than over the |E| = 2..4 axis.
 
-``oracle_scan`` evaluates G once per point of the oracle's fraction
-lattice, not once per candidate scheme: a signal's unnormalised posteriors
-depend on a candidate only through the fractions it gives each alice
-outcome.  The scan then gathers from that table and reduces with the numpy
-sums the per-candidate form used, so its answers are bit-identical to it.
+``oracle_scan`` costs each point of the oracle's fraction lattice once
+with ``ub_grid_wa``, not each candidate scheme: a signal's mass and
+posterior on A depend on a candidate only through the fractions it gives
+each alice outcome.  The scan then gathers from that table.
 
 Every kernel that evaluates G takes the ``scoring.ScoreSpec`` itself and
 the solver's log ``clip``.  This module imports nothing else from the
@@ -270,58 +269,46 @@ def envelope_iterate(ext: np.ndarray, basis: np.ndarray, x_b: np.ndarray,
 
 
 def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,
-                mu_ae: np.ndarray, mu_aeb: np.ndarray, score: ScoreSpec,
-                clip: float = 0.0):
+                table: ConditionalTable, score: ScoreSpec, clip: float = 0.0):
     """Scan candidate schemes [start, stop) and return (best value, index).
 
     ``comps`` holds the P per-outcome signal-fraction rows (P, m); candidate
-    c assigns row (c // P**a) % P to alice outcome a.  ``mu_ae`` is the joint
-    mu(e, a) transposed to (na, ne); ``mu_aeb`` is mu(e, a, b) transposed to
-    (na, ne, nb).  Sender objective: sum_s mass_s G(p_s) - sum_{s,b} mass_sb
-    G(p_sb).  Ties keep the lowest candidate index.
+    c assigns row (c // P**a) % P to alice outcome a, so signal s carries
+    pi(s, a) = comps[d_a(c), s] mu(a).  The sender objective is
+    -sum_s mass_s u_B(w_s), over the signals' masses and posteriors on A.
+    Ties keep the lowest candidate index.
 
-    Signal s's unnormalised posteriors depend on the candidate only through
-    its fraction vector q = (comps[d_a(c), s])_a, a point of the lattice
-    V^na, where V holds the distinct fractions in ``comps``.  So the kernel
-    first tabulates, per lattice point, ``first`` = mass G(p) before Bob
-    reveals and ``second[:, b]`` = mass_b G(p_b) after he reveals b, in
-    chunks of ``_CHUNK`` lattice rows; then, per chunk of candidates, it maps
-    each (candidate, signal) pair to its lattice index and gathers.  G is
-    evaluated (1 + nb) V^na times instead of m (1 + nb) per candidate.
+    A signal's term depends on the candidate only through its fraction
+    vector q = (comps[d_a(c), s])_a, a point of the lattice V^na, where V
+    holds the distinct fractions in ``comps``.  So the kernel tabulates
+    -mass u_B(w) once per lattice point with ``ub_grid_wa`` (0 where the
+    mass is 0); then, per chunk of ``_CHUNK`` candidates, it maps each
+    (candidate, signal) pair to its lattice index, gathers and sums.
 
-    Size: the table holds V^na (1 + nb) floats.  The oracle's ``comps`` are
-    the compositions of den into m parts, over den, so V <= den + 1 and
-    V <= P: the table has no more rows than there are candidates, and the
-    oracle's limits (|A| <= 3, 1/grid_step <= 100, its candidate cap) keep
-    it within 101^3 rows, (1 + nb) * 8.2 MB.
-
-    The result is bit-identical to evaluating every candidate's posteriors
-    directly: each table entry comes from the same einsum products and sum
-    over a, the same masses and the same ``weighted_g`` call, and the
-    gathered (c, m) and (c, m, nb) arrays are reduced by the same numpy
-    sums, in the same shapes and hence the same pairwise order, as the
-    per-candidate arrays were.
+    Size: the table holds V^na floats.  The oracle's ``comps`` are the
+    compositions of den into m parts, over den, so V <= den + 1 and V <= P:
+    the table has no more entries than there are candidates, and the
+    oracle's limits (|A| <= 3, 1/grid_step <= 100) keep it within 101^3
+    floats, 8.2 MB.
     """
     p_count, m = comps.shape
-    nb = mu_aeb.shape[2]
     vals, code = np.unique(comps, return_inverse=True)
     n_vals = vals.shape[0]
     # code_w[a][d, s]: lattice-index contribution of row d at alice outcome a
     code_w = [code.reshape(p_count, m) * n_vals ** a for a in range(n_alice)]
-    n_lat = n_vals ** n_alice
-    first = np.empty(n_lat)
-    second = np.empty((n_lat, nb))
-    for lo in range(0, n_lat, _CHUNK):
-        hi = min(lo + _CHUNK, n_lat)
-        q = np.arange(lo, hi, dtype=np.int64)
-        frac = np.empty((hi - lo, n_alice))                 # (l, na)
-        for a in range(n_alice):
-            q, digit = np.divmod(q, n_vals)
-            frac[:, a] = vals[digit]
-        numer = np.einsum("la,ae->le", frac, mu_ae)         # (l, ne)
-        first[lo:hi] = weighted_g(numer, numer.sum(axis=1), score, clip)
-        numer_b = np.einsum("la,aeb->lbe", frac, mu_aeb)    # (l, nb, ne)
-        second[lo:hi] = weighted_g(numer_b, numer_b.sum(axis=2), score, clip)
+    # pi = q * mu(a) at lattice point sum_a digit_a V^a, digit a on axis
+    # na - 1 - a, so no index arrays are built
+    w = np.empty((n_vals,) * n_alice + (n_alice,))
+    for a in range(n_alice):
+        shape = [1] * n_alice
+        shape[n_alice - 1 - a] = n_vals
+        w[..., a] = (vals * table.mu_a[a]).reshape(shape)
+    w = w.reshape(-1, n_alice)
+    mass = w.sum(axis=1)
+    w /= np.where(mass > 0.0, mass, 1.0)[:, None]
+    cost = ub_grid_wa(w, table, score, clip)
+    del w                                       # freed before the scan
+    cost *= -mass           # u_B is finite at w = 0: zero mass costs 0
 
     best_val = -np.inf
     best_idx = -1
@@ -332,7 +319,7 @@ def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,
         for a in range(1, n_alice):
             q, digit = np.divmod(q, p_count)
             ell += code_w[a][digit]
-        obj = first[ell].sum(axis=1) - second[ell].sum(axis=(1, 2))
+        obj = cost[ell].sum(axis=1)
         chunk_best = int(np.argmax(obj))
         if obj[chunk_best] > best_val:
             best_val = float(obj[chunk_best])

@@ -140,79 +140,68 @@ def run(config: RunConfig) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
+    """Each command registers only the options it reads.  Options left out
+    of the command line stay out of the namespace, so RunConfig's defaults
+    are the only ones."""
     p = argparse.ArgumentParser(
         prog="abasolve",
         description="Optimal signaling for the three-round Alice-Bob-Alice "
                     "scoring-rule market with commitment")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, method_choices=None):
-        sp.add_argument("instance", help="instance JSON file")
-        sp.add_argument("--out", dest="out", default=None,
+    def command(name, help_text):
+        sp = sub.add_parser(name, help=help_text,
+                            argument_default=argparse.SUPPRESS)
+        sp.add_argument("instance_path", metavar="instance",
+                        help="instance JSON file")
+        sp.add_argument("--out", dest="output_path", metavar="PATH",
                         help="report output path (default: stdout)")
-        sp.add_argument("--seed", type=int, default=0,
+        sp.add_argument("--seed", type=int,
                         help="seed for sampled validation checks")
-        if method_choices:
-            sp.add_argument("--method", choices=method_choices,
-                            default=method_choices[0])
-        sp.add_argument("--delta", type=float, default=None,
-                        help="target suboptimality for FPTAS methods")
-        sp.add_argument("--eta", type=float, default=None,
-                        help="achievability slack for fptas-eb")
-        sp.add_argument("--tangent-k", type=int, default=20,
+        return sp
+
+    def exact_options(sp):
+        sp.add_argument("--tangent-k", type=int,
                         help="tangent grid resolution for smooth scores")
         sp.add_argument("--cap-lp-vars", type=int,
-                        default=exact.DEFAULT_LP_VAR_CAP,
                         help="cap on the exact solver's candidate points "
                         "(vertices of the arrangement on which u_B is "
                         "linear), checked before any is built")
-        sp.add_argument("--cap-grid-points", type=int,
-                        default=fptas.DEFAULT_GRID_CAP)
 
-    sp = sub.add_parser("solve", help="compute an optimal or delta-optimal scheme")
-    common(sp, ["exact", "fptas-a", "fptas-eb", "oracle"])
-    sp.add_argument("--step", type=float, default=0.02,
-                    help="oracle grid step")
-    sp.add_argument("--max-signals", type=int, default=2)
+    def oracle_options(sp):
+        sp.add_argument("--step", dest="grid_step", metavar="STEP",
+                        type=float, help="oracle grid step")
+        sp.add_argument("--max-signals", type=int)
 
-    sp = sub.add_parser("classify", help="substitutes / complements / neither")
-    common(sp)
+    sp = command("solve", "compute an optimal or delta-optimal scheme")
+    sp.add_argument("--method", choices=["exact", "fptas-a", "fptas-eb",
+                                         "oracle"])
+    sp.add_argument("--delta", type=float,
+                    help="target suboptimality for FPTAS methods")
+    sp.add_argument("--eta", type=float,
+                    help="achievability slack for fptas-eb")
+    sp.add_argument("--cap-grid-points", type=int)
+    exact_options(sp)
+    oracle_options(sp)
 
-    sp = sub.add_parser("value", help="total value V of the instance")
-    common(sp)
+    exact_options(command("classify", "substitutes / complements / neither"))
+    command("value", "total value V of the instance")
 
-    sp = sub.add_parser("simulate", help="cross-belief deviation check")
-    common(sp)
-    sp.add_argument("--belief", required=True, help="Bob's believed scheme")
-    sp.add_argument("--actual", required=True, help="Alice's actual scheme")
+    sp = command("simulate", "cross-belief deviation check")
+    sp.add_argument("--belief", dest="believed_path", metavar="SCHEME",
+                    required=True, help="Bob's believed scheme")
+    sp.add_argument("--actual", dest="actual_path", metavar="SCHEME",
+                    required=True, help="Alice's actual scheme")
 
-    sp = sub.add_parser("oracle", help="brute-force reference solver")
-    common(sp)
-    sp.add_argument("--step", type=float, default=0.02)
-    sp.add_argument("--max-signals", type=int, default=2)
+    sp = command("oracle", "brute-force reference solver")
+    sp.set_defaults(method="oracle")
+    oracle_options(sp)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            instance_path=args.instance,
-            method=getattr(args, "method", None) or
-            ("oracle" if args.command == "oracle" else "exact"),
-            delta=args.delta,
-            eta=args.eta,
-            output_path=args.out,
-            believed_path=getattr(args, "belief", None),
-            actual_path=getattr(args, "actual", None),
-            seed=args.seed,
-            grid_step=getattr(args, "step", 0.02),
-            max_signals=getattr(args, "max_signals", 2),
-            tangent_k=args.tangent_k,
-            cap_lp_vars=args.cap_lp_vars,
-            cap_grid_points=args.cap_grid_points,
-        )
+        config = RunConfig(**vars(_parser().parse_args(argv)))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

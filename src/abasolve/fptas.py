@@ -47,6 +47,11 @@ GRID_FEAS_TOL = 1e-9
 GRID_GAP_TOL = 1e-7
 
 
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < math.inf:
+        raise ValidationError(f"delta={delta!r} must be finite and positive")
+
+
 def epsilon_for_delta(delta: float, n_bob: int, L: float, alpha: float,
                       beta: float) -> float:
     """Posterior-perturbation radius that keeps u_B within delta.
@@ -57,8 +62,7 @@ def epsilon_for_delta(delta: float, n_bob: int, L: float, alpha: float,
     inflating the first denominator to 6|B|L + 6 alpha, which re-derives
     the same continuity bound for Lipschitz G.
     """
-    if not 0 < delta < math.inf:
-        raise ValidationError(f"delta={delta!r} must be finite and positive")
+    _check_delta(delta)
     if L <= 0 or alpha <= 0 or not (0 < beta <= 1) or n_bob < 1:
         raise ValidationError("need L, alpha > 0, beta in (0,1], |B| >= 1")
     if beta == 1.0:
@@ -278,6 +282,7 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
     NumericalFailure.  It builds no tableau, so ``cap_grid_points`` alone
     sizes and refuses K.
     """
+    _check_delta(delta)
     na = prior.n_alice
     if na == 1:
         scheme = SignalingScheme(("w0",), prior.marginal_alice()[None, :])

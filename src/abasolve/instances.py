@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ import numpy as np
 from .core import JointPrior, OutcomeSpaces, SolveReport
 from .errors import NonFiniteScore, ParseError
 from .scoring import HolderParams, ScoreKind, ScoreSpec, piecewise_score
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def xor_instance() -> tuple[OutcomeSpaces, JointPrior]:
@@ -63,9 +66,17 @@ def _labels(obj, where: str) -> tuple[str, ...]:
     return tuple(obj)
 
 
+def _finite(v) -> bool:
+    """Whether ``v`` is a JSON number that a float holds finitely: strings,
+    bools, JSON's Infinity and NaN and integers beyond a float's range are
+    not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and \
+        abs(v) <= _FLOAT_MAX
+
+
 def _number(v, where: str) -> float:
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ParseError(f"{where}: expected a number")
+    if not _finite(v):
+        raise ParseError(f"{where}: expected a finite number")
     return float(v)
 
 
@@ -73,8 +84,8 @@ def _numbers(obj, where: str) -> list:
     if not isinstance(obj, list):
         raise ParseError(f"{where}: expected an array of numbers")
     for i, v in enumerate(obj):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ParseError(f"{where}[{i}]: expected a number")
+        if not _finite(v):
+            raise ParseError(f"{where}[{i}]: expected a finite number")
     return obj
 
 

@@ -53,12 +53,9 @@ def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
             f"oracle would scan {n_cand} candidates, cap is {cap_candidates}",
             required=n_cand)
 
-    p = prior.p
-    mu_ae = np.ascontiguousarray(p.sum(axis=2).T)          # (na, ne)
-    mu_aeb = np.ascontiguousarray(np.transpose(p, (1, 0, 2)))  # (na, ne, nb)
     clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0
-    best_val, best_idx = _kernels.oracle_scan(comps, na, 0, n_cand, mu_ae,
-                                              mu_aeb, score, clip)
+    best_val, best_idx = _kernels.oracle_scan(
+        comps, na, 0, n_cand, marginals_and_conditionals(prior), score, clip)
 
     # candidate c gives alice outcome a the row (c // P**a) % P of comps
     digits = np.unravel_index(best_idx, (comps.shape[0],) * na)[::-1]

@@ -29,7 +29,8 @@ class HolderParams:
     locality_c: float = 0.5
 
     def __post_init__(self):
-        if not (self.alpha > 0 and 0 < self.beta <= 1 and 0 < self.locality_c < 1):
+        if not (0 < self.alpha < math.inf and 0 < self.beta <= 1 and
+                0 < self.locality_c < 1):
             raise ValidationError(
                 f"holder parameters out of range: alpha={self.alpha}, "
                 f"beta={self.beta}, c={self.locality_c}")
@@ -61,8 +62,8 @@ class ScoreSpec:
             b.setflags(write=False)
         elif self.pieces_r is not None or self.pieces_b is not None:
             raise ValidationError(f"{self.kind.value} score does not take pieces")
-        if self.bound_L is not None and not self.bound_L > 0:
-            raise ValidationError("bound_L must be positive")
+        if self.bound_L is not None and not 0 < self.bound_L < math.inf:
+            raise ValidationError("bound_L must be finite and positive")
 
     @property
     def k_pieces(self) -> int:

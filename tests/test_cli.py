@@ -115,12 +115,18 @@ PIECE = {"r": [1.0, 0.0], "b": 0.0}
     (None, [[[0.5], [0.0]], [[0.0], [0.5]]]),
     (None, [[0.5, "0"], [0.0, 0.5]]),
     (None, [[float("nan"), 0.5], [0.5, 0.0]]),
+    ({"kind": "quadratic", "L": float("inf")}, None),
+    ({"kind": "quadratic", "L": 10 ** 400}, None),
+    ({"kind": "quadratic", "holder": {"alpha": float("inf"), "beta": 1.0}},
+     None),
 ], ids=["r-string", "b-null", "r-bool", "L-string", "alpha-string",
-        "alpha-bool", "pi-ragged", "pi-3-deep", "pi-string", "pi-nan"])
+        "alpha-bool", "pi-ragged", "pi-3-deep", "pi-string", "pi-nan",
+        "L-inf", "L-int-overflow", "alpha-inf"])
 def test_cli_malformed_numbers_exit_validation(tmp_path, xor_path,
                                                scheme_paths, score, pi):
     """Malformed numbers in score and scheme documents exit 2, no
-    traceback.  NaN is written as JSON's NaN token, which parses."""
+    traceback.  NaN and inf are written as JSON's NaN and Infinity
+    tokens, which parse."""
     doc = json.loads(xor_path.read_text())
     if score is not None:
         doc["score"] = score
@@ -158,6 +164,34 @@ def test_cli_out_of_range_argument_exits_validation(xor_path, capsys, argv,
     status = cli.main([argv[0], str(xor_path)] + argv[1:])
     assert status == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+IGNORED_OPTIONS = {
+    "value": ("--delta", "--eta", "--tangent-k", "--cap-lp-vars",
+              "--cap-grid-points"),
+    "simulate": ("--delta", "--eta", "--tangent-k", "--cap-lp-vars",
+                 "--cap-grid-points"),
+    "oracle": ("--delta", "--eta", "--tangent-k", "--cap-lp-vars",
+               "--cap-grid-points"),
+    "classify": ("--delta", "--eta", "--cap-grid-points"),
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in IGNORED_OPTIONS.items()
+    for option in options])
+def test_cli_option_a_command_does_not_read_is_a_usage_error(
+        xor_path, scheme_paths, capsys, command, option):
+    """A command refuses an option it would not read (argparse exits 2)
+    instead of accepting and ignoring it."""
+    full, _ = scheme_paths
+    argv = [command, str(xor_path), option, "0.1"]
+    if command == "simulate":
+        argv += ["--belief", str(full), "--actual", str(full)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert f"unrecognized arguments: {option} 0.1" in capsys.readouterr().err
 
 
 def test_cli_solver_failure_exit_code(xor_path):

@@ -45,14 +45,17 @@ def test_epsilon_for_delta_second_branch():
         epsilon_for_delta(-1.0, 2, 1.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("delta", (math.inf, math.nan))
+@pytest.mark.parametrize("delta", (math.inf, math.nan, -1.0, 0.0))
 def test_non_finite_delta_is_a_validation_error(xor_prior, quad, delta):
     # a run at delta = inf would report inf delta, epsilon and guarantee,
-    # which JSON cannot hold
+    # which JSON cannot hold; the |A| = 1 prior takes fptas-a's shortcut
+    single = random_prior(np.random.default_rng(5), ne=2, na=1, nb=2)
     with pytest.raises(ValidationError, match="must be finite and positive"):
         epsilon_for_delta(delta, 2, 1.0, 1.0, 1.0)
-    with pytest.raises(ValidationError, match="must be finite and positive"):
-        fptas_a_const(xor_prior, quad, delta)
+    for prior in (xor_prior, single):
+        with pytest.raises(ValidationError,
+                           match="must be finite and positive"):
+            fptas_a_const(prior, quad, delta)
 
 
 def test_grid_size_K_examples():

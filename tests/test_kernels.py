@@ -9,6 +9,13 @@ matches it to ``UB_ATOL`` and matches ``ub_grid_wa_frozen``, a frozen copy
 of the matmul form, bit for bit.  ``oracle_scan_per_candidate`` is the
 oracle scan as it was before the lattice table: it evaluates every
 candidate's posteriors, and the memory test compares against it.
+
+``oracle_scan`` matches its references to ``SCAN_ATOL`` only: it costs a
+signal as -mass u_B(w) through ``ub_grid_wa``, from its posterior w on A,
+where the references evaluate the posteriors over E directly, so the
+rounding differs.  Candidates that tie in exact arithmetic (uninformative
+splits, where signals share one posterior) may then swap, so the returned
+index is checked by the reference's own objective there.
 """
 
 import tracemalloc
@@ -28,6 +35,7 @@ from helpers import random_prior, random_simplex
 CHUNK = 131072
 WA_CHUNK = 32768
 UB_ATOL = 1e-14
+SCAN_ATOL = 1e-12
 
 
 def ub_grid_wa_ref(w, bga, egab, ega, score, clip):
@@ -288,6 +296,17 @@ def test_ub_grid_wa_memory_stays_per_chunk():
         assert peak < out.nbytes + 4 * unit, (score.kind, peak)
 
 
+def assert_scan_close(got, ref, ref_scan, comps, na, start, stop, mu_ae,
+                      mu_aeb, score, clip):
+    """``got`` is within SCAN_ATOL of the reference's best ``ref``, names a
+    candidate in [start, stop), and the reference scores that candidate
+    within SCAN_ATOL of its best too."""
+    assert abs(got[0] - ref[0]) <= SCAN_ATOL, (score.kind, got, ref)
+    assert start <= got[1] < stop, (score.kind, got)
+    at = ref_scan(comps, na, got[1], got[1] + 1, mu_ae, mu_aeb, score, clip)
+    assert abs(at[0] - ref[0]) <= SCAN_ATOL, (score.kind, at, ref)
+
+
 # m * nb >= 8 in (2, 2, 3, 6, 3) and (2, 3, 3, 4, 3): numpy's sum over the
 # (m, nb) axes no longer adds those terms one by one
 @pytest.mark.parametrize("ne,na,nb,den,m", ((2, 2, 2, 10, 2), (3, 2, 2, 6, 3),
@@ -301,53 +320,58 @@ def test_oracle_scan_matches_reference(ne, na, nb, den, m):
     n_cand = comps.shape[0] ** na
     for prior in (random_prior(rng, ne=ne, na=na, nb=nb),
                   _boundary_prior(rng, ne, na, nb)):
+        table = marginals_and_conditionals(prior)
         mu_ae = np.ascontiguousarray(prior.p.sum(axis=2).T)
         mu_aeb = np.ascontiguousarray(np.transpose(prior.p, (1, 0, 2)))
         for score, clip in score_kinds(rng, ne):
             for start, stop in ((0, n_cand), (n_cand // 3, n_cand)):
-                got = _kernels.oracle_scan(comps, na, start, stop, mu_ae,
-                                           mu_aeb, score, clip)
+                got = _kernels.oracle_scan(comps, na, start, stop, table,
+                                           score, clip)
                 ref = oracle_scan_ref(comps, na, start, stop, mu_ae, mu_aeb,
                                       score, clip)
-                assert got[0] == ref[0] and got[1] == ref[1], score.kind
+                assert_scan_close(got, ref, oracle_scan_ref, comps, na, start,
+                                  stop, mu_ae, mu_aeb, score, clip)
 
 
 def test_oracle_scan_spans_chunks():
     rng = np.random.default_rng(101)
     prior = random_prior(rng, ne=2, na=3, nb=2)
     comps = _kernels.compositions(10, 3).astype(float) / 10
+    table = marginals_and_conditionals(prior)
     mu_ae = np.ascontiguousarray(prior.p.sum(axis=2).T)
     mu_aeb = np.ascontiguousarray(np.transpose(prior.p, (1, 0, 2)))
     n_cand = comps.shape[0] ** 3
     assert n_cand > 2 * CHUNK
     for score, clip in score_kinds(rng, 2)[:2]:
-        got = _kernels.oracle_scan(comps, 3, 1000, n_cand, mu_ae, mu_aeb,
-                                   score, clip)
+        got = _kernels.oracle_scan(comps, 3, 1000, n_cand, table, score, clip)
         ref = oracle_scan_ref(comps, 3, 1000, n_cand, mu_ae, mu_aeb, score,
                               clip)
-        assert got[0] == ref[0] and got[1] == ref[1]
+        assert_scan_close(got, ref, oracle_scan_ref, comps, 3, 1000, n_cand,
+                          mu_ae, mu_aeb, score, clip)
 
 
 def test_oracle_scan_memory_at_most_per_candidate_form():
     # the large verify rung: |A| = 3, den 66, two signals, 67^3 candidates.
-    # The lattice table holds 67^3 (1 + nb) floats; the per-candidate form
+    # The lattice table holds 67^3 floats; the per-candidate form
     # materialises m (1 + nb) posteriors per candidate of a chunk instead.
     rng = np.random.default_rng(107)
     ne, na, nb, den, m = 2, 3, 2, 66, 2
     prior = random_prior(rng, ne=ne, na=na, nb=nb)
     comps = _kernels.compositions(den, m).astype(float) / den
+    table = marginals_and_conditionals(prior)
     mu_ae = np.ascontiguousarray(prior.p.sum(axis=2).T)
     mu_aeb = np.ascontiguousarray(np.transpose(prior.p, (1, 0, 2)))
     n_cand = comps.shape[0] ** na
     for score, clip in score_kinds(rng, ne)[:2]:
         peaks, results = [], []
-        for scan in (_kernels.oracle_scan, oracle_scan_per_candidate):
+        for scan, data in ((_kernels.oracle_scan, (table,)),
+                           (oracle_scan_per_candidate, (mu_ae, mu_aeb))):
             tracemalloc.start()
             try:
-                results.append(scan(comps, na, 0, n_cand, mu_ae, mu_aeb,
-                                    score, clip))
+                results.append(scan(comps, na, 0, n_cand, *data, score, clip))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert results[0] == results[1], score.kind
+        assert_scan_close(results[0], results[1], oracle_scan_per_candidate,
+                          comps, na, 0, n_cand, mu_ae, mu_aeb, score, clip)
         assert peaks[0] <= peaks[1], (score.kind, peaks)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from abasolve.errors import BoundaryTangent, ValidationError
-from abasolve.scoring import (HolderParams, ScoreKind, check_holder,
-                              decision_problem_from_G, default_tangent_grid,
-                              eval_G, expected_report_score,
-                              holder_from_niceness, linearize_smooth,
-                              log_score, piecewise_score, quadratic_score,
-                              score_R, spherical_score)
+from abasolve.scoring import (HolderParams, ScoreKind, ScoreSpec,
+                              check_holder, decision_problem_from_G,
+                              default_tangent_grid, eval_G,
+                              expected_report_score, holder_from_niceness,
+                              linearize_smooth, log_score, piecewise_score,
+                              quadratic_score, score_R, spherical_score)
 
 from helpers import (SCORES, expected_report_score_ref,
                      linearize_smooth_loop, random_piecewise, random_simplex)
@@ -195,6 +195,14 @@ def test_resolved_holder_requires_user_params_for_spherical():
     sp = spherical_score(holder=HolderParams(1.0, 1.0, 0.5))
     assert sp.resolved_holder(2) == (1.0, 1.0, 0.5)
     assert sp.resolved_bound(2) == 1.0
+
+
+@pytest.mark.parametrize("value", (math.inf, math.nan, 0.0, -1.0))
+def test_holder_alpha_and_bound_L_must_be_finite_and_positive(value):
+    with pytest.raises(ValidationError, match="holder parameters"):
+        HolderParams(value, 1.0)
+    with pytest.raises(ValidationError, match="finite and positive"):
+        ScoreSpec(ScoreKind.QUADRATIC, bound_L=value)
 
 
 def test_piecewise_requires_pieces():
