@@ -30,7 +30,7 @@ from .fptas import (enumerate_k_uniform, epsilon_for_delta, fptas_a_const,
                     scheme_from_posteriors)
 from .instances import (copy_instance, emit_report, independent_instance,
                         parse_instance, xor_instance)
-from .lp import LinearProgram, LPSolution, LPStatus, debug_dump, solve_lp
+from .lp import LPSolution, LPStatus
 from .oracle import (CrossBeliefPayoff, bob_report, cross_belief_utilities,
                      deviation_check, oracle_optimal)
 from .scoring import (DecisionProblem, HolderParams, ScoreKind, ScoreSpec,

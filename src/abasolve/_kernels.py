@@ -18,10 +18,11 @@ with ``ub_grid_wa``, not each candidate scheme: a signal's mass and
 posterior on A depend on a candidate only through the fractions it gives
 each alice outcome.  The scan then gathers from that table.
 
-Every kernel that evaluates G takes the ``scoring.ScoreSpec`` itself and
-the solver's log ``clip``.  This module imports nothing else from the
-package, so ``ScoreKind``, the enum its dispatch reads, is defined here and
-re-exported by ``scoring``.
+Every kernel that evaluates G takes the ``scoring.ScoreSpec`` itself, and
+every one evaluates the score's own G: the solvers cost their points with
+the G that ``belief`` reports and the certificates check.  This module
+imports nothing else from the package, so ``ScoreKind``, the enum its
+dispatch reads, is defined here and re-exported by ``scoring``.
 """
 
 from __future__ import annotations
@@ -51,29 +52,26 @@ _CHUNK = 131072  # fixed chunk size keeps results deterministic
 # ub_grid_wa's chunk: 32,768 rows keep its (nb*ne, c) temporaries in cache;
 # 131,072 ran 1.5x slower on a 10^6-row grid (one BLAS thread)
 _WA_CHUNK = 32768
+_LOG_FLOOR = np.finfo(float).smallest_subnormal
 
 
-def g_rows_np(p: np.ndarray, score: ScoreSpec, clip: float) -> np.ndarray:
+def g_rows_np(p: np.ndarray, score: ScoreSpec) -> np.ndarray:
     """Evaluate G row-wise on an (N, n) array of simplex points."""
     p = np.atleast_2d(p)
     kind = score.kind
     if kind is ScoreKind.QUADRATIC:
         return np.einsum("ij,ij->i", p, p)
     if kind is ScoreKind.LOG:
-        if clip > 0.0:
-            # clipping makes every entry positive: no zero guard needed
-            p = (p + clip) / (1.0 + p.shape[1] * clip)
-            return (p * np.log(p)).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-        return t.sum(axis=1)
+        # every positive float passes the floor unchanged, and a zero entry
+        # contributes 0 * log(_LOG_FLOOR) = -0.0: p log p with 0 log 0 = 0
+        return (p * np.log(np.maximum(p, _LOG_FLOOR))).sum(axis=1)
     if kind is ScoreKind.SPHERICAL:
         return np.sqrt(np.einsum("ij,ij->i", p, p))
     return (p @ score.pieces_r.T + score.pieces_b[None, :]).max(axis=1)
 
 
-def weighted_g(numer: np.ndarray, mass: np.ndarray, score: ScoreSpec,
-               clip: float = 0.0) -> np.ndarray:
+def weighted_g(numer: np.ndarray, mass: np.ndarray,
+               score: ScoreSpec) -> np.ndarray:
     """mass * G(numer / mass) for each posterior, shaped like ``mass``.
 
     ``numer`` holds unnormalised posteriors over E along its last axis and
@@ -82,12 +80,12 @@ def weighted_g(numer: np.ndarray, mass: np.ndarray, score: ScoreSpec,
     """
     safe = np.where(mass > 0.0, mass, 1.0)
     g = g_rows_np((numer / safe[..., None]).reshape(-1, numer.shape[-1]),
-                  score, clip).reshape(mass.shape)
+                  score).reshape(mass.shape)
     return np.where(mass > 0.0, mass, 0.0) * g
 
 
-def ub_grid_wa(w: np.ndarray, table: ConditionalTable, score: ScoreSpec,
-               clip: float = 0.0) -> np.ndarray:
+def ub_grid_wa(w: np.ndarray, table: ConditionalTable,
+               score: ScoreSpec) -> np.ndarray:
     """Bob's utility u_B(w) at each row of ``w`` (posteriors over A).
 
     The coefficients mu(b|a), mu(e|a,b) and mu(e|a) come from the prior's
@@ -114,17 +112,16 @@ def ub_grid_wa(w: np.ndarray, table: ConditionalTable, score: ScoreSpec,
         wt = w[lo:hi].T
         numer = m @ wt                                     # (nb*ne, c)
         lam = bga.T @ wt                                   # (nb, c)
-        first = weighted_g(numer[:ne].T, lam[0], score, clip)
+        first = weighted_g(numer[:ne].T, lam[0], score)
         for b in range(1, nb):
-            first += weighted_g(numer[b * ne:(b + 1) * ne].T, lam[b], score,
-                                clip)
-        second = weighted_g((ega.T @ wt).T, np.ones(hi - lo), score, clip)
+            first += weighted_g(numer[b * ne:(b + 1) * ne].T, lam[b], score)
+        second = weighted_g((ega.T @ wt).T, np.ones(hi - lo), score)
         out[lo:hi] = first - second
     return out
 
 
-def ub_grid_veb(v: np.ndarray, ne: int, nb: int, score: ScoreSpec,
-                clip: float = 0.0) -> np.ndarray:
+def ub_grid_veb(v: np.ndarray, ne: int, nb: int,
+                score: ScoreSpec) -> np.ndarray:
     """Bob's utility u_B(v) at each row of ``v`` (posteriors over E x B).
 
     Rows are joint weights flattened e-major: v[:, e * nb + b].
@@ -134,9 +131,9 @@ def ub_grid_veb(v: np.ndarray, ne: int, nb: int, score: ScoreSpec,
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         vc = v[lo:hi].reshape(hi - lo, ne, nb)
-        first = weighted_g(np.swapaxes(vc, 1, 2), vc.sum(axis=1), score,
-                           clip).sum(axis=1)
-        second = weighted_g(vc.sum(axis=2), np.ones(hi - lo), score, clip)
+        first = weighted_g(np.swapaxes(vc, 1, 2), vc.sum(axis=1),
+                           score).sum(axis=1)
+        second = weighted_g(vc.sum(axis=2), np.ones(hi - lo), score)
         out[lo:hi] = first - second
     return out
 
@@ -269,7 +266,7 @@ def envelope_iterate(ext: np.ndarray, basis: np.ndarray, x_b: np.ndarray,
 
 
 def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,
-                table: ConditionalTable, score: ScoreSpec, clip: float = 0.0):
+                table: ConditionalTable, score: ScoreSpec):
     """Scan candidate schemes [start, stop) and return (best value, index).
 
     ``comps`` holds the P per-outcome signal-fraction rows (P, m); candidate
@@ -306,7 +303,7 @@ def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,
     w = w.reshape(-1, n_alice)
     mass = w.sum(axis=1)
     w /= np.where(mass > 0.0, mass, 1.0)[:, None]
-    cost = ub_grid_wa(w, table, score, clip)
+    cost = ub_grid_wa(w, table, score)
     del w                                       # freed before the scan
     cost *= -mass           # u_B is finite at w = 0: zero mass costs 0
 

@@ -34,7 +34,7 @@ from .core import Classification, ConditionalTable, JointPrior, Method, \
     SignalingScheme, SolveReport, marginals_and_conditionals, total_value, \
     full_reveal_scheme, no_reveal_scheme
 from .errors import NumericalFailure, SizeCapExceeded, ValidationError
-from .fptas import GRID_GAP_TOL, _envelope_lp
+from .fptas import _certified_bob, _envelope_lp
 from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, check_cell_cap, \
     solve_lp, tableau_cells
 from .scoring import DecisionProblem, ScoreKind, ScoreSpec
@@ -61,26 +61,24 @@ def build_revelation_signals(k: int, bob_outcomes: int,
 
 
 def _obedience_blocks(table: ConditionalTable, decision: DecisionProblem):
-    """Per-alice-outcome coefficient tensors shared by LP rows and objective.
+    """Per-alice-outcome utility weights, shared by LP rows and objective,
+    as a (1+|B|, k, |A|) array ue by profile column.
 
-    unc[i, j, a] weights pi(s, a) in the row 'recommended i beats j' before
-    Bob reveals; con[i, j, a, b] after Bob reveals b.  ue_a and ue_ab carry
-    the objective weights.
+    ue[0, i, a] is action i's expected utility under mu(.|a), before Bob
+    reveals; ue[1+b, i, a] under mu(.|a, b), weighted by mu(b|a), after he
+    reveals b.
     """
     t = table.zero_filled()
     u = decision.utilities                       # (k, ne)
-    k = u.shape[0]
     ue_a = np.einsum("ie,ae->ia", u, t.e_given_a)           # (k, na)
     ue_ab = np.einsum("ie,abe,ab->iab", u, t.e_given_ab, t.b_given_a)
-    unc = ue_a[:, None, :] - ue_a[None, :, :]               # (k, k, na)
-    con = ue_ab[:, None, :, :] - ue_ab[None, :, :, :]       # (k, k, na, nb)
-    return ue_a, ue_ab, unc, con
+    return np.concatenate((ue_a[None], np.moveaxis(ue_ab, 2, 0)))
 
 
-def _components(unc: np.ndarray, con: np.ndarray) -> np.ndarray:
-    """unc and con stacked by profile column: (1+|B|, k, k, |A|), component
-    0 before Bob reveals, component 1+b after he reveals b."""
-    return np.concatenate((unc[None], np.moveaxis(con, 3, 0)))
+def _components(ue: np.ndarray) -> np.ndarray:
+    """(1+|B|, k, k, |A|): entry [c, i, j, a] weights pi(s, a) in profile
+    column c's row 'recommended i beats j'."""
+    return ue[:, :, None, :] - ue[:, None, :, :]
 
 
 def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
@@ -108,15 +106,15 @@ def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
     # refuse before allocating: the solver's tableau is the largest array
     check_cell_cap(tableau_cells(n_vars, n_rows, na), cell_cap)
     table = marginals_and_conditionals(prior)
-    ue_a, ue_ab, unc, con = _obedience_blocks(table, decision)
+    ue = _obedience_blocks(table, decision)
 
-    objective = (ue_a[signals[:, 0]] - sum(ue_ab[signals[:, 1 + b], :, b]
-                                           for b in range(nb))).ravel()
+    objective = (ue[0, signals[:, 0]] - sum(ue[1 + b, signals[:, 1 + b]]
+                                            for b in range(nb))).ravel()
     sig, row = np.divmod(np.arange(n_rows), k + k * nb)
     comp, j = np.divmod(row, k)
     a_ub = np.zeros((n_rows, n_vars))
     a_ub[np.arange(n_rows)[:, None], sig[:, None] * na + np.arange(na)] = \
-        -_components(unc, con)[comp, signals[sig, comp], j]
+        -_components(ue)[comp, signals[sig, comp], j]
     return LinearProgram(objective, np.tile(np.eye(na), n_signals),
                          table.mu_a, a_ub, np.zeros(n_rows))
 
@@ -134,11 +132,13 @@ def _cross(sub: np.ndarray) -> np.ndarray:
                      for a in range(n)], axis=-1)
 
 
-def _arrangement_points(unc: np.ndarray, con: np.ndarray) -> np.ndarray:
+def _arrangement_points(ue: np.ndarray) -> np.ndarray:
     """Delta_A's vertices, then every candidate vertex of u_B's arrangement
     on Delta_A, as the rows of an (n, |A|) array.
 
-    Each (|A|-1)-subset of the rows (the nonzero normals for i < j, then
+    For |A| = 1, Delta_A is the one point e_0 and nothing else is built.
+    Otherwise each (|A|-1)-subset of the rows (the nonzero normals
+    ue[c, i] - ue[c, j] of ``_obedience_blocks``' weights for i < j, then
     the facets e_a) gives its generalised cross product v, the signed
     minors, kept when its entries share one sign and scaled to sum 1.  A
     vertex on a face of Delta_A is also the cross product of a subset that
@@ -151,9 +151,11 @@ def _arrangement_points(unc: np.ndarray, con: np.ndarray) -> np.ndarray:
     110 MB; a random 1,734,453-candidate instance keeps 9,364 points and
     peaks at 9.8 MB.
     """
-    k, _, na = unc.shape
+    _, k, na = ue.shape
+    if na == 1:
+        return np.eye(1)
     i, j = np.triu_indices(k, 1)
-    normals = _components(unc, con)[:, i, j].reshape(-1, na)
+    normals = (ue[:, i] - ue[:, j]).reshape(-1, na)
     rows = np.concatenate((normals[np.abs(normals).max(axis=1) > 0.0],
                            np.eye(na)))
     points = [np.eye(na)]
@@ -186,16 +188,14 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     if count > cap_lp_vars:
         raise SizeCapExceeded(f"arrangement has {count} candidate points, "
                               f"cap is {cap_lp_vars}", required=count)
-    ue_a, ue_ab, unc, con = _obedience_blocks(
-        marginals_and_conditionals(prior), decision)
-    points = _arrangement_points(unc, con)
-    sol = _envelope_lp(prior, score, points, 0.0, "vertex")
+    ue = _obedience_blocks(marginals_and_conditionals(prior), decision)
+    points = _arrangement_points(ue)
+    sol = _envelope_lp(prior, score, points, "vertex")
 
     # merge the support points by lowest-index argmax profile (lossless)
     support = np.flatnonzero(sol.x > 1e-10)
     w = points[support]
-    profile = np.einsum("va,iac->vci", w, np.concatenate(
-        (ue_a[:, :, None], ue_ab), axis=2)).argmax(axis=2)
+    profile = np.einsum("va,cia->vci", w, ue).argmax(axis=2)
     profiles, group = np.unique(profile, axis=0, return_inverse=True)
     pi = np.zeros((profiles.shape[0], na))
     np.add.at(pi, group.ravel(), sol.x[support, None] * w)
@@ -206,12 +206,8 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
         raise NumericalFailure(f"scheme violates obedience by {violation!r}, "
                                f"above {OBEDIENCE_TOL!r}")
 
-    bob = belief.bob_utility_of_scheme(prior, score, scheme)
+    bob = _certified_bob(prior, score, scheme, sol, "vertex")
     optimum = -sol.objective
-    if not abs(optimum + bob) <= GRID_GAP_TOL:
-        raise NumericalFailure(
-            f"vertex LP value {optimum!r} and the scheme's sender objective "
-            f"{-bob!r} differ by more than {GRID_GAP_TOL!r}")
     return SolveReport(
         scheme, -bob, bob, total_value(prior, score),
         _classify_against_benchmarks(prior, score, optimum), Method.EXACT,

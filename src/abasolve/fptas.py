@@ -14,6 +14,9 @@ solver's LP over arrangement vertices: u_B at each point by
 status check and the certificate.  fptas-eb's LP, with its per-grid-point
 achievability rows, runs on the dense tableau of ``lp.solve_lp``.  Every
 answer must pass a feasibility-residual and a duality-gap certificate.
+The envelope LP costs its points with the score's own G, the G ``belief``
+reports, so its value is the u_B of the scheme it returns; fptas-a and the
+exact solver also check that, through ``_certified_bob``.
 Both grids are sized by the point cap; fptas-eb's also by the cell cap of
 the tableau it builds.
 
@@ -35,10 +38,9 @@ from .errors import BayesPlausibilityViolated, NumericalFailure, \
     SizeCapExceeded, ValidationError
 from .lp import DEFAULT_CELL_CAP, LinearProgram, LPSolution, LPStatus, \
     check_cell_cap, solve_envelope, solve_lp, tableau_cells
-from .scoring import ScoreKind, ScoreSpec
+from .scoring import ScoreSpec
 
 DEFAULT_GRID_CAP = 5_000_000
-LOG_CLIP = 1e-9
 EPS_CEILING = 0.49  # grid_size_K needs eps < 1; beyond this the grid is tiny anyway
 # certificate bounds on the solutions of both grid LPs and of the exact
 # solver's vertex LP: feasibility residual (see lp.solve_envelope and
@@ -47,9 +49,11 @@ GRID_FEAS_TOL = 1e-9
 GRID_GAP_TOL = 1e-7
 
 
-def _check_delta(delta: float) -> None:
+def _check_args(delta: float, grid_k: int | None = None) -> None:
     if not 0 < delta < math.inf:
         raise ValidationError(f"delta={delta!r} must be finite and positive")
+    if grid_k is not None and grid_k < 1:
+        raise ValidationError(f"grid_k={grid_k} must be at least 1")
 
 
 def epsilon_for_delta(delta: float, n_bob: int, L: float, alpha: float,
@@ -62,7 +66,7 @@ def epsilon_for_delta(delta: float, n_bob: int, L: float, alpha: float,
     inflating the first denominator to 6|B|L + 6 alpha, which re-derives
     the same continuity bound for Lipschitz G.
     """
-    _check_delta(delta)
+    _check_args(delta)
     if L <= 0 or alpha <= 0 or not (0 < beta <= 1) or n_bob < 1:
         raise ValidationError("need L, alpha > 0, beta in (0,1], |B| >= 1")
     if beta == 1.0:
@@ -175,8 +179,9 @@ def _resolve_grid(prior: JointPrior, score: ScoreSpec, delta: float, d: int,
 
     An automatic K is capped so that the grid fits ``cap_points`` and, when
     given, ``lp_points()``, the most points the solver's LP can take; an
-    explicit ``grid_k`` below 1 raises ValidationError, and one whose grid
-    exceeds ``cap_points`` SizeCapExceeded, here, before the grid is built.
+    explicit ``grid_k`` (at least 1, as ``_check_args`` checks) whose grid
+    exceeds ``cap_points`` raises SizeCapExceeded here, before the grid is
+    built.
     """
     ne = prior.n_events
     alpha, beta, _ = score.resolved_holder(ne)
@@ -185,8 +190,6 @@ def _resolve_grid(prior: JointPrior, score: ScoreSpec, delta: float, d: int,
     eps_used = min(eps, EPS_CEILING)
     k_target = grid_size_K(d, eps_used) if d >= 2 else 0
     if grid_k is not None:
-        if grid_k < 1:
-            raise ValidationError(f"grid_k={grid_k} must be at least 1")
         k = grid_k
         if count_k_uniform(d, k) > cap_points:
             raise SizeCapExceeded(f"grid_k={k} exceeds the point cap",
@@ -254,21 +257,36 @@ def _certify_lp(sol: LPSolution, name: str) -> None:
 
 
 def _envelope_lp(prior: JointPrior, score: ScoreSpec, points: np.ndarray,
-                 clip: float, name: str) -> LPSolution:
+                 name: str) -> LPSolution:
     """min sum_j x_j u_B(points_j) s.t. sum_j x_j points_j = mu_A, x >= 0:
     costs by ``_kernels.ub_grid_wa``, solved by ``solve_envelope`` and
     certified.  ``points`` must hold every vertex of Delta_A; ``name``
     labels the LP in the NumericalFailure messages.
     """
     table = marginals_and_conditionals(prior)
-    sol = solve_envelope(_kernels.ub_grid_wa(points, table, score, clip),
-                         points, table.mu_a)
+    sol = solve_envelope(_kernels.ub_grid_wa(points, table, score), points,
+                         table.mu_a)
     if sol.status is not LPStatus.OPTIMAL:
         raise NumericalFailure(f"{name} LP reported {sol.status.value}; the "
                                f"prior marginal always lies in the {name} "
                                "hull")
     _certify_lp(sol, name)
     return sol
+
+
+def _certified_bob(prior: JointPrior, score: ScoreSpec,
+                   scheme: SignalingScheme, sol: LPSolution,
+                   name: str) -> float:
+    """u_B of ``scheme`` by ``belief``, the scheme read off the envelope LP
+    solution ``sol``.  Both cost a posterior with the score's own G, so the
+    LP value is the scheme's u_B; raise NumericalFailure when the two
+    differ by more than GRID_GAP_TOL."""
+    bob = belief.bob_utility_of_scheme(prior, score, scheme)
+    if not abs(sol.objective - bob) <= GRID_GAP_TOL:
+        raise NumericalFailure(
+            f"{name} LP value {-sol.objective!r} and the scheme's sender "
+            f"objective {-bob!r} differ by more than {GRID_GAP_TOL!r}")
+    return bob
 
 
 def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
@@ -278,11 +296,12 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
 
     The grid LP -- weights on the grid points averaging to mu(a), at least
     cost in u_B -- goes to ``lp.solve_envelope``; a feasibility residual
-    above GRID_FEAS_TOL or a duality gap above GRID_GAP_TOL raises
+    above GRID_FEAS_TOL, a duality gap above GRID_GAP_TOL, or an LP value
+    more than GRID_GAP_TOL from the returned scheme's u_B raises
     NumericalFailure.  It builds no tableau, so ``cap_grid_points`` alone
     sizes and refuses K.
     """
-    _check_delta(delta)
+    _check_args(delta, grid_k)
     na = prior.n_alice
     if na == 1:
         scheme = SignalingScheme(("w0",), prior.marginal_alice()[None, :])
@@ -292,19 +311,17 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
                            {"K": 0, "grid_points": 1, "delta": delta})
     k, diag = _resolve_grid(prior, score, delta, na, grid_k, cap_grid_points)
     grid = enumerate_k_uniform(na, k, cap_grid_points)
-    clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0
-    sol = _envelope_lp(prior, score, grid, clip, "grid")
+    sol = _envelope_lp(prior, score, grid, "grid")
 
     support = np.nonzero(sol.x > 1e-12)[0]
     scheme = scheme_from_posteriors(
         prior, [(sol.x[j], grid[j]) for j in support])
-    bob = belief.bob_utility_of_scheme(prior, score, scheme)
+    bob = _certified_bob(prior, score, scheme, sol, "grid")
     diag.update({
         "grid_points": grid.shape[0],
         "lp_objective": sol.objective,
         "lp_iterations": sol.iterations,
         "lp_duality_gap": sol.duality_gap,
-        "log_clip": clip,
     })
     return SolveReport(scheme, -bob, bob, total_value(prior, score),
                        Classification.UNCLASSIFIED, Method.FPTAS_A, diag)
@@ -331,6 +348,7 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     if consistency_eta is not None and not 0 < consistency_eta < math.inf:
         raise ValidationError(f"consistency_eta={consistency_eta!r} must be "
                               "finite and positive")
+    _check_args(delta, grid_k)
     ne, na, nb = prior.n_events, prior.n_alice, prior.n_bob
     d = ne * nb
     table = marginals_and_conditionals(prior).zero_filled()
@@ -343,8 +361,7 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     check_cell_cap(cells(count_k_uniform(d, k)), cell_cap)
     grid = enumerate_k_uniform(d, k, cap_grid_points)
     n = grid.shape[0]
-    clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0
-    ub = _kernels.ub_grid_veb(grid, ne, nb, score, clip)
+    ub = _kernels.ub_grid_veb(grid, ne, nb, score)
 
     # mu(e,b|a) flattened e-major to match grid columns
     meb_a = np.transpose(table.eb_given_a, (1, 2, 0)).reshape(d, na)
@@ -391,7 +408,6 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
         "lp_objective": -sol.objective,
         "lp_iterations": sol.iterations,
         "lp_duality_gap": sol.duality_gap,
-        "log_clip": clip,
         "guarantee": diag["guarantee"] + eta_term,
     })
     return SolveReport(scheme, -bob, bob, total_value(prior, score),

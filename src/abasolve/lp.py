@@ -102,16 +102,6 @@ class LPSolution:
     feasibility_residual: float | None = None
 
 
-def debug_dump(lp: LinearProgram) -> str:
-    """Plain-text dump: one row per line, space-separated coefficients."""
-    lines = ["objective " + " ".join(repr(v) for v in lp.objective)]
-    for row, rhs in zip(lp.a_eq, lp.b_eq):
-        lines.append(" ".join(repr(v) for v in row) + f" = {rhs!r}")
-    for row, rhs in zip(lp.a_ub, lp.b_ub):
-        lines.append(" ".join(repr(v) for v in row) + f" <= {rhs!r}")
-    return "\n".join(lines)
-
-
 def tableau_cells(n_vars: int, m_ub: int, m_eq: int,
                   n_neg_ub: int = 0) -> int:
     """Cells of the tableau ``solve_lp`` builds: a row per constraint plus

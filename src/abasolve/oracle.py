@@ -19,7 +19,7 @@ from .core import CheckReport, Classification, ConditionalTable, JointPrior, \
     Method, SignalingScheme, SolveReport, _value_terms, \
     marginals_and_conditionals, total_value
 from .errors import PreconditionViolated, SizeCapExceeded, ValidationError
-from .fptas import LOG_CLIP, _continuity_modulus
+from .fptas import _continuity_modulus
 from .scoring import ScoreKind, ScoreSpec
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
@@ -53,9 +53,8 @@ def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
             f"oracle would scan {n_cand} candidates, cap is {cap_candidates}",
             required=n_cand)
 
-    clip = LOG_CLIP if score.kind is ScoreKind.LOG else 0.0
     best_val, best_idx = _kernels.oracle_scan(
-        comps, na, 0, n_cand, marginals_and_conditionals(prior), score, clip)
+        comps, na, 0, n_cand, marginals_and_conditionals(prior), score)
 
     # candidate c gives alice outcome a the row (c // P**a) % P of comps
     digits = np.unravel_index(best_idx, (comps.shape[0],) * na)[::-1]

@@ -332,8 +332,10 @@ def obedience_lp_loop(prior, decision, profiles):
 
     k = decision.n_actions
     na, nb = prior.n_alice, prior.n_bob
-    ue_a, ue_ab, unc, con = _obedience_blocks(
-        marginals_and_conditionals(prior), decision)
+    ue = _obedience_blocks(marginals_and_conditionals(prior), decision)
+    ue_a, ue_ab = ue[0], np.moveaxis(ue[1:], 0, 2)
+    unc = ue_a[:, None, :] - ue_a[None, :, :]               # (k, k, na)
+    con = ue_ab[:, None, :, :] - ue_ab[None, :, :, :]       # (k, k, na, nb)
     signals = np.asarray(profiles).tolist()
     n_vars = len(signals) * na
     objective = np.empty(n_vars)

@@ -533,6 +533,24 @@ def test_solve_exact_over_cap_allocates_nothing():
     assert peak < 256 * 1024
 
 
+def test_solve_exact_one_alice_outcome_builds_no_arrangement():
+    # |A| = 1: Delta_A is one point, so the cap (one candidate) admits any
+    # piece count; nothing of size k x k may be built for it
+    prior = random_prior(np.random.default_rng(5), ne=3, na=1, nb=2)
+    tracemalloc.start()
+    try:
+        report = classify_substitutes(prior, quadratic_score(), tangent_k=40,
+                                      cap_lp_vars=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.diagnostics["pieces"] == 861
+    assert report.diagnostics["lp_vars"] == 1
+    assert report.classification is Classification.INDIFFERENT
+    assert report.scheme.n_signals == 1
+    assert peak < 10 * 2**20
+
+
 # -- self-certification ------------------------------------------------------
 
 def _with_gap(monkeypatch, gap):
@@ -580,20 +598,25 @@ def test_solve_exact_raises_when_phase_2_stops_early(monkeypatch, na):
 def test_solve_exact_checks_lp_value_against_scheme(xor_prior, monkeypatch,
                                                     shift, raises):
     # a constant added to every cost moves the LP value but neither its
-    # optimal basis nor the u_B that belief recomputes for the scheme
+    # optimal basis nor the u_B that belief recomputes for the scheme.
+    # fptas-a shares the check; its lp_objective is u_B, not its negative
     score = random_piecewise(np.random.default_rng(2), ne=2, k=4)
-    want = solve_exact(xor_prior, score).sender_objective
+    solvers = ((solve_exact, 1.0),
+               (lambda prior, score: fptas.fptas_a_const(prior, score, 0.5,
+                                                         grid_k=12), -1.0))
+    want = [solve(xor_prior, score).sender_objective for solve, _ in solvers]
     real = _kernels.ub_grid_wa
     monkeypatch.setattr(_kernels, "ub_grid_wa",
                         lambda *args: real(*args) + shift)
-    if raises:
-        with pytest.raises(NumericalFailure, match="sender objective"):
-            solve_exact(xor_prior, score)
-    else:
-        report = solve_exact(xor_prior, score)
-        assert report.sender_objective == want
-        assert report.diagnostics["lp_objective"] == \
-            pytest.approx(want - shift, abs=1e-15)
+    for (solve, sign), objective in zip(solvers, want):
+        if raises:
+            with pytest.raises(NumericalFailure, match="sender objective"):
+                solve(xor_prior, score)
+        else:
+            report = solve(xor_prior, score)
+            assert report.sender_objective == objective
+            assert sign * report.diagnostics["lp_objective"] == \
+                pytest.approx(objective - shift, abs=1e-15)
 
 
 def test_obedience_blocks_computed_once(monkeypatch):

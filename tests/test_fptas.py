@@ -206,9 +206,13 @@ def test_explicit_grid_k_below_one_is_a_validation_error(monkeypatch, solver,
         raise AssertionError("grid built for an invalid grid_k")
 
     monkeypatch.setattr(fptas, "enumerate_k_uniform", refuse)
-    prior = random_prior(np.random.default_rng(2), ne=2, na=2, nb=2)
-    with pytest.raises(ValidationError, match=f"grid_k={grid_k} must be"):
-        solver(prior, quadratic_score(), 0.05, grid_k=grid_k)
+    rng = np.random.default_rng(2)
+    # |A| = 1 too: fptas-a answers it without a grid, after the same check
+    for na in (2, 1):
+        prior = random_prior(rng, ne=2, na=na, nb=2)
+        with pytest.raises(ValidationError,
+                           match=f"grid_k={grid_k} must be"):
+            solver(prior, quadratic_score(), 0.05, grid_k=grid_k)
 
 
 def test_fptas_a_builds_no_tableau(monkeypatch, quad):
@@ -350,11 +354,22 @@ def test_fptas_eb_three_events(quad):
         count_k_uniform(6, report.diagnostics["K"])
 
 
-def test_fptas_a_log_score_clip_path(xor_prior, logsc):
+def test_fptas_a_log_lp_value_is_the_schemes_u_b(xor_prior, logsc):
+    # the grid LP costs its points with the log rule's own G, the one
+    # belief reports: its value is the returned scheme's u_B, also where
+    # grid points on Delta_A's boundary give posteriors with zero entries
     report = fptas_a_const(xor_prior, logsc, delta=0.5, grid_k=40)
-    assert report.diagnostics["log_clip"] == 1e-9
     assert report.bob_utility == pytest.approx(0.0, abs=1e-7)
     assert report.diagnostics["beta"] == 0.6  # niceness-derived default
+    rng = np.random.default_rng(137)
+    for na in (2, 3) * 3:
+        base = random_prior(rng, ne=3, na=na, nb=2)
+        p = base.p.copy()
+        p[rng.random(p.shape) < 0.25] = 0.0
+        for prior in (base, JointPrior(p / p.sum())):
+            report = fptas_a_const(prior, logsc, 0.5, grid_k=30)
+            assert abs(report.diagnostics["lp_objective"] -
+                       report.bob_utility) <= 1e-12
 
 
 def test_fptas_a_with_null_alice_outcome(quad):

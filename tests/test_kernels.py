@@ -38,7 +38,7 @@ UB_ATOL = 1e-14
 SCAN_ATOL = 1e-12
 
 
-def ub_grid_wa_ref(w, bga, egab, ega, score, clip):
+def ub_grid_wa_ref(w, bga, egab, ega, score):
     n = w.shape[0]
     out = np.empty(n)
     for lo in range(0, n, CHUNK):
@@ -48,15 +48,15 @@ def ub_grid_wa_ref(w, bga, egab, ega, score, clip):
         numer = np.einsum("ca,ab,abe->cbe", wc, bga, egab)
         safe = np.where(lam > 0.0, lam, 1.0)
         post = numer / safe[:, :, None]
-        gpost = g_rows_np(post.reshape(-1, post.shape[2]), score,
-                          clip).reshape(post.shape[0], post.shape[1])
+        gpost = g_rows_np(post.reshape(-1, post.shape[2]),
+                          score).reshape(post.shape[0], post.shape[1])
         first = (np.where(lam > 0.0, lam, 0.0) * gpost).sum(axis=1)
-        second = g_rows_np(wc @ ega, score, clip)
+        second = g_rows_np(wc @ ega, score)
         out[lo:hi] = first - second
     return out
 
 
-def ub_grid_wa_frozen(w, bga, egab, ega, score, clip):
+def ub_grid_wa_frozen(w, bga, egab, ega, score):
     na, nb, ne = egab.shape
     m = (bga[:, :, None] * egab).reshape(na, nb * ne).T
     n = w.shape[0]
@@ -71,13 +71,13 @@ def ub_grid_wa_frozen(w, bga, egab, ega, score, clip):
             safe = np.where(lam[b] > 0.0, lam[b], 1.0)
             post = numer[b * ne:(b + 1) * ne].T / safe[:, None]
             term = np.where(lam[b] > 0.0, lam[b], 0.0) * g_rows_np(
-                post, score, clip)
+                post, score)
             first = term if first is None else first + term
-        out[lo:hi] = first - g_rows_np((ega.T @ wt).T, score, clip)
+        out[lo:hi] = first - g_rows_np((ega.T @ wt).T, score)
     return out
 
 
-def ub_grid_veb_ref(v, ne, nb, score, clip):
+def ub_grid_veb_ref(v, ne, nb, score):
     n = v.shape[0]
     out = np.empty(n)
     for lo in range(0, n, CHUNK):
@@ -86,10 +86,10 @@ def ub_grid_veb_ref(v, ne, nb, score, clip):
         lam = vc.sum(axis=1)
         safe = np.where(lam > 0.0, lam, 1.0)
         post = np.swapaxes(vc, 1, 2) / safe[:, :, None]
-        gpost = g_rows_np(post.reshape(-1, ne), score,
-                          clip).reshape(hi - lo, nb)
+        gpost = g_rows_np(post.reshape(-1, ne),
+                          score).reshape(hi - lo, nb)
         first = (np.where(lam > 0.0, lam, 0.0) * gpost).sum(axis=1)
-        second = g_rows_np(vc.sum(axis=2), score, clip)
+        second = g_rows_np(vc.sum(axis=2), score)
         out[lo:hi] = first - second
     return out
 
@@ -108,7 +108,7 @@ def compositions_ref(k, d):
     return np.vstack(blocks)
 
 
-def oracle_scan_ref(comps, n_alice, start, stop, mu_ae, mu_aeb, score, clip):
+def oracle_scan_ref(comps, n_alice, start, stop, mu_ae, mu_aeb, score):
     p_count = comps.shape[0]
     ne = mu_ae.shape[1]
     best_val = -np.inf
@@ -125,14 +125,14 @@ def oracle_scan_ref(comps, n_alice, start, stop, mu_ae, mu_aeb, score, clip):
         numer = np.einsum("cam,ae->cme", fr, mu_ae)
         mass = numer.sum(axis=2)
         safe = np.where(mass > 0.0, mass, 1.0)
-        g1 = g_rows_np((numer / safe[:, :, None]).reshape(-1, ne), score,
-                       clip).reshape(mass.shape)
+        g1 = g_rows_np((numer / safe[:, :, None]).reshape(-1, ne),
+                       score).reshape(mass.shape)
         obj = (np.where(mass > 0.0, mass, 0.0) * g1).sum(axis=1)
         numer_b = np.einsum("cam,aeb->cmbe", fr, mu_aeb)
         mass_b = numer_b.sum(axis=3)
         safe_b = np.where(mass_b > 0.0, mass_b, 1.0)
         g2 = g_rows_np((numer_b / safe_b[:, :, :, None]).reshape(-1, ne),
-                       score, clip).reshape(mass_b.shape)
+                       score).reshape(mass_b.shape)
         obj -= (np.where(mass_b > 0.0, mass_b, 0.0) * g2).sum(axis=(1, 2))
         chunk_best = int(np.argmax(obj))
         if obj[chunk_best] > best_val:
@@ -142,7 +142,7 @@ def oracle_scan_ref(comps, n_alice, start, stop, mu_ae, mu_aeb, score, clip):
 
 
 def oracle_scan_per_candidate(comps, n_alice, start, stop, mu_ae, mu_aeb,
-                              score, clip):
+                              score):
     p_count = comps.shape[0]
     best_val = -np.inf
     best_idx = -1
@@ -156,11 +156,11 @@ def oracle_scan_per_candidate(comps, n_alice, start, stop, mu_ae, mu_aeb,
             q = q // p_count
         fr = comps[digits]
         numer = np.einsum("cam,ae->cme", fr, mu_ae)
-        obj = _kernels.weighted_g(numer, numer.sum(axis=2), score,
-                                  clip).sum(axis=1)
+        obj = _kernels.weighted_g(numer, numer.sum(axis=2),
+                                  score).sum(axis=1)
         numer_b = np.einsum("cam,aeb->cmbe", fr, mu_aeb)
-        obj -= _kernels.weighted_g(numer_b, numer_b.sum(axis=3), score,
-                                   clip).sum(axis=(1, 2))
+        obj -= _kernels.weighted_g(numer_b, numer_b.sum(axis=3),
+                                   score).sum(axis=(1, 2))
         chunk_best = int(np.argmax(obj))
         if obj[chunk_best] > best_val:
             best_val = float(obj[chunk_best])
@@ -169,13 +169,13 @@ def oracle_scan_per_candidate(comps, n_alice, start, stop, mu_ae, mu_aeb,
 
 
 def score_kinds(rng, ne):
-    """(score, clip) for all four kinds; log with its solver clip."""
+    """One score of each of the four kinds."""
     return (
-        (quadratic_score(), 0.0),
-        (log_score(), 1e-9),
-        (spherical_score(), 0.0),
-        (ScoreSpec(ScoreKind.PIECEWISE, rng.uniform(-1.0, 1.0, size=(4, ne)),
-                   rng.uniform(-1.0, 1.0, size=4)), 0.0),
+        quadratic_score(),
+        log_score(),
+        spherical_score(),
+        ScoreSpec(ScoreKind.PIECEWISE, rng.uniform(-1.0, 1.0, size=(4, ne)),
+                  rng.uniform(-1.0, 1.0, size=4)),
     )
 
 
@@ -197,29 +197,30 @@ def _boundary_prior(rng, ne, na, nb):
 
 def test_g_rows_np_kinds():
     p = np.array([[0.5, 0.5], [1.0, 0.0]])
-    assert _kernels.g_rows_np(p, quadratic_score(), 0.0) == \
+    assert _kernels.g_rows_np(p, quadratic_score()) == \
         pytest.approx([0.5, 1.0])
-    logs = _kernels.g_rows_np(p, log_score(), 0.0)
+    logs = _kernels.g_rows_np(p, log_score())
     assert logs == pytest.approx([-0.6931471805599453, 0.0])
-    sph = _kernels.g_rows_np(p, spherical_score(), 0.0)
+    sph = _kernels.g_rows_np(p, spherical_score())
     assert sph == pytest.approx([np.sqrt(0.5), 1.0])
     score = piecewise_score([((1.0, -1.0), 0.0), ((-1.0, 1.0), 0.25)])
-    assert _kernels.g_rows_np(p, score, 0.0) == pytest.approx([0.25, 1.0])
+    assert _kernels.g_rows_np(p, score) == pytest.approx([0.25, 1.0])
 
 
-def test_g_rows_np_clipped_log_matches_guarded_sum():
-    # the earlier log branch guarded zeros even after clipping
+def test_g_rows_np_log_matches_guarded_sum():
+    # the zero-guarded form of p log p with 0 log 0 = 0, bit for bit, on
+    # rows with zeros and subnormal entries, C-ordered and as the
+    # transposed views ub_grid_wa passes
     rng = np.random.default_rng(31)
     for n in (1, 2, 3, 6):
         p = rng.dirichlet(np.full(n, 0.3), size=2000)
         p[rng.random(p.shape) < 0.2] = 0.0
-        for clip in (1e-9, 1e-4):
-            q = (p + clip) / (1.0 + n * clip)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ref = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)),
-                               0.0).sum(axis=1)
-            assert np.array_equal(
-                g_rows_np(p, log_score(), clip), ref)
+        p[:5, 0] = 5e-324
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)),
+                           0.0).sum(axis=1)
+        for rows in (p, np.ascontiguousarray(p.T).T):
+            assert np.array_equal(g_rows_np(rows, log_score()), ref), n
 
 
 def test_compositions_paths_agree():
@@ -238,9 +239,9 @@ def test_ub_grid_wa_matches_reference(ne, na, nb):
         table = marginals_and_conditionals(prior)
         t = table.zero_filled()
         grid = np.vstack((_grid(rng, 300, na), np.eye(na)))
-        for score, clip in score_kinds(rng, ne):
-            args = (grid, t.b_given_a, t.e_given_ab, t.e_given_a, score, clip)
-            got = _kernels.ub_grid_wa(grid, table, score, clip)
+        for score in score_kinds(rng, ne):
+            args = (grid, t.b_given_a, t.e_given_ab, t.e_given_a, score)
+            got = _kernels.ub_grid_wa(grid, table, score)
             assert np.array_equal(got, ub_grid_wa_frozen(*args)), score.kind
             np.testing.assert_allclose(got, ub_grid_wa_ref(*args), rtol=0.0,
                                        atol=UB_ATOL, err_msg=score.kind)
@@ -251,9 +252,9 @@ def test_ub_grid_veb_matches_reference(ne, nb):
     rng = np.random.default_rng(79 + 3 * ne + nb)
     grid = np.vstack((_grid(rng, 300, ne * nb),
                       _kernels.compositions(3, ne * nb) / 3.0))
-    for score, clip in score_kinds(rng, ne):
-        got = _kernels.ub_grid_veb(grid, ne, nb, score, clip)
-        ref = ub_grid_veb_ref(grid, ne, nb, score, clip)
+    for score in score_kinds(rng, ne):
+        got = _kernels.ub_grid_veb(grid, ne, nb, score)
+        ref = ub_grid_veb_ref(grid, ne, nb, score)
         assert np.array_equal(got, ref), score.kind
 
 
@@ -265,16 +266,16 @@ def test_ub_grid_spans_chunks():
     # two full ub_grid_wa chunks and a partial third
     k = 2 * _kernels._WA_CHUNK + 500
     grid = _kernels.compositions(k, 2) / float(k)
-    for score, clip in score_kinds(rng, 2)[:2]:
-        args = (grid, t.b_given_a, t.e_given_ab, t.e_given_a, score, clip)
-        got = _kernels.ub_grid_wa(grid, table, score, clip)
+    for score in score_kinds(rng, 2)[:2]:
+        args = (grid, t.b_given_a, t.e_given_ab, t.e_given_a, score)
+        got = _kernels.ub_grid_wa(grid, table, score)
         assert np.array_equal(got, ub_grid_wa_frozen(*args))
         np.testing.assert_allclose(got, ub_grid_wa_ref(*args), rtol=0.0,
                                    atol=UB_ATOL)
         v = rng.dirichlet(np.ones(4), size=CHUNK + 500)
         assert np.array_equal(
-            _kernels.ub_grid_veb(v, 2, 2, score, clip),
-            ub_grid_veb_ref(v, 2, 2, score, clip))
+            _kernels.ub_grid_veb(v, 2, 2, score),
+            ub_grid_veb_ref(v, 2, 2, score))
 
 
 def test_ub_grid_wa_memory_stays_per_chunk():
@@ -286,10 +287,10 @@ def test_ub_grid_wa_memory_stays_per_chunk():
     table = marginals_and_conditionals(random_prior(rng, ne=ne, na=na, nb=nb))
     grid = rng.dirichlet(np.ones(na), size=n)
     unit = _kernels._WA_CHUNK * nb * ne * 8
-    for score, clip in score_kinds(rng, ne):
+    for score in score_kinds(rng, ne):
         tracemalloc.start()
         try:
-            out = _kernels.ub_grid_wa(grid, table, score, clip)
+            out = _kernels.ub_grid_wa(grid, table, score)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -297,13 +298,13 @@ def test_ub_grid_wa_memory_stays_per_chunk():
 
 
 def assert_scan_close(got, ref, ref_scan, comps, na, start, stop, mu_ae,
-                      mu_aeb, score, clip):
+                      mu_aeb, score):
     """``got`` is within SCAN_ATOL of the reference's best ``ref``, names a
     candidate in [start, stop), and the reference scores that candidate
     within SCAN_ATOL of its best too."""
     assert abs(got[0] - ref[0]) <= SCAN_ATOL, (score.kind, got, ref)
     assert start <= got[1] < stop, (score.kind, got)
-    at = ref_scan(comps, na, got[1], got[1] + 1, mu_ae, mu_aeb, score, clip)
+    at = ref_scan(comps, na, got[1], got[1] + 1, mu_ae, mu_aeb, score)
     assert abs(at[0] - ref[0]) <= SCAN_ATOL, (score.kind, at, ref)
 
 
@@ -323,14 +324,14 @@ def test_oracle_scan_matches_reference(ne, na, nb, den, m):
         table = marginals_and_conditionals(prior)
         mu_ae = np.ascontiguousarray(prior.p.sum(axis=2).T)
         mu_aeb = np.ascontiguousarray(np.transpose(prior.p, (1, 0, 2)))
-        for score, clip in score_kinds(rng, ne):
+        for score in score_kinds(rng, ne):
             for start, stop in ((0, n_cand), (n_cand // 3, n_cand)):
                 got = _kernels.oracle_scan(comps, na, start, stop, table,
-                                           score, clip)
+                                           score)
                 ref = oracle_scan_ref(comps, na, start, stop, mu_ae, mu_aeb,
-                                      score, clip)
+                                      score)
                 assert_scan_close(got, ref, oracle_scan_ref, comps, na, start,
-                                  stop, mu_ae, mu_aeb, score, clip)
+                                  stop, mu_ae, mu_aeb, score)
 
 
 def test_oracle_scan_spans_chunks():
@@ -342,12 +343,11 @@ def test_oracle_scan_spans_chunks():
     mu_aeb = np.ascontiguousarray(np.transpose(prior.p, (1, 0, 2)))
     n_cand = comps.shape[0] ** 3
     assert n_cand > 2 * CHUNK
-    for score, clip in score_kinds(rng, 2)[:2]:
-        got = _kernels.oracle_scan(comps, 3, 1000, n_cand, table, score, clip)
-        ref = oracle_scan_ref(comps, 3, 1000, n_cand, mu_ae, mu_aeb, score,
-                              clip)
+    for score in score_kinds(rng, 2)[:2]:
+        got = _kernels.oracle_scan(comps, 3, 1000, n_cand, table, score)
+        ref = oracle_scan_ref(comps, 3, 1000, n_cand, mu_ae, mu_aeb, score)
         assert_scan_close(got, ref, oracle_scan_ref, comps, 3, 1000, n_cand,
-                          mu_ae, mu_aeb, score, clip)
+                          mu_ae, mu_aeb, score)
 
 
 def test_oracle_scan_memory_at_most_per_candidate_form():
@@ -362,16 +362,16 @@ def test_oracle_scan_memory_at_most_per_candidate_form():
     mu_ae = np.ascontiguousarray(prior.p.sum(axis=2).T)
     mu_aeb = np.ascontiguousarray(np.transpose(prior.p, (1, 0, 2)))
     n_cand = comps.shape[0] ** na
-    for score, clip in score_kinds(rng, ne)[:2]:
+    for score in score_kinds(rng, ne)[:2]:
         peaks, results = [], []
         for scan, data in ((_kernels.oracle_scan, (table,)),
                            (oracle_scan_per_candidate, (mu_ae, mu_aeb))):
             tracemalloc.start()
             try:
-                results.append(scan(comps, na, 0, n_cand, *data, score, clip))
+                results.append(scan(comps, na, 0, n_cand, *data, score))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert_scan_close(results[0], results[1], oracle_scan_per_candidate,
-                          comps, na, 0, n_cand, mu_ae, mu_aeb, score, clip)
+                          comps, na, 0, n_cand, mu_ae, mu_aeb, score)
         assert peaks[0] <= peaks[1], (score.kind, peaks)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from abasolve.errors import SizeCapExceeded, ValidationError
-from abasolve.lp import LinearProgram, LPStatus, debug_dump, solve_lp
+from abasolve.lp import LinearProgram, LPStatus, solve_lp
 
 from helpers import lp_vertex_oracle, stop_simplex_early
 
@@ -158,12 +158,3 @@ def test_duality_gap_shows_a_wrong_signed_ub_dual(monkeypatch):
     assert sol.dual_ub == pytest.approx([2.0, -1.0])
     assert (sol.dual_ub @ lp.a_ub - lp.objective == 0.0).all()
     assert sol.duality_gap == pytest.approx(1.0)
-
-
-def test_debug_dump():
-    lp = _lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
-             a_ub=[[1.0, 0.0]], b_ub=[0.5])
-    text = debug_dump(lp)
-    lines = text.splitlines()
-    assert lines[0].startswith("objective ")
-    assert "=" in lines[1] and "<=" in lines[2]

@@ -40,6 +40,7 @@ VALUES = (("objective", 0, ("objective",)),
           ("bob_utility", 0, ("bob_utility",)),
           ("V", 0, ("V",)),
           ("scan_objective", 0, ("diagnostics", "scan_objective")),
+          ("lp_objective", 0, ("diagnostics", "lp_objective")),
           ("u_b_star", 1, ("chain", "u_b_star")))
 
 
