@@ -43,7 +43,7 @@ class PosteriorDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
+        w = np.array(self.weights, dtype=float)  # a copy: never freeze input
         if w.ndim != 1:
             raise ValidationError("posterior weights must be a vector")
         if (w < -1e-12).any() or abs(float(w.sum()) - 1.0) > 1e-9:
@@ -126,11 +126,12 @@ def sender_objective(prior: JointPrior, score: ScoreSpec,
 def bob_utility_from_wA(prior: JointPrior, score: ScoreSpec, w) -> float:
     """u_B of the single signal inducing posterior w over A.
 
-    Requires w absolutely continuous w.r.t. mu(a); mass on a zero-probability
-    alice outcome is rejected rather than extrapolated.
+    Requires w a distribution absolutely continuous w.r.t. mu(a); mass on a
+    zero-probability alice outcome is rejected rather than extrapolated.
     """
     t = marginals_and_conditionals(prior)
-    wv = np.asarray(getattr(w, "weights", w), dtype=float)
+    wv = PosteriorDistribution(SupportKind.OVER_A,
+                               getattr(w, "weights", w)).weights
     if wv.shape != (prior.n_alice,):
         raise ValidationError(f"posterior over A must have {prior.n_alice} entries")
     if np.any((wv > 1e-12) & ~t.defined_a):
@@ -152,8 +153,7 @@ def bob_utility_from_vEB(score: ScoreSpec, v, n_events: int | None = None,
         if n_events is None or n_bob is None:
             raise ValidationError("flat v needs n_events and n_bob")
         vv = vv.reshape(n_events, n_bob)
-    if abs(float(vv.sum()) - 1.0) > 1e-9 or (vv < -1e-12).any():
-        raise ValidationError("v must be a distribution over E x B")
+    PosteriorDistribution(SupportKind.OVER_E_TIMES_B, vv.ravel())  # checks v
     ne, nb = vv.shape
     return float(_kernels.ub_grid_veb(vv.reshape(1, -1), ne, nb, score)[0])
 

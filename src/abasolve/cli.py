@@ -54,6 +54,8 @@ def _load(config: RunConfig) -> tuple[OutcomeSpaces, JointPrior, ScoreSpec]:
     outcome = validate_instance(spaces, prior, score, rng_seed=config.seed)
     if not outcome.ok:
         raise ValidationError("; ".join(outcome.violations))
+    for warning in outcome.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     return spaces, prior, score
 
 

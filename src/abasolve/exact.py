@@ -232,6 +232,12 @@ def obedience_lp_optimum(prior: JointPrior, score: ScoreSpec,
     return sol.objective
 
 
+def _is_profile(label: str, n_rec: int, n_act: int) -> bool:
+    ids = label.split("-")
+    return len(ids) == n_rec and all(i.isdecimal() and int(i) < n_act
+                                     for i in ids)
+
+
 def certify_obedience(prior: JointPrior, decision: DecisionProblem,
                       scheme: SignalingScheme,
                       mass_threshold: float = 1e-10) -> float:
@@ -239,11 +245,21 @@ def certify_obedience(prior: JointPrior, decision: DecisionProblem,
 
     Each signal's label is its recommendation profile "i0-i1-...-i|B|", as
     ``solve_exact`` writes it.  The recommended action i_0 must maximize
-    the expected utility under Pr(e|s), and each i_b under Pr(e|s,b).
+    the expected utility under Pr(e|s), and each i_b under Pr(e|s,b).  A
+    positive-mass label that is not such a profile raises ValidationError.
     """
     live = np.flatnonzero(scheme.pi.sum(axis=1) > mass_threshold)
-    rec = np.array([scheme.signal_labels[i].split("-") for i in live],
-                   dtype=int).reshape(live.size, 1 + prior.n_bob)
+    labels = [scheme.signal_labels[i] for i in live]
+    n_rec, n_act = 1 + prior.n_bob, decision.n_actions
+    try:
+        rec = np.array([s.split("-") for s in labels],
+                       dtype=int).reshape(live.size, n_rec)
+    except ValueError:
+        rec = None
+    if rec is None or rec.max(initial=0) >= n_act:
+        bad = next(s for s in labels if not _is_profile(s, n_rec, n_act))
+        raise ValidationError(f"signal label {bad!r} is not a profile of "
+                              f"{n_rec} action indices below {n_act}")
     mass, numer, mass_b, numer_b = belief._posterior_terms(
         scheme.pi[live], marginals_and_conditionals(prior))
     # column 0: Pr(e|s) before Bob reveals; column 1 + b: Pr(e|s, b)

@@ -17,12 +17,11 @@ answer must pass a feasibility-residual and a duality-gap certificate.
 The envelope LP costs its points with the score's own G, the G ``belief``
 reports, so its value is the u_B of the scheme it returns; fptas-a and the
 exact solver also check that, through ``_certified_bob``.
-Both grids are sized by the point cap; fptas-eb's also by the cell cap of
-the tableau it builds.
 
-When the delta-mandated K exceeds the configured caps, the solver runs at
-the capped K and reports the achievable (weaker) guarantee in diagnostics
-instead of refusing.
+``_resolve_grid`` sizes both grids by one fit test: the point cap and, for
+fptas-eb, the cell cap of the tableau it builds.  When the delta-mandated K
+does not fit, the solver runs at the largest K that does and reports the
+achievable (weaker) guarantee in diagnostics instead of refusing.
 """
 
 from __future__ import annotations
@@ -110,30 +109,6 @@ def sample_k_uniform(w: np.ndarray, k: int, n_samples: int,
     return rng.multinomial(k, w, size=n_samples) / k
 
 
-def _max_points_under(lp_cells, cell_cap: int) -> int:
-    """Largest grid size n >= 1 whose LP tableau ``lp_cells(n)`` fits the
-    cell cap (1 when none does; the cap check then refuses it)."""
-    lo, hi = 1, 1
-    while lp_cells(hi) <= cell_cap:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if lp_cells(mid) <= cell_cap:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _max_k_under(d: int, limit_points: int) -> int:
-    if d == 2:
-        return max(int(limit_points) - 1, 1)
-    k = 1
-    while count_k_uniform(d, k + 1) <= limit_points:
-        k += 1
-    return k
-
-
 def _epsilon_for_grid(d: int, k: int) -> float:
     """Smallest epsilon whose grid_size_K fits within k (bisection).
 
@@ -174,30 +149,46 @@ def _continuity_modulus(n_bob: int, L: float, alpha: float, beta: float,
 
 def _resolve_grid(prior: JointPrior, score: ScoreSpec, delta: float, d: int,
                   grid_k: int | None, cap_points: int,
-                  lp_points=None) -> tuple[int, dict]:
+                  cell_cap: int | None = None) -> tuple[int, dict]:
     """Pick K and the guarantee it supports; return (K, diagnostics).
 
-    An automatic K is capped so that the grid fits ``cap_points`` and, when
-    given, ``lp_points()``, the most points the solver's LP can take; an
-    explicit ``grid_k`` (at least 1, as ``_check_args`` checks) whose grid
-    exceeds ``cap_points`` raises SizeCapExceeded here, before the grid is
-    built.
-    """
-    ne = prior.n_events
+    K fits when its n grid points are within ``cap_points`` and, given a
+    ``cell_cap``, so is fptas-eb's tableau ``tableau_cells(n |A|, 2dn, |A|)``.
+    An automatic K is the largest in [1, K_target] that fits (K_target can
+    pass 2^63).  An explicit ``grid_k`` (at least 1, as ``_check_args``
+    checks) that does not fit raises SizeCapExceeded, before the grid is
+    built; so does K = 1 when it does not."""
+    ne, na = prior.n_events, prior.n_alice
     alpha, beta, _ = score.resolved_holder(ne)
     L = score.resolved_bound(ne)
     eps = epsilon_for_delta(delta, prior.n_bob, L, alpha, beta)
     eps_used = min(eps, EPS_CEILING)
     k_target = grid_size_K(d, eps_used) if d >= 2 else 0
-    if grid_k is not None:
-        k = grid_k
-        if count_k_uniform(d, k) > cap_points:
+
+    def sizes(k):  # grid points, and the cells of fptas-eb's tableau
+        n = count_k_uniform(d, k)
+        return n, tableau_cells(n * na, 2 * d * n, na)
+
+    def fits(k):
+        n, cells = sizes(k)
+        return n <= cap_points and (cell_cap is None or cells <= cell_cap)
+
+    k, hi = (1, max(k_target, 1)) if grid_k is None else (grid_k, grid_k)
+    while k < hi:  # fits is monotone: bisect over Python ints
+        mid = (k + hi + 1) // 2
+        if fits(mid):
+            k = mid
+        else:
+            hi = mid - 1
+    if not fits(k):
+        n, cells = sizes(k)
+        if grid_k is not None and n > cap_points:
             raise SizeCapExceeded(f"grid_k={k} exceeds the point cap",
-                                  required=count_k_uniform(d, k))
-    else:
-        limit = cap_points if lp_points is None else \
-            min(cap_points, lp_points())
-        k = max(min(k_target, _max_k_under(d, limit)), 1)
+                                  required=n)
+        if cell_cap is not None:
+            check_cell_cap(cells, cell_cap)
+        raise SizeCapExceeded(
+            f"K-uniform grid has {n} points, cap is {cap_points}", required=n)
     capped = k < k_target
     eps_eff = _epsilon_for_grid(d, k) if capped else eps_used
     guarantee = 4.0 * L * eps_eff + \
@@ -299,16 +290,10 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
     above GRID_FEAS_TOL, a duality gap above GRID_GAP_TOL, or an LP value
     more than GRID_GAP_TOL from the returned scheme's u_B raises
     NumericalFailure.  It builds no tableau, so ``cap_grid_points`` alone
-    sizes and refuses K.
+    sizes and refuses K, also at |A| = 1 (one grid point, mu_A, at K = 1).
     """
     _check_args(delta, grid_k)
     na = prior.n_alice
-    if na == 1:
-        scheme = SignalingScheme(("w0",), prior.marginal_alice()[None, :])
-        bob = belief.bob_utility_of_scheme(prior, score, scheme)
-        return SolveReport(scheme, -bob, bob, total_value(prior, score),
-                           Classification.UNCLASSIFIED, Method.FPTAS_A,
-                           {"K": 0, "grid_points": 1, "delta": delta})
     k, diag = _resolve_grid(prior, score, delta, na, grid_k, cap_grid_points)
     grid = enumerate_k_uniform(na, k, cap_grid_points)
     sol = _envelope_lp(prior, score, grid, "grid")
@@ -342,8 +327,8 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     user-supplied eta below the rounding slack) retries with eta doubled,
     up to 4 times.  A feasibility residual above GRID_FEAS_TOL or a duality
     gap above GRID_GAP_TOL raises NumericalFailure.  An automatic K fits
-    both ``cap_grid_points`` and ``cell_cap``; an explicit ``grid_k`` over
-    either is refused before the grid is built.
+    both ``cap_grid_points`` and ``cell_cap`` (this LP's tableau); an
+    explicit ``grid_k`` over either is refused before the grid is built.
     """
     if consistency_eta is not None and not 0 < consistency_eta < math.inf:
         raise ValidationError(f"consistency_eta={consistency_eta!r} must be "
@@ -352,13 +337,8 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     ne, na, nb = prior.n_events, prior.n_alice, prior.n_bob
     d = ne * nb
     table = marginals_and_conditionals(prior).zero_filled()
-
-    def cells(n):
-        return tableau_cells(n * na, 2 * d * n, na)
-
     k, diag = _resolve_grid(prior, score, delta, d, grid_k, cap_grid_points,
-                            lambda: _max_points_under(cells, cell_cap))
-    check_cell_cap(cells(count_k_uniform(d, k)), cell_cap)
+                            cell_cap)
     grid = enumerate_k_uniform(d, k, cap_grid_points)
     n = grid.shape[0]
     ub = _kernels.ub_grid_veb(grid, ne, nb, score)

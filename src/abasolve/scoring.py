@@ -9,6 +9,7 @@ finite decision problem, which is what the exact solver exploits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,16 +71,16 @@ class ScoreSpec:
         return 0 if self.pieces_r is None else self.pieces_r.shape[0]
 
     def duplicate_piece_indices(self) -> list[tuple[int, int]]:
-        """Pairs (i, j), i < j, of identical pieces (permitted but flagged)."""
+        """Sorted pairs (i, j), i < j, of equal pieces (permitted, flagged)."""
         if self.kind is not ScoreKind.PIECEWISE:
             return []
-        dupes = []
-        for i in range(self.k_pieces):
-            for j in range(i + 1, self.k_pieces):
-                if (self.pieces_r[i] == self.pieces_r[j]).all() and \
-                        self.pieces_b[i] == self.pieces_b[j]:
-                    dupes.append((i, j))
-        return dupes
+        rows = np.column_stack((self.pieces_r, self.pieces_b))
+        order = np.lexsort(rows.T)  # stable: copies stay in index order
+        rows = rows[order]
+        same = (rows[1:] == rows[:-1]).all(axis=1)  # -0.0 == 0.0 here too
+        runs = np.split(order, np.flatnonzero(~same) + 1) if same.any() else []
+        return sorted(pair for run in runs
+                      for pair in itertools.combinations(run.tolist(), 2))
 
     def resolved_holder(self, n_events: int) -> tuple[float, float, float]:
         """(alpha, beta, c), user-supplied or built-in default.

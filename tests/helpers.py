@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import signal
 
 import numpy as np
 
@@ -13,6 +15,23 @@ from abasolve.errors import ValidationError, ZeroProbabilityPair, \
     ZeroProbabilitySignal
 from abasolve.scoring import ScoreKind, ScoreSpec, eval_G, log_score, \
     piecewise_score, quadratic_score, spherical_score
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError inside the block once ``seconds`` of wall time
+    have passed, so a search that never ends fails its test instead of
+    hanging the suite.  Uses SIGALRM: main thread, POSIX only."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_prior(rng: np.random.Generator, ne: int = 2, na: int = 2,
@@ -418,3 +437,14 @@ def envelope_simplex_loop(cost, points, mu, degen_limit: int,
         x_b[leave] = rmin
         basis[leave] = enter
         pivots += 1
+
+
+def duplicate_piece_indices_loop(score: ScoreSpec) -> list[tuple[int, int]]:
+    """``ScoreSpec.duplicate_piece_indices`` by comparing every pair of
+    pieces with ``==``."""
+    if score.kind is not ScoreKind.PIECEWISE:
+        return []
+    k = score.k_pieces
+    return [(i, j) for i in range(k) for j in range(i + 1, k)
+            if (score.pieces_r[i] == score.pieces_r[j]).all()
+            and score.pieces_b[i] == score.pieces_b[j]]

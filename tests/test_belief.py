@@ -118,6 +118,26 @@ def test_bob_utility_from_wA_rejects_unsupported_mass(quad):
         bob_utility_from_wA(prior, quad, np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("w, ok", (
+    ([1.5, -0.5], False), ([0.3, 0.3], False),
+    ([0.5 + 2e-9, 0.5], False), ([1.0 + 1e-11, -1e-11], False),
+    ([0.5 + 5e-10, 0.5], True), ([1.0 + 1e-13, -1e-13], True),
+))
+def test_bob_utility_from_wA_requires_a_distribution(xor_prior, quad, w, ok):
+    # both u_B parameterizations check w with PosteriorDistribution's
+    # tolerances: entries >= -1e-12, sum within 1e-9 of 1
+    if ok:
+        assert bob_utility_from_wA(xor_prior, quad, np.array(w)) == \
+            pytest.approx(bob_utility_from_wA(xor_prior, quad,
+                                              np.round(w, 6)), abs=1e-8)
+        bob_utility_from_vEB(quad, np.reshape(w, (2, 1)))
+    else:
+        with pytest.raises(ValidationError, match="must be a distribution"):
+            bob_utility_from_wA(xor_prior, quad, np.array(w))
+        with pytest.raises(ValidationError, match="must be a distribution"):
+            bob_utility_from_vEB(quad, np.reshape(w, (2, 1)))
+
+
 def test_bob_utility_from_vEB_examples(quad):
     uniform = np.full((2, 2), 0.25)
     assert bob_utility_from_vEB(quad, uniform) == pytest.approx(0.0, abs=1e-12)
@@ -238,8 +258,11 @@ def test_posterior_distribution_validation():
         PosteriorDistribution(SupportKind.OVER_E, np.array([0.7, 0.7]))
     with pytest.raises(ValidationError):
         PosteriorDistribution(SupportKind.OVER_E, np.array([[0.5, 0.5]]))
-    pd = PosteriorDistribution(SupportKind.OVER_A, np.array([0.3, 0.7]))
+    given = np.array([0.3, 0.7])
+    pd = PosteriorDistribution(SupportKind.OVER_A, given)
     assert pd.weights.sum() == 1.0
+    # the weights are a read-only copy; the caller's array stays writable
+    assert not pd.weights.flags.writeable and given.flags.writeable
 
 
 @pytest.mark.parametrize("kind", list(SCORES))

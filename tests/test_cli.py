@@ -78,6 +78,18 @@ def test_cli_value_independent(tmp_path, capsys):
     assert "V = 0" in capsys.readouterr().out
 
 
+def test_cli_prints_validation_warnings(tmp_path, capsys):
+    spaces, prior = instances.xor_instance()
+    score = piecewise_score([((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0),
+                             ((1.0, 0.0), 0.0), ((1.0, 0.0), 0.0)])
+    path = tmp_path / "dupes.json"
+    write_json(instance_to_json(spaces, prior, score), path)
+    assert cli.main(["value", str(path)]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"warning: score: pieces {i} and {j} are duplicates\n"
+        for i, j in ((0, 2), (0, 3), (2, 3)))
+
+
 def test_cli_deterministic_reports(xor_path, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

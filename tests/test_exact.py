@@ -303,6 +303,21 @@ def test_certify_obedience_detects_violation(xor_prior):
                              _labelled(scheme, recs)) > 0.5
 
 
+@pytest.mark.parametrize("bad", ("a0", "0-0-9", "0-0", "0-0-0-0", "0-x-1"))
+def test_certify_obedience_rejects_labels_that_are_not_profiles(xor_prior,
+                                                                bad):
+    score = piecewise_score([((1.0, -1.0), 0.0), ((-1.0, 1.0), 0.0)])
+    decision = decision_problem_from_G(score)
+    pi = full_reveal_scheme(xor_prior).pi
+    with pytest.raises(ValidationError, match=f"signal label '{bad}' is not"):
+        certify_obedience(xor_prior, decision,
+                          SignalingScheme(("0-0-0", bad), pi))
+    # a label on a signal below mass_threshold is never read
+    silent = SignalingScheme(("0-0-0", "0-0-1", bad),
+                             np.vstack((pi, np.zeros((1, 2)))))
+    assert certify_obedience(xor_prior, decision, silent) >= 0.0
+
+
 def _profiles(rng, scheme, k, nb):
     """Random recommendation profiles (i0, (i_b, ...)), one per signal."""
     return [(int(rng.integers(k)), tuple(rng.integers(k, size=nb).tolist()))

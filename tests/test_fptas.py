@@ -7,8 +7,8 @@ import pytest
 
 from abasolve import _kernels, fptas, lp
 from abasolve.belief import (bob_utility_from_vEB, bob_utility_from_wA,
-                             induced_posterior_over_A)
-from abasolve.core import JointPrior
+                             bob_utility_of_scheme, induced_posterior_over_A)
+from abasolve.core import JointPrior, no_reveal_scheme
 from abasolve.errors import (BayesPlausibilityViolated, NumericalFailure,
                              SizeCapExceeded, ValidationError)
 from abasolve.fptas import (count_k_uniform, enumerate_k_uniform,
@@ -20,7 +20,8 @@ from abasolve.oracle import oracle_optimal
 from abasolve.scoring import (HolderParams, log_score, quadratic_score,
                               spherical_score)
 
-from helpers import random_piecewise, random_prior, stop_simplex_early
+from helpers import (random_piecewise, random_prior, stop_simplex_early,
+                     time_limit)
 
 
 def test_epsilon_for_delta_lipschitz_branch():
@@ -48,7 +49,7 @@ def test_epsilon_for_delta_second_branch():
 @pytest.mark.parametrize("delta", (math.inf, math.nan, -1.0, 0.0))
 def test_non_finite_delta_is_a_validation_error(xor_prior, quad, delta):
     # a run at delta = inf would report inf delta, epsilon and guarantee,
-    # which JSON cannot hold; the |A| = 1 prior takes fptas-a's shortcut
+    # which JSON cannot hold; the |A| = 1 prior is refused by the same check
     single = random_prior(np.random.default_rng(5), ne=2, na=1, nb=2)
     with pytest.raises(ValidationError, match="must be finite and positive"):
         epsilon_for_delta(delta, 2, 1.0, 1.0, 1.0)
@@ -162,6 +163,118 @@ def test_fptas_a_point_cap_runs_capped_grid(na, cap):
     assert count_k_uniform(na, diag["K"] + 1) > cap
 
 
+def test_one_part_grids_size_to_k_one(quad):
+    # an automatic K for |E||B| = 1 (fptas-eb) and |A| = 1 (fptas-a): a
+    # 1-part grid has one point at every K, so K = 1.  The time limit makes
+    # a sizing search that never ends fail here instead of hanging the suite
+    with time_limit(30):
+        eb = fptas_eb_const(JointPrior(np.ones((1, 2, 1)) / 2), quad, 0.5)
+        a = fptas_a_const(
+            JointPrior(np.arange(1.0, 5.0).reshape(2, 1, 2) / 10), quad, 0.5)
+    for diag in (eb.diagnostics, a.diagnostics):
+        assert diag["K"] == 1 and diag["grid_points"] == 1
+        assert diag["K_target"] == 0 and not diag["grid_capped"]
+        assert diag["lp_duality_gap"] <= fptas.GRID_GAP_TOL
+
+
+def test_fptas_a_one_alice_outcome_runs_the_envelope_lp(quad, logsc):
+    # the one grid point is mu_A: the scheme reveals nothing, and the LP
+    # value carries the same certificate as at any |A|
+    rng = np.random.default_rng(17)
+    for score in (quad, logsc) * 3:
+        prior = random_prior(rng, ne=3, na=1, nb=2)
+        report = fptas_a_const(prior, score, 0.1)
+        diag = report.diagnostics
+        assert (diag["K"], diag["grid_points"]) == (1, 1)
+        assert report.scheme.signal_labels == ("w0",)
+        assert report.scheme.pi == pytest.approx(np.ones((1, 1)))
+        want = bob_utility_of_scheme(prior, score, no_reveal_scheme(prior))
+        assert report.bob_utility == pytest.approx(want, abs=1e-15)
+        assert diag["lp_objective"] == pytest.approx(want, abs=1e-12)
+        assert diag["guarantee"] == \
+            pytest.approx(4 * diag["L"] * diag["epsilon"] + 0.1)
+
+
+def _largest_fitting_k(d, na, k_target, cap_points, cell_cap):
+    """Every K in [1, max(K_target, 1)] tried in turn; None when none fits."""
+    best = None
+    for k in range(1, max(k_target, 1) + 1):
+        n = count_k_uniform(d, k)
+        if n <= cap_points and (cell_cap is None or
+                                tableau_cells(n * na, 2 * d * n, na)
+                                <= cell_cap):
+            best = k
+    return best
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_automatic_k_is_the_largest_k_that_fits(d):
+    # _resolve_grid's bisection against a scan of every K up to K_target,
+    # for fptas-a (no cell cap) and fptas-eb's tableau, on caps from ones
+    # that refuse K = 1 to ones that hold K_target
+    with time_limit(30):
+        _check_sizing(d)
+
+
+def _check_sizing(d):
+    prior = random_prior(np.random.default_rng(3), ne=2, na=3, nb=2)
+    na, quad = prior.n_alice, quadratic_score()
+
+    def cells(n):
+        return tableau_cells(n * na, 2 * d * n, na)
+
+    for delta in (6.0, 30.0):
+        _, diag = fptas._resolve_grid(prior, quad, delta, d, None, 10 ** 30)
+        k_target = diag["K_target"]
+        top = count_k_uniform(d, max(k_target, 1))
+        for cap_points in (1, d - 1, d, count_k_uniform(d, 3),
+                           count_k_uniform(d, max(k_target // 2, 1)) + 1,
+                           top, 10 ** 30):
+            for cell_cap in (None, cells(d) - 1, cells(d),
+                             cells(count_k_uniform(d, 4)), cells(top)):
+                want = _largest_fitting_k(d, na, k_target, cap_points,
+                                          cell_cap)
+                args = (prior, quad, delta, d, None, cap_points, cell_cap)
+                if want is None:
+                    n = count_k_uniform(d, 1)
+                    message = f"tableau needs {cells(n)} cells" \
+                        if cell_cap is not None and cells(n) > cell_cap \
+                        else f"K-uniform grid has {n} points"
+                    with pytest.raises(SizeCapExceeded, match=message):
+                        fptas._resolve_grid(*args)
+                    continue
+                k, diag = fptas._resolve_grid(*args)
+                assert k == diag["K"] == want
+                assert diag["grid_capped"] == (k < k_target)
+                # an explicit grid_k goes through the same test, the point
+                # cap first
+                assert fptas._resolve_grid(prior, quad, delta, d, want,
+                                           cap_points, cell_cap)[0] == want
+                if want < k_target:
+                    n = count_k_uniform(d, want + 1)
+                    message = f"tableau needs {cells(n)} cells" \
+                        if n <= cap_points else f"grid_k={want + 1} exceeds"
+                    with pytest.raises(SizeCapExceeded, match=message):
+                        fptas._resolve_grid(prior, quad, delta, d, want + 1,
+                                            cap_points, cell_cap)
+
+
+def test_automatic_k_past_int64():
+    # log scores at small delta ask for K_target > 2^63, past what a
+    # range-based bisection can index
+    prior = random_prior(np.random.default_rng(4), ne=2, na=2, nb=2)
+    k, diag = fptas._resolve_grid(prior, log_score(), 0.05, 2, None,
+                                  fptas.DEFAULT_GRID_CAP)
+    assert diag["K_target"] > 2 ** 63
+    assert k == fptas.DEFAULT_GRID_CAP - 1
+    k, diag = fptas._resolve_grid(prior, log_score(), 0.05, 4, None,
+                                  fptas.DEFAULT_GRID_CAP, lp.DEFAULT_CELL_CAP)
+    assert diag["K_target"] > 2 ** 63
+    # K fits, and no larger K up to 2K does
+    assert _largest_fitting_k(4, 2, 2 * k, fptas.DEFAULT_GRID_CAP,
+                              lp.DEFAULT_CELL_CAP) == k
+
+
 def _refuse_grid(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ran before the cap check")
@@ -207,7 +320,8 @@ def test_explicit_grid_k_below_one_is_a_validation_error(monkeypatch, solver,
 
     monkeypatch.setattr(fptas, "enumerate_k_uniform", refuse)
     rng = np.random.default_rng(2)
-    # |A| = 1 too: fptas-a answers it without a grid, after the same check
+    # |A| = 1 too: its grid has one point at every K, and the same check
+    # refuses it before the grid is built
     for na in (2, 1):
         prior = random_prior(rng, ne=2, na=na, nb=2)
         with pytest.raises(ValidationError,

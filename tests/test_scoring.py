@@ -11,8 +11,9 @@ from abasolve.scoring import (HolderParams, ScoreKind, ScoreSpec,
                               linearize_smooth, log_score, piecewise_score,
                               quadratic_score, score_R, spherical_score)
 
-from helpers import (SCORES, expected_report_score_ref,
-                     linearize_smooth_loop, random_piecewise, random_simplex)
+from helpers import (SCORES, duplicate_piece_indices_loop,
+                     expected_report_score_ref, linearize_smooth_loop,
+                     random_piecewise, random_simplex)
 
 LN_HALF = -0.6931471805599453
 
@@ -212,6 +213,26 @@ def test_piecewise_requires_pieces():
         quadratic_score().__class__(ScoreKind.QUADRATIC,
                                     pieces_r=np.ones((1, 2)),
                                     pieces_b=np.zeros(1))
+
+
+def test_duplicate_piece_indices_matches_pairwise_loop():
+    # small integer coefficients plant many copies, and "*= -0.0" zeroes
+    # entries with both signs: -0.0 must group with 0.0, as == groups them
+    rng = np.random.default_rng(31)
+    for ne, k in ((1, 1), (2, 2), (2, 9), (3, 40), (2, 200)):
+        r = rng.integers(-1, 2, size=(k, ne)).astype(float)
+        b = rng.integers(-1, 2, size=k).astype(float)
+        r[rng.random(r.shape) < 0.3] *= -0.0
+        b[rng.random(k) < 0.3] *= -0.0
+        score = ScoreSpec(ScoreKind.PIECEWISE, r, b)
+        want = duplicate_piece_indices_loop(score)
+        assert score.duplicate_piece_indices() == want
+        if k >= 9:
+            assert want
+    signed = piecewise_score([((0.0, -0.0), 0.0), ((-0.0, 0.0), -0.0),
+                              ((0.0, 0.0), 1.0), ((-0.0, -0.0), 0.0)])
+    assert signed.duplicate_piece_indices() == [(0, 1), (0, 3), (1, 3)]
+    assert quadratic_score().duplicate_piece_indices() == []
 
 
 def _report_pairs(rng, ne):
