@@ -33,8 +33,7 @@ from .instances import (copy_instance, emit_report, independent_instance,
 from .lp import LPSolution, LPStatus
 from .oracle import (CrossBeliefPayoff, bob_report, cross_belief_utilities,
                      deviation_check, oracle_optimal)
-from .scoring import (DecisionProblem, HolderParams, ScoreKind, ScoreSpec,
-                      check_holder, decision_problem_from_G,
+from .scoring import (HolderParams, ScoreKind, ScoreSpec, check_holder,
                       default_tangent_grid, eval_G, expected_report_score,
                       holder_from_niceness, linearize_smooth, log_score,
                       piecewise_score, quadratic_score, score_R,

@@ -282,7 +282,11 @@ class ValidationOutcome:
 def validate_instance(spaces: OutcomeSpaces, prior: JointPrior,
                       score: ScoreSpec | None = None,
                       rng_seed: int = 0) -> ValidationOutcome:
-    """Check an instance; violations are returned as data, not raised."""
+    """Check an instance; violations are returned as data, not raised.
+    A negative ``rng_seed`` is an argument error and raises
+    ValidationError."""
+    if rng_seed < 0:
+        raise ValidationError(f"rng_seed={rng_seed} must be at least 0")
     violations = list(spaces.violations())
     warnings: list[str] = []
     if prior.p.shape != spaces.shape:

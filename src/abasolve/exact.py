@@ -37,7 +37,7 @@ from .errors import NumericalFailure, SizeCapExceeded, ValidationError
 from .fptas import _certified_bob, _envelope_lp
 from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, check_cell_cap, \
     solve_lp, tableau_cells
-from .scoring import DecisionProblem, ScoreKind, ScoreSpec
+from .scoring import ScoreKind, ScoreSpec
 
 DEFAULT_LP_VAR_CAP = 2_000_000
 CLASSIFY_TOL = 1e-7
@@ -60,7 +60,7 @@ def build_revelation_signals(k: int, bob_outcomes: int,
                                                          count).T
 
 
-def _obedience_blocks(table: ConditionalTable, decision: DecisionProblem):
+def _obedience_blocks(table: ConditionalTable, score: ScoreSpec):
     """Per-alice-outcome utility weights, shared by LP rows and objective,
     as a (1+|B|, k, |A|) array ue by profile column.
 
@@ -69,7 +69,7 @@ def _obedience_blocks(table: ConditionalTable, decision: DecisionProblem):
     reveals b.
     """
     t = table.zero_filled()
-    u = decision.utilities                       # (k, ne)
+    u = score.utilities                          # (k, ne)
     ue_a = np.einsum("ie,ae->ia", u, t.e_given_a)           # (k, na)
     ue_ab = np.einsum("ie,abe,ab->iab", u, t.e_given_ab, t.b_given_a)
     return np.concatenate((ue_a[None], np.moveaxis(ue_ab, 2, 0)))
@@ -81,7 +81,7 @@ def _components(ue: np.ndarray) -> np.ndarray:
     return ue[:, :, None, :] - ue[:, None, :, :]
 
 
-def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
+def build_obedience_lp(prior: JointPrior, score: ScoreSpec,
                        signals: np.ndarray | None = None,
                        cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
                        cell_cap: int = DEFAULT_CELL_CAP) -> LinearProgram:
@@ -89,9 +89,10 @@ def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
 
     Row layout: per signal, the k obedience rows of its component 0, then
     the k rows of each component 1+b (as >= 0, stored negated as <= 0);
-    then the |A| marginal equalities.
+    then the |A| marginal equalities.  The actions are the pieces of a
+    piecewise score; a smooth score raises ValidationError.
     """
-    k = decision.n_actions
+    k = score.utilities.shape[0]
     na = prior.n_alice
     nb = prior.n_bob
     if signals is None:
@@ -106,7 +107,7 @@ def build_obedience_lp(prior: JointPrior, decision: DecisionProblem,
     # refuse before allocating: the solver's tableau is the largest array
     check_cell_cap(tableau_cells(n_vars, n_rows, na), cell_cap)
     table = marginals_and_conditionals(prior)
-    ue = _obedience_blocks(table, decision)
+    ue = _obedience_blocks(table, score)
 
     objective = (ue[0, signals[:, 0]] - sum(ue[1 + b, signals[:, 1 + b]]
                                             for b in range(nb))).ravel()
@@ -179,16 +180,17 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     the scheme's sender objective differ by more than GRID_GAP_TOL, or
     when the obedience residual exceeds OBEDIENCE_TOL.
     """
+    if cap_lp_vars < 1:
+        raise ValidationError(f"cap_lp_vars={cap_lp_vars} must be at least 1")
     if score.kind is not ScoreKind.PIECEWISE:
         raise ValidationError(
             "solve_exact needs a piecewise-linear score; linearize first")
-    decision = scoring.decision_problem_from_G(score)
-    k, na, nb = decision.n_actions, prior.n_alice, prior.n_bob
+    k, na, nb = score.k_pieces, prior.n_alice, prior.n_bob
     count = math.comb(math.comb(k, 2) * (nb + 1) + na, na - 1)
     if count > cap_lp_vars:
         raise SizeCapExceeded(f"arrangement has {count} candidate points, "
                               f"cap is {cap_lp_vars}", required=count)
-    ue = _obedience_blocks(marginals_and_conditionals(prior), decision)
+    ue = _obedience_blocks(marginals_and_conditionals(prior), score)
     points = _arrangement_points(ue)
     sol = _envelope_lp(prior, score, points, "vertex")
 
@@ -201,7 +203,7 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     np.add.at(pi, group.ravel(), sol.x[support, None] * w)
     scheme = SignalingScheme(
         tuple("-".join(map(str, p)) for p in profiles.tolist()), pi)
-    violation = certify_obedience(prior, decision, scheme)
+    violation = certify_obedience(prior, score, scheme)
     if not violation <= OBEDIENCE_TOL:
         raise NumericalFailure(f"scheme violates obedience by {violation!r}, "
                                f"above {OBEDIENCE_TOL!r}")
@@ -222,10 +224,9 @@ def obedience_lp_optimum(prior: JointPrior, score: ScoreSpec,
                          cell_cap: int = DEFAULT_CELL_CAP) -> float:
     """Alice's optimum by the obedience LP over all k^(|B|+1) profiles on
     the dense tableau: the reference ``solve_exact`` is tested against."""
-    decision = scoring.decision_problem_from_G(score)
-    profiles = build_revelation_signals(decision.n_actions, prior.n_bob,
+    profiles = build_revelation_signals(score.utilities.shape[0], prior.n_bob,
                                         max(cap_lp_vars // prior.n_alice, 1))
-    sol = solve_lp(build_obedience_lp(prior, decision, profiles, cap_lp_vars,
+    sol = solve_lp(build_obedience_lp(prior, score, profiles, cap_lp_vars,
                                       cell_cap), cell_cap)
     if sol.status is not LPStatus.OPTIMAL:
         raise NumericalFailure(f"obedience LP reported {sol.status.value}")
@@ -238,19 +239,21 @@ def _is_profile(label: str, n_rec: int, n_act: int) -> bool:
                                      for i in ids)
 
 
-def certify_obedience(prior: JointPrior, decision: DecisionProblem,
+def certify_obedience(prior: JointPrior, score: ScoreSpec,
                       scheme: SignalingScheme,
                       mass_threshold: float = 1e-10) -> float:
     """Largest normalized obedience violation over positive-mass signals.
 
     Each signal's label is its recommendation profile "i0-i1-...-i|B|", as
     ``solve_exact`` writes it.  The recommended action i_0 must maximize
-    the expected utility under Pr(e|s), and each i_b under Pr(e|s,b).  A
-    positive-mass label that is not such a profile raises ValidationError.
+    the expected utility under Pr(e|s), and each i_b under Pr(e|s,b), with
+    the utilities ``score.utilities``.  A positive-mass label that is not
+    such a profile, or a smooth score, raises ValidationError.
     """
+    u = score.utilities
     live = np.flatnonzero(scheme.pi.sum(axis=1) > mass_threshold)
     labels = [scheme.signal_labels[i] for i in live]
-    n_rec, n_act = 1 + prior.n_bob, decision.n_actions
+    n_rec, n_act = 1 + prior.n_bob, u.shape[0]
     try:
         rec = np.array([s.split("-") for s in labels],
                        dtype=int).reshape(live.size, n_rec)
@@ -266,7 +269,7 @@ def certify_obedience(prior: JointPrior, decision: DecisionProblem,
     masses = np.column_stack((mass, mass_b))
     on = masses > mass_threshold
     vals = np.concatenate((numer[:, None], numer_b), axis=1) \
-        @ decision.utilities.T / np.where(on, masses, 1.0)[..., None]
+        @ u.T / np.where(on, masses, 1.0)[..., None]
     gap = vals.max(axis=2) - np.take_along_axis(vals, rec[..., None],
                                                 axis=2)[..., 0]
     return float(np.max(gap[on], initial=0.0))

@@ -48,11 +48,15 @@ GRID_FEAS_TOL = 1e-9
 GRID_GAP_TOL = 1e-7
 
 
-def _check_args(delta: float, grid_k: int | None = None) -> None:
+def _check_args(delta: float, grid_k: int | None = None,
+                cap_grid_points: int | None = None) -> None:
     if not 0 < delta < math.inf:
         raise ValidationError(f"delta={delta!r} must be finite and positive")
     if grid_k is not None and grid_k < 1:
         raise ValidationError(f"grid_k={grid_k} must be at least 1")
+    if cap_grid_points is not None and cap_grid_points < 1:
+        raise ValidationError(
+            f"cap_grid_points={cap_grid_points} must be at least 1")
 
 
 def epsilon_for_delta(delta: float, n_bob: int, L: float, alpha: float,
@@ -292,7 +296,7 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
     NumericalFailure.  It builds no tableau, so ``cap_grid_points`` alone
     sizes and refuses K, also at |A| = 1 (one grid point, mu_A, at K = 1).
     """
-    _check_args(delta, grid_k)
+    _check_args(delta, grid_k, cap_grid_points)
     na = prior.n_alice
     k, diag = _resolve_grid(prior, score, delta, na, grid_k, cap_grid_points)
     grid = enumerate_k_uniform(na, k, cap_grid_points)
@@ -333,7 +337,7 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     if consistency_eta is not None and not 0 < consistency_eta < math.inf:
         raise ValidationError(f"consistency_eta={consistency_eta!r} must be "
                               "finite and positive")
-    _check_args(delta, grid_k)
+    _check_args(delta, grid_k, cap_grid_points)
     ne, na, nb = prior.n_events, prior.n_alice, prior.n_bob
     d = ne * nb
     table = marginals_and_conditionals(prior).zero_filled()

@@ -4,7 +4,8 @@ A strictly proper scoring rule R(report, outcome) is characterized by a
 strictly convex G with G(w) = E_{e~w} R(w, e).  Built-in rules: quadratic
 G(w) = ||w||_2^2, log G(w) = sum_e w_e ln w_e, spherical G(w) = ||w||_2.
 A piecewise-linear G (max of affine pieces) corresponds one-to-one with a
-finite decision problem, which is what the exact solver exploits.
+finite decision problem, with utilities ``ScoreSpec.utilities``; the exact
+solver exploits it.
 """
 
 from __future__ import annotations
@@ -70,6 +71,14 @@ class ScoreSpec:
     def k_pieces(self) -> int:
         return 0 if self.pieces_r is None else self.pieces_r.shape[0]
 
+    @property
+    def utilities(self) -> np.ndarray:
+        """The decision problem of a piecewise G: U[i][e] = r_i[e] + b_i,
+        so max_i E_{e~p} U[i][e] reproduces G(p)."""
+        if self.kind is not ScoreKind.PIECEWISE:
+            raise ValidationError("decision problems exist for piecewise G only")
+        return self.pieces_r + self.pieces_b[:, None]
+
     def duplicate_piece_indices(self) -> list[tuple[int, int]]:
         """Sorted pairs (i, j), i < j, of equal pieces (permitted, flagged)."""
         if self.kind is not ScoreKind.PIECEWISE:
@@ -112,8 +121,8 @@ class ScoreSpec:
             return math.log(n_events)
         if self.kind is ScoreKind.SPHERICAL:
             return 1.0
-        # each piece is a convex combination over e of r_i[e] + b_i
-        return float(np.abs(self.pieces_r + self.pieces_b[:, None]).max())
+        # each piece is a convex combination over e of U[i][e]
+        return float(np.abs(self.utilities).max())
 
 
 def quadratic_score(holder: HolderParams | None = None,
@@ -138,30 +147,6 @@ def piecewise_score(pieces: list[tuple], holder: HolderParams | None = None,
     b = np.array([float(p[1]) for p in pieces])
     return ScoreSpec(ScoreKind.PIECEWISE, pieces_r=r, pieces_b=b,
                      holder=holder, bound_L=bound_L)
-
-
-@dataclass(frozen=True)
-class DecisionProblem:
-    """Receiver utilities U[i][e]; max_i E_{e~p} U[i][e] reproduces G(p)."""
-
-    utilities: np.ndarray
-
-    def __post_init__(self):
-        u = np.ascontiguousarray(np.atleast_2d(np.asarray(self.utilities, dtype=float)))
-        object.__setattr__(self, "utilities", u)
-        u.setflags(write=False)
-
-    @property
-    def n_actions(self) -> int:
-        return self.utilities.shape[0]
-
-    @property
-    def n_events(self) -> int:
-        return self.utilities.shape[1]
-
-    def best_action(self, p: np.ndarray) -> int:
-        """Utility-maximizing action at belief p; ties go to the lowest index."""
-        return int(np.argmax(self.utilities @ np.asarray(p, dtype=float)))
 
 
 def _weights(p) -> np.ndarray:
@@ -222,13 +207,6 @@ def expected_report_score(score: ScoreSpec, report, belief):
         out = _kernels.weighted_g(w, np.ones(w.shape[:-1]), score) + \
             _row_dot(grad_G(score, w), q - w)
     return float(out) if out.ndim == 0 else out
-
-
-def decision_problem_from_G(score: ScoreSpec) -> DecisionProblem:
-    """U[i][e] = r_i[e] + b_i for a piecewise-linear G."""
-    if score.kind is not ScoreKind.PIECEWISE:
-        raise ValidationError("decision problems exist for piecewise G only")
-    return DecisionProblem(score.pieces_r + score.pieces_b[:, None])
 
 
 def linearize_smooth(score: ScoreSpec, tangent_points) -> ScoreSpec:

@@ -242,12 +242,12 @@ def scheme_terms_loop(prior: JointPrior, score: ScoreSpec,
     return e_s, e_sb, e_ab
 
 
-def certify_obedience_loop(prior, decision, scheme, recommendations=None,
+def certify_obedience_loop(prior, score, scheme, recommendations=None,
                            mass_threshold: float = 1e-10) -> float:
     """``exact.certify_obedience`` one signal and one Bob outcome at a time;
     recommendations are (i0, (i_b, ...)) pairs or decoded from labels."""
     t = marginals_and_conditionals(prior)
-    u = decision.utilities
+    u = score.utilities
     worst = 0.0
     for idx, label in enumerate(scheme.signal_labels):
         row = scheme.pi[idx]
@@ -344,14 +344,14 @@ def cross_belief_loop(prior, score, believed, actual):
     return bob, alice, off_mass, diverged
 
 
-def obedience_lp_loop(prior, decision, profiles):
+def obedience_lp_loop(prior, score, profiles):
     """``exact.build_obedience_lp`` assembled one signal at a time, kept as
     its reference: (objective, a_eq, a_ub, b_ub)."""
     from abasolve.exact import _obedience_blocks
 
-    k = decision.n_actions
+    k = score.k_pieces
     na, nb = prior.n_alice, prior.n_bob
-    ue = _obedience_blocks(marginals_and_conditionals(prior), decision)
+    ue = _obedience_blocks(marginals_and_conditionals(prior), score)
     ue_a, ue_ab = ue[0], np.moveaxis(ue[1:], 0, 2)
     unc = ue_a[:, None, :] - ue_a[None, :, :]               # (k, k, na)
     con = ue_ab[:, None, :, :] - ue_ab[None, :, :, :]       # (k, k, na, nb)
@@ -377,6 +377,40 @@ def obedience_lp_loop(prior, decision, profiles):
     for a in range(na):
         a_eq[a, a::na] = 1.0
     return objective, a_eq, a_ub, np.zeros(total_rows)
+
+
+def compact_lp_highs(prior, score) -> float:
+    """Alice's optimum for piecewise G by the compact LP, solved by scipy's
+    HiGHS: one unnormalised posterior z_j on A per pre-reveal action j,
+    since merging the posteriors that share their pre-reveal argmax j
+    cannot raise Bob's utility.  With ``_obedience_blocks``' weights ue,
+    Bob's least utility is min sum_j (sum_b t_jb - ue[0, j] . z_j) subject
+    to t_jb >= ue[1+b, i] . z_j for every i, sum_j z_j = mu_A and z >= 0:
+    k (|A| + |B|) variables and k^2 |B| + |A| rows.  Alice's optimum is
+    its negative."""
+    from scipy.optimize import linprog
+
+    from abasolve.exact import _obedience_blocks
+
+    table = marginals_and_conditionals(prior)
+    ue = _obedience_blocks(table, score)
+    k, na, nb = ue.shape[1], prior.n_alice, prior.n_bob
+    # variables: z (k, na) row-major, then t (k, nb); rows (j, b, i)
+    a_ub = np.zeros((k, nb, k, k * na + k * nb))
+    for j, b in itertools.product(range(k), range(nb)):
+        a_ub[j, b, :, j * na:(j + 1) * na] = ue[1 + b]
+        a_ub[j, b, :, k * na + j * nb + b] = -1.0
+    res = linprog(np.concatenate((-ue[0].ravel(), np.ones(k * nb))),
+                  A_ub=a_ub.reshape(k * nb * k, -1), b_ub=np.zeros(k * nb * k),
+                  A_eq=np.hstack((np.tile(np.eye(na), k),
+                                  np.zeros((na, k * nb)))),
+                  b_eq=table.mu_a,
+                  bounds=[(0.0, None)] * (k * na) + [(None, None)] * (k * nb),
+                  method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return -res.fun
 
 
 def envelope_lp_tableau(cost, points, mu):

@@ -19,8 +19,8 @@ from abasolve.fptas import (epsilon_for_delta, fptas_a_const, grid_size_K,
 from abasolve.instances import (copy_instance, independent_instance,
                                 xor_instance)
 from abasolve.oracle import deviation_check, oracle_optimal
-from abasolve.scoring import (decision_problem_from_G, expected_report_score,
-                              log_score, quadratic_score)
+from abasolve.scoring import (expected_report_score, log_score,
+                              quadratic_score)
 
 from helpers import random_piecewise, random_prior, random_scheme
 
@@ -241,7 +241,6 @@ def test_criterion_11_obedience_certification(random_suite, solved_suite):
     worst = 0.0
     for i, (prior, score) in enumerate(random_suite):
         report = solved_suite[i][0]
-        decision = decision_problem_from_G(score)
-        worst = max(worst, certify_obedience(prior, decision, report.scheme))
+        worst = max(worst, certify_obedience(prior, score, report.scheme))
     _verdict(11, "obedience certification", worst <= 1e-7,
              f"worst violation {worst:.3e}")

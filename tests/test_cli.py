@@ -167,8 +167,16 @@ def test_cli_malformed_numbers_exit_validation(tmp_path, xor_path,
      "a finite --delta > 0 is required for FPTAS methods"),
     (["solve", "--method", "fptas-eb", "--delta", "nan"],
      "a finite --delta > 0 is required for FPTAS methods"),
+    (["solve", "--method", "fptas-a", "--delta", "0.5", "--cap-grid-points",
+      "-5"], "cap_grid_points=-5 must be at least 1"),
+    (["solve", "--method", "fptas-eb", "--delta", "0.5", "--cap-grid-points",
+      "0"], "cap_grid_points=0 must be at least 1"),
+    (["classify", "--cap-lp-vars", "0"], "cap_lp_vars=0 must be at least 1"),
+    (["value", "--seed", "-1"], "rng_seed=-1 must be at least 0"),
 ], ids=["step-0", "step-negative", "max-signals-0", "tangent-k-negative",
-        "tangent-k-0", "eta-negative", "delta-inf", "delta-nan"])
+        "tangent-k-0", "eta-negative", "delta-inf", "delta-nan",
+        "cap-grid-points-negative", "cap-grid-points-0", "cap-lp-vars-0",
+        "seed-negative"])
 def test_cli_out_of_range_argument_exits_validation(xor_path, capsys, argv,
                                                     message):
     """An out-of-range solver argument exits 2 with a message that names

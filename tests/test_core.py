@@ -63,6 +63,15 @@ def test_validate_bad_bound():
     assert any("bound_L" in v for v in outcome.violations)
 
 
+def test_validate_negative_seed_raises():
+    """A negative seed is refused on entry, also when a bound_L makes the
+    check sample with it."""
+    spaces, prior = instances.xor_instance()
+    for score in (quadratic_score(), quadratic_score(bound_L=1.0)):
+        with pytest.raises(ValidationError, match="rng_seed=-1 must be"):
+            validate_instance(spaces, prior, score, rng_seed=-1)
+
+
 def test_marginals_xor(xor_prior):
     t = marginals_and_conditionals(xor_prior)
     # independent oracle: direct summation of the prior tensor

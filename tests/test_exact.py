@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import linprog
 
 from abasolve.belief import sender_objective
 from abasolve.core import (Classification, JointPrior, SignalingScheme,
@@ -21,13 +20,13 @@ from abasolve.exact import (build_obedience_lp, build_revelation_signals,
                             obedience_lp_optimum, solve_exact)
 from abasolve.lp import solve_lp, tableau_cells
 from abasolve.oracle import oracle_optimal
-from abasolve.scoring import (decision_problem_from_G, default_tangent_grid,
-                              linearize_smooth, log_score, piecewise_score,
-                              quadratic_score)
+from abasolve.scoring import (default_tangent_grid, linearize_smooth,
+                              log_score, piecewise_score, quadratic_score)
 
-from helpers import (certify_obedience_loop, degenerate_cases,
-                     obedience_lp_loop, posterior_e_given_s_ref,
-                     posterior_e_given_sb_ref, random_piecewise, random_prior)
+from helpers import (certify_obedience_loop, compact_lp_highs,
+                     degenerate_cases, obedience_lp_loop,
+                     posterior_e_given_s_ref, posterior_e_given_sb_ref,
+                     random_piecewise, random_prior)
 
 
 def _linearized_quadratic(prior, k=20):
@@ -52,7 +51,7 @@ def test_build_revelation_signals_order_and_cap():
 
 def test_build_obedience_lp_dimensions(xor_prior):
     score = random_piecewise(np.random.default_rng(0), ne=2, k=2)
-    lp = build_obedience_lp(xor_prior, decision_problem_from_G(score))
+    lp = build_obedience_lp(xor_prior, score)
     # k=2, |A|=2, |B|=2: 16 variables; k|S| + k|B||S| obedience rows + |A| eq
     assert lp.n_vars == 16
     assert lp.a_ub.shape == (16 + 32, 16)
@@ -62,9 +61,8 @@ def test_build_obedience_lp_dimensions(xor_prior):
 
 def test_obedience_lp_refuses_the_solver_tableau_before_allocating(
         xor_prior, monkeypatch):
-    decision = decision_problem_from_G(
-        random_piecewise(np.random.default_rng(0), ne=2, k=2))
-    lp = build_obedience_lp(xor_prior, decision)
+    score = random_piecewise(np.random.default_rng(0), ne=2, k=2)
+    lp = build_obedience_lp(xor_prior, score)
     cells = tableau_cells(lp.n_vars, lp.a_ub.shape[0], lp.a_eq.shape[0])
     with pytest.raises(SizeCapExceeded) as from_solver:
         solve_lp(lp, cell_cap=cells - 1)
@@ -76,7 +74,7 @@ def test_obedience_lp_refuses_the_solver_tableau_before_allocating(
 
     monkeypatch.setattr(exact_module, "_obedience_blocks", no_build)
     with pytest.raises(SizeCapExceeded) as from_builder:
-        build_obedience_lp(xor_prior, decision, cell_cap=cells - 1)
+        build_obedience_lp(xor_prior, score, cell_cap=cells - 1)
     assert from_builder.value.required == cells
     assert str(from_builder.value) == str(from_solver.value)
 
@@ -88,11 +86,10 @@ def test_build_obedience_lp_matches_loop_reference():
         for nb in (1, 2, 3):
             ne = int(rng.integers(2, 4))
             prior = random_prior(rng, ne=ne, na=na, nb=nb)
-            decision = decision_problem_from_G(
-                random_piecewise(rng, ne, k=int(rng.integers(1, 5))))
-            profiles = build_revelation_signals(decision.n_actions, nb)
-            got = build_obedience_lp(prior, decision, profiles)
-            want = obedience_lp_loop(prior, decision, profiles)
+            score = random_piecewise(rng, ne, k=int(rng.integers(1, 5)))
+            profiles = build_revelation_signals(score.k_pieces, nb)
+            got = build_obedience_lp(prior, score, profiles)
+            want = obedience_lp_loop(prior, score, profiles)
             for g, w in zip((got.objective, got.a_eq, got.a_ub, got.b_ub),
                             want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
@@ -208,8 +205,7 @@ def test_pruned_lp_matches_full_lp():
         prior = random_prior(rng, ne=2, na=2, nb=2)
         score = random_piecewise(rng, ne=2, k=int(rng.integers(2, 5)))
         pruned_opt = solve_exact(prior, score).diagnostics["lp_objective"]
-        decision = decision_problem_from_G(score)
-        full_lp = build_obedience_lp(prior, decision)
+        full_lp = build_obedience_lp(prior, score)
         full_opt = solve_lp(full_lp).objective
         assert pruned_opt == pytest.approx(full_opt, abs=1e-9)
 
@@ -292,14 +288,20 @@ def test_solve_exact_rejects_smooth(xor_prior, quad):
         solve_exact(xor_prior, quad)
 
 
+def test_obedience_lp_and_certificate_reject_smooth(xor_prior, quad):
+    with pytest.raises(ValidationError, match="piecewise G only"):
+        build_obedience_lp(xor_prior, quad)
+    with pytest.raises(ValidationError, match="piecewise G only"):
+        certify_obedience(xor_prior, quad, full_reveal_scheme(xor_prior))
+
+
 def test_certify_obedience_detects_violation(xor_prior):
     score = piecewise_score([((1.0, -1.0), 0.0), ((-1.0, 1.0), 0.0)])
-    decision = decision_problem_from_G(score)
     scheme = full_reveal_scheme(xor_prior)
     # deliberately wrong recommendations: conditional posteriors are point
     # masses, so some recommended action must be suboptimal
     recs = [(0, (0, 0)), (0, (0, 0))]
-    assert certify_obedience(xor_prior, decision,
+    assert certify_obedience(xor_prior, score,
                              _labelled(scheme, recs)) > 0.5
 
 
@@ -307,15 +309,14 @@ def test_certify_obedience_detects_violation(xor_prior):
 def test_certify_obedience_rejects_labels_that_are_not_profiles(xor_prior,
                                                                 bad):
     score = piecewise_score([((1.0, -1.0), 0.0), ((-1.0, 1.0), 0.0)])
-    decision = decision_problem_from_G(score)
     pi = full_reveal_scheme(xor_prior).pi
     with pytest.raises(ValidationError, match=f"signal label '{bad}' is not"):
-        certify_obedience(xor_prior, decision,
+        certify_obedience(xor_prior, score,
                           SignalingScheme(("0-0-0", bad), pi))
     # a label on a signal below mass_threshold is never read
     silent = SignalingScheme(("0-0-0", "0-0-1", bad),
                              np.vstack((pi, np.zeros((1, 2)))))
-    assert certify_obedience(xor_prior, decision, silent) >= 0.0
+    assert certify_obedience(xor_prior, score, silent) >= 0.0
 
 
 def _profiles(rng, scheme, k, nb):
@@ -335,11 +336,11 @@ def test_certify_obedience_matches_loop_reference():
     rng = np.random.default_rng(227)
     for ne, na, nb in ((2, 2, 2), (3, 2, 2), (2, 3, 3), (3, 3, 1)):
         for prior, scheme in degenerate_cases(rng, ne, na, nb):
-            decision = decision_problem_from_G(random_piecewise(rng, ne, k=4))
-            profiles = _profiles(rng, scheme, decision.n_actions, nb)
-            want = certify_obedience_loop(prior, decision, scheme, profiles)
+            score = random_piecewise(rng, ne, k=4)
+            profiles = _profiles(rng, scheme, score.k_pieces, nb)
+            want = certify_obedience_loop(prior, score, scheme, profiles)
             assert want > 0.0
-            assert certify_obedience(prior, decision,
+            assert certify_obedience(prior, score,
                                      _labelled(scheme, profiles)) == \
                 pytest.approx(want, abs=1e-12)
 
@@ -353,8 +354,7 @@ def test_certify_obedience_skips_below_mass_threshold():
     prior = JointPrior(p / p.sum())
     t = marginals_and_conditionals(prior)
     u = np.array([[1.0, -1.0], [-1.0, 1.0], [0.1, 0.1]])
-    decision = decision_problem_from_G(piecewise_score(
-        [(row, 0.0) for row in u]))
+    score = piecewise_score([(row, 0.0) for row in u])
     mu_a = prior.marginal_alice()
     tiny = 1e-12 / t.b_given_a[0, 1]         # pair (s0, b1) has mass 1e-12
     pi = np.array([[tiny, 0.0], mu_a - [tiny, 1e-12], [0.0, 1e-12]])
@@ -373,11 +373,11 @@ def test_certify_obedience_skips_below_mass_threshold():
     for flipped in ({"s2": "s"}, {"s0": 1}):     # the signal, then the pair
         recs = [profile(s, flipped.get(s)) for s in scheme.signal_labels]
         labelled = _labelled(scheme, recs)
-        assert certify_obedience_loop(prior, decision, scheme, recs) == 0.0
-        assert certify_obedience(prior, decision, labelled) == 0.0
-        want = certify_obedience_loop(prior, decision, scheme, recs, 0.0)
+        assert certify_obedience_loop(prior, score, scheme, recs) == 0.0
+        assert certify_obedience(prior, score, labelled) == 0.0
+        want = certify_obedience_loop(prior, score, scheme, recs, 0.0)
         assert want > 0.1
-        assert certify_obedience(prior, decision, labelled,
+        assert certify_obedience(prior, score, labelled,
                                  mass_threshold=0.0) == \
             pytest.approx(want, abs=1e-12)
 
@@ -386,20 +386,6 @@ _prior_entries = st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0]),
                            st.floats(0.0, 1.0))
 _piece_entries = st.one_of(st.sampled_from([-0.5, 0.0, 0.5]),
                            st.floats(-1.0, 1.0))
-
-
-def _obedience_lp_highs(prior, score):
-    """The LP of ``obedience_lp_optimum``, solved by scipy's HiGHS.  At its
-    default tolerances (1e-7) HiGHS buys objective by violating obedience
-    rows with coefficients near 1e-7 (a prior entry of that size)."""
-    obedience = build_obedience_lp(prior, decision_problem_from_G(score))
-    res = linprog(-obedience.objective, A_ub=obedience.a_ub,
-                  b_ub=obedience.b_ub, A_eq=obedience.a_eq,
-                  b_eq=obedience.b_eq, method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    assert res.status == 0
-    return -res.fun
 
 
 def _degenerate_prior(rng, ne, na, nb):
@@ -414,7 +400,8 @@ def _degenerate_prior(rng, ne, na, nb):
 
 def test_solve_exact_matches_obedience_lp_optimum():
     """Against the dense-tableau obedience LP, on |A| and |B| in {1,2,3},
-    zero-mass outcomes and duplicate pieces."""
+    zero-mass outcomes and duplicate pieces; the compact LP on HiGHS, the
+    property test's reference, matches the obedience LP too."""
     rng = np.random.default_rng(251)
     for na, nb in itertools.product((1, 2, 3), repeat=2):
         for _ in range(4):
@@ -423,30 +410,33 @@ def test_solve_exact_matches_obedience_lp_optimum():
             drawn = random_piecewise(rng, ne, k=int(rng.integers(1, 5 - nb)))
             pieces = list(zip(drawn.pieces_r, drawn.pieces_b))
             score = piecewise_score(pieces + pieces[:int(rng.integers(2))])
+            reference = obedience_lp_optimum(prior, score)
+            assert compact_lp_highs(prior, score) == \
+                pytest.approx(reference, abs=1e-9)
             assert solve_exact(prior, score).diagnostics["lp_objective"] == \
-                pytest.approx(obedience_lp_optimum(prior, score), abs=1e-9)
+                pytest.approx(reference, abs=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), na=st.integers(1, 3), nb=st.integers(1, 3),
        ne=st.integers(2, 3))
 def test_solve_exact_matches_obedience_lp_property(data, na, nb, ne):
-    """The envelope LP over the arrangement's vertices against the obedience
-    LP over every profile, on priors with zero-mass outcomes and on scores
-    with duplicate pieces or log tangents near the boundary.  HiGHS solves
-    the obedience LP: the dense tableau can return a wrong optimum, or
+    """The envelope LP over the arrangement's vertices against the compact
+    LP, on priors with zero-mass outcomes and on scores with up to 12
+    pieces, duplicate pieces or log tangents near the boundary.  HiGHS
+    solves the compact LP: the dense tableau can return a wrong optimum, or
     pivot for minutes, when a prior entry is near 1e-7."""
     p = data.draw(arrays(float, (ne, na, nb), elements=_prior_entries))
     if p.sum() <= 0.0:
         p[0, 0, 0] = 1.0
     prior = JointPrior(p / p.sum())
-    # the obedience LP is dense: k^(|B|+1) (k (|B|+1) + |A|) entries
-    max_k = {1: 8, 2: 5, 3: 3}[nb]
+    # the compact LP has k (|A| + |B|) variables and k^2 |B| + |A| rows
+    max_k = 12
     if data.draw(st.booleans()):
-        # interior tangents at multiples of 1/tangent_k, down to 1/9:
-        # tangent_k - 1 pieces for |E| = 2; 1, 3 or 6 for |E| = 3
+        # interior tangents at multiples of 1/tangent_k, down to 1/13:
+        # tangent_k - 1 pieces for |E| = 2; 1, 3, 6 or 10 for |E| = 3
         tangent_k = data.draw(st.integers(2, max_k + 1) if ne == 2 else
-                              st.integers(3, 5 if max_k >= 6 else 4))
+                              st.integers(3, 6))
         score = linearize_smooth(log_score(), default_tangent_grid(
             log_score(), ne, tangent_k))
     else:
@@ -457,7 +447,7 @@ def test_solve_exact_matches_obedience_lp_property(data, na, nb, ne):
         score = piecewise_score(pieces + pieces[:data.draw(st.integers(0, 1))])
     report = solve_exact(prior, score)
     assert report.diagnostics["lp_objective"] == \
-        pytest.approx(_obedience_lp_highs(prior, score), abs=1e-9)
+        pytest.approx(compact_lp_highs(prior, score), abs=1e-9)
     # vertices that share a profile are one signal, and ties between
     # duplicate pieces go to the lower index
     labels = report.scheme.signal_labels

@@ -5,8 +5,7 @@ import pytest
 
 from abasolve.errors import BoundaryTangent, ValidationError
 from abasolve.scoring import (HolderParams, ScoreKind, ScoreSpec,
-                              check_holder, decision_problem_from_G,
-                              default_tangent_grid, eval_G,
+                              check_holder, default_tangent_grid, eval_G,
                               expected_report_score, holder_from_niceness,
                               linearize_smooth, log_score, piecewise_score,
                               quadratic_score, score_R, spherical_score)
@@ -79,28 +78,27 @@ def test_properness_strict():
 
 def test_decision_problem_from_pieces():
     score = piecewise_score([((1.0, -1.0), 0.0), ((-1.0, 1.0), 0.0)])
-    dp = decision_problem_from_G(score)
-    assert dp.utilities.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
+    u = score.utilities
+    assert u.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
     # max-affine reconstruction at the uniform point
     p = np.array([0.5, 0.5])
-    assert max(float(dp.utilities[i] @ p) for i in range(2)) == \
+    assert max(float(u[i] @ p) for i in range(2)) == \
         pytest.approx(eval_G(score, p), abs=1e-12) == 0.0
 
 
 def test_decision_problem_single_piece():
     score = piecewise_score([((0.0, 0.0), 0.0)])
-    dp = decision_problem_from_G(score)
-    assert dp.utilities.tolist() == [[0.0, 0.0]]
+    assert score.utilities.tolist() == [[0.0, 0.0]]
     assert eval_G(score, np.array([0.3, 0.7])) == 0.0
 
 
 def test_decision_problem_reconstruction_random():
     rng = np.random.default_rng(9)
     score = random_piecewise(rng, ne=3, k=5)
-    dp = decision_problem_from_G(score)
+    u = score.utilities
     for _ in range(1000):
         p = random_simplex(rng, 3)
-        expect = float((dp.utilities @ p).max())
+        expect = float((u @ p).max())
         assert eval_G(score, p) == pytest.approx(expect, abs=1e-9)
 
 
