@@ -16,7 +16,10 @@ runs over contiguous grid rows rather than over the |E| = 2..4 axis.
 ``oracle_scan`` costs each point of the oracle's fraction lattice once
 with ``ub_grid_wa``, not each candidate scheme: a signal's mass and
 posterior on A depend on a candidate only through the fractions it gives
-each alice outcome.  The scan then gathers from that table.
+each alice outcome.  The candidates are the entries of a (P,)^|A| tensor,
+and a signal's terms are that table indexed along every axis by the
+signal's fraction codes, so the scan gathers whole trailing axes with
+``np.take`` and decodes only the leading digits of each chunk's rows.
 
 Every kernel that evaluates G takes the ``scoring.ScoreSpec`` itself, and
 every one evaluates the score's own G: the solvers cost their points with
@@ -279,8 +282,20 @@ def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,
     vector q = (comps[d_a(c), s])_a, a point of the lattice V^na, where V
     holds the distinct fractions in ``comps``.  So the kernel tabulates
     -mass u_B(w) once per lattice point with ``ub_grid_wa`` (0 where the
-    mass is 0); then, per chunk of ``_CHUNK`` candidates, it maps each
-    (candidate, signal) pair to its lattice index, gathers and sums.
+    mass is 0), as a (V,)^na tensor t whose axis na - 1 - a is alice
+    outcome a.  Candidate c = sum_a d_a P^a is entry (d_na-1, ..., d_0) of
+    a (P,)^na tensor, and signal s's term there is t indexed along every
+    axis by code[:, s], the lattice digit of each comps row's fraction s.
+
+    The scan takes that tensor in chunks of whole blocks: j is the largest
+    j <= na - 1 with P^j <= ``_CHUNK``, each leading index (d_na-1, ...,
+    d_j) spans a block of P^j candidates whose j trailing axes are gathered
+    whole with ``np.take``, and only the leading digits are decoded, for
+    at most ``_CHUNK`` / P^j leading indices per chunk.  A chunk thus holds
+    at most ``_CHUNK`` candidates (P <= ``_CHUNK``: the oracle's P is at
+    most 5,151).  The terms are added as 0.0 + t_0 + t_1 + ..., in signal
+    order, which is how the per-candidate sum rounds, signed zeros
+    included.
 
     Size: the table holds V^na floats.  The oracle's ``comps`` are the
     compositions of den into m parts, over den, so V <= den + 1 and V <= P:
@@ -290,9 +305,8 @@ def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,
     """
     p_count, m = comps.shape
     vals, code = np.unique(comps, return_inverse=True)
+    code = code.reshape(p_count, m)
     n_vals = vals.shape[0]
-    # code_w[a][d, s]: lattice-index contribution of row d at alice outcome a
-    code_w = [code.reshape(p_count, m) * n_vals ** a for a in range(n_alice)]
     # pi = q * mu(a) at lattice point sum_a digit_a V^a, digit a on axis
     # na - 1 - a, so no index arrays are built
     w = np.empty((n_vals,) * n_alice + (n_alice,))
@@ -306,19 +320,31 @@ def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,
     cost = ub_grid_wa(w, table, score)
     del w                                       # freed before the scan
     cost *= -mass           # u_B is finite at w = 0: zero mass costs 0
+    t = cost.reshape((n_vals,) * n_alice)
 
+    j = n_alice - 1
+    while p_count ** j > _CHUNK:
+        j -= 1
+    block = p_count ** j                    # candidates per leading index
+    per_chunk = _CHUNK // block
+    lead_shape = (p_count,) * (n_alice - j)
     best_val = -np.inf
     best_idx = -1
-    for lo in range(int(start), int(stop), _CHUNK):
-        hi = min(lo + _CHUNK, int(stop))
-        q, digit = np.divmod(np.arange(lo, hi, dtype=np.int64), p_count)
-        ell = code_w[0][digit]                              # (c, m)
-        for a in range(1, n_alice):
-            q, digit = np.divmod(q, p_count)
-            ell += code_w[a][digit]
-        obj = cost[ell].sum(axis=1)
+    lo, stop = int(start), int(stop)
+    while lo < stop:
+        r0 = lo // block
+        r1 = min(r0 + per_chunk, p_count ** (n_alice - j))
+        hi = min(stop, r1 * block)
+        lead = np.unravel_index(np.arange(r0, r1), lead_shape)
+        obj = np.zeros(hi - lo)
+        for s in range(m):
+            ts = t[tuple(code[d, s] for d in lead)]
+            for ax in range(1, j + 1):
+                ts = np.take(ts, code[:, s], axis=ax)
+            obj += ts.reshape(-1)[lo - r0 * block:hi - r0 * block]
         chunk_best = int(np.argmax(obj))
         if obj[chunk_best] > best_val:
             best_val = float(obj[chunk_best])
             best_idx = lo + chunk_best
+        lo = hi
     return best_val, best_idx

@@ -6,14 +6,23 @@ G(p) = max_i u_i . p,
 
     u_B(w) = sum_b max_i ue_ab[i, :, b] . w  -  max_i ue_a[i] . w,
 
-so u_B is linear on each cell of the arrangement of hyperplanes through
-the origin with normals ue_a[i] - ue_a[j] and ue_ab[i, :, b] -
-ue_ab[j, :, b].  A point of a cell is a convex combination of the cell's
-vertices, with u_B interpolated linearly, so the envelope LP over those
-vertices is exact.  A vertex meets |A| - 1 independent normals or facets
-w_a = 0: it is their generalised cross product, scaled onto Delta_A.
-``solve_exact`` builds every candidate, costs them with the exact u_B and
-solves the LP with ``lp.solve_envelope``, in fptas-a's pipeline.
+that is u_B = f - g with f(w) = sum_b max_i ue_ab[i, :, b] . w and
+g(w) = max_i ue_a[i] . w, both convex.  Only f's arrangement matters: the
+hyperplanes through the origin with normals ue_ab[i, :, b] -
+ue_ab[j, :, b], one family per b.  On each closed cell of that
+arrangement, cut with Delta_A, f is linear, so u_B is concave there (-g
+is concave everywhere).  Every point of Delta_A lies in the relative
+interior of one face of these cut cells.  A point w inside a face of
+dimension >= 1 is the midpoint of two points w1, w2 of that face, and
+concavity gives u_B(w) >= (u_B(w1) + u_B(w2)) / 2: (w, u_B(w)) is not an
+extreme point of the convex hull of u_B's graph.  The lower convex envelope
+at mu_A is a convex combination of such extreme points (the hull is
+compact), so the 0-dimensional faces suffice: the points that meet
+|A| - 1 independent normals of f or facets w_a = 0.  Each is their
+generalised cross product, scaled onto Delta_A, and the envelope LP over
+them is exact at every |A|.  ``solve_exact`` builds every candidate, costs
+them with the exact u_B and solves the LP with ``lp.solve_envelope``, in
+fptas-a's pipeline.
 
 The answer is a revelation scheme: each vertex with LP mass is labelled
 with its lowest-index argmax recommendation profile (i_0, i_1, ..., i_|B|),
@@ -138,25 +147,26 @@ def _arrangement_points(ue: np.ndarray) -> np.ndarray:
     on Delta_A, as the rows of an (n, |A|) array.
 
     For |A| = 1, Delta_A is the one point e_0 and nothing else is built.
-    Otherwise each (|A|-1)-subset of the rows (the nonzero normals
-    ue[c, i] - ue[c, j] of ``_obedience_blocks``' weights for i < j, then
-    the facets e_a) gives its generalised cross product v, the signed
-    minors, kept when its entries share one sign and scaled to sum 1.  A
-    vertex on a face of Delta_A is also the cross product of a subset that
-    holds the face's facets, and ``_cross`` computes its entries off the
-    face as exact zeros, so rounding does not drop it.
+    Otherwise each (|A|-1)-subset of the rows (the nonzero after-reveal
+    normals ue[1+b, i] - ue[1+b, j] of ``_obedience_blocks``' weights for
+    i < j, then the facets e_a) gives its generalised cross product v, the
+    signed minors, kept when its entries share one sign and scaled to sum
+    1.  A vertex on a face of Delta_A is also the cross product of a subset
+    that holds the face's facets, and ``_cross`` computes its entries off
+    the face as exact zeros, so rounding does not drop it.
 
     Subsets go in chunks of ``_POINT_CHUNK``.  Peak memory (tracemalloc,
     |A| = 3) is about 10 MB of chunk temporaries plus 16|A| B per kept
     point: at the default cap of 2,000,000 candidates, at most about
-    110 MB; a random 1,734,453-candidate instance keeps 9,364 points and
-    peaks at 9.8 MB.
+    110 MB.
     """
     _, k, na = ue.shape
     if na == 1:
         return np.eye(1)
     i, j = np.triu_indices(k, 1)
-    normals = (ue[:, i] - ue[:, j]).reshape(-1, na)
+    # the pre-reveal normals ue[0, i] - ue[0, j] are left out: u_B is
+    # concave across them, so no envelope vertex needs one (module doc)
+    normals = (ue[1:, i] - ue[1:, j]).reshape(-1, na)
     rows = np.concatenate((normals[np.abs(normals).max(axis=1) > 0.0],
                            np.eye(na)))
     points = [np.eye(na)]
@@ -174,8 +184,9 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
                 cap_lp_vars: int = DEFAULT_LP_VAR_CAP) -> SolveReport:
     """Optimal commitment for piecewise-linear G, as a revelation scheme.
 
-    ``cap_lp_vars`` caps the candidate points, C(C(k,2)(|B|+1) + |A|,
-    |A|-1) for k pieces, counted before anything is built.  Raises
+    ``cap_lp_vars`` caps the candidate points, C(C(k,2)|B| + |A|, |A|-1)
+    for k pieces (C(k,2)|B| after-reveal normals and |A| facets, taken
+    |A|-1 at a time), counted before anything is built.  Raises
     NumericalFailure when the LP fails its certificate, when its value and
     the scheme's sender objective differ by more than GRID_GAP_TOL, or
     when the obedience residual exceeds OBEDIENCE_TOL.
@@ -186,7 +197,7 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
         raise ValidationError(
             "solve_exact needs a piecewise-linear score; linearize first")
     k, na, nb = score.k_pieces, prior.n_alice, prior.n_bob
-    count = math.comb(math.comb(k, 2) * (nb + 1) + na, na - 1)
+    count = math.comb(math.comb(k, 2) * nb + na, na - 1)
     if count > cap_lp_vars:
         raise SizeCapExceeded(f"arrangement has {count} candidate points, "
                               f"cap is {cap_lp_vars}", required=count)

@@ -456,6 +456,26 @@ def test_solve_exact_matches_obedience_lp_property(data, na, nb, ne):
     assert not later_copies & {int(i) for s in labels for i in s.split("-")}
 
 
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), nb=st.integers(1, 2), ne=st.integers(2, 3),
+       k=st.integers(1, 5))
+def test_solve_exact_at_four_alice_outcomes_matches_compact_lp(data, nb, ne,
+                                                               k):
+    """The arrangement without the pre-reveal normals is exact at |A| = 4,
+    past the reach of the test above: at most C(C(5,2) * 2 + 4, 3) = 2,024
+    candidate points, against the compact LP on HiGHS."""
+    p = data.draw(arrays(float, (ne, 4, nb), elements=_prior_entries))
+    if p.sum() <= 0.0:
+        p[0, 0, 0] = 1.0
+    prior = JointPrior(p / p.sum())
+    r = data.draw(arrays(float, (k, ne), elements=_piece_entries))
+    b = data.draw(arrays(float, (k,), elements=_piece_entries))
+    score = piecewise_score(list(zip(r, b)))
+    report = solve_exact(prior, score)
+    assert report.diagnostics["lp_objective"] == \
+        pytest.approx(compact_lp_highs(prior, score), abs=1e-9)
+
+
 def test_solve_exact_matches_obedience_lp_log_boundary_tangents():
     # tangents down to 0.1 and posteriors within 1e-9 of the boundary
     rng = np.random.default_rng(229)
@@ -507,26 +527,28 @@ def test_solve_exact_refuses_over_cap_before_allocating(xor_prior,
     def no_build(*args, **kwargs):
         raise AssertionError("built before the cap check")
 
-    # |A| = 2, |B| = 2, k = 3: C(3,2) * 3 = 9 normals and 2 facets give
-    # C(11, 1) = 11 candidate points, counted before anything is built
+    # |A| = 2, |B| = 2, k = 3: C(3,2) * 2 = 6 after-reveal normals and 2
+    # facets give C(8, 1) = 8 candidate points, counted before anything is
+    # built
     for name in ("marginals_and_conditionals", "_obedience_blocks",
                  "_arrangement_points", "_envelope_lp"):
         monkeypatch.setattr(exact_module, name, no_build)
     with pytest.raises(SizeCapExceeded) as refused:
-        solve_exact(xor_prior, score, cap_lp_vars=10)
+        solve_exact(xor_prior, score, cap_lp_vars=7)
     assert str(refused.value) == \
-        "arrangement has 11 candidate points, cap is 10"
-    assert refused.value.required == 11
+        "arrangement has 8 candidate points, cap is 7"
+    assert refused.value.required == 8
     monkeypatch.undo()
-    assert solve_exact(xor_prior, score, cap_lp_vars=11).diagnostics[
-        "lp_vars"] <= 2 + 11
+    assert solve_exact(xor_prior, score, cap_lp_vars=8).diagnostics[
+        "lp_vars"] <= 2 + 8
 
 
 def test_solve_exact_over_cap_allocates_nothing():
     rng = np.random.default_rng(233)
     prior = random_prior(rng, ne=2, na=3, nb=3)
-    score = random_piecewise(rng, ne=2, k=33)
-    # C(C(33,2) * 4 + 3, 2) = C(2115, 2) candidates > the 2e6 default cap
+    score = random_piecewise(rng, ne=2, k=37)
+    # C(C(37,2) * 3 + 3, 2) = C(2001, 2) = 2,001,000 candidates > the 2e6
+    # default cap
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapExceeded) as refused:
@@ -534,7 +556,7 @@ def test_solve_exact_over_cap_allocates_nothing():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert refused.value.required == 2115 * 2114 // 2
+    assert refused.value.required == 2001 * 2000 // 2
     assert peak < 256 * 1024
 
 

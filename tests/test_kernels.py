@@ -10,20 +10,25 @@ of the matmul form, bit for bit.  ``oracle_scan_per_candidate`` is the
 oracle scan as it was before the lattice table: it evaluates every
 candidate's posteriors, and the memory test compares against it.
 
-``oracle_scan`` matches its references to ``SCAN_ATOL`` only: it costs a
-signal as -mass u_B(w) through ``ub_grid_wa``, from its posterior w on A,
-where the references evaluate the posteriors over E directly, so the
-rounding differs.  Candidates that tie in exact arithmetic (uninformative
-splits, where signals share one posterior) may then swap, so the returned
-index is checked by the reference's own objective there.
+``oracle_scan`` matches those two references to ``SCAN_ATOL`` only: it
+costs a signal as -mass u_B(w) through ``ub_grid_wa``, from its posterior
+w on A, where the references evaluate the posteriors over E directly, so
+the rounding differs.  Candidates that tie in exact arithmetic
+(uninformative splits, where signals share one posterior) may then swap,
+so the returned index is checked by the reference's own objective there.
+``oracle_scan_frozen`` is the lattice-table scan as it was before the
+per-axis gather, decoding every candidate's lattice index; its arithmetic
+is the same, so ``oracle_scan`` matches it bit for bit, signed zeros
+included.
 """
 
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from abasolve import _kernels
+from abasolve import _kernels, instances
 from abasolve._kernels import g_rows_np
 from abasolve.core import marginals_and_conditionals
 from abasolve.scoring import (ScoreKind, ScoreSpec, log_score,
@@ -161,6 +166,40 @@ def oracle_scan_per_candidate(comps, n_alice, start, stop, mu_ae, mu_aeb,
         numer_b = np.einsum("cam,aeb->cmbe", fr, mu_aeb)
         obj -= _kernels.weighted_g(numer_b, numer_b.sum(axis=3),
                                    score).sum(axis=(1, 2))
+        chunk_best = int(np.argmax(obj))
+        if obj[chunk_best] > best_val:
+            best_val = float(obj[chunk_best])
+            best_idx = lo + chunk_best
+    return best_val, best_idx
+
+
+def oracle_scan_frozen(comps, n_alice, start, stop, table, score):
+    p_count, m = comps.shape
+    vals, code = np.unique(comps, return_inverse=True)
+    n_vals = vals.shape[0]
+    code_w = [code.reshape(p_count, m) * n_vals ** a for a in range(n_alice)]
+    w = np.empty((n_vals,) * n_alice + (n_alice,))
+    for a in range(n_alice):
+        shape = [1] * n_alice
+        shape[n_alice - 1 - a] = n_vals
+        w[..., a] = (vals * table.mu_a[a]).reshape(shape)
+    w = w.reshape(-1, n_alice)
+    mass = w.sum(axis=1)
+    w /= np.where(mass > 0.0, mass, 1.0)[:, None]
+    cost = _kernels.ub_grid_wa(w, table, score)
+    del w
+    cost *= -mass
+
+    best_val = -np.inf
+    best_idx = -1
+    for lo in range(int(start), int(stop), CHUNK):
+        hi = min(lo + CHUNK, int(stop))
+        q, digit = np.divmod(np.arange(lo, hi, dtype=np.int64), p_count)
+        ell = code_w[0][digit]
+        for a in range(1, n_alice):
+            q, digit = np.divmod(q, p_count)
+            ell += code_w[a][digit]
+        obj = cost[ell].sum(axis=1)
         chunk_best = int(np.argmax(obj))
         if obj[chunk_best] > best_val:
             best_val = float(obj[chunk_best])
@@ -375,3 +414,92 @@ def test_oracle_scan_memory_at_most_per_candidate_form():
         assert_scan_close(results[0], results[1], oracle_scan_per_candidate,
                           comps, na, 0, n_cand, mu_ae, mu_aeb, score)
         assert peaks[0] <= peaks[1], (score.kind, peaks)
+
+
+def _same_scan(got, ref):
+    """Equal index and equal bits of the value, so -0.0 != 0.0."""
+    return got[1] == ref[1] and \
+        struct.pack("d", got[0]) == struct.pack("d", ref[0])
+
+
+def _scan_priors(rng, ne, na, nb):
+    priors = [random_prior(rng, ne=ne, na=na, nb=nb)]
+    if na > 1:        # the boundary prior zeroes the last alice outcome
+        priors.append(_boundary_prior(rng, ne, na, nb))
+    if (ne, na, nb) == (2, 2, 2):
+        # xor has informative splits; independent scores every candidate 0
+        priors += [instances.xor_instance()[1],
+                   instances.independent_instance()[1]]
+    return priors
+
+
+# At P = 6 and |A| = 3 the gather takes j = 2 trailing axes whole at
+# _CHUNK 200, j = 1 at _CHUNK 7 and j = 0 at _CHUNK 1.
+@pytest.mark.parametrize("chunk", (1, 7, 200, CHUNK))
+@pytest.mark.parametrize("ne,na,nb,den,m", ((2, 3, 2, 5, 2), (2, 2, 2, 5, 2),
+                                            (2, 2, 2, 2, 3), (3, 2, 2, 3, 3),
+                                            (2, 3, 1, 2, 3), (2, 1, 3, 6, 3),
+                                            (2, 2, 2, 4, 1)))
+def test_oracle_scan_matches_frozen_bit_for_bit(monkeypatch, chunk, ne, na,
+                                                nb, den, m):
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    rng = np.random.default_rng(109 + ne + 3 * na + 5 * nb + 7 * m)
+    comps = _kernels.compositions(den, m).astype(float) / den
+    n = comps.shape[0] ** na
+    ranges = [(lo, hi) for lo, hi in ((0, n), (n // 3, n - 2), (5, 6),
+                                      (n - 1, n)) if 0 <= lo < hi <= n]
+    for prior in _scan_priors(rng, ne, na, nb):
+        table = marginals_and_conditionals(prior)
+        for score in score_kinds(rng, ne):
+            for start, stop in ranges:
+                got = _kernels.oracle_scan(comps, na, start, stop, table,
+                                           score)
+                ref = oracle_scan_frozen(comps, na, start, stop, table, score)
+                assert _same_scan(got, ref), (score.kind, start, stop, got,
+                                              ref)
+
+
+def test_oracle_scan_scores_every_candidate_as_frozen():
+    # one-candidate ranges compare every candidate's objective, not only
+    # the best one.  On the independent prior every signal's term is -0.0
+    # (u_B = 0), and the sum from 0.0 is 0.0, as the frozen scan's is;
+    # a sum started from the first signal's term would give -0.0
+    rng = np.random.default_rng(113)
+    comps = _kernels.compositions(4, 3).astype(float) / 4
+    n = comps.shape[0] ** 2
+    for prior in _scan_priors(rng, 2, 2, 2):
+        table = marginals_and_conditionals(prior)
+        for score in score_kinds(rng, 2):
+            for c in range(n):
+                got = _kernels.oracle_scan(comps, 2, c, c + 1, table, score)
+                ref = oracle_scan_frozen(comps, 2, c, c + 1, table, score)
+                assert _same_scan(got, ref), (score.kind, c, got, ref)
+
+
+def test_oracle_scan_chunk_holds_at_most_chunk_candidates():
+    # P = 1,000 rows over 3 distinct fractions, |A| = 3: the lattice has 27
+    # points, and one leading index spans P^2 = 10^6 candidates, more than
+    # a chunk, so the gather keeps one trailing axis (j = 1) and takes 131
+    # leading rows per chunk.  A chunk's objective and one signal's
+    # gathered term are vectors of at most _CHUNK floats, and the previous
+    # chunk's objective is still held when the next one is allocated:
+    # 3.03 such units measured, against 10.1 for the divmod-and-index scan
+    # this gather replaced.  Gathering whole P^2 blocks would hold at
+    # least two vectors of 10^6 floats, over 15 units.
+    rng = np.random.default_rng(127)
+    ne, na, nb = 2, 3, 2
+    comps = np.tile(_kernels.compositions(2, 3) / 2.0, (167, 1))[:1000]
+    assert comps.shape[0] ** (na - 1) > _kernels._CHUNK
+    table = marginals_and_conditionals(random_prior(rng, ne=ne, na=na, nb=nb))
+    stop = 3 * _kernels._CHUNK + 1000
+    unit = _kernels._CHUNK * 8
+    for score in score_kinds(rng, ne)[:2]:
+        tracemalloc.start()
+        try:
+            got = _kernels.oracle_scan(comps, na, 0, stop, table, score)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _same_scan(got, oracle_scan_frozen(comps, na, 0, stop, table,
+                                                  score))
+        assert peak < 4 * unit, (score.kind, peak)

@@ -10,11 +10,13 @@ Compare two recordings of the same workload:
 
     python3 tools/replay.py --compare a.jsonl b.jsonl [--root CHECKOUT]
 
-The comparison prints how many reports are byte-identical, how many name a
-different scheme and how many of those induce the same distribution over
-posteriors on A, the largest change in each reported value, and the gate
-problems of the second recording: perfbench's ``gate.check_outputs`` plus
-the seed-0 reference.  It exits 1 when there are gate problems.
+The comparison prints how many reports are byte-identical, how many of the
+others differ only under ``diagnostics`` and which diagnostics keys differ
+in how many reports, how many name a different scheme and how many of
+those induce the same distribution over posteriors on A, the largest
+change in each reported value, and the gate problems of the second
+recording: perfbench's ``gate.check_outputs`` plus the seed-0 reference.
+It exits 1 when there are gate problems.
 
 Instances come from perfbench's own ``prepare`` and solves from its
 ``make_solver``, so a recording is what the benchmark would emit.  The
@@ -25,6 +27,7 @@ bytecode is written, so the checkout is left as it was.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import sys
@@ -101,6 +104,15 @@ def value(texts: list[str], where: int, keys: tuple[str, ...]):
     return doc
 
 
+def split_diagnostics(text: str) -> tuple[str, dict[str, str]]:
+    """An emitted text without its ``diagnostics``, and the diagnostics by
+    key, each re-serialised so that -0.0 and 0.0 stay apart."""
+    doc = json.loads(text)
+    diag = doc.pop("diagnostics", {}) if isinstance(doc, dict) else {}
+    return json.dumps(doc, sort_keys=True), {
+        key: json.dumps(val, sort_keys=True) for key, val in diag.items()}
+
+
 def atoms(pi) -> list[list]:
     """A scheme's distribution over posteriors on A: (mass, posterior)
     pairs, signals that share a posterior to TOL merged."""
@@ -144,6 +156,8 @@ def compare(root: Path, path_a: str, path_b: str) -> int:
           f"{len(common)} in both")
 
     identical = changed_scheme = same_dist = changed_refusal = 0
+    differing = diagnostics_only = 0
+    diagnostics_keys = collections.Counter()
     delta = {label: 0.0 for label, _, _ in VALUES}
     for idx in common:
         ta, tb = a[idx].get("texts"), b[idx].get("texts")
@@ -153,6 +167,15 @@ def compare(root: Path, path_a: str, path_b: str) -> int:
         if ta == tb:
             identical += 1
             continue
+        differing += 1
+        parts_a = [split_diagnostics(text) for text in ta]
+        parts_b = [split_diagnostics(text) for text in tb]
+        if len(ta) == len(tb) and all(rest_a == rest_b for (rest_a, _), (
+                rest_b, _) in zip(parts_a, parts_b)):
+            diagnostics_only += 1
+        diagnostics_keys.update({
+            key for (_, da), (_, db) in zip(parts_a, parts_b)
+            for key in da.keys() | db.keys() if da.get(key) != db.get(key)})
         sa = json.loads(ta[0])["scheme"]
         sb = json.loads(tb[0])["scheme"]
         if sa != sb:
@@ -164,6 +187,12 @@ def compare(root: Path, path_a: str, path_b: str) -> int:
                 delta[label] = max(delta[label], abs(va - vb))
     refused = [sum("refused" in rec[i] for i in common) for rec in (a, b)]
     print(f"byte-identical reports: {identical}")
+    print(f"differ only under diagnostics: {diagnostics_only} of "
+          f"{differing}")
+    print("diagnostics keys that differ (reports): " + (", ".join(
+        f"{key} {n}" for key, n in sorted(diagnostics_keys.items(),
+                                          key=lambda kv: (-kv[1], kv[0])))
+        or "none"))
     print(f"refusals: A {refused[0]}, B {refused[1]}, "
           f"changed {changed_refusal}")
     print(f"changed scheme: {changed_scheme}, of which {same_dist} induce "
