@@ -92,7 +92,7 @@ def ub_grid_wa(w: np.ndarray, table: ConditionalTable,
     """Bob's utility u_B(w) at each row of ``w`` (posteriors over A).
 
     The coefficients mu(b|a), mu(e|a,b) and mu(e|a) come from the prior's
-    ``table``, zero-filled here: an undefined conditional sits on a row
+    ``table``, whose undefined conditionals read 0.0: they sit on a row
     that can never carry mass.
 
     The grid index is the fastest axis throughout.  mu(b|a) mu(e|a,b) is
@@ -104,10 +104,9 @@ def ub_grid_wa(w: np.ndarray, table: ConditionalTable,
     copy.  Rows go in chunks of ``_WA_CHUNK``, so that the chunk's
     temporaries stay in cache.
     """
-    t = table.zero_filled()
-    bga, ega = t.b_given_a, t.e_given_a
-    na, nb, ne = t.e_given_ab.shape
-    m = (bga[:, :, None] * t.e_given_ab).reshape(na, nb * ne).T
+    bga, ega = table.b_given_a, table.e_given_a
+    na, nb, ne = table.e_given_ab.shape
+    m = (bga[:, :, None] * table.e_given_ab).reshape(na, nb * ne).T
     n = w.shape[0]
     out = np.empty(n)
     for lo in range(0, n, _WA_CHUNK):

@@ -56,9 +56,8 @@ class PosteriorDistribution:
 def _posterior_terms(pi: np.ndarray, table: ConditionalTable):
     """Pr(s), Pr(s, e), Pr(s, b) and Pr(s, b, e) for every row s of ``pi``:
     the masses and numerators of Pr(e|s) and Pr(e|s,b)."""
-    t = table.zero_filled()
-    return (pi.sum(axis=1), pi @ t.e_given_a, pi @ t.b_given_a,
-            np.einsum("sa,aeb->sbe", pi, t.eb_given_a))
+    return (pi.sum(axis=1), pi @ table.e_given_a, pi @ table.b_given_a,
+            np.einsum("sa,aeb->sbe", pi, table.eb_given_a))
 
 
 def _signal_terms(prior: JointPrior, scheme: SignalingScheme, s: str):

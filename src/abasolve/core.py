@@ -2,8 +2,8 @@
 
 The joint prior is a tensor mu[e][a][b] over event, Alice-signal, and
 Bob-signal outcomes; all file formats and APIs use that index order.
-Conditionals on zero-probability events are flagged undefined (NaN plus a
-definedness mask) rather than filled with a default.  A prior owns its
+A conditional on a zero-probability event is undefined: it reads 0.0, and
+the definedness masks say which entries are undefined.  A prior owns its
 ``ConditionalTable``: the first ``marginals_and_conditionals(prior)``
 computes it, and every later call shares it, read-only.
 """
@@ -72,7 +72,10 @@ class OutcomeSpaces:
 
 @dataclass(frozen=True)
 class JointPrior:
-    """Joint distribution mu(e, a, b) as a nonnegative tensor summing to 1."""
+    """Joint distribution mu(e, a, b) as a nonnegative tensor summing to 1.
+
+    Non-finite entries are refused on construction; sign and total mass are
+    checked by ``violations``."""
 
     p: np.ndarray
     _conditionals: ConditionalTable | None = field(
@@ -82,6 +85,8 @@ class JointPrior:
         arr = np.ascontiguousarray(np.asarray(self.p, dtype=float))
         if arr.ndim != 3:
             raise ValidationError(f"prior tensor must be 3-d, got {arr.ndim}-d")
+        if not np.isfinite(arr).all():
+            raise ValidationError("prior: entries must be finite")
         object.__setattr__(self, "p", arr)
         arr.setflags(write=False)
 
@@ -99,9 +104,6 @@ class JointPrior:
 
     def violations(self, atol: float = PRIOR_MASS_ATOL) -> list[str]:
         out = []
-        if not np.isfinite(self.p).all():
-            out.append("prior: entries must be finite")
-            return out
         if (self.p < 0).any():
             idx = tuple(int(i) for i in np.argwhere(self.p < 0)[0])
             out.append(f"prior: negative mass at [e][a][b]={idx}")
@@ -202,8 +204,12 @@ class ConditionalTable:
     Conditionals indexed with the conditioning variable first:
     ``b_given_a[a, b]``, ``e_given_a[a, e]``, ``e_given_ab[a, b, e]``,
     ``eb_given_a[a, e, b]``.  Entries conditioned on a zero-probability
-    event are NaN; ``defined_a`` / ``defined_ab`` carry the masks.  One
-    table per prior is shared by every caller, so its arrays are read-only.
+    event are undefined and read 0.0; ``defined_a`` / ``defined_ab`` say
+    which they are.  The zeros are safe wherever an undefined row is only
+    ever weighted by mass that is itself zero, as every solver path's is:
+    Bayes plausibility keeps a signal's mass off an alice outcome with
+    mu(a) = 0.  One table per prior is shared by every caller, so its arrays
+    are read-only.
     """
 
     mu_a: np.ndarray
@@ -217,26 +223,10 @@ class ConditionalTable:
     eb_given_a: np.ndarray
     defined_a: np.ndarray
     defined_ab: np.ndarray
-    _zero_filled: ConditionalTable | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f in fields(self):
-            if f.init:
-                getattr(self, f.name).setflags(write=False)
-
-    def zero_filled(self) -> "ConditionalTable":
-        """This table with undefined conditionals zeroed, computed once.
-        Safe wherever the undefined rows are weighted by mass that is itself
-        zero (every solver path below has that property)."""
-        if self._zero_filled is None:
-            def z(x):
-                return np.where(np.isnan(x), 0.0, x)
-            object.__setattr__(self, "_zero_filled", ConditionalTable(
-                self.mu_a, self.mu_b, self.mu_e, self.mu_eb, self.mu_ab,
-                z(self.b_given_a), z(self.e_given_a), z(self.e_given_ab),
-                z(self.eb_given_a), self.defined_a, self.defined_ab))
-        return self._zero_filled
+            getattr(self, f.name).setflags(write=False)
 
 
 def marginals_and_conditionals(prior: JointPrior) -> ConditionalTable:
@@ -253,14 +243,14 @@ def marginals_and_conditionals(prior: JointPrior) -> ConditionalTable:
     defined_a = mu_a > 0.0
     defined_ab = mu_ab > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        b_given_a = np.where(defined_a[:, None], mu_ab / mu_a[:, None], np.nan)
+        b_given_a = np.where(defined_a[:, None], mu_ab / mu_a[:, None], 0.0)
         e_given_a = np.where(defined_a[None, :], p.sum(axis=2) / mu_a[None, :],
-                             np.nan).T                     # [a, e]
+                             0.0).T                        # [a, e]
         pab = np.transpose(p, (1, 2, 0))                   # [a, b, e]
         e_given_ab = np.where(defined_ab[:, :, None], pab / mu_ab[:, :, None],
-                              np.nan)
+                              0.0)
         eb_given_a = np.where(defined_a[None, :, None],
-                              p / mu_a[None, :, None], np.nan)
+                              p / mu_a[None, :, None], 0.0)
         eb_given_a = np.transpose(eb_given_a, (1, 0, 2))   # [a, e, b]
     table = ConditionalTable(mu_a, mu_b, mu_e, mu_eb, mu_ab, b_given_a,
                              e_given_a, e_given_ab, eb_given_a, defined_a,
@@ -352,15 +342,13 @@ class SolveReport:
     """A solved instance: scheme, objective values, and solver counters."""
 
     scheme: SignalingScheme
-    sender_objective: float
     bob_utility: float
     total_value_V: float
     classification: Classification
     method: Method
     diagnostics: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if abs(self.sender_objective + self.bob_utility) > 1e-7:
-            raise ValidationError(
-                f"sender objective {self.sender_objective!r} is not the "
-                f"negation of bob utility {self.bob_utility!r}")
+    @property
+    def sender_objective(self) -> float:
+        """Alice's objective: the negation of Bob's utility."""
+        return -self.bob_utility

@@ -75,12 +75,12 @@ def _obedience_blocks(table: ConditionalTable, score: ScoreSpec):
 
     ue[0, i, a] is action i's expected utility under mu(.|a), before Bob
     reveals; ue[1+b, i, a] under mu(.|a, b), weighted by mu(b|a), after he
-    reveals b.
+    reveals b.  An undefined conditional reads 0.0, so an alice outcome with
+    mu(a) = 0, or a pair with mu(a, b) = 0, adds zero weight.
     """
-    t = table.zero_filled()
     u = score.utilities                          # (k, ne)
-    ue_a = np.einsum("ie,ae->ia", u, t.e_given_a)           # (k, na)
-    ue_ab = np.einsum("ie,abe,ab->iab", u, t.e_given_ab, t.b_given_a)
+    ue_a = np.einsum("ie,ae->ia", u, table.e_given_a)       # (k, na)
+    ue_ab = np.einsum("ie,abe,ab->iab", u, table.e_given_ab, table.b_given_a)
     return np.concatenate((ue_a[None], np.moveaxis(ue_ab, 2, 0)))
 
 
@@ -222,7 +222,7 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     bob = _certified_bob(prior, score, scheme, sol, "vertex")
     optimum = -sol.objective
     return SolveReport(
-        scheme, -bob, bob, total_value(prior, score),
+        scheme, bob, total_value(prior, score),
         _classify_against_benchmarks(prior, score, optimum), Method.EXACT,
         {"lp_objective": optimum, "lp_vars": points.shape[0], "lp_rows": na,
          "lp_iterations": sol.iterations, "lp_duality_gap": sol.duality_gap,

@@ -312,7 +312,7 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
         "lp_iterations": sol.iterations,
         "lp_duality_gap": sol.duality_gap,
     })
-    return SolveReport(scheme, -bob, bob, total_value(prior, score),
+    return SolveReport(scheme, bob, total_value(prior, score),
                        Classification.UNCLASSIFIED, Method.FPTAS_A, diag)
 
 
@@ -340,7 +340,7 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     _check_args(delta, grid_k, cap_grid_points)
     ne, na, nb = prior.n_events, prior.n_alice, prior.n_bob
     d = ne * nb
-    table = marginals_and_conditionals(prior).zero_filled()
+    table = marginals_and_conditionals(prior)
     k, diag = _resolve_grid(prior, score, delta, d, grid_k, cap_grid_points,
                             cell_cap)
     grid = enumerate_k_uniform(d, k, cap_grid_points)
@@ -394,5 +394,5 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
         "lp_duality_gap": sol.duality_gap,
         "guarantee": diag["guarantee"] + eta_term,
     })
-    return SolveReport(scheme, -bob, bob, total_value(prior, score),
+    return SolveReport(scheme, bob, total_value(prior, score),
                        Classification.UNCLASSIFIED, Method.FPTAS_EB, diag)

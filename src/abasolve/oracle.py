@@ -68,7 +68,6 @@ def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
     L = score.resolved_bound(ne)
     return SolveReport(
         scheme=scheme,
-        sender_objective=-bob,
         bob_utility=bob,
         total_value_V=total_value(prior, score),
         classification=Classification.UNCLASSIFIED,

@@ -107,6 +107,38 @@ def lp_vertex_oracle(c, a_eq, b_eq, a_ub, b_ub, tol: float = 1e-9):
     return best
 
 
+def conditional_table_frozen(prior: JointPrior) -> dict[str, np.ndarray]:
+    """The arrays of ``marginals_and_conditionals(prior)`` as they were
+    computed when undefined conditionals were NaN, after the NaNs were
+    replaced by 0.0: the reference for the table that writes 0.0 itself."""
+    p = prior.p  # [e, a, b]
+    mu_a = p.sum(axis=(0, 2))
+    mu_b = p.sum(axis=(0, 1))
+    mu_e = p.sum(axis=(1, 2))
+    mu_eb = p.sum(axis=1)                    # [e, b]
+    mu_ab = p.sum(axis=0)                    # [a, b]
+    defined_a = mu_a > 0.0
+    defined_ab = mu_ab > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b_given_a = np.where(defined_a[:, None], mu_ab / mu_a[:, None], np.nan)
+        e_given_a = np.where(defined_a[None, :], p.sum(axis=2) / mu_a[None, :],
+                             np.nan).T                     # [a, e]
+        pab = np.transpose(p, (1, 2, 0))                   # [a, b, e]
+        e_given_ab = np.where(defined_ab[:, :, None], pab / mu_ab[:, :, None],
+                              np.nan)
+        eb_given_a = np.where(defined_a[None, :, None],
+                              p / mu_a[None, :, None], np.nan)
+        eb_given_a = np.transpose(eb_given_a, (1, 0, 2))   # [a, e, b]
+
+    def z(x):
+        return np.where(np.isnan(x), 0.0, x)
+    return {"mu_a": mu_a, "mu_b": mu_b, "mu_e": mu_e, "mu_eb": mu_eb,
+            "mu_ab": mu_ab, "b_given_a": z(b_given_a),
+            "e_given_a": z(e_given_a), "e_given_ab": z(e_given_ab),
+            "eb_given_a": z(eb_given_a), "defined_a": defined_a,
+            "defined_ab": defined_ab}
+
+
 def sender_objective_decision_form(prior: JointPrior, score: ScoreSpec,
                                    scheme: SignalingScheme) -> float:
     """Sender objective evaluated through the decision-problem max-affine
@@ -122,10 +154,10 @@ def sender_objective_decision_form(prior: JointPrior, score: ScoreSpec,
         if mass <= 0.0:
             continue
         active = row > 0.0
-        p_s = row[active] @ np.nan_to_num(t.e_given_a[active]) / mass
+        p_s = row[active] @ t.e_given_a[active] / mass
         total += mass * float((u @ p_s).max())
         for b in range(prior.n_bob):
-            w = row * np.nan_to_num(t.b_given_a[:, b])
+            w = row * t.b_given_a[:, b]
             pm = float(w.sum())
             if pm <= 0.0:
                 continue
@@ -181,12 +213,12 @@ def posterior_e_given_s_ref(prior, scheme, s, t) -> np.ndarray:
     if mass <= 0.0:
         raise ZeroProbabilitySignal(f"signal {s!r} is never sent")
     active = row > 0.0
-    return row[active] @ np.nan_to_num(t.e_given_a[active]) / mass
+    return row[active] @ t.e_given_a[active] / mass
 
 
 def posterior_e_given_sb_ref(prior, scheme, s, b, t) -> np.ndarray:
     row = scheme.pi[scheme.signal_index(s)]
-    weights = row * np.nan_to_num(t.b_given_a[:, b])
+    weights = row * t.b_given_a[:, b]
     mass = float(weights.sum())
     if mass <= 0.0:
         raise ZeroProbabilityPair(f"pair (s={s!r}, b={b}) has zero probability")
@@ -200,7 +232,7 @@ def prob_b_given_s_ref(prior, scheme, s, t) -> np.ndarray:
     if mass <= 0.0:
         raise ZeroProbabilitySignal(f"signal {s!r} is never sent")
     active = row > 0.0
-    return (row[active] / mass) @ np.nan_to_num(t.b_given_a[active])
+    return (row[active] / mass) @ t.b_given_a[active]
 
 
 def induced_posterior_over_EB_ref(prior, scheme, s, t) -> np.ndarray:
@@ -209,7 +241,7 @@ def induced_posterior_over_EB_ref(prior, scheme, s, t) -> np.ndarray:
     if mass <= 0.0:
         raise ZeroProbabilitySignal(f"signal {s!r} is never sent")
     active = row > 0.0
-    v = np.einsum("a,aeb->eb", row[active], np.nan_to_num(t.eb_given_a[active]))
+    v = np.einsum("a,aeb->eb", row[active], t.eb_given_a[active])
     return v / mass
 
 
@@ -229,7 +261,7 @@ def scheme_terms_loop(prior: JointPrior, score: ScoreSpec,
         e_s += mass * eval_G(score, posterior_e_given_s_ref(prior, scheme,
                                                             label, t))
         for b in range(prior.n_bob):
-            pair_mass = float(row @ np.nan_to_num(t.b_given_a[:, b]))
+            pair_mass = float(row @ t.b_given_a[:, b])
             if pair_mass <= 0.0:
                 continue
             p_sb = posterior_e_given_sb_ref(prior, scheme, label, b, t)
@@ -261,7 +293,7 @@ def certify_obedience_loop(prior, score, scheme, recommendations=None,
         vals = u @ posterior_e_given_s_ref(prior, scheme, label, t)
         worst = max(worst, float(vals.max() - vals[i0]))
         for b in range(prior.n_bob):
-            if float(row @ np.nan_to_num(t.b_given_a[:, b])) <= \
+            if float(row @ t.b_given_a[:, b]) <= \
                     mass_threshold:
                 continue
             vals = u @ posterior_e_given_sb_ref(prior, scheme, label, b, t)
@@ -309,7 +341,7 @@ def linearize_smooth_loop(score: ScoreSpec, points):
 def bob_report_ref(prior, believed, s, b, t) -> tuple[np.ndarray, bool]:
     if s in believed.signal_labels:
         row = believed.pi[believed.signal_index(s)]
-        if float(row @ np.nan_to_num(t.b_given_a[:, b])) > 0.0:
+        if float(row @ t.b_given_a[:, b]) > 0.0:
             return posterior_e_given_sb_ref(prior, believed, s, b, t), False
     if t.mu_b[b] <= 0.0:
         raise ValidationError(f"bob outcome {b} has zero prior probability")
@@ -328,7 +360,7 @@ def cross_belief_loop(prior, score, believed, actual):
             e_s_term += float(row.sum()) * eval_G(
                 score, posterior_e_given_s_ref(prior, actual, s, t))
         for b in range(prior.n_bob):
-            pair_mass = float(row @ np.nan_to_num(t.b_given_a[:, b]))
+            pair_mass = float(row @ t.b_given_a[:, b])
             if pair_mass <= 0.0:
                 continue
             truth = posterior_e_given_sb_ref(prior, actual, s, b, t)

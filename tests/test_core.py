@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,20 @@ def test_validate_shape_mismatch(quad):
     outcome = validate_instance(BINARY, JointPrior(np.full((2, 3, 2), 1 / 12)),
                                 quad)
     assert any("shape" in v for v in outcome.violations)
+
+
+def _non_finite_priors():
+    yield np.full((2, 1, 2), np.nan)
+    for bad in (np.nan, np.inf, -np.inf):
+        p = np.full((2, 2, 2), 0.125)
+        p[1, 0, 1] = bad
+        yield p
+
+
+@pytest.mark.parametrize("p", _non_finite_priors())
+def test_prior_refuses_non_finite_entries(p):
+    with pytest.raises(ValidationError, match="prior: entries must be finite"):
+        JointPrior(p)
 
 
 def test_validate_piece_dimension_mismatch():
@@ -94,9 +110,13 @@ def test_marginals_zero_conditioning_event():
     p[1, 0, 1] = 0.5  # alice outcome 1 never happens
     t = marginals_and_conditionals(JointPrior(p))
     assert not t.defined_a[1]
-    assert np.isnan(t.e_given_a[1]).all()
     assert t.defined_a[0]
-    assert not np.isnan(t.e_given_a[0]).any()
+    assert not t.defined_ab[1].any()
+    for rows in (t.b_given_a[1], t.e_given_a[1], t.e_given_ab[1],
+                 t.eb_given_a[1]):
+        assert (rows == 0.0).all() and not np.signbit(rows).any()
+    assert t.e_given_a[0].tolist() == [0.5, 0.5]
+    assert np.isfinite(t.eb_given_a).all()
 
 
 def test_marginal_normalization_random():
@@ -168,10 +188,13 @@ def test_scheme_prune(xor_prior):
     assert pruned.validate(xor_prior)
 
 
-def test_solve_report_sign_invariant(xor_prior, quad, xor_no_reveal):
-    with pytest.raises(ValidationError):
-        SolveReport(xor_no_reveal, 0.25, 0.5, 0.5,
-                    Classification.UNCLASSIFIED, Method.EXACT)
+def test_solve_report_sign_invariant(xor_no_reveal):
+    for bob in (0.25, -1e-300, 0.0, -0.0, 0.1 + 0.2):
+        report = SolveReport(xor_no_reveal, bob, 0.5,
+                             Classification.UNCLASSIFIED, Method.EXACT)
+        assert report.bob_utility == bob
+        assert struct.pack("d", report.sender_objective) == \
+            struct.pack("d", -bob)
 
 
 def test_spaces_violations():

@@ -276,10 +276,10 @@ def test_ub_grid_wa_matches_reference(ne, na, nb):
     for prior in (random_prior(rng, ne=ne, na=na, nb=nb),
                   _boundary_prior(rng, ne, na, nb)):
         table = marginals_and_conditionals(prior)
-        t = table.zero_filled()
         grid = np.vstack((_grid(rng, 300, na), np.eye(na)))
         for score in score_kinds(rng, ne):
-            args = (grid, t.b_given_a, t.e_given_ab, t.e_given_a, score)
+            args = (grid, table.b_given_a, table.e_given_ab, table.e_given_a,
+                    score)
             got = _kernels.ub_grid_wa(grid, table, score)
             assert np.array_equal(got, ub_grid_wa_frozen(*args)), score.kind
             np.testing.assert_allclose(got, ub_grid_wa_ref(*args), rtol=0.0,
@@ -301,12 +301,12 @@ def test_ub_grid_spans_chunks():
     rng = np.random.default_rng(97)
     prior = random_prior(rng, ne=2, na=2, nb=2)
     table = marginals_and_conditionals(prior)
-    t = table.zero_filled()
     # two full ub_grid_wa chunks and a partial third
     k = 2 * _kernels._WA_CHUNK + 500
     grid = _kernels.compositions(k, 2) / float(k)
     for score in score_kinds(rng, 2)[:2]:
-        args = (grid, t.b_given_a, t.e_given_ab, t.e_given_a, score)
+        args = (grid, table.b_given_a, table.e_given_ab, table.e_given_a,
+                score)
         got = _kernels.ub_grid_wa(grid, table, score)
         assert np.array_equal(got, ub_grid_wa_frozen(*args))
         np.testing.assert_allclose(got, ub_grid_wa_ref(*args), rtol=0.0,
