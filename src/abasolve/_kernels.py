@@ -282,9 +282,15 @@ def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,
     holds the distinct fractions in ``comps``.  So the kernel tabulates
     -mass u_B(w) once per lattice point with ``ub_grid_wa`` (0 where the
     mass is 0), as a (V,)^na tensor t whose axis na - 1 - a is alice
-    outcome a.  Candidate c = sum_a d_a P^a is entry (d_na-1, ..., d_0) of
-    a (P,)^na tensor, and signal s's term there is t indexed along every
-    axis by code[:, s], the lattice digit of each comps row's fraction s.
+    outcome a.  The lattice's pi is built as an (na, V^na) array, lattice
+    point fastest: its masses are a sum over the leading axis, which adds
+    the na terms in order from 0.0 as a row sum of the (V^na, na) layout
+    would, and ``ub_grid_wa`` gets its transpose, whose chunks it reads
+    back as contiguous (na, c) slices.
+
+    Candidate c = sum_a d_a P^a is entry (d_na-1, ..., d_0) of a (P,)^na
+    tensor, and signal s's term there is t indexed along every axis by
+    code[:, s], the lattice digit of each comps row's fraction s.
 
     The scan takes that tensor in chunks of whole blocks: j is the largest
     j <= na - 1 with P^j <= ``_CHUNK``, each leading index (d_na-1, ...,
@@ -307,16 +313,17 @@ def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,
     code = code.reshape(p_count, m)
     n_vals = vals.shape[0]
     # pi = q * mu(a) at lattice point sum_a digit_a V^a, digit a on axis
-    # na - 1 - a, so no index arrays are built
-    w = np.empty((n_vals,) * n_alice + (n_alice,))
+    # na - 1 - a, so no index arrays are built; the lattice point is the
+    # fastest axis of w, as in ub_grid_wa
+    w = np.empty((n_alice,) + (n_vals,) * n_alice)
     for a in range(n_alice):
         shape = [1] * n_alice
         shape[n_alice - 1 - a] = n_vals
-        w[..., a] = (vals * table.mu_a[a]).reshape(shape)
-    w = w.reshape(-1, n_alice)
-    mass = w.sum(axis=1)
-    w /= np.where(mass > 0.0, mass, 1.0)[:, None]
-    cost = ub_grid_wa(w, table, score)
+        w[a] = (vals * table.mu_a[a]).reshape(shape)
+    w = w.reshape(n_alice, -1)
+    mass = w.sum(axis=0)
+    w /= np.where(mass > 0.0, mass, 1.0)
+    cost = ub_grid_wa(w.T, table, score)
     del w                                       # freed before the scan
     cost *= -mass           # u_B is finite at w = 0: zero mass costs 0
     t = cost.reshape((n_vals,) * n_alice)

@@ -11,7 +11,10 @@ posterior w over A, and by a posterior v over E x B.
 A scheme's posteriors are formed in one place, ``_posterior_terms``, for
 all signals at once; the per-label functions index into its result.  Its
 coefficients mu(e|a), mu(b|a) and mu(e|a,b) come from the prior's own
-``ConditionalTable``, computed once per prior.
+``ConditionalTable``, computed once per prior.  A scheme's two u_B terms
+are computed once per (prior, score) and kept on the scheme, matched by
+identity (see ``core``), so the functionals below and ``oracle``'s
+cross-belief payoffs share one evaluation.
 """
 
 from __future__ import annotations
@@ -80,6 +83,9 @@ def posterior_e_given_s(prior: JointPrior, scheme: SignalingScheme,
 def posterior_e_given_sb(prior: JointPrior, scheme: SignalingScheme, s: str,
                          b: int) -> PosteriorDistribution:
     """Pr(e|s,b) = sum_a mu(e|a,b) pi(s,a) mu(b|a) / sum_a pi(s,a) mu(b|a)."""
+    if not 0 <= b < prior.n_bob:
+        raise ValidationError(
+            f"bob outcome b={b} is out of range [0, {prior.n_bob})")
     row = scheme.pi[scheme.signal_index(s)][None]
     _, _, mass_b, numer_b = _posterior_terms(
         row, marginals_and_conditionals(prior))
@@ -100,13 +106,19 @@ def _scheme_terms(prior: JointPrior, score: ScoreSpec,
                   scheme: SignalingScheme) -> tuple[float, float]:
     """(E_s G(p_s), E_{s,b} G(p_{s,b})); zero-probability signals dropped.
 
-    One batched evaluation each over Pr(s, e) and Pr(s, b, e).
+    One batched evaluation each over Pr(s, e) and Pr(s, b, e), stored on
+    ``scheme`` for this ``prior`` and ``score`` (matched by identity).
     """
+    memo = scheme._terms
+    if memo is not None and memo[0] is prior and memo[1] is score:
+        return memo[2]
     scheme.validate(prior)
     mass, numer, mass_b, numer_b = _posterior_terms(
         scheme.pi, marginals_and_conditionals(prior))
-    return (float(_kernels.weighted_g(numer, mass, score).sum()),
-            float(_kernels.weighted_g(numer_b, mass_b, score).sum()))
+    out = (float(_kernels.weighted_g(numer, mass, score).sum()),
+           float(_kernels.weighted_g(numer_b, mass_b, score).sum()))
+    object.__setattr__(scheme, "_terms", (prior, score, out))
+    return out
 
 
 def bob_utility_of_scheme(prior: JointPrior, score: ScoreSpec,

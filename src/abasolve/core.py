@@ -6,6 +6,14 @@ A conditional on a zero-probability event is undefined: it reads 0.0, and
 the definedness masks say which entries are undefined.  A prior owns its
 ``ConditionalTable``: the first ``marginals_and_conditionals(prior)``
 computes it, and every later call shares it, read-only.
+
+Priors and schemes are frozen and their arrays read-only, so what is
+derived from them is kept on them, in private fields outside ``repr`` and
+``==``.  A prior keeps the two terms of V for the last score it was asked
+about; a scheme remembers the last prior it validated against at the
+default tolerance, and its u_B terms (``belief``) for the last (prior,
+score).  Every such memo holds the objects it is keyed by and matches them
+with ``is``: an equal but distinct prior, scheme or score recomputes.
 """
 
 from __future__ import annotations
@@ -80,6 +88,9 @@ class JointPrior:
     p: np.ndarray
     _conditionals: ConditionalTable | None = field(
         default=None, init=False, repr=False, compare=False)
+    # (score, (E_{A,B} G(p_{A,B}), G(p))), set by ``_value_terms``
+    _value: tuple | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.p, dtype=float))
@@ -122,6 +133,13 @@ class SignalingScheme:
 
     signal_labels: tuple[str, ...]
     pi: np.ndarray
+    # the prior the last default-tolerance ``validate`` passed
+    _validated: JointPrior | None = field(
+        default=None, init=False, repr=False, compare=False)
+    # (prior, score, (E_s G(p_s), E_{s,b} G(p_{s,b}))), set by
+    # ``belief._scheme_terms``
+    _terms: tuple | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "signal_labels", tuple(self.signal_labels))
@@ -170,9 +188,18 @@ class SignalingScheme:
 
     def validate(self, prior: JointPrior,
                  atol: float = SCHEME_MARGINAL_ATOL) -> "SignalingScheme":
+        """Raise ValidationError unless the scheme fits ``prior``.
+
+        A pass at the default ``atol`` is remembered for that prior object,
+        so checking it again against the same prior is free."""
+        default = atol == SCHEME_MARGINAL_ATOL
+        if default and self._validated is prior:
+            return self
         bad = self.violations(prior, atol)
         if bad:
             raise ValidationError("; ".join(bad))
+        if default:
+            object.__setattr__(self, "_validated", prior)
         return self
 
     def prune_zero_signals(self, threshold: float = 1e-12) -> "SignalingScheme":
@@ -305,7 +332,13 @@ def validate_instance(spaces: OutcomeSpaces, prior: JointPrior,
 
 
 def _value_terms(prior: JointPrior, score: ScoreSpec) -> tuple[float, float]:
-    """(E_{A,B} G(p_{A,B}), G(p)): the two terms of V, checked finite."""
+    """(E_{A,B} G(p_{A,B}), G(p)): the two terms of V, checked finite.
+
+    Stored on ``prior`` for ``score`` (matched by identity); a non-finite
+    result is not stored, so every call raises it."""
+    memo = prior._value
+    if memo is not None and memo[0] is score:
+        return memo[1]
     table = marginals_and_conditionals(prior)
     terms = _kernels.weighted_g(np.moveaxis(prior.p, 0, 2), table.mu_ab, score)
     bad = np.argwhere(~np.isfinite(terms))
@@ -316,7 +349,9 @@ def _value_terms(prior: JointPrior, score: ScoreSpec) -> tuple[float, float]:
     g0 = scoring.eval_G(score, table.mu_e)
     if not np.isfinite(g0):
         raise NonFiniteScore("G is not finite at the prior")
-    return float(terms.sum()), g0
+    out = (float(terms.sum()), g0)
+    object.__setattr__(prior, "_value", (score, out))
+    return out
 
 
 def total_value(prior: JointPrior, score: ScoreSpec) -> float:

@@ -101,8 +101,10 @@ def _bob_reports(believed: SignalingScheme, labels,
     Pr(e|s,b) on path, else Pr(e|b), the Pr(e|s,b) of the row mu(a)."""
     # row -2 is never sent (labels Bob does not know); row -1 sends mu(a)
     pi = np.vstack((believed.pi, np.zeros(believed.n_alice), table.mu_a))
-    rows = [believed.signal_labels.index(s) if s in believed.signal_labels
-            else -2 for s in labels]
+    # a label given twice names its first row
+    index = {s: i for i, s in reversed(tuple(
+        enumerate(believed.signal_labels)))}
+    rows = [index.get(s, -2) for s in labels]
     _, _, mass_b, numer_b = belief._posterior_terms(pi[rows + [-1]], table)
     posts = numer_b / np.where(mass_b > 0.0, mass_b, np.nan)[..., None]
     off = ~(mass_b[:-1] > 0.0)
@@ -117,6 +119,9 @@ def bob_report(prior: JointPrior, believed: SignalingScheme, s: str, b: int
     back to the prior marginal over A, i.e. the report becomes Pr(e|b).
     Returns (posterior, off_path_flag).
     """
+    if not 0 <= b < prior.n_bob:
+        raise ValidationError(
+            f"bob outcome b={b} is out of range [0, {prior.n_bob})")
     t = marginals_and_conditionals(prior)
     reports, off = _bob_reports(believed, (s,), t)
     if off[0, b] and t.mu_b[b] <= 0.0:
@@ -136,9 +141,8 @@ def cross_belief_utilities(prior: JointPrior, score: ScoreSpec,
     """
     t = marginals_and_conditionals(prior)
     believed.validate(prior)
-    actual.validate(prior)
-    mass, numer, mass_b, numer_b = belief._posterior_terms(actual.pi, t)
-    e_s_term = float(_kernels.weighted_g(numer, mass, score).sum())
+    e_s_term = belief._scheme_terms(prior, score, actual)[0]
+    _, _, mass_b, numer_b = belief._posterior_terms(actual.pi, t)
     reports, off = _bob_reports(believed, actual.signal_labels, t)
     sent = mass_b > 0.0
     pair_mass = mass_b[sent]

@@ -191,7 +191,10 @@ def score_R(score: ScoreSpec, report, e: int) -> float:
     value), not an exception.
     """
     w = _weights(report)
-    return expected_report_score(score, w, np.eye(w.shape[-1])[e])
+    n = w.shape[-1]
+    if not 0 <= e < n:
+        raise ValidationError(f"event e={e} is out of range [0, {n})")
+    return expected_report_score(score, w, np.eye(n)[e])
 
 
 def expected_report_score(score: ScoreSpec, report, belief):

@@ -53,6 +53,15 @@ def test_posterior_e_given_sb_examples(xor_prior, independent_prior,
     assert post.weights == pytest.approx([0.5, 0.5])
 
 
+@pytest.mark.parametrize("b", [-1, 2])
+def test_posterior_e_given_sb_refuses_out_of_range_bob_outcome(
+        xor_prior, xor_full_reveal, b):
+    # -1 would index the last outcome, 2 = |B| past the end
+    with pytest.raises(ValidationError,
+                       match=rf"bob outcome b={b} is out of range \[0, 2\)"):
+        posterior_e_given_sb(xor_prior, xor_full_reveal, "a0", b)
+
+
 def test_posterior_zero_probability_pair():
     p = np.zeros((2, 2, 2))
     p[0, 0, 0] = 0.5

@@ -1,14 +1,21 @@
-"""One ConditionalTable per prior: computed once, shared, read-only."""
+"""Values kept on priors and schemes: one ConditionalTable per prior,
+computed once, shared, read-only; V per (prior, score); a scheme's
+validation per prior and its u_B terms per (prior, score)."""
 
+import collections
 import dataclasses
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
-from abasolve import belief, core, exact, fptas, oracle
-from abasolve.core import JointPrior, marginals_and_conditionals
-from abasolve.scoring import quadratic_score
+from abasolve import _kernels, belief, core, exact, fptas, oracle
+from abasolve.core import JointPrior, SignalingScheme, \
+    marginals_and_conditionals
+from abasolve.errors import NonFiniteScore, ValidationError
+from abasolve.scoring import HolderParams, log_score, piecewise_score, \
+    quadratic_score, spherical_score
 
 from helpers import conditional_table_frozen, random_piecewise, \
     random_prior, random_scheme
@@ -137,3 +144,213 @@ def test_piecewise_classify_builds_one_table(tables_built):
         tables_built(reset=True)
         exact.classify_substitutes(prior, score)
         assert tables_built() == 1
+
+
+# -- values stored on priors and schemes ------------------------------------
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts, per prior table, the ``weighted_g`` evaluations of V's
+    (a, b) terms (key "V") and of a scheme's E_{s,b} term (key: the
+    scheme's signal count), and the ``violations`` checks per scheme."""
+    counts = collections.Counter()
+    checked = []
+    tables = []
+    real_g = _kernels.weighted_g
+    real_check = SignalingScheme.violations
+
+    def weighted_g(numer, mass, score):
+        if any(mass is t.mu_ab for t in tables):
+            counts["V"] += 1
+        elif numer.ndim == 3:
+            counts[numer.shape[0]] += 1
+        return real_g(numer, mass, score)
+
+    def violations(self, prior, atol=core.SCHEME_MARGINAL_ATOL):
+        checked.append(self)
+        return real_check(self, prior, atol)
+
+    monkeypatch.setattr(_kernels, "weighted_g", weighted_g)
+    monkeypatch.setattr(SignalingScheme, "violations", violations)
+
+    def checks(scheme):
+        return sum(x is scheme for x in checked)
+
+    def watch(prior):
+        tables.append(marginals_and_conditionals(prior))
+        return prior
+    return counts, checks, watch
+
+
+def _fresh(prior, *schemes):
+    """Equal but distinct copies, with nothing stored on them yet."""
+    return (JointPrior(prior.p.copy()),) + tuple(
+        SignalingScheme(s.signal_labels, s.pi.copy()) for s in schemes)
+
+
+def test_verify_chain_evaluates_each_value_once(evaluations):
+    counts, checks, watch = evaluations
+    rng = np.random.default_rng(7)
+    prior = watch(random_prior(rng, ne=2, na=3, nb=2))
+    score = log_score()
+    actual = random_scheme(rng, prior, 4)
+
+    # the benchmark's verify solve: the oracle, then its simulate step
+    believed = oracle.oracle_optimal(prior, score, 0.25, 2).scheme
+    assert believed.n_signals != actual.n_signals
+    actual.validate(prior)
+    if belief.sender_objective(prior, score, actual) >= \
+            belief.sender_objective(prior, score, believed):
+        oracle.deviation_check(prior, score, believed, actual)
+    else:
+        oracle.deviation_check(prior, score, actual, believed)
+    oracle.cross_belief_utilities(prior, score, believed, actual)
+    belief.alice_total_utility(prior, score, actual)
+    belief.bob_utility_of_scheme(prior, score, actual)
+    assert counts == {"V": 1, believed.n_signals: 1, actual.n_signals: 1}
+    assert checks(actual) == checks(believed) == 1
+
+
+def test_validation_is_redone_for_another_prior(evaluations):
+    _, checks, _ = evaluations
+    rng = np.random.default_rng(8)
+    prior_a, prior_b = (random_prior(rng, ne=2, na=2, nb=2) for _ in "ab")
+    score = quadratic_score()
+    scheme = random_scheme(rng, prior_a, 2)
+    belief.bob_utility_of_scheme(prior_a, score, scheme)
+    scheme.validate(prior_a)
+    assert checks(scheme) == 1
+    # the columns split mu_A(a), not prior B's marginal
+    with pytest.raises(ValidationError, match="column sums"):
+        scheme.validate(prior_b)
+    with pytest.raises(ValidationError, match="column sums"):
+        belief.bob_utility_of_scheme(prior_b, score, scheme)
+    with pytest.raises(ValidationError, match="column sums"):
+        oracle.cross_belief_utilities(prior_b, score, scheme, scheme)
+    twin = JointPrior(prior_a.p.copy())
+    scheme.validate(twin)
+    scheme.validate(prior_a)
+    assert checks(scheme) == 6
+
+
+def test_validation_at_another_tolerance_is_never_skipped(evaluations):
+    _, checks, _ = evaluations
+    rng = np.random.default_rng(9)
+    prior = random_prior(rng, ne=2, na=2, nb=2)
+    pi = random_scheme(rng, prior, 2).pi.copy()
+    pi[0] += 5e-9                  # within the default 1e-8, not 1e-9
+    scheme = SignalingScheme(("s0", "s1"), pi)
+    scheme.validate(prior)
+    with pytest.raises(ValidationError, match="column sums"):
+        scheme.validate(prior, atol=1e-9)
+    scheme.validate(prior)
+    scheme.validate(prior, atol=1e-3)
+    assert checks(scheme) == 3
+
+
+def test_another_score_object_recomputes(evaluations):
+    counts, _, watch = evaluations
+    rng = np.random.default_rng(10)
+    prior = watch(random_prior(rng, ne=2, na=2, nb=2))
+    scheme = random_scheme(rng, prior, 3)
+    first, twin = quadratic_score(), quadratic_score()
+    assert first == twin and first is not twin
+    for score in (first, first, twin):
+        core.total_value(prior, score)
+        belief.bob_utility_of_scheme(prior, score, scheme)
+    assert counts == {"V": 2, 3: 2}
+    # a score of another kind gets its own values, not the stored ones
+    fresh_prior, fresh_scheme = _fresh(prior, scheme)
+    for score in (log_score(), random_piecewise(rng, ne=2, k=3)):
+        assert core.total_value(prior, score) == \
+            core.total_value(fresh_prior, score)
+        assert belief.bob_utility_of_scheme(prior, score, scheme) == \
+            belief.bob_utility_of_scheme(fresh_prior, score, fresh_scheme)
+
+
+def test_non_finite_value_is_raised_on_every_call(evaluations):
+    counts, _, watch = evaluations
+    prior = watch(random_prior(np.random.default_rng(12), ne=2, na=2, nb=2))
+    # G = 1e308 * (p_0 + p_1) + 1e308 overflows to +inf everywhere
+    score = piecewise_score([(np.array([1e308, 1e308]), 1e308)])
+    with np.errstate(over="ignore"):
+        for _ in range(2):
+            with pytest.raises(NonFiniteScore, match="not finite"):
+                core.total_value(prior, score)
+    assert counts["V"] == 2
+
+
+def test_stored_values_stay_out_of_repr_and_eq():
+    rng = np.random.default_rng(13)
+    prior = random_prior(rng, ne=2, na=2, nb=2)
+    score = quadratic_score()
+    scheme = random_scheme(rng, prior, 2)
+    oracle.cross_belief_utilities(prior, score, scheme, scheme)
+    belief.alice_total_utility(prior, score, scheme)
+    bare_prior = JointPrior(prior.p)
+    bare_scheme = SignalingScheme(scheme.signal_labels, scheme.pi)
+    assert prior == bare_prior and repr(prior) == repr(bare_prior)
+    assert scheme == bare_scheme and repr(scheme) == repr(bare_scheme)
+
+
+def _differential_priors(rng):
+    """Random priors, and copies with a zero-mass alice outcome and with a
+    zero-mass (a, b) pair."""
+    for ne, na, nb in ((2, 2, 2), (2, 3, 2), (3, 2, 2)):
+        p = rng.gamma(1.0, size=(ne, na, nb))
+        thin_a, thin_ab = p.copy(), p.copy()
+        thin_a[:, 1, :] = 0.0
+        thin_ab[:, 0, 1] = 0.0
+        for q in (p, thin_a, thin_ab):
+            yield JointPrior(q / q.sum())
+
+
+def _verify_chain_floats(prior, score, pi, pi_star, fresh):
+    """Every float the verify chain's public functions return, in one
+    order; with ``fresh``, each call gets its own copies of the prior and
+    the schemes, so nothing stored on one call reaches another."""
+    def args(*schemes):
+        return _fresh(prior, *schemes) if fresh else (prior,) + schemes
+
+    def call(fn, *schemes, extra=()):
+        p, *rest = args(*schemes)
+        return fn(p, score, *rest, *extra)
+
+    out = []
+    report = call(oracle.oracle_optimal, extra=(0.25, 2))
+    out += [report.bob_utility, report.total_value_V,
+            report.diagnostics["scan_objective"], *report.scheme.pi.ravel()]
+    out.append(call(core.total_value))
+    for s in (pi, pi_star):
+        out.append(call(belief.sender_objective, s))
+        out.append(call(belief.bob_utility_of_scheme, s))
+        out.append(call(belief.alice_total_utility, s))
+    for believed, actual in ((pi, pi_star), (pi_star, pi_star), (pi, pi),
+                             (pi_star, pi)):
+        c = call(oracle.cross_belief_utilities, believed, actual)
+        out += [c.bob_utility, c.alice_utility, c.off_path_mass,
+                c.divergence_mass]
+    check = call(oracle.deviation_check, pi, pi_star)
+    out += [check.passed] + [check.details[k] for k in sorted(check.details)]
+    return [struct.pack("d", float(x)) for x in out]
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "log", "spherical",
+                                  "piecewise"])
+def test_shared_and_fresh_objects_give_the_same_bits(kind):
+    rng = np.random.default_rng(31)
+    for prior in _differential_priors(rng):
+        score = {"quadratic": quadratic_score(),
+                 "log": log_score(),
+                 "spherical": spherical_score(
+                     holder=HolderParams(1.0, 0.5, 0.5)),
+                 "piecewise": random_piecewise(rng, prior.n_events, k=4)}[kind]
+        pi, pi_star = random_scheme(rng, prior, 2), random_scheme(rng, prior, 3)
+        probe_pi, probe_star = _fresh(prior, pi, pi_star)[1:]
+        if belief.sender_objective(prior, score, probe_star) < \
+                belief.sender_objective(prior, score, probe_pi):
+            pi, pi_star = pi_star, pi
+        prior = JointPrior(prior.p)    # the ordering stored values on prior
+        fresh = _verify_chain_floats(prior, score, pi, pi_star, fresh=True)
+        shared = _verify_chain_floats(prior, score, pi, pi_star, fresh=False)
+        assert shared == fresh

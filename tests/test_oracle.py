@@ -81,6 +81,15 @@ def test_bob_report_on_path(xor_prior, xor_full_reveal):
     assert post.weights == pytest.approx([0.5, 0.5])  # Pr(e|b) from prior
 
 
+@pytest.mark.parametrize("b", [-1, 2])
+def test_bob_report_refuses_out_of_range_bob_outcome(xor_prior,
+                                                     xor_full_reveal, b):
+    # -1 would answer for the last outcome, 2 = |B| is past the end
+    with pytest.raises(ValidationError,
+                       match=rf"bob outcome b={b} is out of range \[0, 2\)"):
+        bob_report(xor_prior, xor_full_reveal, "a0", b)
+
+
 def test_bob_report_off_path(copy_prior):
     believed = full_reveal_scheme(copy_prior)
     post, off = bob_report(copy_prior, believed, "unseen", 1)

@@ -49,6 +49,14 @@ def test_score_R_log():
     assert score_R(lg, np.array([1.0, 0.0]), 1) == float("-inf")
 
 
+@pytest.mark.parametrize("e", [-1, 3])
+def test_score_R_refuses_out_of_range_event(e):
+    # -1 would score the last event, 3 = |E| is past the end
+    with pytest.raises(ValidationError,
+                       match=rf"event e={e} is out of range \[0, 3\)"):
+        score_R(quadratic_score(), np.array([0.2, 0.3, 0.5]), e)
+
+
 def test_properness_identity_all_kinds():
     rng = np.random.default_rng(3)
     scores = [quadratic_score(), log_score(), spherical_score(),
