@@ -10,10 +10,10 @@ computes it, and every later call shares it, read-only.
 Priors and schemes are frozen and their arrays read-only, so what is
 derived from them is kept on them, in private fields outside ``repr`` and
 ``==``.  A prior keeps the two terms of V for the last score it was asked
-about; a scheme remembers the last prior it validated against at the
-default tolerance, and its u_B terms (``belief``) for the last (prior,
-score).  Every such memo holds the objects it is keyed by and matches them
-with ``is``: an equal but distinct prior, scheme or score recomputes.
+about; a scheme remembers the last prior it validated against, and its
+u_B terms (``belief``) for the last (prior, score).  Every such memo holds
+the objects it is keyed by and matches them with ``is``: an equal but
+distinct prior, scheme or score recomputes.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .scoring import ScoreKind, ScoreSpec
 
 PRIOR_MASS_ATOL = 1e-9
 SCHEME_MARGINAL_ATOL = 1e-8
+ZERO_SIGNAL_MASS = 1e-12  # ``prune_zero_signals`` drops a signal this light
 
 
 class Classification(str, enum.Enum):
@@ -113,13 +114,13 @@ class JointPrior:
     def n_bob(self) -> int:
         return self.p.shape[2]
 
-    def violations(self, atol: float = PRIOR_MASS_ATOL) -> list[str]:
+    def violations(self) -> list[str]:
         out = []
         if (self.p < 0).any():
             idx = tuple(int(i) for i in np.argwhere(self.p < 0)[0])
             out.append(f"prior: negative mass at [e][a][b]={idx}")
         total = float(self.p.sum())
-        if abs(total - 1.0) > atol:
+        if abs(total - 1.0) > PRIOR_MASS_ATOL:
             out.append(f"prior: mass sums to {total!r}, not 1")
         return out
 
@@ -133,7 +134,7 @@ class SignalingScheme:
 
     signal_labels: tuple[str, ...]
     pi: np.ndarray
-    # the prior the last default-tolerance ``validate`` passed
+    # the prior the last ``validate`` passed
     _validated: JointPrior | None = field(
         default=None, init=False, repr=False, compare=False)
     # (prior, score, (E_s G(p_s), E_{s,b} G(p_{s,b}))), set by
@@ -161,13 +162,12 @@ class SignalingScheme:
         try:
             return self.signal_labels.index(label)
         except ValueError:
-            raise KeyError(f"unknown signal label {label!r}") from None
+            raise ValidationError(f"unknown signal label {label!r}") from None
 
     def signal_masses(self) -> np.ndarray:
         return self.pi.sum(axis=1)
 
-    def violations(self, prior: JointPrior,
-                   atol: float = SCHEME_MARGINAL_ATOL) -> list[str]:
+    def violations(self, prior: JointPrior) -> list[str]:
         out = []
         if len(set(self.signal_labels)) != len(self.signal_labels):
             out.append("scheme: signal labels must be distinct")
@@ -181,47 +181,40 @@ class SignalingScheme:
         if (self.pi < 0).any():
             out.append("scheme: negative entry")
         resid = np.abs(self.pi.sum(axis=0) - prior.marginal_alice())
-        if (resid > atol).any():
+        if (resid > SCHEME_MARGINAL_ATOL).any():
             out.append(f"scheme: column sums off the prior marginal by "
                        f"{float(resid.max())!r}")
         return out
 
-    def validate(self, prior: JointPrior,
-                 atol: float = SCHEME_MARGINAL_ATOL) -> "SignalingScheme":
+    def validate(self, prior: JointPrior) -> "SignalingScheme":
         """Raise ValidationError unless the scheme fits ``prior``.
 
-        A pass at the default ``atol`` is remembered for that prior object,
-        so checking it again against the same prior is free."""
-        default = atol == SCHEME_MARGINAL_ATOL
-        if default and self._validated is prior:
-            return self
-        bad = self.violations(prior, atol)
-        if bad:
-            raise ValidationError("; ".join(bad))
-        if default:
+        A pass is remembered for that prior object, so checking it again
+        against the same prior is free."""
+        if self._validated is not prior:
+            bad = self.violations(prior)
+            if bad:
+                raise ValidationError("; ".join(bad))
             object.__setattr__(self, "_validated", prior)
         return self
 
-    def prune_zero_signals(self, threshold: float = 1e-12) -> "SignalingScheme":
-        keep = self.signal_masses() > threshold
+    def prune_zero_signals(self) -> "SignalingScheme":
+        keep = self.signal_masses() > ZERO_SIGNAL_MASS
         if keep.all():
             return self
         labels = tuple(l for l, k in zip(self.signal_labels, keep) if k)
         return SignalingScheme(labels, self.pi[keep])
 
 
-def full_reveal_scheme(prior: JointPrior,
-                       labels: tuple[str, ...] | None = None) -> SignalingScheme:
-    """One signal per alice outcome: pi(s_a, a') = mu(a) * [a == a']."""
-    mu_a = prior.marginal_alice()
-    if labels is None:
-        labels = tuple(f"a{i}" for i in range(prior.n_alice))
-    return SignalingScheme(labels, np.diag(mu_a))
+def full_reveal_scheme(prior: JointPrior) -> SignalingScheme:
+    """One signal a<i> per alice outcome: pi(a<i>, a') = mu(a) * [i == a']."""
+    labels = tuple(f"a{i}" for i in range(prior.n_alice))
+    return SignalingScheme(labels, np.diag(prior.marginal_alice()))
 
 
-def no_reveal_scheme(prior: JointPrior, label: str = "s0") -> SignalingScheme:
-    """A single constant signal carrying no information."""
-    return SignalingScheme((label,), prior.marginal_alice()[None, :])
+def no_reveal_scheme(prior: JointPrior) -> SignalingScheme:
+    """A single constant signal s0 carrying no information."""
+    return SignalingScheme(("s0",), prior.marginal_alice()[None, :])
 
 
 @dataclass(frozen=True)

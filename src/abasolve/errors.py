@@ -26,7 +26,7 @@ class BoundaryTangent(SolverError):
 
 
 class SizeCapExceeded(SolverError):
-    """A solver refused an instance that exceeds a configured size cap."""
+    """A solver refused an instance that exceeds one of its size caps."""
 
     def __init__(self, message: str, required: int | None = None):
         super().__init__(message)

@@ -38,19 +38,20 @@ import math
 
 import numpy as np
 
-from . import belief, scoring
+from . import belief, lp, scoring
 from .core import Classification, ConditionalTable, JointPrior, Method, \
     SignalingScheme, SolveReport, marginals_and_conditionals, total_value, \
     full_reveal_scheme, no_reveal_scheme
 from .errors import NumericalFailure, SizeCapExceeded, ValidationError
 from .fptas import _certified_bob, _envelope_lp
-from .lp import DEFAULT_CELL_CAP, LinearProgram, LPStatus, check_cell_cap, \
-    solve_lp, tableau_cells
+from .lp import LinearProgram, LPStatus, check_cell_cap, solve_lp, \
+    tableau_cells
 from .scoring import ScoreKind, ScoreSpec
 
 DEFAULT_LP_VAR_CAP = 2_000_000
 CLASSIFY_TOL = 1e-7
 OBEDIENCE_TOL = 1e-7
+SUPPORT_MASS = 1e-10  # LP weight or signal mass at most this counts as 0
 _POINT_CHUNK = 65_536
 
 
@@ -92,8 +93,7 @@ def _components(ue: np.ndarray) -> np.ndarray:
 
 def build_obedience_lp(prior: JointPrior, score: ScoreSpec,
                        signals: np.ndarray | None = None,
-                       cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
-                       cell_cap: int = DEFAULT_CELL_CAP) -> LinearProgram:
+                       cap_lp_vars: int = DEFAULT_LP_VAR_CAP) -> LinearProgram:
     """Assemble the obedience LP over pi(s, a) for the given profile rows.
 
     Row layout: per signal, the k obedience rows of its component 0, then
@@ -114,7 +114,7 @@ def build_obedience_lp(prior: JointPrior, score: ScoreSpec,
             required=n_vars)
     n_rows = n_signals * (k + k * nb)
     # refuse before allocating: the solver's tableau is the largest array
-    check_cell_cap(tableau_cells(n_vars, n_rows, na), cell_cap)
+    check_cell_cap(tableau_cells(n_vars, n_rows, na), lp.DEFAULT_CELL_CAP)
     table = marginals_and_conditionals(prior)
     ue = _obedience_blocks(table, score)
 
@@ -206,7 +206,7 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     sol = _envelope_lp(prior, score, points, "vertex")
 
     # merge the support points by lowest-index argmax profile (lossless)
-    support = np.flatnonzero(sol.x > 1e-10)
+    support = np.flatnonzero(sol.x > SUPPORT_MASS)
     w = points[support]
     profile = np.einsum("va,cia->vci", w, ue).argmax(axis=2)
     profiles, group = np.unique(profile, axis=0, return_inverse=True)
@@ -231,14 +231,12 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
 
 
 def obedience_lp_optimum(prior: JointPrior, score: ScoreSpec,
-                         cap_lp_vars: int = DEFAULT_LP_VAR_CAP,
-                         cell_cap: int = DEFAULT_CELL_CAP) -> float:
+                         cap_lp_vars: int = DEFAULT_LP_VAR_CAP) -> float:
     """Alice's optimum by the obedience LP over all k^(|B|+1) profiles on
     the dense tableau: the reference ``solve_exact`` is tested against."""
     profiles = build_revelation_signals(score.utilities.shape[0], prior.n_bob,
                                         max(cap_lp_vars // prior.n_alice, 1))
-    sol = solve_lp(build_obedience_lp(prior, score, profiles, cap_lp_vars,
-                                      cell_cap), cell_cap)
+    sol = solve_lp(build_obedience_lp(prior, score, profiles, cap_lp_vars))
     if sol.status is not LPStatus.OPTIMAL:
         raise NumericalFailure(f"obedience LP reported {sol.status.value}")
     return sol.objective
@@ -251,9 +249,9 @@ def _is_profile(label: str, n_rec: int, n_act: int) -> bool:
 
 
 def certify_obedience(prior: JointPrior, score: ScoreSpec,
-                      scheme: SignalingScheme,
-                      mass_threshold: float = 1e-10) -> float:
-    """Largest normalized obedience violation over positive-mass signals.
+                      scheme: SignalingScheme) -> float:
+    """Largest normalized obedience violation over the signals, and the
+    (signal, bob outcome) pairs, of mass above SUPPORT_MASS.
 
     Each signal's label is its recommendation profile "i0-i1-...-i|B|", as
     ``solve_exact`` writes it.  The recommended action i_0 must maximize
@@ -262,7 +260,7 @@ def certify_obedience(prior: JointPrior, score: ScoreSpec,
     such a profile, or a smooth score, raises ValidationError.
     """
     u = score.utilities
-    live = np.flatnonzero(scheme.pi.sum(axis=1) > mass_threshold)
+    live = np.flatnonzero(scheme.pi.sum(axis=1) > SUPPORT_MASS)
     labels = [scheme.signal_labels[i] for i in live]
     n_rec, n_act = 1 + prior.n_bob, u.shape[0]
     try:
@@ -278,7 +276,7 @@ def certify_obedience(prior: JointPrior, score: ScoreSpec,
         scheme.pi[live], marginals_and_conditionals(prior))
     # column 0: Pr(e|s) before Bob reveals; column 1 + b: Pr(e|s, b)
     masses = np.column_stack((mass, mass_b))
-    on = masses > mass_threshold
+    on = masses > SUPPORT_MASS
     vals = np.concatenate((numer[:, None], numer_b), axis=1) \
         @ u.T / np.where(on, masses, 1.0)[..., None]
     gap = vals.max(axis=2) - np.take_along_axis(vals, rec[..., None],
@@ -287,12 +285,11 @@ def certify_obedience(prior: JointPrior, score: ScoreSpec,
 
 
 def _classify_against_benchmarks(prior: JointPrior, score: ScoreSpec,
-                                 optimum: float,
-                                 tol: float = CLASSIFY_TOL) -> Classification:
+                                 optimum: float) -> Classification:
     full = belief.sender_objective(prior, score, full_reveal_scheme(prior))
     none = belief.sender_objective(prior, score, no_reveal_scheme(prior))
-    full_opt = abs(optimum - full) <= tol
-    none_opt = abs(optimum - none) <= tol
+    full_opt = abs(optimum - full) <= CLASSIFY_TOL
+    none_opt = abs(optimum - none) <= CLASSIFY_TOL
     if full_opt and none_opt:
         return Classification.INDIFFERENT
     if full_opt:

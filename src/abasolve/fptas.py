@@ -30,13 +30,13 @@ import math
 
 import numpy as np
 
-from . import _kernels, belief
+from . import _kernels, belief, core, lp
 from .core import Classification, JointPrior, Method, SignalingScheme, \
     SolveReport, marginals_and_conditionals, total_value
 from .errors import BayesPlausibilityViolated, NumericalFailure, \
     SizeCapExceeded, ValidationError
-from .lp import DEFAULT_CELL_CAP, LinearProgram, LPSolution, LPStatus, \
-    check_cell_cap, solve_envelope, solve_lp, tableau_cells
+from .lp import LinearProgram, LPSolution, LPStatus, check_cell_cap, \
+    solve_envelope, solve_lp, tableau_cells
 from .scoring import ScoreSpec
 
 DEFAULT_GRID_CAP = 5_000_000
@@ -96,14 +96,14 @@ def count_k_uniform(d: int, k: int) -> int:
 def enumerate_k_uniform(d: int, k: int,
                         cap_points: int = DEFAULT_GRID_CAP) -> np.ndarray:
     """All K-uniform points of the (d-1)-simplex, lexicographic, as rows."""
-    if d < 1 or k < 0:
-        raise ValidationError("need d >= 1 and K >= 0")
+    if d < 1 or k < 1:
+        raise ValidationError(f"need d >= 1 and K >= 1, got d={d}, K={k}")
     count = count_k_uniform(d, k)
     if count > cap_points:
         raise SizeCapExceeded(
             f"K-uniform grid has {count} points, cap is {cap_points}",
             required=count)
-    return _kernels.compositions(k, d).astype(float) / max(k, 1)
+    return _kernels.compositions(k, d).astype(float) / k
 
 
 def sample_k_uniform(w: np.ndarray, k: int, n_samples: int,
@@ -213,19 +213,24 @@ def _resolve_grid(prior: JointPrior, score: ScoreSpec, delta: float, d: int,
     return k, diag
 
 
-def scheme_from_posteriors(prior: JointPrior, posteriors,
-                           atol: float = 1e-8) -> SignalingScheme:
+def scheme_from_posteriors(prior: JointPrior, posteriors) -> SignalingScheme:
     """Turn a Bayes-plausible posterior decomposition into a scheme.
 
     ``posteriors`` is a sequence of (weight, posterior-over-A) pairs with
     weights summing to 1 and weighted posteriors averaging to mu(a);
-    pi(s_j, a) = weight_j * w_j[a].
+    pi(s_j, a) = weight_j * w_j[a].  Each posterior must be nonnegative and
+    sum to 1, and both sums and the mean to within SCHEME_MARGINAL_ATOL.
     """
+    atol = core.SCHEME_MARGINAL_ATOL
     lams = np.array([float(p[0]) for p in posteriors])
     ws = np.array([np.asarray(getattr(p[1], "weights", p[1]), dtype=float)
                    for p in posteriors])
     if lams.size == 0 or ws.shape[1] != prior.n_alice:
         raise ValidationError("need posteriors over A with matching dimension")
+    bad = (ws < 0.0).any(axis=1) | (np.abs(ws.sum(axis=1) - 1.0) > atol)
+    if bad.any():
+        raise ValidationError(f"posterior {int(np.argmax(bad))} is not a "
+                              "distribution over A")
     if (lams < -1e-12).any() or abs(float(lams.sum()) - 1.0) > atol:
         raise BayesPlausibilityViolated(
             f"weights sum to {float(lams.sum())!r}, not 1",
@@ -319,8 +324,7 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
 def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
                    consistency_eta: float | None = None,
                    grid_k: int | None = None,
-                   cap_grid_points: int = DEFAULT_GRID_CAP,
-                   cell_cap: int = DEFAULT_CELL_CAP) -> SolveReport:
+                   cap_grid_points: int = DEFAULT_GRID_CAP) -> SolveReport:
     """Minimize Bob's utility over K-uniform joint posteriors on E x B.
 
     Variables pi(v, a) >= 0 carry marginal constraints sum_v pi(v,a) = mu(a)
@@ -331,7 +335,7 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     user-supplied eta below the rounding slack) retries with eta doubled,
     up to 4 times.  A feasibility residual above GRID_FEAS_TOL or a duality
     gap above GRID_GAP_TOL raises NumericalFailure.  An automatic K fits
-    both ``cap_grid_points`` and ``cell_cap`` (this LP's tableau); an
+    ``cap_grid_points`` and, in tableau cells, ``lp.DEFAULT_CELL_CAP``; an
     explicit ``grid_k`` over either is refused before the grid is built.
     """
     if consistency_eta is not None and not 0 < consistency_eta < math.inf:
@@ -342,7 +346,7 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
     d = ne * nb
     table = marginals_and_conditionals(prior)
     k, diag = _resolve_grid(prior, score, delta, d, grid_k, cap_grid_points,
-                            cell_cap)
+                            lp.DEFAULT_CELL_CAP)
     grid = enumerate_k_uniform(d, k, cap_grid_points)
     n = grid.shape[0]
     ub = _kernels.ub_grid_veb(grid, ne, nb, score)
@@ -364,9 +368,8 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
         blocks = a_ub.reshape(n, 2 * d, n, na)
         v = np.arange(n)
         blocks[v, :, v, :] = np.concatenate((dev - eta, -dev - eta), axis=1)
-        lp = LinearProgram(objective, a_eq, table.mu_a, a_ub,
-                           np.zeros(2 * d * n))
-        sol = solve_lp(lp, cell_cap)
+        sol = solve_lp(LinearProgram(objective, a_eq, table.mu_a, a_ub,
+                                     np.zeros(2 * d * n)))
         if sol.status is LPStatus.OPTIMAL:
             break
         if retries >= 4:

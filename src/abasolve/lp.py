@@ -118,7 +118,7 @@ def check_cell_cap(cells: int, cell_cap: int) -> None:
             f"tableau needs {cells} cells, cap is {cell_cap}", required=cells)
 
 
-def solve_lp(lp: LinearProgram, cell_cap: int = DEFAULT_CELL_CAP) -> LPSolution:
+def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve to an optimal vertex, or report Infeasible/Unbounded.
 
     The solution's ``duality_gap`` is |b.y - c.x| plus the dual
@@ -129,7 +129,7 @@ def solve_lp(lp: LinearProgram, cell_cap: int = DEFAULT_CELL_CAP) -> LPSolution:
     optimality.
 
     Raises NumericalFailure when pivoting exceeds 50*(rows+cols) iterations
-    and SizeCapExceeded when the tableau would not fit the cell cap.
+    and SizeCapExceeded when the tableau would exceed DEFAULT_CELL_CAP cells.
     """
     n = lp.n_vars
     m_ub = lp.a_ub.shape[0]
@@ -147,7 +147,8 @@ def solve_lp(lp: LinearProgram, cell_cap: int = DEFAULT_CELL_CAP) -> LPSolution:
     n_art = art_rows.size
 
     n_total = n + m_ub + n_art
-    check_cell_cap(tableau_cells(n, m_ub, m_eq, n_art - m_eq), cell_cap)
+    check_cell_cap(tableau_cells(n, m_ub, m_eq, n_art - m_eq),
+                   DEFAULT_CELL_CAP)
 
     t = np.zeros((m + 1, n_total + 1))
     t[:m_ub, :n] = lp.a_ub

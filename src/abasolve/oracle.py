@@ -23,17 +23,18 @@ from .fptas import _continuity_modulus
 from .scoring import ScoreKind, ScoreSpec
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
+DEVIATION_TOL = 1e-9
 
 
 def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
-                   max_signals: int = 2,
-                   cap_candidates: int = DEFAULT_CANDIDATE_CAP) -> SolveReport:
+                   max_signals: int = 2) -> SolveReport:
     """Exhaustive search over step-quantized schemes.
 
     Columns are pi(s, a) = f[s, a] * mu(a) with each fraction column f[:, a]
     a composition of 1 in multiples of grid_step.  The best scheme found is
     within the continuity modulus of one grid step of the true optimum
-    (reported in diagnostics).
+    (reported in diagnostics).  More than DEFAULT_CANDIDATE_CAP candidates
+    raise SizeCapExceeded before the scan.
     """
     na, nb, ne = prior.n_alice, prior.n_bob, prior.n_events
     if not 0 < grid_step <= 1:
@@ -48,10 +49,9 @@ def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
         raise ValidationError("grid_step must be the reciprocal of an integer")
     comps = _kernels.compositions(den, max_signals).astype(float) / den
     n_cand = comps.shape[0] ** na
-    if n_cand > cap_candidates:
-        raise SizeCapExceeded(
-            f"oracle would scan {n_cand} candidates, cap is {cap_candidates}",
-            required=n_cand)
+    if n_cand > DEFAULT_CANDIDATE_CAP:
+        raise SizeCapExceeded(f"oracle would scan {n_cand} candidates, cap "
+                              f"is {DEFAULT_CANDIDATE_CAP}", required=n_cand)
 
     best_val, best_idx = _kernels.oracle_scan(
         comps, na, 0, n_cand, marginals_and_conditionals(prior), score)
@@ -160,9 +160,10 @@ def cross_belief_utilities(prior: JointPrior, score: ScoreSpec,
 
 
 def deviation_check(prior: JointPrior, score: ScoreSpec,
-                    pi: SignalingScheme, pi_star: SignalingScheme,
-                    tol: float = 1e-9) -> CheckReport:
-    """Verify u_B(pi; pi*) <= u_B(pi*; pi*) <= u_B(pi; pi).
+                    pi: SignalingScheme,
+                    pi_star: SignalingScheme) -> CheckReport:
+    """Verify u_B(pi; pi*) <= u_B(pi*; pi*) <= u_B(pi; pi), each to within
+    DEVIATION_TOL.
 
     For strictly proper scores the first inequality must be strict whenever
     Bob's cross-belief reports differ from the true posteriors on a set of
@@ -178,8 +179,8 @@ def deviation_check(prior: JointPrior, score: ScoreSpec,
     cross = cross_belief_utilities(prior, score, pi, pi_star)
     star = cross_belief_utilities(prior, score, pi_star, pi_star)
     own = cross_belief_utilities(prior, score, pi, pi)
-    chain = (cross.bob_utility <= star.bob_utility + tol and
-             star.bob_utility <= own.bob_utility + tol)
+    chain = (cross.bob_utility <= star.bob_utility + DEVIATION_TOL and
+             star.bob_utility <= own.bob_utility + DEVIATION_TOL)
     strict_needed = score.kind is not ScoreKind.PIECEWISE and \
         cross.divergence_mass > 1e-6
     strict_ok = (not strict_needed) or \

@@ -199,9 +199,13 @@ def score_R(score: ScoreSpec, report, e: int) -> float:
 
 def expected_report_score(score: ScoreSpec, report, belief):
     """E_{e~belief} R(report, e), row-wise over the last axis (a float for
-    one report); equals G(report) when belief == report."""
+    one report); equals G(report) when belief == report.  A report and a
+    belief of different lengths raise ValidationError."""
     w = _weights(report)
     q = _weights(belief)
+    if w.shape[-1] != q.shape[-1]:
+        raise ValidationError(f"report length {w.shape[-1]} and belief "
+                              f"length {q.shape[-1]} differ")
     if score.kind is ScoreKind.LOG:
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log(np.where(w > 0.0, w, 0.0))    # -inf where w <= 0

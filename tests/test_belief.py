@@ -42,6 +42,19 @@ def test_posterior_zero_probability_signal(xor_prior):
         prob_b_given_s(xor_prior, scheme, "dead")
 
 
+@pytest.mark.parametrize("call", (
+    lambda prior, scheme: posterior_e_given_s(prior, scheme, "x"),
+    lambda prior, scheme: posterior_e_given_sb(prior, scheme, "x", 0),
+    lambda prior, scheme: prob_b_given_s(prior, scheme, "x"),
+    lambda prior, scheme: induced_posterior_over_A(scheme, "x"),
+    lambda prior, scheme: induced_posterior_over_EB(prior, scheme, "x"),
+), ids=("e_given_s", "e_given_sb", "b_given_s", "over_A", "over_EB"))
+def test_unknown_signal_label_is_a_validation_error(xor_prior,
+                                                    xor_full_reveal, call):
+    with pytest.raises(ValidationError, match="unknown signal label 'x'"):
+        call(xor_prior, xor_full_reveal)
+
+
 def test_posterior_e_given_sb_examples(xor_prior, independent_prior,
                                        xor_full_reveal):
     post = posterior_e_given_sb(xor_prior, xor_full_reveal, "a0", 0)

@@ -166,9 +166,9 @@ def evaluations(monkeypatch):
             counts[numer.shape[0]] += 1
         return real_g(numer, mass, score)
 
-    def violations(self, prior, atol=core.SCHEME_MARGINAL_ATOL):
+    def violations(self, prior):
         checked.append(self)
-        return real_check(self, prior, atol)
+        return real_check(self, prior)
 
     monkeypatch.setattr(_kernels, "weighted_g", weighted_g)
     monkeypatch.setattr(SignalingScheme, "violations", violations)
@@ -231,21 +231,6 @@ def test_validation_is_redone_for_another_prior(evaluations):
     scheme.validate(twin)
     scheme.validate(prior_a)
     assert checks(scheme) == 6
-
-
-def test_validation_at_another_tolerance_is_never_skipped(evaluations):
-    _, checks, _ = evaluations
-    rng = np.random.default_rng(9)
-    prior = random_prior(rng, ne=2, na=2, nb=2)
-    pi = random_scheme(rng, prior, 2).pi.copy()
-    pi[0] += 5e-9                  # within the default 1e-8, not 1e-9
-    scheme = SignalingScheme(("s0", "s1"), pi)
-    scheme.validate(prior)
-    with pytest.raises(ValidationError, match="column sums"):
-        scheme.validate(prior, atol=1e-9)
-    scheme.validate(prior)
-    scheme.validate(prior, atol=1e-3)
-    assert checks(scheme) == 3
 
 
 def test_another_score_object_recomputes(evaluations):

@@ -62,21 +62,25 @@ def test_build_obedience_lp_dimensions(xor_prior):
 def test_obedience_lp_refuses_the_solver_tableau_before_allocating(
         xor_prior, monkeypatch):
     score = random_piecewise(np.random.default_rng(0), ne=2, k=2)
-    lp = build_obedience_lp(xor_prior, score)
-    cells = tableau_cells(lp.n_vars, lp.a_ub.shape[0], lp.a_eq.shape[0])
+    program = build_obedience_lp(xor_prior, score)
+    cells = tableau_cells(program.n_vars, program.a_ub.shape[0],
+                          program.a_eq.shape[0])
+    monkeypatch.setattr(lp, "DEFAULT_CELL_CAP", cells - 1)
     with pytest.raises(SizeCapExceeded) as from_solver:
-        solve_lp(lp, cell_cap=cells - 1)
+        solve_lp(program)
     assert from_solver.value.required == cells
-    solve_lp(lp, cell_cap=cells)
 
     def no_build(*args, **kwargs):
         raise AssertionError("LP blocks built before the cap check")
 
-    monkeypatch.setattr(exact_module, "_obedience_blocks", no_build)
-    with pytest.raises(SizeCapExceeded) as from_builder:
-        build_obedience_lp(xor_prior, score, cell_cap=cells - 1)
+    with monkeypatch.context() as m:
+        m.setattr(exact_module, "_obedience_blocks", no_build)
+        with pytest.raises(SizeCapExceeded) as from_builder:
+            build_obedience_lp(xor_prior, score)
     assert from_builder.value.required == cells
     assert str(from_builder.value) == str(from_solver.value)
+    monkeypatch.setattr(lp, "DEFAULT_CELL_CAP", cells)
+    solve_lp(build_obedience_lp(xor_prior, score))
 
 
 def test_build_obedience_lp_matches_loop_reference():
@@ -313,7 +317,7 @@ def test_certify_obedience_rejects_labels_that_are_not_profiles(xor_prior,
     with pytest.raises(ValidationError, match=f"signal label '{bad}' is not"):
         certify_obedience(xor_prior, score,
                           SignalingScheme(("0-0-0", bad), pi))
-    # a label on a signal below mass_threshold is never read
+    # a label on a signal below SUPPORT_MASS is never read
     silent = SignalingScheme(("0-0-0", "0-0-1", bad),
                              np.vstack((pi, np.zeros((1, 2)))))
     assert certify_obedience(xor_prior, score, silent) >= 0.0
@@ -345,9 +349,9 @@ def test_certify_obedience_matches_loop_reference():
                 pytest.approx(want, abs=1e-12)
 
 
-def test_certify_obedience_skips_below_mass_threshold():
+def test_certify_obedience_skips_below_mass_threshold(monkeypatch):
     """A disobeyed signal, and a disobeyed (s, b) pair, each of mass
-    1e-12: skipped at the default mass_threshold, counted at 0."""
+    1e-12: skipped at SUPPORT_MASS, counted when it is lowered to 0."""
     rng = np.random.default_rng(229)
     p = rng.gamma(1.0, size=(2, 2, 2))
     p[:, 0, 1] *= 1e-11                      # mu(b1 | a0) of order 1e-11
@@ -377,9 +381,10 @@ def test_certify_obedience_skips_below_mass_threshold():
         assert certify_obedience(prior, score, labelled) == 0.0
         want = certify_obedience_loop(prior, score, scheme, recs, 0.0)
         assert want > 0.1
-        assert certify_obedience(prior, score, labelled,
-                                 mass_threshold=0.0) == \
-            pytest.approx(want, abs=1e-12)
+        with monkeypatch.context() as m:
+            m.setattr(exact_module, "SUPPORT_MASS", 0.0)
+            assert certify_obedience(prior, score, labelled) == \
+                pytest.approx(want, abs=1e-12)
 
 
 _prior_entries = st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0]),

@@ -89,6 +89,14 @@ def test_enumerate_k_uniform_lex_and_cap():
         enumerate_k_uniform(4, 200, cap_points=1000)
 
 
+@pytest.mark.parametrize("d", (1, 3))
+def test_enumerate_k_uniform_refuses_k_below_one(d):
+    # K = 0 would give the all-zero row, which is not on the simplex
+    with pytest.raises(ValidationError, match=f"got d={d}, K=0"):
+        enumerate_k_uniform(d, 0)
+    assert enumerate_k_uniform(d, 1).sum(axis=1).tolist() == [1.0] * d
+
+
 def test_scheme_from_posteriors_vertices(xor_prior):
     scheme = scheme_from_posteriors(
         xor_prior, [(0.5, np.array([1.0, 0.0])), (0.5, np.array([0.0, 1.0]))])
@@ -102,6 +110,28 @@ def test_scheme_from_posteriors_vertices(xor_prior):
 def test_scheme_from_posteriors_single(xor_prior):
     scheme = scheme_from_posteriors(xor_prior, [(1.0, np.array([0.5, 0.5]))])
     assert scheme.pi == pytest.approx(np.array([[0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("posteriors,bad", (
+    # each mean is mu_A = (0.5, 0.5), but some posteriors have negative
+    # entries, or sum to 1.1 and 0.9
+    ([(0.5, [1.5, -0.5]), (0.5, [-0.5, 1.5])], 0),
+    ([(0.5, [0.5, 0.5]), (0.25, [1.5, -0.5]), (0.25, [-0.5, 1.5])], 1),
+    ([(0.5, [1.0, 0.1]), (0.5, [0.0, 0.9])], 0),
+))
+def test_scheme_from_posteriors_refuses_non_distributions(copy_prior,
+                                                          posteriors, bad):
+    with pytest.raises(ValidationError,
+                       match=f"posterior {bad} is not a distribution"):
+        scheme_from_posteriors(copy_prior, posteriors)
+
+
+def test_scheme_from_posteriors_sums_within_tolerance(copy_prior):
+    # each posterior sums to 1 -/+ 4e-9, within SCHEME_MARGINAL_ATOL
+    scheme = scheme_from_posteriors(
+        copy_prior, [(0.5, [1.0 - 4e-9, 0.0]), (0.5, [0.0, 1.0 + 4e-9])])
+    assert scheme.n_signals == 2
+    assert scheme.validate(copy_prior) is scheme
 
 
 def test_scheme_from_posteriors_mean_mismatch(xor_prior):
@@ -291,9 +321,9 @@ def test_explicit_grid_k_over_cell_cap_fails_before_grid(monkeypatch, solver,
                                                          na, grid_k, cells):
     _refuse_grid(monkeypatch)
     prior = random_prior(np.random.default_rng(1), ne=2, na=na, nb=2)
+    monkeypatch.setattr(lp, "DEFAULT_CELL_CAP", 10_000)
     with pytest.raises(SizeCapExceeded) as err:
-        solver(prior, quadratic_score(), 0.05, grid_k=grid_k,
-               cell_cap=10_000)
+        solver(prior, quadratic_score(), 0.05, grid_k=grid_k)
     assert err.value.required == cells
     assert str(err.value) == f"tableau needs {cells} cells, cap is 10000"
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from abasolve import lp as lp_module
 from abasolve.errors import SizeCapExceeded, ValidationError
 from abasolve.lp import LinearProgram, LPStatus, solve_lp
 
@@ -69,14 +70,13 @@ def test_validation_rejects_nan():
                       np.zeros((0, 2)), np.zeros(0))
 
 
-def test_cell_cap():
+def test_cell_cap(monkeypatch):
+    monkeypatch.setattr(lp_module, "DEFAULT_CELL_CAP", 100)
     with pytest.raises(SizeCapExceeded):
-        solve_lp(_lp(np.ones(100), a_ub=np.eye(100), b_ub=np.ones(100)),
-                 cell_cap=100)
+        solve_lp(_lp(np.ones(100), a_ub=np.eye(100), b_ub=np.ones(100)))
 
 
 def test_numerical_failure_on_iteration_cap(monkeypatch):
-    from abasolve import lp as lp_module
     from abasolve.errors import NumericalFailure
 
     def stalled(t, basis, allowed, tol, max_iter, degen_limit):

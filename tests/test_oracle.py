@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from abasolve import _kernels, oracle
 from abasolve.belief import (bob_utility_of_scheme, posterior_e_given_s,
                              sender_objective)
 from abasolve.core import (JointPrior, SignalingScheme, full_reveal_scheme,
@@ -57,14 +58,24 @@ def test_oracle_scheme_is_valid_and_consistent(quad):
     assert abs(report.sender_objective + report.bob_utility) <= 1e-12
 
 
-def test_oracle_caps():
+def test_oracle_caps(monkeypatch):
     rng = np.random.default_rng(63)
     prior = random_prior(rng, ne=2, na=2, nb=2)
     with pytest.raises(SizeCapExceeded):
         oracle_optimal(prior, quadratic_score(), grid_step=1 / 200)
-    with pytest.raises(SizeCapExceeded):
-        oracle_optimal(prior, quadratic_score(), grid_step=0.02,
-                       max_signals=2, cap_candidates=100)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before the cap check")
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "DEFAULT_CANDIDATE_CAP", 100)
+        m.setattr(_kernels, "oracle_scan", no_scan)
+        with pytest.raises(SizeCapExceeded) as refused:
+            oracle_optimal(prior, quadratic_score(), grid_step=0.02,
+                           max_signals=2)
+    # 51 splits of each mu(a) into two signals, |A| = 2
+    assert refused.value.required == 51 ** 2
+    assert str(refused.value) == "oracle would scan 2601 candidates, cap is 100"
     with pytest.raises(ValidationError):
         oracle_optimal(prior, quadratic_score(), grid_step=0.03)
     prior4 = random_prior(rng, ne=2, na=4, nb=2)

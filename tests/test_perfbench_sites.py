@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abasolve import _kernels, exact, oracle
+from abasolve import _kernels, exact, fptas, oracle
+from abasolve.core import JointPrior
 from abasolve.scoring import (default_tangent_grid, linearize_smooth,
                               log_score, quadratic_score)
 
@@ -88,3 +89,56 @@ def test_tracer_counts_oracle_candidates(monkeypatch, na, den, m):
     n_rows = _kernels.compositions(den, m).shape[0]
     assert tracer.counts["kernels.oracle_candidates"] == n_rows ** na
     assert report.diagnostics["candidates"] == n_rows ** na
+
+
+def _traced(monkeypatch, name, *args, **kwargs):
+    """Run ``fptas.<name>``, as the tracer wraps it, as one traced solve;
+    return its report and the counts."""
+    spans = _load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = tracer.root(0, lambda: getattr(fptas, name)(*args, **kwargs))
+    finally:
+        tracer.uninstall()
+    return report, tracer.counts
+
+
+@pytest.mark.parametrize("na,grid_k", ((2, 40), (3, 12)))
+def test_tracer_counts_fptas_a_grid_points(monkeypatch, na, grid_k):
+    """``ub_grid_wa``'s first positional argument is the grid: a traced
+    fptas-a costs every grid point once, and the grid is the one
+    ``enumerate_k_uniform`` built."""
+    prior = random_prior(np.random.default_rng(na), ne=2, na=na, nb=2)
+    report, counts = _traced(monkeypatch, "fptas_a_const", prior,
+                             quadratic_score(), 0.5, grid_k=grid_k)
+    n = report.diagnostics["grid_points"]
+    assert n == fptas.count_k_uniform(na, grid_k)
+    assert counts["kernels.ub_grid_points"] == counts["fptas.grid_points"] \
+        == n
+
+
+def test_tracer_counts_fptas_eb_pivots(monkeypatch):
+    """The tracer splits ``solve_lp``'s pivots into its two
+    ``simplex_iterate`` calls; together they are the LP's iterations."""
+    prior = random_prior(np.random.default_rng(2), ne=2, na=2, nb=2)
+    report, counts = _traced(monkeypatch, "fptas_eb_const", prior,
+                             quadratic_score(), 0.5, grid_k=4)
+    diag = report.diagnostics
+    assert diag["eta_retries"] == counts["fptas.eta_retries"] == 0
+    assert counts["lp.solve_calls"] == 1
+    assert counts["lp.phase1_pivots"] + counts["lp.phase2_pivots"] == \
+        diag["lp_iterations"] > 0
+
+
+def test_tracer_counts_one_lp_per_eta(monkeypatch):
+    """mu(e,b|a) lies 1/(2K) off the K = 5 grid, so eta = 0.03 is doubled
+    twice to 0.12: three achievability LPs in one solve."""
+    q = np.array([0.3, 0.2, 0.1, 0.4]).reshape(2, 2)
+    prior = JointPrior(np.stack([0.5 * q, 0.5 * q], axis=1))
+    report, counts = _traced(monkeypatch, "fptas_eb_const", prior,
+                             quadratic_score(), 0.5, consistency_eta=0.03,
+                             grid_k=5)
+    retries = report.diagnostics["eta_retries"]
+    assert retries == counts["fptas.eta_retries"] == 2
+    assert counts["lp.solve_calls"] == 1 + retries

@@ -279,6 +279,18 @@ def test_expected_report_score_rows_match_scalar_reference(kind):
             assert np.isneginf(got).any()
 
 
+@pytest.mark.parametrize("kind", list(SCORES))
+def test_expected_report_score_refuses_unequal_lengths(kind):
+    score = SCORES[kind](np.random.default_rng(241), 3)
+    report, belief = np.full(3, 1 / 3), np.array([0.5, 0.5])
+    for w, q, n_w, n_q in ((report, belief, 3, 2), (belief, report, 2, 3),
+                           (np.tile(report, (4, 1)), np.tile(belief, (4, 1)),
+                            3, 2)):
+        with pytest.raises(ValidationError, match=f"report length {n_w} and "
+                           f"belief length {n_q} differ"):
+            expected_report_score(score, w, q)
+
+
 @pytest.mark.parametrize("score", [quadratic_score(), log_score(),
                                    spherical_score()],
                          ids=["quadratic", "log", "spherical"])
