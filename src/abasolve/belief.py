@@ -152,18 +152,13 @@ def bob_utility_from_wA(prior: JointPrior, score: ScoreSpec, w) -> float:
     return float(_kernels.ub_grid_wa(row[None, :], t, score)[0])
 
 
-def bob_utility_from_vEB(score: ScoreSpec, v, n_events: int | None = None,
-                         n_bob: int | None = None) -> float:
-    """u_B as a function of the joint posterior v over E x B.
-
-    ``v`` is either a matrix [e, b] or a flat e-major vector with
-    (n_events, n_bob) supplied.  Terms with lambda_b = 0 contribute zero.
+def bob_utility_from_vEB(score: ScoreSpec, v) -> float:
+    """u_B as a function of the joint posterior v over E x B, a matrix
+    [e, b].  Terms with lambda_b = 0 contribute zero.
     """
-    vv = np.asarray(getattr(v, "weights", v), dtype=float)
-    if vv.ndim == 1:
-        if n_events is None or n_bob is None:
-            raise ValidationError("flat v needs n_events and n_bob")
-        vv = vv.reshape(n_events, n_bob)
+    vv = np.asarray(v, dtype=float)
+    if vv.ndim != 2:
+        raise ValidationError("v must be a matrix [e, b]")
     PosteriorDistribution(SupportKind.OVER_E_TIMES_B, vv.ravel())  # checks v
     ne, nb = vv.shape
     return float(_kernels.ub_grid_veb(vv.reshape(1, -1), ne, nb, score)[0])

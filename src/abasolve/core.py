@@ -29,7 +29,9 @@ from .scoring import ScoreKind, ScoreSpec
 
 PRIOR_MASS_ATOL = 1e-9
 SCHEME_MARGINAL_ATOL = 1e-8
-ZERO_SIGNAL_MASS = 1e-12  # ``prune_zero_signals`` drops a signal this light
+# ``prune_zero_signals`` drops a signal this light, and the fptas solvers'
+# schemes leave out a grid point whose LP weight is no heavier
+ZERO_SIGNAL_MASS = 1e-12
 
 
 class Classification(str, enum.Enum):

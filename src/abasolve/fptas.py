@@ -307,7 +307,7 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
     grid = enumerate_k_uniform(na, k, cap_grid_points)
     sol = _envelope_lp(prior, score, grid, "grid")
 
-    support = np.nonzero(sol.x > 1e-12)[0]
+    support = np.nonzero(sol.x > core.ZERO_SIGNAL_MASS)[0]
     scheme = scheme_from_posteriors(
         prior, [(sol.x[j], grid[j]) for j in support])
     bob = _certified_bob(prior, score, scheme, sol, "grid")
@@ -383,7 +383,7 @@ def fptas_eb_const(prior: JointPrior, score: ScoreSpec, delta: float,
 
     x = sol.x.reshape(n, na)
     mass = x.sum(axis=1)
-    keep = np.nonzero(mass > 1e-12)[0]
+    keep = np.nonzero(mass > core.ZERO_SIGNAL_MASS)[0]
     scheme = SignalingScheme(tuple(f"v{int(j)}" for j in keep), x[keep])
     bob = belief.bob_utility_of_scheme(prior, score, scheme)
     alpha, beta, L = diag["alpha"], diag["beta"], diag["L"]

@@ -25,9 +25,14 @@ concavification LP (Kamenica & Gentzkow 2011) over fptas-a's posterior grid
 or over the exact solver's arrangement vertices.  It
 keeps only the m = |A| independent rows (x sums to 1 because every row of
 P does) and starts from the vertex basis B = I, x_B = mu, so it needs no
-phase 1, no artificials and no tableau; each pivot is one pricing pass over
+phase 1, no artificials and no tableau; each pivot is a pricing pass over
 the columns plus m x m solves (Dantzig & Orchard-Hays 1954), with the same
-pricing rules and tolerances as ``solve_lp``.
+pricing rules and tolerances as ``solve_lp``.  On LPs of at least 65,536
+columns a Dantzig pivot prices only the blocks of 1,024 columns whose lower
+bound on the reduced costs leaves them a chance to enter, and enters the
+column a full pass would (``_kernels.envelope_iterate``); on fptas-a's
+10^6-point |A| = 2 grids that is 3-6% of the columns.  The solution's
+``columns_priced`` counts the reduced costs computed.
 """
 
 from __future__ import annotations
@@ -100,6 +105,8 @@ class LPSolution:
     duality_gap: float | None = None
     comp_slack_residual: float | None = None
     feasibility_residual: float | None = None
+    # reduced costs computed by the revised simplex (``solve_envelope``)
+    columns_priced: int | None = None
 
 
 def tableau_cells(n_vars: int, m_ub: int, m_eq: int,
@@ -257,7 +264,8 @@ def solve_envelope(cost: np.ndarray, points: np.ndarray,
     ``feasibility_residual`` of max(|points^T x - mu|, |sum x - 1|,
     max(-x, 0)), and a ``duality_gap`` that bounds how far cost.x lies above
     the optimum: |cost.x - y.mu| plus the most negative reduced cost, since
-    every feasible x sums to 1.
+    every feasible x sums to 1.  ``columns_priced`` counts the reduced
+    costs computed, (iterations + 1) n when every pass prices in full.
 
     Raises ValidationError when a vertex is missing and NumericalFailure
     when pivoting exceeds 50*(rows+cols) iterations.
@@ -272,18 +280,20 @@ def solve_envelope(cost: np.ndarray, points: np.ndarray,
                               "of the simplex")
     x_b = np.array(mu, dtype=float)
     max_iter = 50 * (m + n)
-    status, iters, y, red = _kernels.envelope_iterate(
+    status, iters, y, least, priced = _kernels.envelope_iterate(
         ext, basis, x_b, FEAS_TOL, max_iter, DEGENERACY_LIMIT)
     if status == _kernels._STATUS_ITERLIMIT:
         raise NumericalFailure(f"revised simplex exceeded {max_iter} pivots")
     if status == _kernels._STATUS_UNBOUNDED:
-        return LPSolution(LPStatus.UNBOUNDED, None, None, None, None, iters)
+        return LPSolution(LPStatus.UNBOUNDED, None, None, None, None, iters,
+                          columns_priced=priced)
 
     x = np.zeros(n)
     x[basis] = x_b
     objective = float(ext[m, basis] @ x_b)
     resid = max(float(np.abs(ext[:m, basis] @ x_b - mu).max()),
                 abs(float(x_b.sum()) - 1.0), max(0.0, -float(x_b.min())))
-    gap = abs(objective - float(y @ mu)) + max(0.0, -float(red.min()))
+    gap = abs(objective - float(y @ mu)) + max(0.0, -least)
     return LPSolution(LPStatus.OPTIMAL, x, objective, y, None, iters,
-                      duality_gap=gap, feasibility_residual=resid)
+                      duality_gap=gap, feasibility_residual=resid,
+                      columns_priced=priced)

@@ -514,3 +514,44 @@ def duplicate_piece_indices_loop(score: ScoreSpec) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i + 1, k)
             if (score.pieces_r[i] == score.pieces_r[j]).all()
             and score.pieces_b[i] == score.pieces_b[j]]
+
+
+def envelope_iterate_frozen(ext, basis, x_b, tol, max_iter, degen_limit):
+    """``_kernels.envelope_iterate`` as it was before screened pricing,
+    kept verbatim as its reference: every pivot prices every column in one
+    np.dot.  Returns (status, iterations, y, red) with y and red from the
+    last pricing pass."""
+    m = ext.shape[0] - 1
+    red = np.empty(ext.shape[1])
+    weights = np.ones(m + 1)
+    iters = 0
+    degen = 0
+    bland = False
+    while True:
+        b = ext[:m, basis]
+        y = np.linalg.solve(b.T, ext[m, basis])
+        weights[:m] = -y
+        np.dot(weights, ext, out=red)
+        enter = int(np.argmax(red < -tol)) if bland else int(np.argmin(red))
+        if red[enter] >= -tol:
+            return _kernels._STATUS_OPTIMAL, iters, y, red
+        if iters >= max_iter:
+            return _kernels._STATUS_ITERLIMIT, iters, y, red
+        d = np.linalg.solve(b, ext[:m, enter])
+        pos = d > tol
+        if not pos.any():
+            return _kernels._STATUS_UNBOUNDED, iters, y, red
+        ratios = np.where(pos, x_b / np.where(pos, d, 1.0), np.inf)
+        rmin = ratios.min()
+        cand = np.nonzero(ratios <= rmin + 1e-12)[0]
+        leave = int(cand[np.argmin(basis[cand])])
+        if rmin <= 1e-12:
+            degen += 1
+            if degen > degen_limit:
+                bland = True
+        else:
+            degen = 0
+        x_b -= rmin * d
+        x_b[leave] = rmin
+        basis[leave] = enter
+        iters += 1

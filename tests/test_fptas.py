@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from abasolve import _kernels, fptas, lp
+from abasolve import _kernels, core, fptas, lp
 from abasolve.belief import (bob_utility_from_vEB, bob_utility_from_wA,
                              bob_utility_of_scheme, induced_posterior_over_A)
 from abasolve.core import JointPrior, no_reveal_scheme
@@ -722,9 +722,21 @@ def test_continuity_bound_veb_parameterization(quad):
         checked += 1
 
 
+def test_support_cut_reads_zero_signal_mass_at_call_time(monkeypatch,
+                                                        quad):
+    # below every weight, the cut keeps each grid point as a signal
+    prior = random_prior(np.random.default_rng(5), 2, 2, 2)
+    monkeypatch.setattr(core, "ZERO_SIGNAL_MASS", -1.0)
+    for solve, k in ((fptas_a_const, 20), (fptas_eb_const, 2)):
+        report = solve(prior, quad, 0.5, grid_k=k)
+        assert report.scheme.pi.shape[0] == \
+            report.diagnostics["grid_points"], solve.__name__
+
+
 def test_bob_utility_from_vEB_flat_vector(quad):
+    # v is taken as a matrix [e, b] only: its flat e-major form is refused
     corr = np.array([0.5, 0.0, 0.0, 0.5])
-    from abasolve.belief import bob_utility_from_vEB as ub
-    assert ub(quad, corr, n_events=2, n_bob=2) == pytest.approx(0.5)
-    with pytest.raises(ValidationError):
-        ub(quad, corr)  # flat vector without dimensions
+    assert bob_utility_from_vEB(quad, corr.reshape(2, 2)) == \
+        pytest.approx(0.5)
+    with pytest.raises(ValidationError, match="matrix"):
+        bob_utility_from_vEB(quad, corr)

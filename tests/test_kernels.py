@@ -6,7 +6,9 @@ reproduce them bit for bit, not merely to a tolerance.  The one exception
 is ``ub_grid_wa_ref``, the three-operand einsum form of ``ub_grid_wa``: the
 kernel's numerator is now a matmul, which rounds differently, so the kernel
 matches it to ``UB_ATOL`` and matches ``ub_grid_wa_frozen``, a frozen copy
-of the matmul form, bit for bit.  ``oracle_scan_per_candidate`` is the
+of the matmul form, bit for bit.  The frozen copies evaluate G with
+``g_rows_frozen``, ``g_rows_np`` as it was before its log branch skipped
+the floor pass on rows with no zero.  ``oracle_scan_per_candidate`` is the
 oracle scan as it was before the lattice table: it evaluates every
 candidate's posteriors, and the memory test compares against it.
 
@@ -43,6 +45,19 @@ UB_ATOL = 1e-14
 SCAN_ATOL = 1e-12
 
 
+def g_rows_frozen(p, score):
+    """``g_rows_np`` as it was before its log branch skipped the floor."""
+    p = np.atleast_2d(p)
+    kind = score.kind
+    if kind is ScoreKind.QUADRATIC:
+        return np.einsum("ij,ij->i", p, p)
+    if kind is ScoreKind.LOG:
+        return (p * np.log(np.maximum(p, _kernels._LOG_FLOOR))).sum(axis=1)
+    if kind is ScoreKind.SPHERICAL:
+        return np.sqrt(np.einsum("ij,ij->i", p, p))
+    return (p @ score.pieces_r.T + score.pieces_b[None, :]).max(axis=1)
+
+
 def ub_grid_wa_ref(w, bga, egab, ega, score):
     n = w.shape[0]
     out = np.empty(n)
@@ -75,10 +90,10 @@ def ub_grid_wa_frozen(w, bga, egab, ega, score):
         for b in range(nb):
             safe = np.where(lam[b] > 0.0, lam[b], 1.0)
             post = numer[b * ne:(b + 1) * ne].T / safe[:, None]
-            term = np.where(lam[b] > 0.0, lam[b], 0.0) * g_rows_np(
+            term = np.where(lam[b] > 0.0, lam[b], 0.0) * g_rows_frozen(
                 post, score)
             first = term if first is None else first + term
-        out[lo:hi] = first - g_rows_np((ega.T @ wt).T, score)
+        out[lo:hi] = first - g_rows_frozen((ega.T @ wt).T, score)
     return out
 
 
@@ -91,10 +106,10 @@ def ub_grid_veb_ref(v, ne, nb, score):
         lam = vc.sum(axis=1)
         safe = np.where(lam > 0.0, lam, 1.0)
         post = np.swapaxes(vc, 1, 2) / safe[:, :, None]
-        gpost = g_rows_np(post.reshape(-1, ne),
-                          score).reshape(hi - lo, nb)
+        gpost = g_rows_frozen(post.reshape(-1, ne),
+                              score).reshape(hi - lo, nb)
         first = (np.where(lam > 0.0, lam, 0.0) * gpost).sum(axis=1)
-        second = g_rows_np(vc.sum(axis=2), score)
+        second = g_rows_frozen(vc.sum(axis=2), score)
         out[lo:hi] = first - second
     return out
 
@@ -250,16 +265,21 @@ def test_g_rows_np_log_matches_guarded_sum():
     # the zero-guarded form of p log p with 0 log 0 = 0, bit for bit, on
     # rows with zeros and subnormal entries, C-ordered and as the
     # transposed views ub_grid_wa passes
+    # (with zero entries, the floor pass runs; without, it is skipped)
     rng = np.random.default_rng(31)
     for n in (1, 2, 3, 6):
         p = rng.dirichlet(np.full(n, 0.3), size=2000)
         p[rng.random(p.shape) < 0.2] = 0.0
         p[:5, 0] = 5e-324
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ref = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)),
-                           0.0).sum(axis=1)
-        for rows in (p, np.ascontiguousarray(p.T).T):
-            assert np.array_equal(g_rows_np(rows, log_score()), ref), n
+        positive = rng.dirichlet(np.ones(n), size=2000)
+        positive[:5, 0] = 5e-324
+        for q in (p, positive):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ref = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)),
+                               0.0).sum(axis=1)
+            for rows in (q, np.ascontiguousarray(q.T).T):
+                assert g_rows_np(rows, log_score()).tobytes() == \
+                    ref.tobytes(), n
 
 
 def test_compositions_paths_agree():
@@ -284,6 +304,32 @@ def test_ub_grid_wa_matches_reference(ne, na, nb):
             assert np.array_equal(got, ub_grid_wa_frozen(*args)), score.kind
             np.testing.assert_allclose(got, ub_grid_wa_ref(*args), rtol=0.0,
                                        atol=UB_ATOL, err_msg=score.kind)
+
+
+@pytest.mark.parametrize("ne,na,nb", SHAPES)
+def test_ub_grid_wa_mixed_chunks_match_frozen_bit_for_bit(ne, na, nb):
+    # chunk 0 is all positive, so every term skips the guarded passes;
+    # chunks 1 and 2 mix positive rows with rows of zero mass (the lattice
+    # origin w = 0, as the oracle's scan passes it) and rows with zero
+    # entries (vertices and edges, whose posteriors hold zeros), so their
+    # terms take the guarded passes.  Signed zeros must match too.
+    rng = np.random.default_rng(113 + 7 * ne + 5 * na + nb)
+    c = _kernels._WA_CHUNK
+    grid = rng.dirichlet(np.ones(na), size=2 * c + 700)
+    grid[c + rng.integers(c + 700, size=40)] = 0.0
+    edge = c + rng.integers(c + 700, size=60)
+    grid[edge, rng.integers(na, size=60)] = 0.0
+    grid[edge] /= np.where(grid[edge].sum(axis=1) > 0.0,
+                           grid[edge].sum(axis=1), 1.0)[:, None]
+    grid[2 * c:2 * c + na] = np.eye(na)
+    for prior in (random_prior(rng, ne=ne, na=na, nb=nb),
+                  _boundary_prior(rng, ne, na, nb)):
+        table = marginals_and_conditionals(prior)
+        for score in score_kinds(rng, ne):
+            got = _kernels.ub_grid_wa(grid, table, score)
+            ref = ub_grid_wa_frozen(grid, table.b_given_a, table.e_given_ab,
+                                    table.e_given_a, score)
+            assert got.tobytes() == ref.tobytes(), score.kind
 
 
 @pytest.mark.parametrize("ne,nb", ((2, 2), (3, 2), (2, 3), (4, 1)))

@@ -53,3 +53,18 @@ def test_replay_records_and_compares(tmp_path, workload):
     assert f"diagnostics keys that differ (reports): {key} 2, added 1\n" \
         in done.stdout
     assert {p: p.stat().st_mtime_ns for p in BENCH.rglob("*")} == before
+
+
+def test_replay_compare_refuses_an_empty_recording(tmp_path):
+    line = {"workload": "verify", "index": 0, "rung": "r", "texts": ["{}"]}
+    full = tmp_path / "full.jsonl"
+    full.write_text(json.dumps(line) + "\n")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    for a, b in ((full, empty), (empty, full)):
+        done = subprocess.run([sys.executable, str(REPLAY), "--compare",
+                               str(a), str(b)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert f"{empty} holds no recorded instances" in done.stderr
+        assert "Traceback" not in done.stderr

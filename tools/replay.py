@@ -16,7 +16,8 @@ in how many reports, how many name a different scheme and how many of
 those induce the same distribution over posteriors on A, the largest
 change in each reported value, and the gate problems of the second
 recording: perfbench's ``gate.check_outputs`` plus the seed-0 reference.
-It exits 1 when there are gate problems.
+It exits 1 when there are gate problems, and 2 when a recording holds no
+instances.
 
 Instances come from perfbench's own ``prepare`` and solves from its
 ``make_solver``, so a recording is what the benchmark would emit.  The
@@ -147,6 +148,11 @@ def same_distribution(pi_a, pi_b) -> bool:
 
 def compare(root: Path, path_a: str, path_b: str) -> int:
     a, b = read(path_a), read(path_b)
+    for path, rec in ((path_a, a), (path_b, b)):
+        if not rec:
+            print(f"error: {path} holds no recorded instances",
+                  file=sys.stderr)
+            return 2
     names = {line["workload"] for line in (*a.values(), *b.values())}
     if len(names) != 1:
         raise SystemExit(f"error: recordings hold workloads {sorted(names)}")
