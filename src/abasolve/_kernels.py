@@ -9,9 +9,10 @@ kernels cost their before-report posteriors, whose mass is 1, with
 ``g_rows_np`` directly.  Both skip their guard passes on rows that need
 none.  ``pivot`` is shared by ``simplex_iterate`` and the LP driver's
 artificial drive-out.  ``envelope_iterate`` is the pivot loop of the
-revised simplex: it keeps no tableau, only an m x m basis, and on wide
-LPs it prices only the column blocks whose bounds leave them a chance to
-enter, with the full pass's pivots bit for bit.
+revised simplex: it keeps no tableau, only an m x m basis.  On an |A| = 2
+grid given as a ``SegmentCost`` it computes u_B only in the column blocks
+that a convexity bound on u_B cannot rule out, and prices only those, with
+the full pass's pivots bit for bit (``_segment_tables`` holds the proof).
 
 ``ub_grid_wa`` keeps the grid index as the fastest axis: its numerator is
 one BLAS matmul of a precomputed (|B||E|, |A|) matrix with a chunk of the
@@ -36,7 +37,7 @@ dispatch reads, is defined here and re-exported by ``scoring``.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,7 @@ class ScoreKind(str, enum.Enum):
 _STATUS_OPTIMAL = 0
 _STATUS_UNBOUNDED = 1
 _STATUS_ITERLIMIT = 2
+_STATUS_NONFINITE = 3
 
 _CHUNK = 131072  # fixed chunk size keeps results deterministic
 # ub_grid_wa's chunk: 8,192 rows keep its (nb*ne, c) temporaries in cache
@@ -63,13 +65,10 @@ _CHUNK = 131072  # fixed chunk size keeps results deterministic
 # on 5*10^4 and 8*10^4 rows, and 131,072 ran 1.5x slower on 10^6 rows
 _WA_CHUNK = 8192
 _LOG_FLOOR = np.finfo(float).smallest_subnormal
-# envelope_iterate's screened pricing: blocks of 1,024 columns (a multiple
-# of 64, see there); it screens LPs of at least 64 blocks, and an LP prices
-# in full from the first pivot where more than a quarter of them survive
+# envelope_iterate's segment pricing: blocks of 1,024 columns (a multiple
+# of 64, see there), and the margin of their bound (``_segment_tables``)
 _PRICE_BLOCK = 1024
-_SCREEN_MIN_BLOCKS = 64
-_SCREEN_MAX_SHARE = 0.25
-_UNIT_ROUNDOFF = 2.0 ** -53
+_SEGMENT_MARGIN = 2.0 ** -30
 
 
 def g_rows_np(p: np.ndarray, score: ScoreSpec) -> np.ndarray:
@@ -110,6 +109,34 @@ def weighted_g(numer: np.ndarray, mass: np.ndarray,
     return weight * g
 
 
+def _wa_matrix(table: ConditionalTable) -> np.ndarray:
+    """mu(b|a) mu(e|a,b) as the (nb*ne, na) matrix of ``ub_grid_wa``."""
+    na, nb, ne = table.e_given_ab.shape
+    return (table.b_given_a[:, :, None] *
+            table.e_given_ab).reshape(na, nb * ne).T
+
+
+def _ub_terms(wt: np.ndarray, m: np.ndarray, table: ConditionalTable,
+              score: ScoreSpec):
+    """(g, h) at the columns of ``wt`` (posteriors over A, one per column):
+    g = sum_b m_b G(n_b / m_b) after Bob's report and h = G(p) before it,
+    so that u_B = g - h.  ``m`` is ``_wa_matrix(table)``.  Each column's
+    values depend on that column alone, not on the others in ``wt``: numpy
+    sends a one-column matmul to BLAS's matrix-vector product, which rounds
+    differently from the matrix product that two or more columns take, so a
+    single column is costed as a pair."""
+    if wt.shape[1] == 1:
+        g, h = _ub_terms(np.repeat(wt, 2, axis=1), m, table, score)
+        return g[:1], h[:1]
+    ne = table.e_given_ab.shape[2]
+    numer = m @ wt                                     # (nb*ne, c)
+    lam = table.b_given_a.T @ wt                       # (nb, c)
+    g = weighted_g(numer[:ne].T, lam[0], score)
+    for b in range(1, lam.shape[0]):
+        g += weighted_g(numer[b * ne:(b + 1) * ne].T, lam[b], score)
+    return g, g_rows_np((table.e_given_a.T @ wt).T, score)
+
+
 def ub_grid_wa(w: np.ndarray, table: ConditionalTable,
                score: ScoreSpec) -> np.ndarray:
     """Bob's utility u_B(w) at each row of ``w`` (posteriors over A).
@@ -127,22 +154,18 @@ def ub_grid_wa(w: np.ndarray, table: ConditionalTable,
     copy; the posteriors before the report have mass 1 and go to
     ``g_rows_np`` directly.  Rows go in chunks of ``_WA_CHUNK``, so that the
     chunk's temporaries stay in cache and only the chunks that hold a
-    zero mass or a zero posterior entry take the guarded passes.
+    zero mass or a zero posterior entry take the guarded passes.  The two
+    terms come from ``_ub_terms`` and a row's value is their difference, so
+    it does not depend on the other rows: ``ub_grid_wa(w[lo:hi])`` is
+    ``ub_grid_wa(w)[lo:hi]`` bit for bit.
     """
-    bga, ega = table.b_given_a, table.e_given_a
-    na, nb, ne = table.e_given_ab.shape
-    m = (bga[:, :, None] * table.e_given_ab).reshape(na, nb * ne).T
+    m = _wa_matrix(table)
     n = w.shape[0]
     out = np.empty(n)
     for lo in range(0, n, _WA_CHUNK):
         hi = min(lo + _WA_CHUNK, n)
-        wt = w[lo:hi].T
-        numer = m @ wt                                     # (nb*ne, c)
-        lam = bga.T @ wt                                   # (nb, c)
-        first = weighted_g(numer[:ne].T, lam[0], score)
-        for b in range(1, nb):
-            first += weighted_g(numer[b * ne:(b + 1) * ne].T, lam[b], score)
-        out[lo:hi] = first - g_rows_np((ega.T @ wt).T, score)
+        g, h = _ub_terms(w[lo:hi].T, m, table, score)
+        np.subtract(g, h, out=out[lo:hi])
     return out
 
 
@@ -242,107 +265,275 @@ def simplex_iterate(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
         iters += 1
 
 
-def _block_ranges(ext: np.ndarray):
-    """(lohi, scale) for screened pricing: lohi[0] and lohi[1] hold each
-    ``ext`` row's minimum and maximum over each block of ``_PRICE_BLOCK``
-    columns, and scale each row's largest magnitude."""
-    rows, n = ext.shape
-    whole = n - n % _PRICE_BLOCK
-    blocks = ext[:, :whole].reshape(rows, -1, _PRICE_BLOCK)
-    lohi = np.empty((2, rows, -(-n // _PRICE_BLOCK)))
-    lohi[0, :, :blocks.shape[1]] = blocks.min(axis=2)
-    lohi[1, :, :blocks.shape[1]] = blocks.max(axis=2)
-    if whole < n:
-        lohi[0, :, -1] = ext[:, whole:].min(axis=1)
-        lohi[1, :, -1] = ext[:, whole:].max(axis=1)
-    return lohi, np.abs(lohi).max(axis=(0, 2))
+class SegmentCost(NamedTuple):
+    """The cost row of an |A| = 2 envelope LP, u_B at each row of
+    ``points`` (``ub_grid_wa`` under ``table`` and ``score``), for
+    ``envelope_iterate`` to cost one block at a time."""
+
+    points: np.ndarray
+    table: ConditionalTable
+    score: ScoreSpec
 
 
-def _screened_bounds(weights: np.ndarray, lohi: np.ndarray,
-                     scale: np.ndarray):
-    """A lower bound on the computed reduced costs of each pricing block,
-    or None when the bound may not hold and the pivot must price in full.
+class _NonFiniteCost(Exception):
+    """A NaN or infinite cost, which no pivot can price."""
 
-    Let w = ``weights`` = [-y, 1], M_i = ``scale[i]``,
-    S = sum_i |w_i| M_i, u = 2^-53 and g = (m+1)u / (1 - (m+1)u).  In
-    block k every column j has red_j = sum_i w_i ext_ij >= L_k =
-    sum_i w_i r_ik, where r_ik is the row's block minimum when w_i >= 0
-    and its maximum otherwise.  Both are sums of m+1 products whose
-    magnitudes add up to at most S, and such a sum, added in any order
-    with or without fused multiply-adds, is computed to within g S as
-    long as no product underflows (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 3.1).  So the computed values satisfy
-    red'_j >= red_j - g S >= L_k - g S >= L'_k - 2 g S.  The screen
-    subtracts d = fl(8(m+2) u S'), with S' >= (1 - g) S the computed S,
-    and the subtraction rounds up by at most u(|L'_k| + d), where
-    |L'_k| <= (1 + g) S.  The screened bound is thus at most
-    L'_k - d (1 - u) + u (1 + g) S, which is at most L'_k - 2 g S, and so
-    at most every red'_j, when d (1 - u) >= (2 g + u (1 + g)) S.  For any
-    m below 2^40 the left side is at least 7(m+2) u S and the right side
-    at most 3(m+2) u S.  The difference, 4(m+2) u S, also absorbs
-    underflow, which adds at most 2^-1075 per product, 2(m+1) 2^-1075 in
-    all: the screen runs only for 2^-1000 <= S' <= 2^1000, which also
-    keeps every sum far from overflow.  Outside that range, and when S'
-    is NaN (a NaN or infinite entry), the pivot prices in full, so a NaN
-    cost is entered by np.argmin as before.
+
+class _SegmentCosts:
+    """The cost row ``ext[-1]`` of an envelope LP over a ``SegmentCost``,
+    filled one block of ``_PRICE_BLOCK`` columns at a time, and the lower
+    bound on each block's reduced costs that lets pricing skip it.
+
+    ``tables`` holds the bound's y-independent part (``_segment_tables``),
+    or None when its preconditions fail; every block is then costed at
+    set-up.  ``count`` is the number of u_B values computed: the two ends
+    of every block, then every costed block.
     """
-    rows = weights.shape[0]
-    s = float(np.abs(weights) @ scale)
-    if not 2.0 ** -1000 <= s <= 2.0 ** 1000:
-        return None
-    bound = weights @ lohi[(weights < 0.0).astype(np.intp), np.arange(rows)]
-    bound -= 8 * (rows + 1) * _UNIT_ROUNDOFF * s
-    return bound
+
+    def __init__(self, ext: np.ndarray, cost: SegmentCost):
+        self.ext, self.cost = ext, cost
+        self.done = np.zeros(-(-ext.shape[1] // _PRICE_BLOCK), dtype=bool)
+        self.count = 0
+        self.tables = None
+
+    def start(self, red: np.ndarray, basis: np.ndarray) -> None:
+        """Cost the blocks' ends and the blocks that hold the basis, or
+        every block where the bound's preconditions fail."""
+        self.tables = _segment_tables(self, red)
+        if self.tables is None:
+            cost = self.cost
+            self.count += self.ext.shape[1]
+            self.ext[-1] = ub_grid_wa(cost.points, cost.table, cost.score)
+            if not np.isfinite(self.ext[-1]).all():
+                raise _NonFiniteCost
+            self.done[:] = True
+        for k in np.unique(basis // _PRICE_BLOCK).tolist():
+            self.fill(k, k + 1)
+
+    def fill(self, k0: int, k1: int) -> None:
+        """Cost the blocks in [k0, k1) that are not costed, one
+        ``ub_grid_wa`` call per run of consecutive ones."""
+        done, n = self.done, self.ext.shape[1]
+        k = k0
+        while k < k1:
+            j = k
+            while j < k1 and not done[j]:
+                j += 1
+            if j > k:
+                lo, hi = k * _PRICE_BLOCK, min(j * _PRICE_BLOCK, n)
+                self.count += hi - lo
+                c = ub_grid_wa(self.cost.points[lo:hi], self.cost.table,
+                               self.cost.score)
+                if not np.isfinite(c).all():
+                    raise _NonFiniteCost
+                self.ext[-1, lo:hi] = c
+                done[k:j] = True
+            k = j + 1
+
+    def bounds(self, y: np.ndarray):
+        """A lower bound on the computed reduced costs of each block at
+        duals y, or None when |y|_1 lies outside the proof's range."""
+        v, t, scale = self.tables
+        s = abs(float(y[0])) + abs(float(y[1]))
+        if not s <= 2.0 ** 900:
+            return None
+        bound = (v - (y[1] + (y[0] - y[1]) * t)).min(axis=0)
+        bound -= _SEGMENT_MARGIN * (scale + s)
+        return bound
+
+    def price(self, weights: np.ndarray, red: np.ndarray, y):
+        """Dantzig's entering column, priced only in the blocks whose bound
+        leaves them a chance to hold it, and the count of reduced costs
+        computed.  With y None (Bland's rule), or where ``bounds`` gives
+        none, every block is costed and priced, and the column is -1.
+
+        The block of least bound is priced first, with np.dot on the
+        aligned slice; its least reduced cost v bounds the entering one
+        from above, and a block whose bound exceeds v holds only columns
+        above v.  The blocks whose bound is at most v are priced and
+        searched in ascending order, one argmin per run of consecutive
+        blocks, and np.argmin over the runs' minima keeps the first, which
+        makes the column np.argmin's over the whole row.
+        """
+        ext = self.ext
+        bound = None if y is None or self.tables is None else self.bounds(y)
+        n = ext.shape[1]
+        if bound is None:
+            self.fill(0, self.done.size)
+            for lo in range(0, n, _PRICE_BLOCK):
+                np.dot(weights, ext[:, lo:lo + _PRICE_BLOCK],
+                       out=red[lo:lo + _PRICE_BLOCK])
+            return -1, n
+        first = int(np.argmin(bound))
+        self.fill(first, first + 1)
+        lo = first * _PRICE_BLOCK
+        hi = min(lo + _PRICE_BLOCK, n)
+        np.dot(weights, ext[:, lo:hi], out=red[lo:hi])
+        priced = hi - lo
+        runs = []                   # [first, last + 1] of consecutive blocks
+        for k in np.flatnonzero(bound <= red[lo:hi].min()).tolist():
+            if runs and runs[-1][1] == k:
+                runs[-1][1] = k + 1
+            else:
+                runs.append([k, k + 1])
+        cand = []
+        for k0, k1 in runs:
+            self.fill(k0, k1)
+            for k in range(k0, k1):
+                if k != first:
+                    a = k * _PRICE_BLOCK
+                    b = min(a + _PRICE_BLOCK, n)
+                    np.dot(weights, ext[:, a:b], out=red[a:b])
+                    priced += b - a
+            a = k0 * _PRICE_BLOCK
+            cand.append(a + int(red[a:min(k1 * _PRICE_BLOCK, n)].argmin()))
+        return cand[int(np.argmin(red[cand]))], priced
 
 
-def _screened_pricing(ext: np.ndarray, weights: np.ndarray, red: np.ndarray,
-                      lohi: np.ndarray, scale: np.ndarray):
-    """Dantzig's entering column, priced only in the blocks that can hold
-    it (``_screened_bounds``), and the count of reduced costs computed.
-    The column is -1 when the pivot must price in full instead.
+def _segment_tables(costs: _SegmentCosts, red: np.ndarray):
+    """(v, t, scale): the y-independent part of ``_SegmentCosts.bounds``,
+    after costing both ends of every block; None when the bound's
+    preconditions fail.  ``red`` is scratch space.
 
-    The block of least bound is priced first, with np.dot on the aligned
-    slice; its least reduced cost v bounds the entering one from above,
-    and a block whose bound exceeds v holds only columns above v.  The
-    blocks whose bound is at most v are priced and searched in ascending
-    order, keeping the first strict minimum, which makes the column
-    np.argmin's over the whole row.  When more than ``_SCREEN_MAX_SHARE``
-    of the blocks survive, the pivot prices in full.
+    Preconditions, checked here.  The LP's points w_j = (t_j, s_j) have
+    t strictly ascending and t_j + s_j within 2^-50 of 1 as computed, so
+    within delta = 2^-49 exactly; |E| + |B| <= 2^16; and the scale below
+    is finite and at most 2^900.  fptas-a's |A| = 2 grid meets the first
+    two by construction: t_j = fl(j/K) and s_j = fl((K-j)/K).
+
+    The bound.  Let g and h be the exact real functions that ``_ub_terms``
+    evaluates, built from the floats it reads (``_wa_matrix``, mu(b|a),
+    mu(e|a)) taken as exact: g(w) = sum_b m_b(w) G(n_b(w) / m_b(w)), 0
+    where m_b(w) = 0, and h(w) = G(p(w)), where n_b, m_b and p are linear
+    in w with nonnegative coefficients, and m_b(w) = 0 forces n_b(w) = 0.
+    Each of G's four forms is convex on the nonnegative orthant, its
+    perspective m G(n / m) (0 at the origin) is convex, and so is a convex
+    function of a linear map.  So along the line w(t) = (t, 1 - t),
+    gl(t) = g(w(t)) and hl(t) = h(w(t)) are convex, and u_B = g - h.
+
+    Block k holds columns [lo_k, hi_k), with ends a_k = t_lo and
+    b_k = t_(hi-1), and a block with b_k > a_k has the secant line_k of
+    gl through its ends.  A convex function lies below a chord between
+    its ends and above the chord's extension outside them, so on
+    [a_k, b_k], gl >= line_(k-1), gl >= line_(k+1) and -hl >= -chord_k,
+    the chord of hl over the block.  An edge block, or one beside a
+    block of one column, uses the one line it has.  Every column j of
+    block k therefore has gl(t_j) - hl(t_j) - y.w(t_j) >= F_k(t_j), where
+    F_k = max(line_(k-1), line_(k+1)) - chord_k - y.w is convex and
+    piecewise linear with at most one kink, at the crossing point of the
+    two lines.  Its least value on [a_k, b_k] is at a_k, at b_k or at the
+    crossing point, whose position r in [0, 1] along the block is the
+    sign change of the lines' difference; every term of F_k is affine, so
+    its value there is the r-weighted mean of the ends' values.  ``v``
+    holds max(lines) - chord at the three points and ``t`` their t, so a
+    pivot's bound is min over the three of v - y.w(t), less the margin.
+
+    The margin.  Let u = 2^-53, M_g and M_h the largest |g| and |h| over
+    the computed ends, kappa = 1, or for a piecewise G, the larger of 1
+    and max_i (max_e |r_ie| + |b_i|), lam_k the largest ratio by which
+    block k's lines are extended (distance from the line's block over
+    its width), L_k = (1 + 2 lam_k)(M_g + M_h + kappa) (``scale``) and
+    S = |y|_1.  The bound subtracts 2^-30 (L_k + S).  The computed reduced
+    cost of column j falls short of the exact F_k(t_j) only by:
+    - Evaluation of g and h (assumed: np.log within 4 ulp, np.sqrt and
+      every BLAS product and sum rounded once or fused).  n, m and p are
+      sums of two nonnegative products (relative error gamma_2, with
+      gamma_k = k u / (1 - k u)) and a posterior n_b / m_b is within
+      gamma_5.  Quadratic and spherical G sum nonnegative terms, so are
+      within gamma_(|E|+12) relatively; a log term q log q is within
+      gamma_16 (|q log q| + q), and the terms share a sign; a piecewise
+      piece r.q + b is within gamma_(|E|+8) kappa (1 + sum(q)), and max
+      is exact.  Weighting by m_b and summing over b, the computed value
+      is within c u (|g| + kappa (1 + sum(w))) of g, and so for h, with
+      c = 2(|E| + |B|) + 40 <= 2^18.  Underflow adds at most 2^-1074 an
+      operation, far below 2^-30 kappa.
+    - Sizes inside a block: by the same convexity, gl on block k lies
+      below the larger of its ends' values and above its lines, so
+      |gl| <= (1 + 2 lam_k) M_g there, and so for hl; every |c_j| in the
+      block is thus within L_k, up to the terms here.
+    - The line: w_j lies within delta of w(t_j) in s only.  For
+      quadratic, spherical and piecewise G, g and h change by at most
+      3 kappa delta; for the log score, whose x log x has modulus
+      2d (1 + log(1/d)) on [0, 2], concavity over g's |E||B| + |B| terms
+      bounds the change by 4.02 delta (1 + log(|E||B| + |B|) + 34) <=
+      2^-41.  y.w_j moves by at most S delta.
+    - The secant extension: each line takes its ends' values, each off
+      by at most c u (M + kappa) + 2^-41 kappa, out by lam_k of its width,
+      so it is off by (1 + 2 lam_k) times that; the chord of h
+      interpolates, so it is off by its ends' error.
+    - The cost's subtraction c = fl(g - h): u |g - h| <= u L_k.
+    - np.dot's rounding of c - y.w_j over m + 1 = 3 terms:
+      gamma_3 (|c| + S (1 + delta)).
+    - The bound's own arithmetic: v and t come from the ends' values by a
+      few roundings each of terms below L_k (16 u L_k in all); r is within
+      2u r of the computed lines' crossing, where their difference is
+      below 4 L_k, so the value taken there exceeds the least by at most
+      8 u L_k; y.w(t) is within 4 u S; and min and max are exact.
+    Each term is at most 2^-33 (L_k + S), and their sum, with the
+    rounding of the margin's own subtraction, is below 2^-31 (L_k + S),
+    so the margin holds with room to spare.
     """
-    bound = _screened_bounds(weights, lohi, scale)
-    if bound is None:
-        return -1, 0
+    ext, cost = costs.ext, costs.cost
     n = ext.shape[1]
-    first = int(np.argmin(bound))
-    lo = first * _PRICE_BLOCK
-    hi = min(lo + _PRICE_BLOCK, n)
-    np.dot(weights, ext[:, lo:hi], out=red[lo:hi])
-    priced = hi - lo
-    keep = np.flatnonzero(bound <= red[lo:hi].min())
-    if keep.size > _SCREEN_MAX_SHARE * bound.size:
-        return -1, priced
-    runs = []                   # [first, last + 1] of consecutive blocks
-    for k in keep.tolist():
-        if runs and runs[-1][1] == k:
-            runs[-1][1] = k + 1
-        else:
-            runs.append([k, k + 1])
-        if k != first:
-            a = k * _PRICE_BLOCK
-            b = min(a + _PRICE_BLOCK, n)
-            np.dot(weights, ext[:, a:b], out=red[a:b])
-            priced += b - a
-    enter, best = -1, np.inf
-    for k0, k1 in runs:         # each run searched in one argmin
-        a = k0 * _PRICE_BLOCK
-        j = a + int(red[a:min(k1 * _PRICE_BLOCK, n)].argmin())
-        if red[j] < best:
-            enter, best = j, red[j]
-    return enter, priced
+    _, nb, ne = cost.table.e_given_ab.shape
+    t = ext[0]
+    np.add(t, ext[1], out=red)
+    if not ((t[1:] > t[:-1]).all() and red.min() >= 1.0 - 2.0 ** -50 and
+            red.max() <= 1.0 + 2.0 ** -50 and ne + nb <= 2 ** 16):
+        return None
+    lo = np.arange(0, n, _PRICE_BLOCK)
+    ends = np.stack((lo, np.minimum(lo + _PRICE_BLOCK, n) - 1), axis=1)
+    costs.count += ends.size
+    g, h = _ub_terms(cost.points[ends.ravel()].T, _wa_matrix(cost.table),
+                     cost.table, cost.score)
+    if not (np.isfinite(g).all() and np.isfinite(h).all()):
+        raise _NonFiniteCost
+    ta, tb = t[ends[:, 0]], t[ends[:, 1]]
+    ga, gb = g[0::2], g[1::2]
+    ha, hb = h[0::2], h[1::2]
+    width = tb - ta
+    has = width > 0.0
+    slope = np.zeros_like(width)
+    np.divide(gb - ga, width, out=slope, where=has)
+    nk = width.size
+    # A[0]: the left line (block k-1, extended from its right end) less
+    # the chord of h, at the block's ends; A[1]: the right line (block
+    # k+1, extended from its left end)
+    a = np.zeros((2, 2, nk))
+    lam = np.zeros((2, nk))
+    left, right = np.zeros(nk, bool), np.zeros(nk, bool)
+    left[1:], right[:-1] = has[:-1], has[1:]
+    a[0, 0, 1:] = gb[:-1] + slope[:-1] * (ta[1:] - tb[:-1])
+    a[0, 1, 1:] = gb[:-1] + slope[:-1] * (tb[1:] - tb[:-1])
+    a[1, 0, :-1] = ga[1:] + slope[1:] * (ta[:-1] - ta[1:])
+    a[1, 1, :-1] = ga[1:] + slope[1:] * (tb[:-1] - ta[1:])
+    np.divide(tb[1:] - tb[:-1], width[:-1], out=lam[0, 1:], where=left[1:])
+    np.divide(ta[1:] - ta[:-1], width[1:], out=lam[1, :-1], where=right[:-1])
+    a[0] = np.where(left, a[0], a[1])
+    a[1] = np.where(right, a[1], a[0])
+    a -= np.stack((ha, hb))
+    d = a[0] - a[1]
+    cross = ((d[0] > 0.0) & (d[1] < 0.0)) | ((d[0] < 0.0) & (d[1] > 0.0))
+    r = np.zeros(nk)
+    np.divide(d[0], d[0] - d[1], out=r, where=cross)
+    v = np.stack((a[:, 0].max(axis=0), a[:, 1].max(axis=0),
+                  np.maximum((1.0 - r) * a[0, 0] + r * a[0, 1],
+                             (1.0 - r) * a[1, 0] + r * a[1, 1])))
+    v[:, ~(left | right)] = -np.inf
+    kappa = 1.0
+    if cost.score.kind is ScoreKind.PIECEWISE:
+        kappa = max(1.0, float((np.abs(cost.score.pieces_r).max(axis=1) +
+                                np.abs(cost.score.pieces_b)).max()))
+    scale = (1.0 + 2.0 * lam.max(axis=0)) * \
+        (np.abs(g).max() + np.abs(h).max() + kappa)
+    if not scale.max() <= 2.0 ** 900:
+        return None
+    return v, np.stack((ta, tb, ta + r * width)), scale
 
 
 def envelope_iterate(ext: np.ndarray, basis: np.ndarray, x_b: np.ndarray,
-                     tol: float, max_iter: int, degen_limit: int):
+                     tol: float, max_iter: int, degen_limit: int,
+                     segment: SegmentCost | None = None):
     """Run revised-simplex pivots for min c.x s.t. P^T x = mu, x >= 0.
 
     ``ext`` is the (m+1, n) row-major stack of P^T over the cost row c;
@@ -351,76 +542,82 @@ def envelope_iterate(ext: np.ndarray, basis: np.ndarray, x_b: np.ndarray,
     columns, red = [-y, 1] @ ext = c - y P^T, into one preallocated
     buffer; optimality is all reduced costs >= -tol.  Pricing and the
     ratio test follow ``simplex_iterate``.  Returns (status, iterations,
-    y, least, priced): y and the least reduced cost (np.argmin's entry)
-    from the last pricing pass, and the count of reduced costs computed
-    over the run.
+    y, least, priced, costed): y and the least reduced cost (np.argmin's
+    entry) from the last pricing pass, the count of reduced costs
+    computed over the run and the count of costs computed.  A NaN or
+    infinite cost stops the run with ``_STATUS_NONFINITE`` (y and least
+    None) as soon as it is computed.
 
-    Screened pricing (after the partial pricing of Dantzig and
-    Orchard-Hays 1954).  When n spans at least ``_SCREEN_MIN_BLOCKS``
-    blocks of ``_PRICE_BLOCK`` columns, each row's range over each block
-    is recorded once, and a Dantzig pivot prices only the blocks whose
+    With a cost row in ``ext``, every pivot prices every column in one
+    np.dot.  Given a ``segment``, the cost row starts empty: the blocks
+    of ``_PRICE_BLOCK`` columns that hold the basis are costed before the
+    first y, and a Dantzig pivot costs and prices only the blocks whose
     lower bound on the reduced costs can hold the entering column
-    (``_screened_pricing``).  Bland's rule, smaller LPs and a pivot at
-    which too many blocks survive price every column in one np.dot.  A
-    block's reduced costs are the full product's bit for bit: its np.dot
-    runs on the slice ext[:, lo:hi] with lo a multiple of 64, where the
-    BLAS vector loop is in step with the full product's, and a block is
-    too small for BLAS to split across threads.  (OpenBLAS splits a
-    product of more than about 4.6*10^5 entries across threads; the
-    columns at its split round differently, so there the full product
-    itself depends on the thread count.  With one BLAS thread, the pivots
-    are the full pass's.)
+    (``_SegmentCosts``; the bound and the proof of its margin are in
+    ``_segment_tables``).  Bland's rule costs every block and prices them
+    block by block.  A block's reduced costs are the full product's bit
+    for bit: its np.dot runs on the slice ext[:, lo:hi] with lo a
+    multiple of 64, where the BLAS vector loop is in step with the full
+    product's, and a block is too small for BLAS to split across threads,
+    so a segment LP's pivots do not depend on the BLAS thread count.  (A
+    whole-row product of more than about 4.6*10^5 entries is split across
+    OpenBLAS threads, and the columns at the split round differently.)
     """
     m = ext.shape[0] - 1
     n = ext.shape[1]
     red = np.empty(n)
     weights = np.ones(m + 1)
-    screen = _block_ranges(ext) \
-        if n >= _SCREEN_MIN_BLOCKS * _PRICE_BLOCK else None
     iters = degen = priced = 0
+    costs = None if segment is None else _SegmentCosts(ext, segment)
     bland = False
-    while True:
-        b = ext[:m, basis]
-        y = np.linalg.solve(b.T, ext[m, basis])
-        weights[:m] = -y
-        enter = -1
-        if screen is not None and not bland:
-            enter, count = _screened_pricing(ext, weights, red, *screen)
-            priced += count
-            if enter < 0 and count:     # too many blocks survived
-                screen = None
-        if enter < 0:
-            np.dot(weights, ext, out=red)
-            priced += n
-            enter = int(np.argmax(red < -tol)) if bland \
-                else int(np.argmin(red))
-        status = None
-        if red[enter] >= -tol:
-            status = _STATUS_OPTIMAL
-        elif iters >= max_iter:
-            status = _STATUS_ITERLIMIT
-        else:
-            d = np.linalg.solve(b, ext[:m, enter])
-            pos = d > tol
-            if not pos.any():
-                status = _STATUS_UNBOUNDED
-        if status is not None:
-            least = red[int(np.argmin(red))] if bland else red[enter]
-            return status, iters, y, float(least), priced
-        ratios = np.where(pos, x_b / np.where(pos, d, 1.0), np.inf)
-        rmin = ratios.min()
-        cand = np.nonzero(ratios <= rmin + 1e-12)[0]
-        leave = int(cand[np.argmin(basis[cand])])
-        if rmin <= 1e-12:
-            degen += 1
-            if degen > degen_limit:
-                bland = True
-        else:
-            degen = 0
-        x_b -= rmin * d
-        x_b[leave] = rmin
-        basis[leave] = enter
-        iters += 1
+    try:
+        if costs is not None:
+            costs.start(red, basis)
+        while True:
+            b = ext[:m, basis]
+            y = np.linalg.solve(b.T, ext[m, basis])
+            weights[:m] = -y
+            enter = -1
+            if costs is None:
+                np.dot(weights, ext, out=red)
+                priced += n
+            else:
+                enter, count = costs.price(weights, red,
+                                           None if bland else y)
+                priced += count
+            if enter < 0:
+                enter = int(np.argmax(red < -tol)) if bland \
+                    else int(np.argmin(red))
+            status = None
+            if red[enter] >= -tol:
+                status = _STATUS_OPTIMAL
+            elif iters >= max_iter:
+                status = _STATUS_ITERLIMIT
+            else:
+                d = np.linalg.solve(b, ext[:m, enter])
+                pos = d > tol
+                if not pos.any():
+                    status = _STATUS_UNBOUNDED
+            if status is not None:
+                least = red[int(np.argmin(red))] if bland else red[enter]
+                return (status, iters, y, float(least), priced,
+                        n if costs is None else costs.count)
+            ratios = np.where(pos, x_b / np.where(pos, d, 1.0), np.inf)
+            rmin = ratios.min()
+            cand = np.nonzero(ratios <= rmin + 1e-12)[0]
+            leave = int(cand[np.argmin(basis[cand])])
+            if rmin <= 1e-12:
+                degen += 1
+                if degen > degen_limit:
+                    bland = True
+            else:
+                degen = 0
+            x_b -= rmin * d
+            x_b[leave] = rmin
+            basis[leave] = enter
+            iters += 1
+    except _NonFiniteCost:
+        return _STATUS_NONFINITE, iters, None, None, priced, costs.count
 
 
 def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,

@@ -11,8 +11,14 @@ fptas-a's LP is the concavification LP over the grid, |A| rows wide.  It
 goes through ``_envelope_lp``, the pipeline it shares with the exact
 solver's LP over arrangement vertices: u_B at each point by
 ``_kernels.ub_grid_wa``, ``lp.solve_envelope``'s revised simplex, then the
-status check and the certificate.  fptas-eb's LP, with its per-grid-point
-achievability rows, runs on the dense tableau of ``lp.solve_lp``.  Every
+status check and the certificate.  At |A| = 2 every posterior lies on one
+segment and fptas-a's grid ascends in w_0, so from ``_SEGMENT_MIN_POINTS``
+points on the LP gets u_B as a ``_kernels.SegmentCost`` and computes it
+only in the blocks of the grid that a convexity bound cannot rule out
+(the bound and the proof of its rounding margin are in
+``_kernels._segment_tables``), with the same pivots and answer.
+fptas-eb's LP, with its per-grid-point achievability rows, runs on the
+dense tableau of ``lp.solve_lp``.  Every
 answer must pass a feasibility-residual and a duality-gap certificate.
 The envelope LP costs its points with the score's own G, the G ``belief``
 reports, so its value is the u_B of the scheme it returns; fptas-a and the
@@ -46,6 +52,11 @@ EPS_CEILING = 0.49  # grid_size_K needs eps < 1; beyond this the grid is tiny an
 # lp.solve_lp) and duality gap
 GRID_FEAS_TOL = 1e-9
 GRID_GAP_TOL = 1e-7
+# |A| = 2 envelope LPs of at least this many points cost their u_B block by
+# block, as the pivots need it (``_envelope_lp``).  On one BLAS thread, u_B
+# plus the LP took 1.7x as long as costing every point at 8,000 points,
+# 1.2x at 16,000, 0.97x at 24,000, 0.82x at 32,000 and 0.65x at 49,000
+_SEGMENT_MIN_POINTS = 32 * 1024
 
 
 def _check_args(delta: float, grid_k: int | None = None,
@@ -261,11 +272,18 @@ def _envelope_lp(prior: JointPrior, score: ScoreSpec, points: np.ndarray,
     """min sum_j x_j u_B(points_j) s.t. sum_j x_j points_j = mu_A, x >= 0:
     costs by ``_kernels.ub_grid_wa``, solved by ``solve_envelope`` and
     certified.  ``points`` must hold every vertex of Delta_A; ``name``
-    labels the LP in the NumericalFailure messages.
+    labels the LP in the NumericalFailure messages.  At |A| = 2 and from
+    ``_SEGMENT_MIN_POINTS`` points on, the costs go as a
+    ``_kernels.SegmentCost`` and the LP computes only those it needs; its
+    bound applies when the points ascend in w_0, as fptas-a's grid does,
+    and otherwise the LP costs every point at the start.
     """
     table = marginals_and_conditionals(prior)
-    sol = solve_envelope(_kernels.ub_grid_wa(points, table, score), points,
-                         table.mu_a)
+    n, na = points.shape
+    cost = _kernels.SegmentCost(points, table, score) \
+        if na == 2 and n >= _SEGMENT_MIN_POINTS else \
+        _kernels.ub_grid_wa(points, table, score)
+    sol = solve_envelope(cost, points, table.mu_a)
     if sol.status is not LPStatus.OPTIMAL:
         raise NumericalFailure(f"{name} LP reported {sol.status.value}; the "
                                f"prior marginal always lies in the {name} "

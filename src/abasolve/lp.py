@@ -27,12 +27,17 @@ keeps only the m = |A| independent rows (x sums to 1 because every row of
 P does) and starts from the vertex basis B = I, x_B = mu, so it needs no
 phase 1, no artificials and no tableau; each pivot is a pricing pass over
 the columns plus m x m solves (Dantzig & Orchard-Hays 1954), with the same
-pricing rules and tolerances as ``solve_lp``.  On LPs of at least 65,536
-columns a Dantzig pivot prices only the blocks of 1,024 columns whose lower
-bound on the reduced costs leaves them a chance to enter, and enters the
-column a full pass would (``_kernels.envelope_iterate``); on fptas-a's
-10^6-point |A| = 2 grids that is 3-6% of the columns.  The solution's
-``columns_priced`` counts the reduced costs computed.
+pricing rules and tolerances as ``solve_lp``.  A cost vector is priced
+in full, one np.dot per pivot.  At m = 2 the costs may instead come as a
+``_kernels.SegmentCost``, u_B at points that ascend along the segment,
+which the pivots compute block by block as they need them: a Dantzig
+pivot costs and prices only the blocks of 1,024 columns that a convexity
+bound on u_B cannot rule out, and enters the column a full pass would
+(``_kernels.envelope_iterate``; the proof is in
+``_kernels._segment_tables``).  On fptas-a's 10^6-point grids that costs
+2-4% of the points.  A NaN or infinite cost raises NumericalFailure
+before any pivot uses it.  The solution's ``columns_priced`` counts the
+reduced costs computed and ``columns_costed`` the costs.
 """
 
 from __future__ import annotations
@@ -105,8 +110,10 @@ class LPSolution:
     duality_gap: float | None = None
     comp_slack_residual: float | None = None
     feasibility_residual: float | None = None
-    # reduced costs computed by the revised simplex (``solve_envelope``)
+    # reduced costs and costs computed by the revised simplex
+    # (``solve_envelope``)
     columns_priced: int | None = None
+    columns_costed: int | None = None
 
 
 def tableau_cells(n_vars: int, m_ub: int, m_eq: int,
@@ -253,40 +260,59 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
                       comp_slack_residual=comp, feasibility_residual=resid)
 
 
-def solve_envelope(cost: np.ndarray, points: np.ndarray,
-                   mu: np.ndarray) -> LPSolution:
+def solve_envelope(cost: np.ndarray | _kernels.SegmentCost,
+                   points: np.ndarray, mu: np.ndarray) -> LPSolution:
     """min cost.x  s.t.  points^T x = mu, x >= 0, by revised simplex.
 
     ``points`` holds n rows on the probability simplex over m outcomes,
     every vertex e_a among them; ``mu`` lies on the simplex too, so the LP
-    is always feasible and bounded.  The solution carries ``dual_eq`` = y
-    with reduced costs cost - y points^T >= -FEAS_TOL, a
+    is always feasible and bounded.  ``cost`` is the cost vector, or, for
+    m = 2, a ``_kernels.SegmentCost`` over ``points``, which the pivots
+    cost block by block as they need it.  The solution carries ``dual_eq``
+    = y with reduced costs cost - y points^T >= -FEAS_TOL, a
     ``feasibility_residual`` of max(|points^T x - mu|, |sum x - 1|,
-    max(-x, 0)), and a ``duality_gap`` that bounds how far cost.x lies above
-    the optimum: |cost.x - y.mu| plus the most negative reduced cost, since
-    every feasible x sums to 1.  ``columns_priced`` counts the reduced
-    costs computed, (iterations + 1) n when every pass prices in full.
+    max(-x, 0)), and a ``duality_gap`` that bounds how far cost.x lies
+    above the optimum: |cost.x - y.mu| plus the most negative reduced
+    cost, since every feasible x sums to 1.  ``columns_priced`` counts the
+    reduced costs computed, (iterations + 1) n for a cost vector, and
+    ``columns_costed`` the costs: n for a cost vector.
 
-    Raises ValidationError when a vertex is missing and NumericalFailure
-    when pivoting exceeds 50*(rows+cols) iterations.
+    Raises ValidationError when a vertex is missing or a SegmentCost does
+    not fit the LP, and NumericalFailure when a cost is NaN or infinite
+    (a cost vector is checked before the first pivot, a SegmentCost's
+    costs as they are computed) or pivoting exceeds 50*(rows+cols)
+    iterations.
     """
     n, m = points.shape
     ext = np.empty((m + 1, n))
     ext[:m] = points.T
-    ext[m] = cost
+    segment = None
+    if isinstance(cost, _kernels.SegmentCost):
+        if m != 2 or cost.points.shape != points.shape:
+            raise ValidationError("a segment cost needs the LP's own points "
+                                  "over two outcomes")
+        segment = cost
+    else:
+        ext[m] = cost
+        if not np.isfinite(ext[m]).all():
+            raise NumericalFailure(
+                f"envelope LP cost {int(np.argmin(np.isfinite(ext[m])))} "
+                "is not finite")
     basis = np.argmax(ext[:m], axis=1)
     if not (ext[np.arange(m), basis] == 1.0).all():
         raise ValidationError("envelope LP points must include every vertex "
                               "of the simplex")
     x_b = np.array(mu, dtype=float)
     max_iter = 50 * (m + n)
-    status, iters, y, least, priced = _kernels.envelope_iterate(
-        ext, basis, x_b, FEAS_TOL, max_iter, DEGENERACY_LIMIT)
+    status, iters, y, least, priced, costed = _kernels.envelope_iterate(
+        ext, basis, x_b, FEAS_TOL, max_iter, DEGENERACY_LIMIT, segment)
+    if status == _kernels._STATUS_NONFINITE:
+        raise NumericalFailure("envelope LP cost is not finite")
     if status == _kernels._STATUS_ITERLIMIT:
         raise NumericalFailure(f"revised simplex exceeded {max_iter} pivots")
     if status == _kernels._STATUS_UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, None, None, None, None, iters,
-                          columns_priced=priced)
+                          columns_priced=priced, columns_costed=costed)
 
     x = np.zeros(n)
     x[basis] = x_b
@@ -296,4 +322,4 @@ def solve_envelope(cost: np.ndarray, points: np.ndarray,
     gap = abs(objective - float(y @ mu)) + max(0.0, -least)
     return LPSolution(LPStatus.OPTIMAL, x, objective, y, None, iters,
                       duality_gap=gap, feasibility_residual=resid,
-                      columns_priced=priced)
+                      columns_priced=priced, columns_costed=costed)

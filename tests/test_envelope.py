@@ -1,28 +1,34 @@
 """lp.solve_envelope, fptas-a's revised simplex, against the dense tableau
 assembly it replaced, scipy's HiGHS and a loop reference of its pivot
-rules; its screened pricing against ``envelope_iterate_frozen``, the
-kernel as it was when every pivot priced every column.
+rules; its segment path, which costs u_B block by block and prices only
+the blocks that a convexity bound cannot rule out, against
+``envelope_iterate_frozen``, the kernel that prices every column of a
+fully costed row.
 
 The bit-for-bit comparisons keep every product below the 4.6*10^5 entries
 at which OpenBLAS splits a matrix-vector product across threads: above it
 the full product's rounding at the split depends on the thread count."""
 
-from fractions import Fraction
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from abasolve import _kernels, lp
-from abasolve.core import marginals_and_conditionals
+from abasolve import _kernels, fptas, lp
+from abasolve.core import JointPrior, marginals_and_conditionals
 from abasolve.errors import NumericalFailure, ValidationError
 from abasolve.fptas import enumerate_k_uniform
 from abasolve.lp import FEAS_TOL, LPStatus, solve_envelope
-from abasolve.scoring import log_score, quadratic_score
+from abasolve.scoring import log_score, quadratic_score, spherical_score
 
 from helpers import envelope_iterate_frozen, envelope_lp_tableau, \
-    envelope_simplex_loop, random_prior
+    envelope_simplex_loop, random_piecewise, random_prior
 
 GRID_K = {2: 40, 3: 12, 4: 7}
 
@@ -134,9 +140,9 @@ def test_envelope_requires_every_vertex():
 def test_envelope_iteration_cap_raises(monkeypatch):
     seen = []
 
-    def stalled(ext, basis, x_b, tol, max_iter, degen_limit):
+    def stalled(ext, basis, x_b, tol, max_iter, degen_limit, segment):
         seen.append(max_iter)
-        return _kernels._STATUS_ITERLIMIT, max_iter, None, None, None
+        return _kernels._STATUS_ITERLIMIT, max_iter, None, None, None, None
 
     monkeypatch.setattr(lp._kernels, "envelope_iterate", stalled)
     points = enumerate_k_uniform(3, 4)
@@ -152,68 +158,102 @@ def test_envelope_kernel_stops_at_max_iter():
     assert full.iterations >= 2
     ext = np.vstack((points.T, cost))
     basis = np.argmax(points, axis=0)
-    status, iters, _, _, _ = _kernels.envelope_iterate(
+    status, iters, _, _, _, _ = _kernels.envelope_iterate(
         ext, basis, mu.copy(), FEAS_TOL, 1, lp.DEGENERACY_LIMIT)
     assert (status, iters) == (_kernels._STATUS_ITERLIMIT, 1)
 
 
-ENGAGE = _kernels._SCREEN_MIN_BLOCKS * _kernels._PRICE_BLOCK
-# grid resolutions whose grids run from one pricing block to past the size
-# at which the screen engages (65,536 columns), small enough that
-# (|A| + 1) * 1.25 n, with a quarter of the points duplicated, stays below
-# 4.6*10^5
-SCREEN_K = {2: (500, 1023, 40_000, 65_535, 90_000),
-            3: (43, 200, 360, 361, 380),
-            4: (16, 40, 71, 72, 73)}
 
 
-def _screen_case(rng, na, k, kind):
-    """(ext, mu) of an envelope LP over the K-uniform grid.  Kinds: u_B
-    costs of a random prior, whose reduced costs vary smoothly along the
-    grid; a constant cost, where every column ties; a quarter of the points
-    repeated, with costs rounded to one decimal; and vertex costs 0 beside
-    a block of columns tied at the least cost, which the first pivot, at
-    y = 0, prices as the cost itself."""
-    points = enumerate_k_uniform(na, k)
-    table = marginals_and_conditionals(random_prior(rng, ne=2, na=na, nb=2))
-    score = (quadratic_score(), log_score())[int(rng.integers(2))]
-    cost = _kernels.ub_grid_wa(points, table, score)
-    if kind == "constant":
-        cost[:] = 0.7
-    elif kind == "duplicated":
-        extra = rng.integers(len(points), size=len(points) // 4)
-        points = np.vstack((points, points[extra]))
-        cost = np.round(np.concatenate((cost, cost[extra])), 1)
-    elif kind == "tied_block":
-        cost = 1.0 + cost - cost.min()
-        cost[(points == 1.0).any(axis=1)] = 0.0
-        block = int(rng.integers(-(-len(cost) // _kernels._PRICE_BLOCK)))
-        lo = block * _kernels._PRICE_BLOCK
-        cost[lo:lo + _kernels._PRICE_BLOCK] = -1.0
-        cost[rng.integers(len(cost), size=3)] = -1.0
-    mu = rng.dirichlet(np.ones(na))
-    if rng.random() < 0.5:      # zero entries make degenerate pivots
-        mu[rng.permutation(na)[:na - 1]] = 0.0
-        mu /= mu.sum()
-    return np.ascontiguousarray(np.vstack((points.T, cost))), mu
+def test_array_path_is_the_full_pass():
+    # a cost vector prices every column in one np.dot at every pivot, as
+    # the frozen kernel does, at every |A|
+    rng = np.random.default_rng(41)
+    for na in (2, 3, 4):
+        for kind in ("generic", "zero_mu", "constant", "duplicated"):
+            cost, points, mu = _case(rng, na, kind)
+            ext = np.ascontiguousarray(np.vstack((points.T, cost)))
+            runs = []
+            for kernel in (_kernels.envelope_iterate,
+                           envelope_iterate_frozen):
+                basis = np.argmax(points, axis=0)
+                x_b = mu.copy()
+                runs.append(kernel(ext, basis, x_b, FEAS_TOL, 300,
+                                   lp.DEGENERACY_LIMIT) + (basis, x_b))
+            new, frozen = runs
+            _assert_same_run(new[:4] + new[6:], frozen)
+            assert new[4] == (new[1] + 1) * len(points)
+            assert new[5] == len(points)
 
 
-def _run_both(ext, mu, max_iter, degen_limit):
-    """(new, frozen) results of the two kernels from the vertex basis, each
-    with the basis and x_b it leaves."""
-    out = []
-    for kernel in (_kernels.envelope_iterate, envelope_iterate_frozen):
-        basis = np.argmax(ext[:-1], axis=1)
+ENGAGE = fptas._SEGMENT_MIN_POINTS
+BLOCK = _kernels._PRICE_BLOCK
+# grid sizes for the segment path, from two blocks (the second of one
+# column) to four times the engage size, each ending in a short block;
+# 3n stays below 4.6*10^5
+SEGMENT_N = (BLOCK + 1, 3 * BLOCK - 100, ENGAGE - 1, ENGAGE + 1,
+             2 * ENGAGE + 517, 4 * ENGAGE + 3)
+SEGMENT_KINDS = ("quadratic", "log", "spherical", "piecewise", "affine")
+
+
+def _segment_case(rng, n, kind, zero_b):
+    """(points, table, score) of an |A| = 2 envelope LP over the n-point
+    K-uniform grid.  With ``zero_b`` Bob's outcome 0 has zero mass under
+    alice outcome 0 and one more entry of the prior is 0, so some
+    posteriors near the vertices are 0/0 or hold zeros (the log score's
+    boundary posteriors).  Kinds: the four score kinds, "piecewise" with
+    2-5 pieces, so u_B has kinks and is affine between them, and "affine",
+    one piece, so u_B is affine along the grid and every block's bound is
+    as tight as it gets."""
+    ne, nb = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+    p = rng.gamma(1.0, size=(ne, 2, nb))
+    if zero_b:
+        p[:, 0, 0] = 0.0
+        p[rng.integers(ne), 1, rng.integers(nb)] = 0.0
+    table = marginals_and_conditionals(JointPrior(p / p.sum()))
+    score = {"quadratic": quadratic_score, "log": log_score,
+             "spherical": spherical_score}.get(kind)
+    score = score() if score is not None else random_piecewise(
+        rng, ne=ne, k=1 if kind == "affine" else int(rng.integers(2, 6)))
+    return enumerate_k_uniform(2, n - 1), table, score
+
+
+def _assert_segment_matches_frozen(points, table, score, mu, max_iter,
+                                   degen_limit):
+    """The segment kernel, from a cost row of NaN, against the frozen
+    kernel over the full u_B row: status, pivots, basis, x_b, y and the
+    least reduced cost bit for bit, and every costed column equal to the
+    full row's, in whole blocks, two ends per block counted besides."""
+    n = len(points)
+    full = _kernels.ub_grid_wa(points, table, score)
+    seg_ext = np.vstack((points.T, np.full(n, np.nan)))
+    runs = []
+    for ext, cost in ((seg_ext, _kernels.SegmentCost(points, table, score)),
+                      (np.vstack((points.T, full)), None)):
+        basis = np.argmax(ext[:2], axis=1)
         x_b = mu.copy()
-        out.append(kernel(ext, basis, x_b, FEAS_TOL, max_iter, degen_limit)
-                   + (basis, x_b))
-    return out
+        if cost is None:
+            res = envelope_iterate_frozen(ext, basis, x_b, FEAS_TOL,
+                                          max_iter, degen_limit)
+        else:
+            res = _kernels.envelope_iterate(ext, basis, x_b, FEAS_TOL,
+                                            max_iter, degen_limit, cost)
+        runs.append(res + (basis, x_b))
+    new, frozen = runs
+    _assert_same_run(new[:4] + new[6:], frozen)
+    done = ~np.isnan(seg_ext[2])
+    assert seg_ext[2, done].tobytes() == full[done].tobytes()
+    blocks = -(-n // BLOCK)
+    by_block = np.append(done, np.repeat(done[-1], blocks * BLOCK - n))
+    assert (by_block.reshape(blocks, BLOCK) == by_block[::BLOCK, None]).all()
+    assert new[5] == 2 * blocks + done.sum()
+    return new
 
 
 def _assert_same_run(new, frozen):
     """Status, pivots, basis, x_b, y and the least reduced cost (the entry
     np.argmin picks), bit for bit."""
-    status, iters, y, least, _, basis, x_b = new
+    status, iters, y, least, basis, x_b = new
     f_status, f_iters, f_y, f_red, f_basis, f_x_b = frozen
     assert (status, iters) == (f_status, f_iters)
     assert basis.tolist() == f_basis.tolist()
@@ -223,121 +263,179 @@ def _assert_same_run(new, frozen):
         f_red[np.argmin(f_red)].tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(na=st.integers(2, 4), size=st.integers(0, 4),
-       kind=st.sampled_from(("smooth", "constant", "duplicated",
-                             "tied_block")),
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(SEGMENT_N), kind=st.sampled_from(SEGMENT_KINDS),
+       zero_b=st.booleans(), vertex_mu=st.booleans(),
        degen_limit=st.sampled_from((0, lp.DEGENERACY_LIMIT)),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_screened_pricing_matches_full_pass_bit_for_bit(na, size, kind,
+def test_screened_pricing_matches_full_pass_bit_for_bit(n, kind, zero_b,
+                                                        vertex_mu,
                                                         degen_limit, seed):
-    # degen_limit = 0 hands the LP to Bland's rule at its first degenerate
-    # pivot, and Bland's rule prices in full; it can take thousands of
-    # pivots here, so a run stops at 300 and is compared at that point
+    # mu at a vertex makes every pivot degenerate, so with degen_limit = 0
+    # Bland's rule takes over at the first pivot and costs every block;
+    # it can take thousands of pivots, so a run stops at 300 and is
+    # compared at that point
     rng = np.random.default_rng(seed)
-    ext, mu = _screen_case(rng, na, SCREEN_K[na][size], kind)
-    n = ext.shape[1]
-    assert (na + 1) * n < 460_800
-    new, frozen = _run_both(ext, mu, 300, degen_limit)
-    _assert_same_run(new, frozen)
-    if n < ENGAGE:
-        assert new[4] == (new[1] + 1) * n
+    points, table, score = _segment_case(rng, n, kind, zero_b)
+    mu = np.array([1.0, 0.0]) if vertex_mu else table.mu_a
+    _assert_segment_matches_frozen(points, table, score, mu, 300,
+                                   degen_limit)
+
+
+def test_screened_pricing_keeps_the_first_of_tied_minima(monkeypatch):
+    # with g = 4 (t - 1/2)^2 and h = 2 |t - 1/2|, both convex, u_B = g - h
+    # has two minima, at t = 1/4 and t = 3/4, that round alike; at the
+    # vertex basis's duals (0, 0) their blocks are priced in two separate
+    # runs, and the first must enter, as np.argmin's column
+    def terms(wt, m, table, score):
+        x = wt[0] - 0.5
+        return 4.0 * x * x, 2.0 * np.abs(x)
+
+    monkeypatch.setattr(_kernels, "_ub_terms", terms)
+    rng = np.random.default_rng(3)
+    points, table, score = _segment_case(rng, 4 * ENGAGE + 1, "quadratic",
+                                         False)
+    cost = _kernels.ub_grid_wa(points, table, score)
+    tied = np.flatnonzero(cost == cost.min())
+    assert points[tied, 0].tolist() == [0.25, 0.75]
+    new = _assert_segment_matches_frozen(points, table, score, table.mu_a,
+                                         300, lp.DEGENERACY_LIMIT)
+    assert new[1] >= 1
+
+
+@pytest.mark.parametrize("kind", SEGMENT_KINDS)
+def test_segment_bounds_hold_for_every_column(kind):
+    # each block's bound is at most every reduced cost np.dot computes in
+    # it: at the vertex basis's duals (y.w is then the chord of u_B over
+    # the whole segment), at the optimal duals, where the bound is
+    # tightest, at duals moved off them and at random duals
+    rng = np.random.default_rng(len(kind))
+    for trial in range(6):
+        n = SEGMENT_N[trial]
+        points, table, score = _segment_case(rng, n, kind, trial % 2 == 1)
+        ext = np.vstack((points.T, np.full(n, np.nan)))
+        costs = _kernels._SegmentCosts(
+            ext, _kernels.SegmentCost(points, table, score))
+        costs.start(np.empty(n), np.array([n - 1, 0]))
+        costs.fill(0, costs.done.size)
+        assert costs.tables is not None
+        opt = solve_envelope(ext[2], points, table.mu_a).dual_eq
+        scale = np.abs(ext[2]).max()
+        for y in (ext[2, [n - 1, 0]], opt, opt + 1e-6 * rng.normal(size=2),
+                  opt + 1e-3 * rng.normal(size=2),
+                  scale * rng.normal(size=2)):
+            bound = costs.bounds(y)
+            red = np.full(costs.done.size * BLOCK, np.inf)
+            red[:n] = np.append(-y, 1.0) @ ext
+            least = red.reshape(-1, BLOCK).min(axis=1)
+            assert (bound <= least).all(), (trial, np.flatnonzero(
+                bound > least))
 
 
 def test_screen_engages_and_matches_full_pass():
-    # u_B costs at |A| = 2 above the engage size: the screen prices a few
-    # percent of the columns and still pivots as the full pass does
+    # fptas-a's envelope LP costs u_B block by block from the engage size
+    # on, and returns the solution a full cost vector gives, bit for bit;
+    # below it, it costs every point up front
     rng = np.random.default_rng(0)
-    ext, mu = _screen_case(rng, 2, 90_000, "smooth")
-    new, frozen = _run_both(ext, mu, 300, lp.DEGENERACY_LIMIT)
-    _assert_same_run(new, frozen)
-    assert new[1] >= 5
-    assert new[4] < 0.1 * (new[1] + 1) * ext.shape[1]
-
-
-def test_screened_reduced_costs_are_the_full_products():
-    # every reduced cost the screen computes equals the full np.dot's bit
-    # for bit, at the optimal duals and at duals moved off them
-    rng = np.random.default_rng(31)
-    for _ in range(4):
-        ext, mu = _screen_case(rng, 2, 90_000, "smooth")
-        ranges = _kernels._block_ranges(ext)
-        y = _run_both(ext, mu, 300, lp.DEGENERACY_LIMIT)[1][2]
-        for shift in (0.0, 1e-3, 1e-2):
-            weights = np.append(-y - shift * rng.normal(size=2), 1.0)
-            red = np.full(ext.shape[1], np.nan)
-            enter, count = _kernels._screened_pricing(ext, weights, red,
-                                                      *ranges)
-            done = ~np.isnan(red)
-            assert done.sum() == count > 0
-            assert red[done].tobytes() == (weights @ ext)[done].tobytes()
-
-
-def test_screened_bounds_hold_in_exact_arithmetic():
-    # the proof's two steps, checked in rationals: every computed reduced
-    # cost is at least L_k - g S (the dot-product error bound that np.dot
-    # must meet), and the screened bound is at most that, so the margin
-    # covers a bound computed without any rounding error of its own
-    rng = np.random.default_rng(29)
-    unit = Fraction(1, 2 ** 53)
-    for trial in range(12):
-        rows = 3 + trial % 3
-        n = 3 * _kernels._PRICE_BLOCK + int(rng.integers(1, 900))
-        ext = np.vstack((rng.dirichlet(np.ones(rows - 1), size=n).T,
-                         rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)))
-        weights = np.append(-rng.normal(size=rows - 1) *
-                            10.0 ** rng.integers(-3, 4), 1.0)
-        lohi, scale = _kernels._block_ranges(ext)
-        bound = _kernels._screened_bounds(weights, lohi, scale)
-        red = weights @ ext
-        g = (rows * unit) / (1 - rows * unit)
-        s = sum(abs(Fraction(w)) * Fraction(m)
-                for w, m in zip(weights, scale))
-        for k, lo in enumerate(range(0, n, _kernels._PRICE_BLOCK)):
-            cols = ext[:, lo:lo + _kernels._PRICE_BLOCK]
-            pick = np.where(weights < 0.0, cols.max(axis=1), cols.min(axis=1))
-            floor = sum(Fraction(w) * Fraction(r)
-                        for w, r in zip(weights, pick)) - g * s
-            assert Fraction(bound[k]) <= floor, (trial, k)
-            j = lo + int(np.argmin(red[lo:lo + _kernels._PRICE_BLOCK]))
-            assert Fraction(red[j]) >= floor, (trial, k)
-            exact = sum(Fraction(w) * Fraction(x)
-                        for w, x in zip(weights, ext[:, j]))
-            assert abs(Fraction(red[j]) - exact) <= g * s
-
-
-def test_screened_bounds_refuse_non_finite_or_extreme_scales():
-    ext = np.vstack((enumerate_k_uniform(2, 3000).T, np.zeros(3001)))
-    lohi, scale = _kernels._block_ranges(ext)
-    w = np.array([-0.5, 0.25, 1.0])
-    assert _kernels._screened_bounds(w, lohi, scale) is not None
-    for weights in (np.array([np.nan, 0.25, 1.0]),
-                    np.array([-2.0 ** 1001, 0.25, 1.0]),
-                    np.array([0.0, 0.0, 1.0])):   # S = 0: all costs are 0
-        assert _kernels._screened_bounds(weights, lohi, scale) is None
-    ext[2, 17] = np.nan
-    lohi, scale = _kernels._block_ranges(ext)
-    assert _kernels._screened_bounds(w, lohi, scale) is None
+    for n in (ENGAGE - 1, ENGAGE, 3 * ENGAGE + 1):
+        prior = random_prior(rng, ne=3, na=2, nb=4)
+        table = marginals_and_conditionals(prior)
+        points = enumerate_k_uniform(2, n - 1)
+        for score in (log_score(), quadratic_score()):
+            sol = fptas._envelope_lp(prior, score, points, "grid")
+            ref = solve_envelope(_kernels.ub_grid_wa(points, table, score),
+                                 points, table.mu_a)
+            assert sol.iterations == ref.iterations >= 2
+            for got, want in ((sol.x, ref.x), (sol.dual_eq, ref.dual_eq)):
+                assert got.tobytes() == want.tobytes()
+            assert (sol.objective, sol.duality_gap,
+                    sol.feasibility_residual) == \
+                (ref.objective, ref.duality_gap, ref.feasibility_residual)
+            if n < ENGAGE:
+                assert sol.columns_costed == n
+                assert sol.columns_priced == (sol.iterations + 1) * n
+            else:
+                assert sol.columns_costed < 0.5 * n
+                assert sol.columns_priced < 0.2 * (sol.iterations + 1) * n
 
 
 def test_screen_sizes_straddle_the_engage_size():
-    for na, ks in SCREEN_K.items():
-        sizes = [len(enumerate_k_uniform(na, k)) for k in ks]
-        assert sizes[0] <= _kernels._PRICE_BLOCK
-        assert sizes[2] < ENGAGE <= sizes[3], (na, sizes)
+    assert SEGMENT_N[0] % BLOCK == 1        # a last block of one column
+    assert all(n % BLOCK for n in SEGMENT_N)
+    assert SEGMENT_N[2] < ENGAGE <= SEGMENT_N[3]
+    assert 4 * ENGAGE <= SEGMENT_N[-1] and 3 * SEGMENT_N[-1] < 460_800
 
 
-def test_nan_cost_gets_full_pricing():
-    # a NaN cost takes the full pass at every pivot, so np.argmin enters
-    # the NaN column first, as before; the run then stalls on NaN prices
+def test_segment_cost_off_its_preconditions_costs_every_point():
+    # points out of order, or one point off the line w_0 + w_1 = 1 by more
+    # than 2^-50, void the bound's proof: the LP costs every point at the
+    # start and prices every block at every pivot, as a cost vector does
+    rng = np.random.default_rng(13)
+    table = marginals_and_conditionals(random_prior(rng, ne=3, na=2, nb=3))
+    grid = enumerate_k_uniform(2, 3 * BLOCK)
+    off = grid.copy()
+    off[1500, 1] *= 1.0 + 2.0 ** -40
+    for points in (grid[::-1].copy(), off):
+        n = len(points)
+        cost = _kernels.ub_grid_wa(points, table, log_score())
+        sol = solve_envelope(_kernels.SegmentCost(points, table, log_score()),
+                             points, table.mu_a)
+        ref = solve_envelope(cost, points, table.mu_a)
+        assert sol.iterations == ref.iterations >= 2
+        assert sol.x.tobytes() == ref.x.tobytes()
+        assert sol.dual_eq.tobytes() == ref.dual_eq.tobytes()
+        assert sol.columns_costed == n
+        assert sol.columns_priced == (sol.iterations + 1) * n
+    with pytest.raises(ValidationError, match="segment cost"):
+        solve_envelope(_kernels.SegmentCost(grid[:5], table, log_score()),
+                       grid, table.mu_a)
+
+
+def test_nan_cost_raises_before_the_first_pivot():
+    # a NaN cost used to enter first and leave every later price NaN, so
+    # the LP pivoted to its cap of 50(m + n), 100,150 pivots here (4.1 s)
     rng = np.random.default_rng(5)
-    ext, mu = _screen_case(rng, 2, 90_000, "smooth")
-    ext[2, 54_321] = np.nan
-    new, frozen = _run_both(ext, mu, 4, lp.DEGENERACY_LIMIT)
-    _assert_same_run(new, frozen)
-    assert new[0] == _kernels._STATUS_ITERLIMIT
-    assert new[4] == 5 * ext.shape[1]
-    assert new[5].tolist().count(54_321) == 1
+    points = enumerate_k_uniform(2, 2000)
+    table = marginals_and_conditionals(random_prior(rng, ne=2, na=2, nb=2))
+    cost = _kernels.ub_grid_wa(points, table, quadratic_score())
+    for bad in (np.nan, np.inf, -np.inf):
+        c = cost.copy()
+        c[1234] = bad
+        start = time.perf_counter()
+        with pytest.raises(NumericalFailure, match="cost 1234 is not finite"):
+            solve_envelope(c, points, table.mu_a)
+        assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("where", ("ends", "block"))
+def test_segment_path_raises_on_a_non_finite_cost(monkeypatch, where):
+    # a NaN among the blocks' ends, or in a block when it is costed, stops
+    # the LP at once: nothing is costed after it
+    rng = np.random.default_rng(7)
+    points = enumerate_k_uniform(2, 4 * BLOCK)
+    table = marginals_and_conditionals(random_prior(rng, ne=2, na=2, nb=2))
+    terms, grid_wa = _kernels._ub_terms, _kernels.ub_grid_wa
+    calls = []
+
+    def nan_terms(wt, m, table, score):
+        g, h = terms(wt, m, table, score)
+        calls.append("terms")
+        return np.where(np.arange(g.size) == 3, np.nan, g), h
+
+    def nan_block(w, table, score):
+        out = grid_wa(w, table, score)
+        calls.append("block")
+        out[-1] = np.nan
+        return out
+
+    if where == "ends":
+        monkeypatch.setattr(_kernels, "_ub_terms", nan_terms)
+    else:
+        monkeypatch.setattr(_kernels, "ub_grid_wa", nan_block)
+    with pytest.raises(NumericalFailure, match="cost is not finite"):
+        solve_envelope(_kernels.SegmentCost(points, table, log_score()),
+                       points, table.mu_a)
+    assert calls == (["terms"] if where == "ends" else ["block"])
 
 
 def test_columns_priced_is_every_column_per_pass_below_the_screen():
@@ -347,15 +445,48 @@ def test_columns_priced_is_every_column_per_pass_below_the_screen():
         sol = solve_envelope(cost, points, mu)
         assert sol.iterations >= 1
         assert sol.columns_priced == (sol.iterations + 1) * len(points)
+        assert sol.columns_costed == len(points)
 
 
 def test_screen_prices_under_a_tenth_on_a_million_point_grid():
-    # fptas-a's largest benchmark rung: |A| = 2 at K = 999,999
+    # fptas-a's largest benchmark rung: |A| = 2 at K = 999,999.  The
+    # segment path costs under 5% of the points and prices under a tenth
+    # of the columns per pivot
     rng = np.random.default_rng(23)
     points = enumerate_k_uniform(2, 999_999)
-    table = marginals_and_conditionals(random_prior(rng, ne=3, na=2, nb=4))
-    cost = _kernels.ub_grid_wa(points, table, log_score())
-    sol = solve_envelope(cost, points, table.mu_a)
+    prior = random_prior(rng, ne=3, na=2, nb=4)
+    sol = fptas._envelope_lp(prior, log_score(), points, "grid")
     assert sol.status is LPStatus.OPTIMAL and sol.iterations >= 2
     assert sol.duality_gap <= 2 * FEAS_TOL
+    assert sol.columns_costed < 0.05 * len(points)
     assert sol.columns_priced < 0.1 * (sol.iterations + 1) * len(points)
+
+
+REPORT_SCRIPT = """
+import sys
+import numpy as np
+from abasolve import fptas, instances
+from abasolve.core import JointPrior
+from abasolve.scoring import log_score
+p = np.random.default_rng(7).dirichlet(np.ones(24)).reshape(3, 2, 4)
+report = fptas.fptas_a_const(JointPrior(p), log_score(), 0.05,
+                             grid_k=199_999)
+sys.stdout.write(instances.emit_report(report, None))
+"""
+
+
+def test_segment_lp_reports_do_not_depend_on_blas_threads():
+    # a 200,000-point |A| = 2 grid: a whole-row product of 3 x 200,000
+    # entries would be split across two OpenBLAS threads, but the segment
+    # path prices block by block
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", REPORT_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        out.append(done.stdout)
+    assert out[0] == out[1] and '"grid_points": 200000' in out[0]

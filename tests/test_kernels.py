@@ -332,6 +332,42 @@ def test_ub_grid_wa_mixed_chunks_match_frozen_bit_for_bit(ne, na, nb):
             assert got.tobytes() == ref.tobytes(), score.kind
 
 
+@pytest.mark.parametrize("ne,na,nb", SHAPES)
+def test_ub_grid_wa_rows_do_not_depend_on_the_call(ne, na, nb):
+    # the envelope LP's segment path costs a grid one block at a time and
+    # the blocks' ends through _ub_terms on gathered rows, so each row's
+    # value must be the full call's, bit for bit, signed zeros included:
+    # slices of every length at any offset, with a one-row last chunk in
+    # the full call (a one-column matmul takes BLAS's matrix-vector
+    # product unless it is costed as a pair), rows of zero mass and rows
+    # with zero entries
+    rng = np.random.default_rng(127 + 7 * ne + 5 * na + nb)
+    c = _kernels._WA_CHUNK
+    n = c + 1
+    grid = rng.dirichlet(np.ones(na), size=n)
+    grid[rng.integers(n, size=20)] = 0.0
+    edge = rng.integers(n, size=40)
+    grid[edge, rng.integers(na, size=40)] = 0.0
+    grid[edge] /= np.where(grid[edge].sum(axis=1) > 0.0,
+                           grid[edge].sum(axis=1), 1.0)[:, None]
+    grid[-na:] = np.eye(na)
+    for prior in (random_prior(rng, ne=ne, na=na, nb=nb),
+                  _boundary_prior(rng, ne, na, nb)):
+        table = marginals_and_conditionals(prior)
+        m = _kernels._wa_matrix(table)
+        for score in score_kinds(rng, ne):
+            full = _kernels.ub_grid_wa(grid, table, score)
+            for size in (1, 2, 3, 7, 64, 1000, 1024, n):
+                for lo in {0, int(rng.integers(n - size + 1)), n - size}:
+                    part = _kernels.ub_grid_wa(grid[lo:lo + size], table,
+                                               score)
+                    assert part.tobytes() == full[lo:lo + size].tobytes(), \
+                        (score.kind, size, lo)
+            for rows in (rng.integers(n, size=257), np.array([n - 1])):
+                g, h = _kernels._ub_terms(grid[rows].T, m, table, score)
+                assert (g - h).tobytes() == full[rows].tobytes(), score.kind
+
+
 @pytest.mark.parametrize("ne,nb", ((2, 2), (3, 2), (2, 3), (4, 1)))
 def test_ub_grid_veb_matches_reference(ne, nb):
     rng = np.random.default_rng(79 + 3 * ne + nb)
