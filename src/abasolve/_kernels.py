@@ -9,10 +9,10 @@ kernels cost their before-report posteriors, whose mass is 1, with
 ``g_rows_np`` directly.  Both skip their guard passes on rows that need
 none.  ``pivot`` is shared by ``simplex_iterate`` and the LP driver's
 artificial drive-out.  ``envelope_iterate`` is the pivot loop of the
-revised simplex: it keeps no tableau, only an m x m basis.  On an |A| = 2
-grid given as a ``SegmentCost`` it computes u_B only in the column blocks
-that a convexity bound on u_B cannot rule out, and prices only those, with
-the full pass's pivots bit for bit (``_segment_tables`` holds the proof).
+revised simplex: it keeps no tableau, only an m x m basis.  On fptas-a's
+|A| = 2 grid, a ``SegmentCost`` defined by K, it computes u_B only in the
+column blocks that a convexity bound on u_B cannot rule out, and prices
+only those, with the full pass's pivots bit for bit (``_segment_tables``).
 
 ``ub_grid_wa`` keeps the grid index as the fastest axis: its numerator is
 one BLAS matmul of a precomputed (|B||E|, |A|) matrix with a chunk of the
@@ -265,12 +265,27 @@ def simplex_iterate(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
         iters += 1
 
 
+def segment_rows(k: int, j: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Points j of fptas-a's |A| = 2 grid, w_j = (j/K, (K-j)/K) at K = k:
+    the rows of a C-contiguous (len(j), 2) array, as ``ub_grid_wa`` reads
+    them, or, given ``out``, the columns of that (2, len(j)) array, as
+    ``ext`` holds them.  j and K - j are exact floats, each divided once,
+    so these are ``fptas.enumerate_k_uniform(2, k)``'s rows bit for bit."""
+    j = np.asarray(j, dtype=float)
+    if out is None:
+        return segment_rows(k, j, np.empty((j.size, 2)).T).T
+    np.divide(j, k, out=out[0])
+    np.divide(k - j, k, out=out[1])
+    return out
+
+
 class SegmentCost(NamedTuple):
-    """The cost row of an |A| = 2 envelope LP, u_B at each row of
-    ``points`` (``ub_grid_wa`` under ``table`` and ``score``), for
+    """The cost row of fptas-a's |A| = 2 envelope LP at K = k: u_B under
+    ``table`` and ``score`` at the k + 1 points of ``segment_rows``, for
     ``envelope_iterate`` to cost one block at a time."""
 
-    points: np.ndarray
+    k: int
     table: ConditionalTable
     score: ScoreSpec
 
@@ -285,9 +300,9 @@ class _SegmentCosts:
     bound on each block's reduced costs that lets pricing skip it.
 
     ``tables`` holds the bound's y-independent part (``_segment_tables``),
-    or None when its preconditions fail; every block is then costed at
-    set-up.  ``count`` is the number of u_B values computed: the two ends
-    of every block, then every costed block.
+    or None where the proof's limits leave no bound.  ``count`` is the
+    number of u_B values computed: the two ends of every block, then every
+    costed block.
     """
 
     def __init__(self, ext: np.ndarray, cost: SegmentCost):
@@ -296,47 +311,37 @@ class _SegmentCosts:
         self.count = 0
         self.tables = None
 
-    def start(self, red: np.ndarray, basis: np.ndarray) -> None:
-        """Cost the blocks' ends and the blocks that hold the basis, or
-        every block where the bound's preconditions fail."""
-        self.tables = _segment_tables(self, red)
-        if self.tables is None:
-            cost = self.cost
-            self.count += self.ext.shape[1]
-            self.ext[-1] = ub_grid_wa(cost.points, cost.table, cost.score)
-            if not np.isfinite(self.ext[-1]).all():
-                raise _NonFiniteCost
-            self.done[:] = True
-        for k in np.unique(basis // _PRICE_BLOCK).tolist():
-            self.fill(k, k + 1)
+    def start(self, basis: np.ndarray) -> None:
+        """Cost the blocks' ends and the blocks that hold the basis."""
+        self.tables = _segment_tables(self)
+        self.fill(np.unique(basis // _PRICE_BLOCK))
 
-    def fill(self, k0: int, k1: int) -> None:
-        """Cost the blocks in [k0, k1) that are not costed, one
+    def fill(self, blocks: np.ndarray) -> None:
+        """Cost those of the ascending ``blocks`` that are not costed, one
         ``ub_grid_wa`` call per run of consecutive ones."""
-        done, n = self.done, self.ext.shape[1]
-        k = k0
-        while k < k1:
-            j = k
-            while j < k1 and not done[j]:
-                j += 1
-            if j > k:
-                lo, hi = k * _PRICE_BLOCK, min(j * _PRICE_BLOCK, n)
-                self.count += hi - lo
-                c = ub_grid_wa(self.cost.points[lo:hi], self.cost.table,
-                               self.cost.score)
-                if not np.isfinite(c).all():
-                    raise _NonFiniteCost
-                self.ext[-1, lo:hi] = c
-                done[k:j] = True
-            k = j + 1
+        todo = blocks[~self.done[blocks]]
+        if todo.size == 0:
+            return
+        self.done[todo] = True
+        n, cost = self.ext.shape[1], self.cost
+        for run in np.split(todo, np.flatnonzero(np.diff(todo) != 1) + 1):
+            lo = int(run[0]) * _PRICE_BLOCK
+            hi = min((int(run[-1]) + 1) * _PRICE_BLOCK, n)
+            self.count += hi - lo
+            c = ub_grid_wa(segment_rows(cost.k, np.arange(lo, hi)),
+                           cost.table, cost.score)
+            if not np.isfinite(c).all():
+                raise _NonFiniteCost
+            self.ext[-1, lo:hi] = c
 
     def bounds(self, y: np.ndarray):
         """A lower bound on the computed reduced costs of each block at
-        duals y, or None when |y|_1 lies outside the proof's range."""
-        v, t, scale = self.tables
+        duals y, or None when there are no tables or |y|_1 lies outside
+        the proof's range."""
         s = abs(float(y[0])) + abs(float(y[1]))
-        if not s <= 2.0 ** 900:
+        if self.tables is None or not s <= 2.0 ** 900:
             return None
+        v, t, scale = self.tables
         bound = (v - (y[1] + (y[0] - y[1]) * t)).min(axis=0)
         bound -= _SEGMENT_MARGIN * (scale + s)
         return bound
@@ -350,56 +355,48 @@ class _SegmentCosts:
         The block of least bound is priced first, with np.dot on the
         aligned slice; its least reduced cost v bounds the entering one
         from above, and a block whose bound exceeds v holds only columns
-        above v.  The blocks whose bound is at most v are priced and
-        searched in ascending order, one argmin per run of consecutive
-        blocks, and np.argmin over the runs' minima keeps the first, which
-        makes the column np.argmin's over the whole row.
+        above v.  The blocks whose bound is at most v, the first block
+        among them, are priced and searched in ascending order, one argmin
+        per block, and np.argmin over the blocks' minima keeps the first,
+        which makes the column np.argmin's over the whole row.
         """
-        ext = self.ext
-        bound = None if y is None or self.tables is None else self.bounds(y)
-        n = ext.shape[1]
+        ext, n = self.ext, self.ext.shape[1]
+
+        def dot(k):
+            lo = k * _PRICE_BLOCK
+            hi = min(lo + _PRICE_BLOCK, n)
+            np.dot(weights, ext[:, lo:hi], out=red[lo:hi])
+            return lo, hi
+
+        bound = None if y is None else self.bounds(y)
         if bound is None:
-            self.fill(0, self.done.size)
-            for lo in range(0, n, _PRICE_BLOCK):
-                np.dot(weights, ext[:, lo:lo + _PRICE_BLOCK],
-                       out=red[lo:lo + _PRICE_BLOCK])
+            self.fill(np.arange(self.done.size))
+            for k in range(self.done.size):
+                dot(k)
             return -1, n
         first = int(np.argmin(bound))
-        self.fill(first, first + 1)
-        lo = first * _PRICE_BLOCK
-        hi = min(lo + _PRICE_BLOCK, n)
-        np.dot(weights, ext[:, lo:hi], out=red[lo:hi])
-        priced = hi - lo
-        runs = []                   # [first, last + 1] of consecutive blocks
-        for k in np.flatnonzero(bound <= red[lo:hi].min()).tolist():
-            if runs and runs[-1][1] == k:
-                runs[-1][1] = k + 1
-            else:
-                runs.append([k, k + 1])
-        cand = []
-        for k0, k1 in runs:
-            self.fill(k0, k1)
-            for k in range(k0, k1):
-                if k != first:
-                    a = k * _PRICE_BLOCK
-                    b = min(a + _PRICE_BLOCK, n)
-                    np.dot(weights, ext[:, a:b], out=red[a:b])
-                    priced += b - a
-            a = k0 * _PRICE_BLOCK
-            cand.append(a + int(red[a:min(k1 * _PRICE_BLOCK, n)].argmin()))
+        self.fill(np.array([first]))
+        lo, hi = dot(first)
+        blocks = np.flatnonzero(bound <= red[lo:hi].min())
+        self.fill(blocks)
+        priced, cand = 0, []
+        for k in blocks.tolist():
+            a, b = (lo, hi) if k == first else dot(k)
+            priced += b - a
+            cand.append(a + int(red[a:b].argmin()))
         return cand[int(np.argmin(red[cand]))], priced
 
 
-def _segment_tables(costs: _SegmentCosts, red: np.ndarray):
+def _segment_tables(costs: _SegmentCosts):
     """(v, t, scale): the y-independent part of ``_SegmentCosts.bounds``,
-    after costing both ends of every block; None when the bound's
-    preconditions fail.  ``red`` is scratch space.
+    after costing both ends of every block; None beyond the proof's limits,
+    |E| + |B| > 2^16 or a scale (below) above 2^900.
 
-    Preconditions, checked here.  The LP's points w_j = (t_j, s_j) have
-    t strictly ascending and t_j + s_j within 2^-50 of 1 as computed, so
-    within delta = 2^-49 exactly; |E| + |B| <= 2^16; and the scale below
-    is finite and at most 2^900.  fptas-a's |A| = 2 grid meets the first
-    two by construction: t_j = fl(j/K) and s_j = fl((K-j)/K).
+    The grid, by construction: w_j = (t_j, s_j) = (fl(j/K), fl((K-j)/K))
+    (``segment_rows``), and K < 2^52 for any grid that fits in memory.
+    With u = 2^-53, rounding moves each term by at most u times itself, so
+    by less than 1/(2K): t strictly ascends, and t_j + s_j lies within u
+    of 1 exactly (2u as computed), within delta = 2^-49.
 
     The bound.  Let g and h be the exact real functions that ``_ub_terms``
     evaluates, built from the floats it reads (``_wa_matrix``, mu(b|a),
@@ -476,19 +473,16 @@ def _segment_tables(costs: _SegmentCosts, red: np.ndarray):
     ext, cost = costs.ext, costs.cost
     n = ext.shape[1]
     _, nb, ne = cost.table.e_given_ab.shape
-    t = ext[0]
-    np.add(t, ext[1], out=red)
-    if not ((t[1:] > t[:-1]).all() and red.min() >= 1.0 - 2.0 ** -50 and
-            red.max() <= 1.0 + 2.0 ** -50 and ne + nb <= 2 ** 16):
+    if ne + nb > 2 ** 16:
         return None
     lo = np.arange(0, n, _PRICE_BLOCK)
     ends = np.stack((lo, np.minimum(lo + _PRICE_BLOCK, n) - 1), axis=1)
     costs.count += ends.size
-    g, h = _ub_terms(cost.points[ends.ravel()].T, _wa_matrix(cost.table),
-                     cost.table, cost.score)
+    g, h = _ub_terms(segment_rows(cost.k, ends.ravel()).T,
+                     _wa_matrix(cost.table), cost.table, cost.score)
     if not (np.isfinite(g).all() and np.isfinite(h).all()):
         raise _NonFiniteCost
-    ta, tb = t[ends[:, 0]], t[ends[:, 1]]
+    ta, tb = ext[0, ends[:, 0]], ext[0, ends[:, 1]]
     ga, gb = g[0::2], g[1::2]
     ha, hb = h[0::2], h[1::2]
     width = tb - ta
@@ -549,19 +543,20 @@ def envelope_iterate(ext: np.ndarray, basis: np.ndarray, x_b: np.ndarray,
     None) as soon as it is computed.
 
     With a cost row in ``ext``, every pivot prices every column in one
-    np.dot.  Given a ``segment``, the cost row starts empty: the blocks
-    of ``_PRICE_BLOCK`` columns that hold the basis are costed before the
-    first y, and a Dantzig pivot costs and prices only the blocks whose
-    lower bound on the reduced costs can hold the entering column
-    (``_SegmentCosts``; the bound and the proof of its margin are in
-    ``_segment_tables``).  Bland's rule costs every block and prices them
-    block by block.  A block's reduced costs are the full product's bit
-    for bit: its np.dot runs on the slice ext[:, lo:hi] with lo a
-    multiple of 64, where the BLAS vector loop is in step with the full
-    product's, and a block is too small for BLAS to split across threads,
-    so a segment LP's pivots do not depend on the BLAS thread count.  (A
-    whole-row product of more than about 4.6*10^5 entries is split across
-    OpenBLAS threads, and the columns at the split round differently.)
+    np.dot.  Given a ``segment``, ``ext`` holds its points over an empty
+    cost row: the blocks of ``_PRICE_BLOCK`` columns that hold the basis
+    are costed before the first y, and a Dantzig pivot costs and prices
+    only the blocks whose lower bound on the reduced costs can hold the
+    entering column (``_SegmentCosts``; the bound and the proof of its
+    margin are in ``_segment_tables``).  Bland's rule, and a pivot beyond
+    the bound's limits, cost every block and price them block by block.
+    A block's reduced costs are the full product's bit for bit: its
+    np.dot runs on the slice ext[:, lo:hi] with lo a multiple of 64, where
+    the BLAS vector loop is in step with the full product's, and a block
+    is too small for BLAS to split across threads, so a segment LP's
+    pivots do not depend on the BLAS thread count.  (A whole-row product
+    of more than about 4.6*10^5 entries is split across OpenBLAS threads,
+    and the columns at the split round differently.)
     """
     m = ext.shape[0] - 1
     n = ext.shape[1]
@@ -572,7 +567,7 @@ def envelope_iterate(ext: np.ndarray, basis: np.ndarray, x_b: np.ndarray,
     bland = False
     try:
         if costs is not None:
-            costs.start(red, basis)
+            costs.start(basis)
         while True:
             b = ext[:m, basis]
             y = np.linalg.solve(b.T, ext[m, basis])

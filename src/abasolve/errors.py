@@ -1,5 +1,7 @@
 """Exception types shared across the solver modules."""
 
+import numbers
+
 
 class SolverError(Exception):
     """Base class for all abasolve errors."""
@@ -52,3 +54,12 @@ class PreconditionViolated(SolverError):
 
 class ParseError(SolverError):
     """An instance, score, or scheme document is structurally malformed."""
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValidationError unless ``value`` is an int or numpy integer
+    (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name}={value!r} must be an integer")
+    if value < 1:
+        raise ValidationError(f"{name}={value} must be at least 1")

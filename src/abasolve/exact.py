@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from . import belief, lp, scoring
+from . import _kernels, belief, lp, scoring
 from .core import Classification, ConditionalTable, JointPrior, Method, \
     SignalingScheme, SolveReport, marginals_and_conditionals, total_value, \
     full_reveal_scheme, no_reveal_scheme
@@ -201,9 +201,11 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     if count > cap_lp_vars:
         raise SizeCapExceeded(f"arrangement has {count} candidate points, "
                               f"cap is {cap_lp_vars}", required=count)
-    ue = _obedience_blocks(marginals_and_conditionals(prior), score)
+    table = marginals_and_conditionals(prior)
+    ue = _obedience_blocks(table, score)
     points = _arrangement_points(ue)
-    sol = _envelope_lp(prior, score, points, "vertex")
+    sol = _envelope_lp(table.mu_a, (_kernels.ub_grid_wa(points, table, score),
+                                    points), "vertex")
 
     # merge the support points by lowest-index argmax profile (lossless)
     support = np.flatnonzero(sol.x > SUPPORT_MASS)

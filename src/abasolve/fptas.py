@@ -12,10 +12,10 @@ goes through ``_envelope_lp``, the pipeline it shares with the exact
 solver's LP over arrangement vertices: u_B at each point by
 ``_kernels.ub_grid_wa``, ``lp.solve_envelope``'s revised simplex, then the
 status check and the certificate.  At |A| = 2 every posterior lies on one
-segment and fptas-a's grid ascends in w_0, so from ``_SEGMENT_MIN_POINTS``
-points on the LP gets u_B as a ``_kernels.SegmentCost`` and computes it
-only in the blocks of the grid that a convexity bound cannot rule out
-(the bound and the proof of its rounding margin are in
+segment; from ``_SEGMENT_MIN_POINTS`` points on no grid is built, and the
+LP gets a ``_kernels.SegmentCost`` defined by K, whose points ascend along
+the segment by construction.  It computes u_B only in the blocks that a
+convexity bound cannot rule out (the proof is in
 ``_kernels._segment_tables``), with the same pivots and answer.
 fptas-eb's LP, with its per-grid-point achievability rows, runs on the
 dense tableau of ``lp.solve_lp``.  Every
@@ -40,7 +40,7 @@ from . import _kernels, belief, core, lp
 from .core import Classification, JointPrior, Method, SignalingScheme, \
     SolveReport, marginals_and_conditionals, total_value
 from .errors import BayesPlausibilityViolated, NumericalFailure, \
-    SizeCapExceeded, ValidationError
+    SizeCapExceeded, ValidationError, check_count
 from .lp import LinearProgram, LPSolution, LPStatus, check_cell_cap, \
     solve_envelope, solve_lp, tableau_cells
 from .scoring import ScoreSpec
@@ -52,10 +52,10 @@ EPS_CEILING = 0.49  # grid_size_K needs eps < 1; beyond this the grid is tiny an
 # lp.solve_lp) and duality gap
 GRID_FEAS_TOL = 1e-9
 GRID_GAP_TOL = 1e-7
-# |A| = 2 envelope LPs of at least this many points cost their u_B block by
-# block, as the pivots need it (``_envelope_lp``).  On one BLAS thread, u_B
-# plus the LP took 1.7x as long as costing every point at 8,000 points,
-# 1.2x at 16,000, 0.97x at 24,000, 0.82x at 32,000 and 0.65x at 49,000
+# fptas-a's |A| = 2 grids of at least this many points go to the LP as a
+# ``_kernels.SegmentCost``.  On one BLAS thread, u_B plus the LP took 1.7x
+# as long as costing every point at 8,000 points, 1.2x at 16,000, 0.97x
+# at 24,000, 0.82x at 32,000 and 0.65x at 49,000
 _SEGMENT_MIN_POINTS = 32 * 1024
 
 
@@ -63,8 +63,8 @@ def _check_args(delta: float, grid_k: int | None = None,
                 cap_grid_points: int | None = None) -> None:
     if not 0 < delta < math.inf:
         raise ValidationError(f"delta={delta!r} must be finite and positive")
-    if grid_k is not None and grid_k < 1:
-        raise ValidationError(f"grid_k={grid_k} must be at least 1")
+    if grid_k is not None:
+        check_count("grid_k", grid_k)
     if cap_grid_points is not None and cap_grid_points < 1:
         raise ValidationError(
             f"cap_grid_points={cap_grid_points} must be at least 1")
@@ -267,23 +267,10 @@ def _certify_lp(sol: LPSolution, name: str) -> None:
                                f"exceeds {GRID_GAP_TOL!r}")
 
 
-def _envelope_lp(prior: JointPrior, score: ScoreSpec, points: np.ndarray,
-                 name: str) -> LPSolution:
-    """min sum_j x_j u_B(points_j) s.t. sum_j x_j points_j = mu_A, x >= 0:
-    costs by ``_kernels.ub_grid_wa``, solved by ``solve_envelope`` and
-    certified.  ``points`` must hold every vertex of Delta_A; ``name``
-    labels the LP in the NumericalFailure messages.  At |A| = 2 and from
-    ``_SEGMENT_MIN_POINTS`` points on, the costs go as a
-    ``_kernels.SegmentCost`` and the LP computes only those it needs; its
-    bound applies when the points ascend in w_0, as fptas-a's grid does,
-    and otherwise the LP costs every point at the start.
-    """
-    table = marginals_and_conditionals(prior)
-    n, na = points.shape
-    cost = _kernels.SegmentCost(points, table, score) \
-        if na == 2 and n >= _SEGMENT_MIN_POINTS else \
-        _kernels.ub_grid_wa(points, table, score)
-    sol = solve_envelope(cost, points, table.mu_a)
+def _envelope_lp(mu: np.ndarray, costs, name: str) -> LPSolution:
+    """``solve_envelope(costs, mu)``, checked optimal and certified;
+    ``name`` labels the LP in the NumericalFailure messages."""
+    sol = solve_envelope(costs, mu)
     if sol.status is not LPStatus.OPTIMAL:
         raise NumericalFailure(f"{name} LP reported {sol.status.value}; the "
                                f"prior marginal always lies in the {name} "
@@ -322,15 +309,21 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
     _check_args(delta, grid_k, cap_grid_points)
     na = prior.n_alice
     k, diag = _resolve_grid(prior, score, delta, na, grid_k, cap_grid_points)
-    grid = enumerate_k_uniform(na, k, cap_grid_points)
-    sol = _envelope_lp(prior, score, grid, "grid")
+    table = marginals_and_conditionals(prior)
+    segment = na == 2 and k + 1 >= _SEGMENT_MIN_POINTS
+    if segment:
+        costs = _kernels.SegmentCost(k, table, score)
+    else:
+        grid = enumerate_k_uniform(na, k, cap_grid_points)
+        costs = (_kernels.ub_grid_wa(grid, table, score), grid)
+    sol = _envelope_lp(table.mu_a, costs, "grid")
 
     support = np.nonzero(sol.x > core.ZERO_SIGNAL_MASS)[0]
-    scheme = scheme_from_posteriors(
-        prior, [(sol.x[j], grid[j]) for j in support])
+    rows = _kernels.segment_rows(k, support) if segment else grid[support]
+    scheme = scheme_from_posteriors(prior, list(zip(sol.x[support], rows)))
     bob = _certified_bob(prior, score, scheme, sol, "grid")
     diag.update({
-        "grid_points": grid.shape[0],
+        "grid_points": sol.x.shape[0],
         "lp_objective": sol.objective,
         "lp_iterations": sol.iterations,
         "lp_duality_gap": sol.duality_gap,

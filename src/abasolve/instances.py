@@ -138,12 +138,7 @@ def score_to_json(score: ScoreSpec) -> dict:
 def parse_instance(path: str | Path
                    ) -> tuple[OutcomeSpaces, JointPrior, ScoreSpec]:
     """Read and structurally validate an instance document."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(path)
     _require_keys(doc, {"events", "alice_signals", "bob_signals", "prior",
                         "score"},
                   {"events", "alice_signals", "bob_signals", "prior", "score"},
@@ -190,13 +185,17 @@ def scheme_from_json(obj) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def parse_scheme(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
+    return scheme_from_json(_read_json(path))
+
+
+def _read_json(path: str | Path):
+    """The JSON document at ``path``, or ParseError."""
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return scheme_from_json(doc)
 
 
 def write_json(obj, path: str | Path | None) -> str:

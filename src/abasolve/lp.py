@@ -28,12 +28,11 @@ P does) and starts from the vertex basis B = I, x_B = mu, so it needs no
 phase 1, no artificials and no tableau; each pivot is a pricing pass over
 the columns plus m x m solves (Dantzig & Orchard-Hays 1954), with the same
 pricing rules and tolerances as ``solve_lp``.  A cost vector is priced
-in full, one np.dot per pivot.  At m = 2 the costs may instead come as a
-``_kernels.SegmentCost``, u_B at points that ascend along the segment,
-which the pivots compute block by block as they need them: a Dantzig
-pivot costs and prices only the blocks of 1,024 columns that a convexity
-bound on u_B cannot rule out, and enters the column a full pass would
-(``_kernels.envelope_iterate``; the proof is in
+in full, one np.dot per pivot.  fptas-a's |A| = 2 grid comes instead as a
+``_kernels.SegmentCost`` defined by K, its points and vertices formed
+from K; a Dantzig pivot costs and prices only the blocks of 1,024 columns
+that a convexity bound on u_B cannot rule out, and enters the column a
+full pass would (``_kernels.envelope_iterate``; the proof is in
 ``_kernels._segment_tables``).  On fptas-a's 10^6-point grids that costs
 2-4% of the points.  A NaN or infinite cost raises NumericalFailure
 before any pivot uses it.  The solution's ``columns_priced`` counts the
@@ -260,48 +259,48 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
                       comp_slack_residual=comp, feasibility_residual=resid)
 
 
-def solve_envelope(cost: np.ndarray | _kernels.SegmentCost,
-                   points: np.ndarray, mu: np.ndarray) -> LPSolution:
+def solve_envelope(costs: tuple[np.ndarray, np.ndarray] | _kernels.SegmentCost,
+                   mu: np.ndarray) -> LPSolution:
     """min cost.x  s.t.  points^T x = mu, x >= 0, by revised simplex.
 
-    ``points`` holds n rows on the probability simplex over m outcomes,
-    every vertex e_a among them; ``mu`` lies on the simplex too, so the LP
-    is always feasible and bounded.  ``cost`` is the cost vector, or, for
-    m = 2, a ``_kernels.SegmentCost`` over ``points``, which the pivots
-    cost block by block as they need it.  The solution carries ``dual_eq``
-    = y with reduced costs cost - y points^T >= -FEAS_TOL, a
-    ``feasibility_residual`` of max(|points^T x - mu|, |sum x - 1|,
-    max(-x, 0)), and a ``duality_gap`` that bounds how far cost.x lies
-    above the optimum: |cost.x - y.mu| plus the most negative reduced
-    cost, since every feasible x sums to 1.  ``columns_priced`` counts the
-    reduced costs computed, (iterations + 1) n for a cost vector, and
-    ``columns_costed`` the costs: n for a cost vector.
+    ``costs`` is the pair (cost, points): n costs and n rows on the
+    probability simplex over m outcomes, every vertex e_a among them; or a
+    ``_kernels.SegmentCost``, fptas-a's |A| = 2 grid, which is its own
+    points and whose costs the pivots compute as they need them.  ``mu``
+    lies on the simplex too, so the LP is always feasible and bounded.  The
+    solution carries ``dual_eq`` = y with reduced costs cost - y points^T
+    >= -FEAS_TOL, a ``feasibility_residual`` of max(|points^T x - mu|,
+    |sum x - 1|, max(-x, 0)), and a ``duality_gap`` that bounds how far
+    cost.x lies above the optimum: |cost.x - y.mu| plus the most negative
+    reduced cost, since every feasible x sums to 1.  ``columns_priced``
+    counts the reduced costs computed, (iterations + 1) n for a cost
+    vector, and ``columns_costed`` the costs: n for a cost vector.
 
-    Raises ValidationError when a vertex is missing or a SegmentCost does
-    not fit the LP, and NumericalFailure when a cost is NaN or infinite
-    (a cost vector is checked before the first pivot, a SegmentCost's
-    costs as they are computed) or pivoting exceeds 50*(rows+cols)
-    iterations.
+    Raises ValidationError when a vertex is missing from ``points``, and
+    NumericalFailure when a cost is NaN or infinite (a cost vector is
+    checked before the first pivot, a SegmentCost's costs as they are
+    computed) or pivoting exceeds 50*(rows+cols) iterations.
     """
-    n, m = points.shape
-    ext = np.empty((m + 1, n))
-    ext[:m] = points.T
     segment = None
-    if isinstance(cost, _kernels.SegmentCost):
-        if m != 2 or cost.points.shape != points.shape:
-            raise ValidationError("a segment cost needs the LP's own points "
-                                  "over two outcomes")
-        segment = cost
+    if isinstance(costs, _kernels.SegmentCost):
+        segment, n, m = costs, costs.k + 1, 2
+        ext = np.empty((m + 1, n))
+        _kernels.segment_rows(costs.k, np.arange(n, dtype=float), ext[:m])
+        basis = np.array([n - 1, 0])      # the vertices e_0 and e_1
     else:
+        cost, points = costs
+        n, m = points.shape
+        ext = np.empty((m + 1, n))
+        ext[:m] = points.T
         ext[m] = cost
         if not np.isfinite(ext[m]).all():
             raise NumericalFailure(
                 f"envelope LP cost {int(np.argmin(np.isfinite(ext[m])))} "
                 "is not finite")
-    basis = np.argmax(ext[:m], axis=1)
-    if not (ext[np.arange(m), basis] == 1.0).all():
-        raise ValidationError("envelope LP points must include every vertex "
-                              "of the simplex")
+        basis = np.argmax(ext[:m], axis=1)
+        if not (ext[np.arange(m), basis] == 1.0).all():
+            raise ValidationError("envelope LP points must include every "
+                                  "vertex of the simplex")
     x_b = np.array(mu, dtype=float)
     max_iter = 50 * (m + n)
     status, iters, y, least, priced, costed = _kernels.envelope_iterate(

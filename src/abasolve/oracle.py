@@ -18,7 +18,8 @@ from . import _kernels, belief, scoring
 from .core import CheckReport, Classification, ConditionalTable, JointPrior, \
     Method, SignalingScheme, SolveReport, _value_terms, \
     marginals_and_conditionals, total_value
-from .errors import PreconditionViolated, SizeCapExceeded, ValidationError
+from .errors import PreconditionViolated, SizeCapExceeded, ValidationError, \
+    check_count
 from .fptas import _continuity_modulus
 from .scoring import ScoreKind, ScoreSpec
 
@@ -39,8 +40,7 @@ def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
     na, nb, ne = prior.n_alice, prior.n_bob, prior.n_events
     if not 0 < grid_step <= 1:
         raise ValidationError(f"grid_step={grid_step!r} must lie in (0, 1]")
-    if max_signals < 1:
-        raise ValidationError(f"max_signals={max_signals} must be at least 1")
+    check_count("max_signals", max_signals)
     if na > 3 or max_signals > 3 or round(1.0 / grid_step) > 100:
         raise SizeCapExceeded(
             "oracle limits: |A| <= 3, max_signals <= 3, 1/grid_step <= 100")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import ScoreKind
-from .errors import BoundaryTangent, ValidationError
+from .errors import BoundaryTangent, ValidationError, check_count
 
 
 @dataclass(frozen=True)
@@ -240,8 +240,7 @@ def linearize_smooth(score: ScoreSpec, tangent_points) -> ScoreSpec:
 
 def default_tangent_grid(score: ScoreSpec, n_events: int, k: int = 20) -> np.ndarray:
     """K-uniform tangent points for linearization (boundary dropped for log)."""
-    if k < 1:
-        raise ValidationError(f"tangent_k={k} must be at least 1")
+    check_count("tangent_k", k)
     grid = _kernels.compositions(k, n_events).astype(float) / k
     if score.kind is ScoreKind.LOG:
         grid = grid[(grid > 0.0).all(axis=1)]

@@ -1,12 +1,14 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from abasolve import cli, exact, fptas, instances
-from abasolve.errors import NonFiniteScore, NumericalFailure, ParseError
+from abasolve import cli, exact, fptas, instances, oracle
+from abasolve.errors import NonFiniteScore, NumericalFailure, ParseError, \
+    ValidationError
 from abasolve.instances import (emit_report, parse_instance, write_json,
                                 instance_to_json)
 from abasolve.lp import LPSolution, LPStatus
@@ -58,6 +60,19 @@ def test_parse_rejects_wrong_row_length(tmp_path, xor_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match=r"prior\[0\]\[1\]"):
         parse_instance(bad)
+
+
+@pytest.mark.parametrize("parse", (parse_instance, instances.parse_scheme))
+def test_parsers_refuse_a_missing_file_and_malformed_json(tmp_path, parse):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ParseError,
+                       match=f"^cannot read {re.escape(str(missing))}: "):
+        parse(missing)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"signals": [')
+    with pytest.raises(ParseError,
+                       match=f"^{re.escape(str(bad))}: invalid JSON: "):
+        parse(bad)
 
 
 def test_cli_classify_golden(xor_path, tmp_path, capsys):
@@ -184,6 +199,52 @@ def test_cli_out_of_range_argument_exits_validation(xor_path, capsys, argv,
     status = cli.main([argv[0], str(xor_path)] + argv[1:])
     assert status == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# each solver's integer size argument, called at a given value
+COUNT_CALLS = {
+    "grid_k-a": lambda prior, k: fptas.fptas_a_const(
+        prior, quadratic_score(), 0.5, grid_k=k),
+    "grid_k-eb": lambda prior, k: fptas.fptas_eb_const(
+        prior, quadratic_score(), 0.5, grid_k=k),
+    "max_signals": lambda prior, k: oracle.oracle_optimal(
+        prior, quadratic_score(), 0.05, max_signals=k),
+    "tangent_k": lambda prior, k: exact.classify_substitutes(
+        prior, quadratic_score(), tangent_k=k),
+}
+
+
+@pytest.mark.parametrize("value", (2.5, 2.0, np.float64(3.0), True, "3"),
+                         ids=["2.5", "2.0", "float64", "True", "str"])
+@pytest.mark.parametrize("name", COUNT_CALLS)
+def test_non_integer_count_is_a_validation_error(name, value):
+    # a float, a bool or a string is refused before any array is sized
+    # by it: a float used to raise a bare TypeError, True ran as K = 1
+    # and tangent_k = 2.5 linearized at points summing to 0.8
+    _, prior = instances.xor_instance()
+    field = name.split("-")[0]
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{field}={value!r} must be an integer")):
+        COUNT_CALLS[name](prior, value)
+
+
+@pytest.mark.parametrize("name", COUNT_CALLS)
+def test_numpy_integer_count_is_accepted(name):
+    _, prior = instances.xor_instance()
+    call = COUNT_CALLS[name]
+    assert emit_report(call(prior, np.int64(3)), None) == \
+        emit_report(call(prior, 3), None)
+
+
+@pytest.mark.parametrize("command, method, field", (
+    ("solve", "oracle", "max_signals"), ("classify", "exact", "tangent_k")))
+def test_cli_run_refuses_a_non_integer_count(xor_path, capsys, command,
+                                             method, field):
+    config = cli.RunConfig(command=command, instance_path=str(xor_path),
+                           method=method, **{field: 2.5})
+    assert cli.run(config) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {field}=2.5 must be an " \
+        "integer\n"
 
 
 IGNORED_OPTIONS = {

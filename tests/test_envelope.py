@@ -20,12 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from abasolve import _kernels, fptas, lp
+from abasolve import _kernels, exact, fptas, lp
 from abasolve.core import JointPrior, marginals_and_conditionals
 from abasolve.errors import NumericalFailure, ValidationError
 from abasolve.fptas import enumerate_k_uniform
 from abasolve.lp import FEAS_TOL, LPStatus, solve_envelope
-from abasolve.scoring import log_score, quadratic_score, spherical_score
+from abasolve.scoring import log_score, piecewise_score, quadratic_score, \
+    spherical_score
 
 from helpers import envelope_iterate_frozen, envelope_lp_tableau, \
     envelope_simplex_loop, random_piecewise, random_prior
@@ -70,7 +71,7 @@ def test_envelope_matches_tableau_and_highs(na, kind):
     rng = np.random.default_rng([na, len(kind)])
     for _ in range(4):
         cost, points, mu = _case(rng, na, kind)
-        sol = solve_envelope(cost, points, mu)
+        sol = solve_envelope((cost, points), mu)
         _certify(sol, cost, points, mu)
         assert sol.objective == pytest.approx(
             envelope_lp_tableau(cost, points, mu), abs=1e-9)
@@ -88,7 +89,7 @@ def test_envelope_follows_pivot_rules(monkeypatch, na, degen_limit):
     rng = np.random.default_rng([na, 7])
     for kind in ("generic", "zero_mu", "zero_mu"):
         cost, points, mu = _case(rng, na, kind)
-        sol = solve_envelope(cost, points, mu)
+        sol = solve_envelope((cost, points), mu)
         x, y, pivots = envelope_simplex_loop(cost, points, mu, degen_limit)
         assert sol.iterations == pivots
         np.testing.assert_allclose(sol.x, x, rtol=0, atol=1e-12)
@@ -101,9 +102,9 @@ def test_envelope_bland_switch_changes_the_path(monkeypatch):
     # Dantzig's to the same optimum
     rng = np.random.default_rng([3, 7])
     cost, points, mu = _case(rng, 3, "zero_mu")
-    dantzig = solve_envelope(cost, points, mu)
+    dantzig = solve_envelope((cost, points), mu)
     monkeypatch.setattr(lp, "DEGENERACY_LIMIT", 0)
-    bland = solve_envelope(cost, points, mu)
+    bland = solve_envelope((cost, points), mu)
     assert bland.iterations != dantzig.iterations
     assert bland.objective == pytest.approx(dantzig.objective, abs=1e-12)
 
@@ -113,8 +114,8 @@ def test_envelope_ratio_tie_leaves_smallest_basis_index():
     # and both vertex rows tie in the ratio test.  Vertex (0,1), column 0,
     # leaves, so the basis is {(1,0), midpoint} and y solves y0 = 0,
     # (y0 + y1)/2 = -1.
-    sol = solve_envelope(np.array([0.0, -1.0, 0.0]),
-                         enumerate_k_uniform(2, 2), np.array([0.5, 0.5]))
+    sol = solve_envelope((np.array([0.0, -1.0, 0.0]),
+                          enumerate_k_uniform(2, 2)), np.array([0.5, 0.5]))
     assert sol.iterations == 1
     assert sol.x.tolist() == [0.0, 1.0, 0.0]
     assert sol.dual_eq.tolist() == [0.0, -2.0]
@@ -124,7 +125,7 @@ def test_envelope_starts_at_the_vertex_basis():
     # at a vertex optimum no pivot is needed: the start basis is optimal
     points = enumerate_k_uniform(3, 5)
     cost = points @ np.array([1.0, 2.0, 3.0])
-    sol = solve_envelope(cost, points, np.array([0.2, 0.3, 0.5]))
+    sol = solve_envelope((cost, points), np.array([0.2, 0.3, 0.5]))
     assert sol.iterations == 0
     assert sol.x[np.argmax(points, axis=0)].tolist() == [0.2, 0.3, 0.5]
     assert sol.dual_eq.tolist() == [1.0, 2.0, 3.0]
@@ -133,7 +134,7 @@ def test_envelope_starts_at_the_vertex_basis():
 def test_envelope_requires_every_vertex():
     points = enumerate_k_uniform(3, 4)[1:]     # drops vertex (0, 0, 1)
     with pytest.raises(ValidationError, match="every vertex"):
-        solve_envelope(np.zeros(len(points)), points,
+        solve_envelope((np.zeros(len(points)), points),
                        np.array([0.2, 0.3, 0.5]))
 
 
@@ -147,14 +148,14 @@ def test_envelope_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(lp._kernels, "envelope_iterate", stalled)
     points = enumerate_k_uniform(3, 4)
     with pytest.raises(NumericalFailure, match="exceeded 900 pivots"):
-        solve_envelope(np.zeros(len(points)), points, np.full(3, 1 / 3))
+        solve_envelope((np.zeros(len(points)), points), np.full(3, 1 / 3))
     assert seen == [50 * (3 + len(points))]
 
 
 def test_envelope_kernel_stops_at_max_iter():
     rng = np.random.default_rng(11)
     cost, points, mu = _case(rng, 3, "generic")
-    full = solve_envelope(cost, points, mu)
+    full = solve_envelope((cost, points), mu)
     assert full.iterations >= 2
     ext = np.vstack((points.T, cost))
     basis = np.argmax(points, axis=0)
@@ -196,15 +197,15 @@ SEGMENT_N = (BLOCK + 1, 3 * BLOCK - 100, ENGAGE - 1, ENGAGE + 1,
 SEGMENT_KINDS = ("quadratic", "log", "spherical", "piecewise", "affine")
 
 
-def _segment_case(rng, n, kind, zero_b):
-    """(points, table, score) of an |A| = 2 envelope LP over the n-point
-    K-uniform grid.  With ``zero_b`` Bob's outcome 0 has zero mass under
-    alice outcome 0 and one more entry of the prior is 0, so some
-    posteriors near the vertices are 0/0 or hold zeros (the log score's
-    boundary posteriors).  Kinds: the four score kinds, "piecewise" with
-    2-5 pieces, so u_B has kinks and is affine between them, and "affine",
-    one piece, so u_B is affine along the grid and every block's bound is
-    as tight as it gets."""
+def _segment_case(rng, kind, zero_b):
+    """(table, score) of an |A| = 2 envelope LP over fptas-a's grid.
+    With ``zero_b`` Bob's outcome 0 has zero mass under alice outcome 0
+    and one more entry of the prior is 0, so some posteriors near the
+    vertices are 0/0 or hold zeros (the log score's boundary posteriors).
+    Kinds: the four score kinds, "piecewise" with 2-5 pieces, so u_B has
+    kinks and is affine between them, and "affine", one piece, so u_B is
+    affine along the grid and every block's bound is as tight as it
+    gets."""
     ne, nb = int(rng.integers(2, 5)), int(rng.integers(1, 5))
     p = rng.gamma(1.0, size=(ne, 2, nb))
     if zero_b:
@@ -215,31 +216,37 @@ def _segment_case(rng, n, kind, zero_b):
              "spherical": spherical_score}.get(kind)
     score = score() if score is not None else random_piecewise(
         rng, ne=ne, k=1 if kind == "affine" else int(rng.integers(2, 6)))
-    return enumerate_k_uniform(2, n - 1), table, score
+    return table, score
 
 
-def _assert_segment_matches_frozen(points, table, score, mu, max_iter,
+def _segment_ext(k):
+    """The (3, K + 1) ``ext`` that ``solve_envelope`` builds for a
+    ``SegmentCost`` at K = k, its cost row NaN, and its vertex basis."""
+    ext = np.full((3, k + 1), np.nan)
+    _kernels.segment_rows(k, np.arange(k + 1, dtype=float), ext[:2])
+    return ext, np.array([k, 0])
+
+
+def _assert_segment_matches_frozen(k, table, score, mu, max_iter,
                                    degen_limit):
-    """The segment kernel, from a cost row of NaN, against the frozen
-    kernel over the full u_B row: status, pivots, basis, x_b, y and the
+    """The segment kernel on ``SegmentCost(k, ...)``, from a cost row of
+    NaN, against the frozen kernel over the full u_B row of
+    ``enumerate_k_uniform(2, k)``: status, pivots, basis, x_b, y and the
     least reduced cost bit for bit, and every costed column equal to the
     full row's, in whole blocks, two ends per block counted besides."""
-    n = len(points)
+    points = enumerate_k_uniform(2, k)
+    n = k + 1
     full = _kernels.ub_grid_wa(points, table, score)
-    seg_ext = np.vstack((points.T, np.full(n, np.nan)))
-    runs = []
-    for ext, cost in ((seg_ext, _kernels.SegmentCost(points, table, score)),
-                      (np.vstack((points.T, full)), None)):
-        basis = np.argmax(ext[:2], axis=1)
-        x_b = mu.copy()
-        if cost is None:
-            res = envelope_iterate_frozen(ext, basis, x_b, FEAS_TOL,
-                                          max_iter, degen_limit)
-        else:
-            res = _kernels.envelope_iterate(ext, basis, x_b, FEAS_TOL,
-                                            max_iter, degen_limit, cost)
-        runs.append(res + (basis, x_b))
-    new, frozen = runs
+    seg_ext, seg_basis = _segment_ext(k)
+    x_b = mu.copy()
+    new = _kernels.envelope_iterate(
+        seg_ext, seg_basis, x_b, FEAS_TOL, max_iter, degen_limit,
+        _kernels.SegmentCost(k, table, score)) + (seg_basis, x_b)
+    ext = np.vstack((points.T, full))
+    basis = np.argmax(points, axis=0)
+    x_b = mu.copy()
+    frozen = envelope_iterate_frozen(ext, basis, x_b, FEAS_TOL, max_iter,
+                                     degen_limit) + (basis, x_b)
     _assert_same_run(new[:4] + new[6:], frozen)
     done = ~np.isnan(seg_ext[2])
     assert seg_ext[2, done].tobytes() == full[done].tobytes()
@@ -263,6 +270,44 @@ def _assert_same_run(new, frozen):
         f_red[np.argmin(f_red)].tobytes()
 
 
+def _assert_same_solution(sol, ref):
+    """Pivots, x, y, objective, gap and residual of two envelope LP
+    solutions, bit for bit."""
+    assert sol.iterations == ref.iterations
+    for got, want in ((sol.x, ref.x), (sol.dual_eq, ref.dual_eq)):
+        assert got.tobytes() == want.tobytes()
+    assert (sol.objective, sol.duality_gap, sol.feasibility_residual) == \
+        (ref.objective, ref.duality_gap, ref.feasibility_residual)
+
+
+@pytest.mark.parametrize("k", (ENGAGE - 1, 3 * BLOCK + 517, 999_999))
+def test_segment_rows_are_the_k_uniform_grid(k):
+    # the segment LP forms fptas-a's |A| = 2 grid from K alone: in both
+    # layouts, and at any indices, its points are enumerate_k_uniform's
+    grid = enumerate_k_uniform(2, k)
+    rows = _kernels.segment_rows(k, np.arange(k + 1))
+    assert rows.flags.c_contiguous
+    assert rows.tobytes() == grid.tobytes()
+    ext, basis = _segment_ext(k)
+    assert ext[:2].tobytes() == np.ascontiguousarray(grid.T).tobytes()
+    assert ext[:2, basis].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    some = np.random.default_rng(k).integers(0, k + 1, size=50)
+    assert _kernels.segment_rows(k, some).tobytes() == grid[some].tobytes()
+
+
+def test_segment_rows_meet_the_bound_preconditions_at_the_largest_k():
+    # the bound's proof (``_segment_tables``) needs t strictly ascending
+    # and t + s within 2^-50 of 1; at the largest K the default point cap
+    # admits, checked in slices that overlap by one point
+    k = fptas.DEFAULT_GRID_CAP - 1
+    step = 1 << 20
+    for lo in range(0, k + 1, step):
+        t, s = _kernels.segment_rows(k, np.arange(lo, min(lo + step + 1,
+                                                          k + 1))).T
+        assert (t[1:] > t[:-1]).all()
+        assert np.abs(t + s - 1.0).max() <= 2.0 ** -50
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from(SEGMENT_N), kind=st.sampled_from(SEGMENT_KINDS),
        zero_b=st.booleans(), vertex_mu=st.booleans(),
@@ -276,30 +321,30 @@ def test_screened_pricing_matches_full_pass_bit_for_bit(n, kind, zero_b,
     # it can take thousands of pivots, so a run stops at 300 and is
     # compared at that point
     rng = np.random.default_rng(seed)
-    points, table, score = _segment_case(rng, n, kind, zero_b)
+    table, score = _segment_case(rng, kind, zero_b)
     mu = np.array([1.0, 0.0]) if vertex_mu else table.mu_a
-    _assert_segment_matches_frozen(points, table, score, mu, 300,
+    _assert_segment_matches_frozen(n - 1, table, score, mu, 300,
                                    degen_limit)
 
 
 def test_screened_pricing_keeps_the_first_of_tied_minima(monkeypatch):
     # with g = 4 (t - 1/2)^2 and h = 2 |t - 1/2|, both convex, u_B = g - h
     # has two minima, at t = 1/4 and t = 3/4, that round alike; at the
-    # vertex basis's duals (0, 0) their blocks are priced in two separate
-    # runs, and the first must enter, as np.argmin's column
+    # vertex basis's duals (0, 0) their blocks are priced apart, and the
+    # first must enter, as np.argmin's column
     def terms(wt, m, table, score):
         x = wt[0] - 0.5
         return 4.0 * x * x, 2.0 * np.abs(x)
 
     monkeypatch.setattr(_kernels, "_ub_terms", terms)
     rng = np.random.default_rng(3)
-    points, table, score = _segment_case(rng, 4 * ENGAGE + 1, "quadratic",
-                                         False)
-    cost = _kernels.ub_grid_wa(points, table, score)
+    k = 4 * ENGAGE
+    table, score = _segment_case(rng, "quadratic", False)
+    cost = _kernels.ub_grid_wa(enumerate_k_uniform(2, k), table, score)
     tied = np.flatnonzero(cost == cost.min())
-    assert points[tied, 0].tolist() == [0.25, 0.75]
-    new = _assert_segment_matches_frozen(points, table, score, table.mu_a,
-                                         300, lp.DEGENERACY_LIMIT)
+    assert (tied / k).tolist() == [0.25, 0.75]
+    new = _assert_segment_matches_frozen(k, table, score, table.mu_a, 300,
+                                         lp.DEGENERACY_LIMIT)
     assert new[1] >= 1
 
 
@@ -312,16 +357,16 @@ def test_segment_bounds_hold_for_every_column(kind):
     rng = np.random.default_rng(len(kind))
     for trial in range(6):
         n = SEGMENT_N[trial]
-        points, table, score = _segment_case(rng, n, kind, trial % 2 == 1)
-        ext = np.vstack((points.T, np.full(n, np.nan)))
+        table, score = _segment_case(rng, kind, trial % 2 == 1)
+        ext, basis = _segment_ext(n - 1)
         costs = _kernels._SegmentCosts(
-            ext, _kernels.SegmentCost(points, table, score))
-        costs.start(np.empty(n), np.array([n - 1, 0]))
-        costs.fill(0, costs.done.size)
+            ext, _kernels.SegmentCost(n - 1, table, score))
+        costs.start(basis)
+        costs.fill(np.arange(costs.done.size))
         assert costs.tables is not None
-        opt = solve_envelope(ext[2], points, table.mu_a).dual_eq
+        opt = solve_envelope((ext[2], ext[:2].T), table.mu_a).dual_eq
         scale = np.abs(ext[2]).max()
-        for y in (ext[2, [n - 1, 0]], opt, opt + 1e-6 * rng.normal(size=2),
+        for y in (ext[2, basis], opt, opt + 1e-6 * rng.normal(size=2),
                   opt + 1e-3 * rng.normal(size=2),
                   scale * rng.normal(size=2)):
             bound = costs.bounds(y)
@@ -332,25 +377,33 @@ def test_segment_bounds_hold_for_every_column(kind):
                 bound > least))
 
 
-def test_screen_engages_and_matches_full_pass():
-    # fptas-a's envelope LP costs u_B block by block from the engage size
-    # on, and returns the solution a full cost vector gives, bit for bit;
-    # below it, it costs every point up front
+def test_screen_engages_and_matches_full_pass(monkeypatch):
+    # fptas-a gives its |A| = 2 LP a SegmentCost from the engage size on,
+    # and the LP returns the solution a full cost vector over
+    # enumerate_k_uniform's grid gives, bit for bit; below it, fptas-a
+    # builds the grid and costs every point up front
+    real = fptas.solve_envelope
+    seen = []
+
+    def spy(costs, mu):
+        seen.append((costs, real(costs, mu)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(fptas, "solve_envelope", spy)
     rng = np.random.default_rng(0)
     for n in (ENGAGE - 1, ENGAGE, 3 * ENGAGE + 1):
         prior = random_prior(rng, ne=3, na=2, nb=4)
         table = marginals_and_conditionals(prior)
         points = enumerate_k_uniform(2, n - 1)
         for score in (log_score(), quadratic_score()):
-            sol = fptas._envelope_lp(prior, score, points, "grid")
-            ref = solve_envelope(_kernels.ub_grid_wa(points, table, score),
-                                 points, table.mu_a)
-            assert sol.iterations == ref.iterations >= 2
-            for got, want in ((sol.x, ref.x), (sol.dual_eq, ref.dual_eq)):
-                assert got.tobytes() == want.tobytes()
-            assert (sol.objective, sol.duality_gap,
-                    sol.feasibility_residual) == \
-                (ref.objective, ref.duality_gap, ref.feasibility_residual)
+            report = fptas.fptas_a_const(prior, score, 0.05, grid_k=n - 1)
+            costs, sol = seen[-1]
+            assert report.diagnostics["grid_points"] == n
+            assert isinstance(costs, _kernels.SegmentCost) == (n >= ENGAGE)
+            ref = real((_kernels.ub_grid_wa(points, table, score), points),
+                       table.mu_a)
+            assert sol.iterations >= 2
+            _assert_same_solution(sol, ref)
             if n < ENGAGE:
                 assert sol.columns_costed == n
                 assert sol.columns_priced == (sol.iterations + 1) * n
@@ -366,29 +419,60 @@ def test_screen_sizes_straddle_the_engage_size():
     assert 4 * ENGAGE <= SEGMENT_N[-1] and 3 * SEGMENT_N[-1] < 460_800
 
 
-def test_segment_cost_off_its_preconditions_costs_every_point():
-    # points out of order, or one point off the line w_0 + w_1 = 1 by more
-    # than 2^-50, void the bound's proof: the LP costs every point at the
-    # start and prices every block at every pivot, as a cost vector does
-    rng = np.random.default_rng(13)
-    table = marginals_and_conditionals(random_prior(rng, ne=3, na=2, nb=3))
-    grid = enumerate_k_uniform(2, 3 * BLOCK)
-    off = grid.copy()
-    off[1500, 1] *= 1.0 + 2.0 ** -40
-    for points in (grid[::-1].copy(), off):
-        n = len(points)
-        cost = _kernels.ub_grid_wa(points, table, log_score())
-        sol = solve_envelope(_kernels.SegmentCost(points, table, log_score()),
-                             points, table.mu_a)
-        ref = solve_envelope(cost, points, table.mu_a)
-        assert sol.iterations == ref.iterations >= 2
-        assert sol.x.tobytes() == ref.x.tobytes()
-        assert sol.dual_eq.tobytes() == ref.dual_eq.tobytes()
-        assert sol.columns_costed == n
-        assert sol.columns_priced == (sol.iterations + 1) * n
-    with pytest.raises(ValidationError, match="segment cost"):
-        solve_envelope(_kernels.SegmentCost(grid[:5], table, log_score()),
-                       grid, table.mu_a)
+def test_exact_lp_past_the_engage_size_prices_a_cost_vector(monkeypatch):
+    # the exact solver's |A| = 2 vertex LP, here 57,151 points with the
+    # vertices first, is costed in full and priced from its cost vector,
+    # whatever its size: the segment path is fptas-a's grid alone
+    real = fptas.solve_envelope
+    seen = []
+
+    def spy(costs, mu):
+        seen.append((costs, real(costs, mu)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(fptas, "solve_envelope", spy)
+    rng = np.random.default_rng(3)
+    prior = random_prior(rng, ne=2, na=2, nb=3)
+    score = random_piecewise(rng, ne=2, k=450)
+    exact.solve_exact(prior, score)
+    (cost, points), sol = seen[0]
+    n = len(points)
+    assert n == 57_151 and points[:2].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert sol.iterations >= 2
+    assert sol.columns_costed == n
+    assert sol.columns_priced == (sol.iterations + 1) * n
+    table = marginals_and_conditionals(prior)
+    ref = real((_kernels.ub_grid_wa(points, table, score), points),
+               table.mu_a)
+    _assert_same_solution(sol, ref)
+
+
+def test_segment_beyond_the_bound_limits_costs_every_block():
+    # a piecewise G with coefficients near 1e280 puts every block's scale
+    # above 2^900, past the proof's range: no bound is built, every block
+    # is costed on the first pricing pass and priced at every pivot, and
+    # the solution is the cost vector's bit for bit
+    rng = np.random.default_rng(29)
+    table = marginals_and_conditionals(random_prior(rng, ne=2, na=2, nb=2))
+    score = piecewise_score([(1e280 * rng.uniform(-1.0, 1.0, size=2),
+                              1e280 * rng.uniform(-1.0, 1.0))
+                             for _ in range(4)])
+    k = 2 * ENGAGE + 517
+    n = k + 1
+    ext, basis = _segment_ext(k)
+    costs = _kernels._SegmentCosts(ext, _kernels.SegmentCost(k, table,
+                                                             score))
+    costs.start(basis)
+    assert costs.tables is None
+    assert np.flatnonzero(costs.done).tolist() == [0, costs.done.size - 1]
+    points = enumerate_k_uniform(2, k)
+    sol = solve_envelope(_kernels.SegmentCost(k, table, score), table.mu_a)
+    ref = solve_envelope((_kernels.ub_grid_wa(points, table, score), points),
+                         table.mu_a)
+    assert sol.iterations >= 1
+    _assert_same_solution(sol, ref)
+    assert sol.columns_costed == 2 * costs.done.size + n
+    assert sol.columns_priced == (sol.iterations + 1) * n
 
 
 def test_nan_cost_raises_before_the_first_pivot():
@@ -403,7 +487,7 @@ def test_nan_cost_raises_before_the_first_pivot():
         c[1234] = bad
         start = time.perf_counter()
         with pytest.raises(NumericalFailure, match="cost 1234 is not finite"):
-            solve_envelope(c, points, table.mu_a)
+            solve_envelope((c, points), table.mu_a)
         assert time.perf_counter() - start < 0.1
 
 
@@ -412,7 +496,6 @@ def test_segment_path_raises_on_a_non_finite_cost(monkeypatch, where):
     # a NaN among the blocks' ends, or in a block when it is costed, stops
     # the LP at once: nothing is costed after it
     rng = np.random.default_rng(7)
-    points = enumerate_k_uniform(2, 4 * BLOCK)
     table = marginals_and_conditionals(random_prior(rng, ne=2, na=2, nb=2))
     terms, grid_wa = _kernels._ub_terms, _kernels.ub_grid_wa
     calls = []
@@ -433,8 +516,8 @@ def test_segment_path_raises_on_a_non_finite_cost(monkeypatch, where):
     else:
         monkeypatch.setattr(_kernels, "ub_grid_wa", nan_block)
     with pytest.raises(NumericalFailure, match="cost is not finite"):
-        solve_envelope(_kernels.SegmentCost(points, table, log_score()),
-                       points, table.mu_a)
+        solve_envelope(_kernels.SegmentCost(4 * BLOCK, table, log_score()),
+                       table.mu_a)
     assert calls == (["terms"] if where == "ends" else ["block"])
 
 
@@ -442,7 +525,7 @@ def test_columns_priced_is_every_column_per_pass_below_the_screen():
     rng = np.random.default_rng(17)
     for na in (2, 3, 4):
         cost, points, mu = _case(rng, na, "generic")
-        sol = solve_envelope(cost, points, mu)
+        sol = solve_envelope((cost, points), mu)
         assert sol.iterations >= 1
         assert sol.columns_priced == (sol.iterations + 1) * len(points)
         assert sol.columns_costed == len(points)
@@ -453,13 +536,14 @@ def test_screen_prices_under_a_tenth_on_a_million_point_grid():
     # segment path costs under 5% of the points and prices under a tenth
     # of the columns per pivot
     rng = np.random.default_rng(23)
-    points = enumerate_k_uniform(2, 999_999)
-    prior = random_prior(rng, ne=3, na=2, nb=4)
-    sol = fptas._envelope_lp(prior, log_score(), points, "grid")
+    table = marginals_and_conditionals(random_prior(rng, ne=3, na=2, nb=4))
+    sol = fptas._envelope_lp(
+        table.mu_a, _kernels.SegmentCost(999_999, table, log_score()), "grid")
+    n = 1_000_000
     assert sol.status is LPStatus.OPTIMAL and sol.iterations >= 2
     assert sol.duality_gap <= 2 * FEAS_TOL
-    assert sol.columns_costed < 0.05 * len(points)
-    assert sol.columns_priced < 0.1 * (sol.iterations + 1) * len(points)
+    assert sol.columns_costed < 0.05 * n
+    assert sol.columns_priced < 0.1 * (sol.iterations + 1) * n
 
 
 REPORT_SCRIPT = """

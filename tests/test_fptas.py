@@ -419,8 +419,9 @@ def test_fptas_a_certificate_gate(monkeypatch, xor_prior, quad, perturb,
                                   message):
     solve = fptas.solve_envelope
 
-    def perturbed(cost, points, mu):
-        sol = solve(cost, points, mu)
+    def perturbed(costs, mu):
+        sol = solve(costs, mu)
+        points = costs[1]
         assert _feasibility_residual(sol, points, mu) <= \
             fptas.GRID_FEAS_TOL and sol.duality_gap <= fptas.GRID_GAP_TOL
         return perturb(sol, points, mu)
