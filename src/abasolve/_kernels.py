@@ -9,10 +9,13 @@ kernels cost their before-report posteriors, whose mass is 1, with
 ``g_rows_np`` directly.  Both skip their guard passes on rows that need
 none.  ``pivot`` is shared by ``simplex_iterate`` and the LP driver's
 artificial drive-out.  ``envelope_iterate`` is the pivot loop of the
-revised simplex: it keeps no tableau, only an m x m basis.  On fptas-a's
-|A| = 2 grid, a ``SegmentCost`` defined by K, it computes u_B only in the
-column blocks that a convexity bound on u_B cannot rule out, and prices
-only those, with the full pass's pivots bit for bit (``_segment_tables``).
+revised simplex: it keeps no tableau, only an m x m basis, and reads the
+columns it needs from a ``_CostVector`` or a ``_SegmentCosts``.  On
+fptas-a's |A| = 2 grid, a ``SegmentCost`` defined by K, it computes u_B
+only in the column blocks that a convexity bound on u_B cannot rule out,
+and prices only those, with the full pass's pivots bit for bit
+(``_segment_tables``); each such block gets its own small array, and no
+array is as long as the grid.
 
 ``ub_grid_wa`` keeps the grid index as the fastest axis: its numerator is
 one BLAS matmul of a precomputed (|B||E|, |A|) matrix with a chunk of the
@@ -269,9 +272,10 @@ def segment_rows(k: int, j: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Points j of fptas-a's |A| = 2 grid, w_j = (j/K, (K-j)/K) at K = k:
     the rows of a C-contiguous (len(j), 2) array, as ``ub_grid_wa`` reads
-    them, or, given ``out``, the columns of that (2, len(j)) array, as
-    ``ext`` holds them.  j and K - j are exact floats, each divided once,
-    so these are ``fptas.enumerate_k_uniform(2, k)``'s rows bit for bit."""
+    them, or, given ``out``, the columns of that (2, len(j)) array, as a
+    block of ``_SegmentCosts`` holds them.  j and K - j are exact floats,
+    each divided once, so these are ``fptas.enumerate_k_uniform(2, k)``'s
+    rows bit for bit."""
     j = np.asarray(j, dtype=float)
     if out is None:
         return segment_rows(k, j, np.empty((j.size, 2)).T).T
@@ -294,22 +298,67 @@ class _NonFiniteCost(Exception):
     """A NaN or infinite cost, which no pivot can price."""
 
 
-class _SegmentCosts:
-    """The cost row ``ext[-1]`` of an envelope LP over a ``SegmentCost``,
-    filled one block of ``_PRICE_BLOCK`` columns at a time, and the lower
-    bound on each block's reduced costs that lets pricing skip it.
+class _CostVector:
+    """The columns of an envelope LP given its costs: ``ext``, the (m+1, n)
+    row-major stack of P^T over the cost row, every column priced in one
+    np.dot per pivot.  ``count`` is the number of costs, n."""
 
-    ``tables`` holds the bound's y-independent part (``_segment_tables``),
-    or None where the proof's limits leave no bound.  ``count`` is the
-    number of u_B values computed: the two ends of every block, then every
-    costed block.
+    def __init__(self, ext: np.ndarray):
+        self.ext, self.count = ext, ext.shape[1]
+        self.red = np.empty(ext.shape[1])
+
+    def start(self, basis: np.ndarray) -> None:
+        """Nothing: every cost is given."""
+
+    def columns(self, j: np.ndarray):
+        """The points (P^T's columns j) and the costs of columns j."""
+        return self.ext[:-1, j], self.ext[-1, j]
+
+    def column(self, j: int) -> np.ndarray:
+        """The point of column j."""
+        return self.ext[:-1, j]
+
+    def price(self, weights: np.ndarray, y, tol: float):
+        """The entering column, its reduced cost and the count priced: the
+        first column below -tol under Bland's rule (y None), or column 0
+        where there is none, else np.argmin's column."""
+        red = self.red
+        np.dot(weights, self.ext, out=red)
+        enter = int(np.argmax(red < -tol)) if y is None \
+            else int(np.argmin(red))
+        return enter, red[enter], red.size
+
+    def least(self):
+        """The least reduced cost of the last pricing pass."""
+        return self.red[int(np.argmin(self.red))]
+
+
+class _SegmentCosts:
+    """The columns of an envelope LP over a ``SegmentCost``, held one block
+    of ``_PRICE_BLOCK`` columns at a time, and the lower bound on each
+    block's reduced costs that lets pricing skip it.
+
+    ``blocks`` holds, for each block costed so far, its own (3, <=
+    ``_PRICE_BLOCK``) array: its two point rows (``segment_rows``) over
+    its costs; None for the others.  No array spans the grid, so the LP's
+    memory is O(K / ``_PRICE_BLOCK``) plus the blocks it costs: an array
+    of 4 MB or more would be backed by 2 MB huge pages where the kernel
+    gives them on request, and its sparse touches would fault in whole
+    pages.  ``tables`` holds the bound's y-independent part
+    (``_segment_tables``), or None where the proof's limits leave no
+    bound.  ``row`` holds the reduced costs of the last pass over every
+    block, the one pass that forms a row as long as the grid.  ``count``
+    is the number of u_B values computed: the two ends of every block,
+    then every costed block.
     """
 
-    def __init__(self, ext: np.ndarray, cost: SegmentCost):
-        self.ext, self.cost = ext, cost
-        self.done = np.zeros(-(-ext.shape[1] // _PRICE_BLOCK), dtype=bool)
+    def __init__(self, cost: SegmentCost):
+        self.cost, self.n = cost, cost.k + 1
+        self.blocks = [None] * -(-self.n // _PRICE_BLOCK)
+        self.red = np.empty(_PRICE_BLOCK)
         self.count = 0
         self.tables = None
+        self.row = None
 
     def start(self, basis: np.ndarray) -> None:
         """Cost the blocks' ends and the blocks that hold the basis."""
@@ -318,21 +367,42 @@ class _SegmentCosts:
 
     def fill(self, blocks: np.ndarray) -> None:
         """Cost those of the ascending ``blocks`` that are not costed, one
-        ``ub_grid_wa`` call per run of consecutive ones."""
-        todo = blocks[~self.done[blocks]]
+        ``ub_grid_wa`` call per run of consecutive ones, and give each its
+        array."""
+        todo = np.array([k for k in blocks.tolist() if self.blocks[k] is None],
+                        dtype=np.intp)
         if todo.size == 0:
             return
-        self.done[todo] = True
-        n, cost = self.ext.shape[1], self.cost
+        n, cost = self.n, self.cost
         for run in np.split(todo, np.flatnonzero(np.diff(todo) != 1) + 1):
             lo = int(run[0]) * _PRICE_BLOCK
             hi = min((int(run[-1]) + 1) * _PRICE_BLOCK, n)
             self.count += hi - lo
-            c = ub_grid_wa(segment_rows(cost.k, np.arange(lo, hi)),
-                           cost.table, cost.score)
+            rows = segment_rows(cost.k, np.arange(lo, hi))
+            c = ub_grid_wa(rows, cost.table, cost.score)
             if not np.isfinite(c).all():
                 raise _NonFiniteCost
-            self.ext[-1, lo:hi] = c
+            for k in run.tolist():
+                a = k * _PRICE_BLOCK
+                b = min(a + _PRICE_BLOCK, hi)
+                block = np.empty((3, b - a))
+                segment_rows(cost.k, np.arange(a, b), block[:2])
+                block[2] = c[a - lo:b - lo]
+                self.blocks[k] = block
+
+    def columns(self, j: np.ndarray):
+        """The points and the costs of the costed columns j, read from their
+        blocks' arrays into a (2, len(j)) and a (len(j),) array."""
+        points, costs = np.empty((2, len(j))), np.empty(len(j))
+        for i, col in enumerate(np.asarray(j).tolist()):
+            block, r = divmod(col, _PRICE_BLOCK)
+            points[:, i] = self.blocks[block][:2, r]
+            costs[i] = self.blocks[block][2, r]
+        return points, costs
+
+    def column(self, j: int) -> np.ndarray:
+        """The point of the costed column j."""
+        return self.blocks[j // _PRICE_BLOCK][:2, j % _PRICE_BLOCK]
 
     def bounds(self, y: np.ndarray):
         """A lower bound on the computed reduced costs of each block at
@@ -346,45 +416,50 @@ class _SegmentCosts:
         bound -= _SEGMENT_MARGIN * (scale + s)
         return bound
 
-    def price(self, weights: np.ndarray, red: np.ndarray, y):
-        """Dantzig's entering column, priced only in the blocks whose bound
-        leaves them a chance to hold it, and the count of reduced costs
-        computed.  With y None (Bland's rule), or where ``bounds`` gives
-        none, every block is costed and priced, and the column is -1.
+    def _least_in(self, weights: np.ndarray, k: int):
+        """Block k's first column of least reduced cost, that cost and the
+        block's size, by np.dot on the block's array."""
+        block = self.blocks[k]
+        red = self.red[:block.shape[1]]
+        np.dot(weights, block, out=red)
+        i = int(red.argmin())
+        return k * _PRICE_BLOCK + i, red[i], red.size
 
-        The block of least bound is priced first, with np.dot on the
-        aligned slice; its least reduced cost v bounds the entering one
-        from above, and a block whose bound exceeds v holds only columns
-        above v.  The blocks whose bound is at most v, the first block
-        among them, are priced and searched in ascending order, one argmin
-        per block, and np.argmin over the blocks' minima keeps the first,
-        which makes the column np.argmin's over the whole row.
+    def price(self, weights: np.ndarray, y, tol: float):
+        """The entering column, its reduced cost and the count of reduced
+        costs computed: Dantzig's column, priced only in the blocks whose
+        bound leaves them a chance to hold it.  With y None (Bland's rule),
+        or where ``bounds`` gives none, every block is costed and priced
+        into one row, as ``_CostVector.price`` prices it.
+
+        The block of least bound is priced first; its least reduced cost v
+        bounds the entering one from above, and a block whose bound
+        exceeds v holds only columns above v.  The blocks whose bound is at
+        most v, the first block among them, are priced in ascending order,
+        one argmin per block, and np.argmin over the blocks' minima keeps
+        the first, which makes the column np.argmin's over the whole row.
         """
-        ext, n = self.ext, self.ext.shape[1]
-
-        def dot(k):
-            lo = k * _PRICE_BLOCK
-            hi = min(lo + _PRICE_BLOCK, n)
-            np.dot(weights, ext[:, lo:hi], out=red[lo:hi])
-            return lo, hi
-
         bound = None if y is None else self.bounds(y)
         if bound is None:
-            self.fill(np.arange(self.done.size))
-            for k in range(self.done.size):
-                dot(k)
-            return -1, n
+            self.fill(np.arange(len(self.blocks)))
+            self.row = red = np.concatenate(
+                [np.dot(weights, block) for block in self.blocks])
+            enter = int(np.argmax(red < -tol)) if y is None \
+                else int(np.argmin(red))
+            return enter, red[enter], red.size
         first = int(np.argmin(bound))
         self.fill(np.array([first]))
-        lo, hi = dot(first)
-        blocks = np.flatnonzero(bound <= red[lo:hi].min())
+        head = self._least_in(weights, first)
+        blocks = np.flatnonzero(bound <= head[1])
         self.fill(blocks)
-        priced, cand = 0, []
-        for k in blocks.tolist():
-            a, b = (lo, hi) if k == first else dot(k)
-            priced += b - a
-            cand.append(a + int(red[a:b].argmin()))
-        return cand[int(np.argmin(red[cand]))], priced
+        cand = [head if k == first else self._least_in(weights, k)
+                for k in blocks.tolist()]
+        col, red, _ = cand[int(np.argmin([red for _, red, _ in cand]))]
+        return col, red, sum(size for _, _, size in cand)
+
+    def least(self):
+        """The least reduced cost of the last pass over every block."""
+        return self.row[int(np.argmin(self.row))]
 
 
 def _segment_tables(costs: _SegmentCosts):
@@ -470,19 +545,18 @@ def _segment_tables(costs: _SegmentCosts):
     rounding of the margin's own subtraction, is below 2^-31 (L_k + S),
     so the margin holds with room to spare.
     """
-    ext, cost = costs.ext, costs.cost
-    n = ext.shape[1]
+    cost, n = costs.cost, costs.n
     _, nb, ne = cost.table.e_given_ab.shape
     if ne + nb > 2 ** 16:
         return None
     lo = np.arange(0, n, _PRICE_BLOCK)
     ends = np.stack((lo, np.minimum(lo + _PRICE_BLOCK, n) - 1), axis=1)
     costs.count += ends.size
-    g, h = _ub_terms(segment_rows(cost.k, ends.ravel()).T,
-                     _wa_matrix(cost.table), cost.table, cost.score)
+    rows = segment_rows(cost.k, ends.ravel())
+    g, h = _ub_terms(rows.T, _wa_matrix(cost.table), cost.table, cost.score)
     if not (np.isfinite(g).all() and np.isfinite(h).all()):
         raise _NonFiniteCost
-    ta, tb = ext[0, ends[:, 0]], ext[0, ends[:, 1]]
+    ta, tb = rows[0::2, 0], rows[1::2, 0]
     ga, gb = g[0::2], g[1::2]
     ha, hb = h[0::2], h[1::2]
     width = tb - ta
@@ -525,16 +599,15 @@ def _segment_tables(costs: _SegmentCosts):
     return v, np.stack((ta, tb, ta + r * width)), scale
 
 
-def envelope_iterate(ext: np.ndarray, basis: np.ndarray, x_b: np.ndarray,
-                     tol: float, max_iter: int, degen_limit: int,
-                     segment: SegmentCost | None = None):
+def envelope_iterate(columns, basis: np.ndarray, x_b: np.ndarray,
+                     tol: float, max_iter: int, degen_limit: int):
     """Run revised-simplex pivots for min c.x s.t. P^T x = mu, x >= 0.
 
-    ``ext`` is the (m+1, n) row-major stack of P^T over the cost row c;
-    ``basis`` holds the m basic columns and ``x_b`` their values, both
-    updated in place.  Each pivot solves B^T y = c_B and prices the
-    columns, red = [-y, 1] @ ext = c - y P^T, into one preallocated
-    buffer; optimality is all reduced costs >= -tol.  Pricing and the
+    ``columns`` gives the LP's columns, P^T over the cost row c: a
+    ``_CostVector`` or a ``_SegmentCosts``.  ``basis`` holds the m basic
+    columns and ``x_b`` their values, both updated in place.  Each pivot
+    solves B^T y = c_B and prices the columns, red = [-y, 1] @ [P^T; c] =
+    c - y P^T; optimality is all reduced costs >= -tol.  Pricing and the
     ratio test follow ``simplex_iterate``.  Returns (status, iterations,
     y, least, priced, costed): y and the least reduced cost (np.argmin's
     entry) from the last pricing pass, the count of reduced costs
@@ -542,61 +615,49 @@ def envelope_iterate(ext: np.ndarray, basis: np.ndarray, x_b: np.ndarray,
     infinite cost stops the run with ``_STATUS_NONFINITE`` (y and least
     None) as soon as it is computed.
 
-    With a cost row in ``ext``, every pivot prices every column in one
-    np.dot.  Given a ``segment``, ``ext`` holds its points over an empty
-    cost row: the blocks of ``_PRICE_BLOCK`` columns that hold the basis
-    are costed before the first y, and a Dantzig pivot costs and prices
-    only the blocks whose lower bound on the reduced costs can hold the
-    entering column (``_SegmentCosts``; the bound and the proof of its
-    margin are in ``_segment_tables``).  Bland's rule, and a pivot beyond
-    the bound's limits, cost every block and price them block by block.
-    A block's reduced costs are the full product's bit for bit: its
-    np.dot runs on the slice ext[:, lo:hi] with lo a multiple of 64, where
-    the BLAS vector loop is in step with the full product's, and a block
-    is too small for BLAS to split across threads, so a segment LP's
-    pivots do not depend on the BLAS thread count.  (A whole-row product
-    of more than about 4.6*10^5 entries is split across OpenBLAS threads,
-    and the columns at the split round differently.)
+    A ``_CostVector`` prices every column in one np.dot per pivot.  A
+    ``_SegmentCosts`` holds only the blocks of ``_PRICE_BLOCK`` columns it
+    has costed, each in its own array: the blocks that hold the basis are
+    costed before the first y, and a Dantzig pivot costs and prices only
+    the blocks whose lower bound on the reduced costs can hold the
+    entering column (the bound and the proof of its margin are in
+    ``_segment_tables``).  Bland's rule, and a pivot beyond the bound's
+    limits, cost every block and price them block by block.  A block's
+    reduced costs are the full product's bit for bit: its np.dot starts
+    at a column that is a multiple of 64, where the BLAS vector loop is in
+    step with the full product's, and a block is too small for BLAS to
+    split across threads, so a segment LP's pivots do not depend on the
+    BLAS thread count.  (A whole-row product of more than about 4.6*10^5
+    entries is split across OpenBLAS threads, and the columns at the split
+    round differently.)
     """
-    m = ext.shape[0] - 1
-    n = ext.shape[1]
-    red = np.empty(n)
+    m = basis.size
     weights = np.ones(m + 1)
     iters = degen = priced = 0
-    costs = None if segment is None else _SegmentCosts(ext, segment)
     bland = False
     try:
-        if costs is not None:
-            costs.start(basis)
+        columns.start(basis)
         while True:
-            b = ext[:m, basis]
-            y = np.linalg.solve(b.T, ext[m, basis])
+            b, c_b = columns.columns(basis)
+            y = np.linalg.solve(b.T, c_b)
             weights[:m] = -y
-            enter = -1
-            if costs is None:
-                np.dot(weights, ext, out=red)
-                priced += n
-            else:
-                enter, count = costs.price(weights, red,
-                                           None if bland else y)
-                priced += count
-            if enter < 0:
-                enter = int(np.argmax(red < -tol)) if bland \
-                    else int(np.argmin(red))
+            enter, reduced, count = columns.price(weights,
+                                                  None if bland else y, tol)
+            priced += count
             status = None
-            if red[enter] >= -tol:
+            if reduced >= -tol:
                 status = _STATUS_OPTIMAL
             elif iters >= max_iter:
                 status = _STATUS_ITERLIMIT
             else:
-                d = np.linalg.solve(b, ext[:m, enter])
+                d = np.linalg.solve(b, columns.column(enter))
                 pos = d > tol
                 if not pos.any():
                     status = _STATUS_UNBOUNDED
             if status is not None:
-                least = red[int(np.argmin(red))] if bland else red[enter]
+                least = columns.least() if bland else reduced
                 return (status, iters, y, float(least), priced,
-                        n if costs is None else costs.count)
+                        columns.count)
             ratios = np.where(pos, x_b / np.where(pos, d, 1.0), np.inf)
             rmin = ratios.min()
             cand = np.nonzero(ratios <= rmin + 1e-12)[0]
@@ -612,7 +673,7 @@ def envelope_iterate(ext: np.ndarray, basis: np.ndarray, x_b: np.ndarray,
             basis[leave] = enter
             iters += 1
     except _NonFiniteCost:
-        return _STATUS_NONFINITE, iters, None, None, priced, costs.count
+        return _STATUS_NONFINITE, iters, None, None, priced, columns.count
 
 
 def oracle_scan(comps: np.ndarray, n_alice: int, start: int, stop: int,

@@ -42,7 +42,8 @@ from . import _kernels, belief, lp, scoring
 from .core import Classification, ConditionalTable, JointPrior, Method, \
     SignalingScheme, SolveReport, marginals_and_conditionals, total_value, \
     full_reveal_scheme, no_reveal_scheme
-from .errors import NumericalFailure, SizeCapExceeded, ValidationError
+from .errors import NumericalFailure, SizeCapExceeded, ValidationError, \
+    check_count
 from .fptas import _certified_bob, _envelope_lp
 from .lp import LinearProgram, LPStatus, check_cell_cap, solve_lp, \
     tableau_cells
@@ -191,8 +192,7 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     the scheme's sender objective differ by more than GRID_GAP_TOL, or
     when the obedience residual exceeds OBEDIENCE_TOL.
     """
-    if cap_lp_vars < 1:
-        raise ValidationError(f"cap_lp_vars={cap_lp_vars} must be at least 1")
+    check_count("cap_lp_vars", cap_lp_vars)
     if score.kind is not ScoreKind.PIECEWISE:
         raise ValidationError(
             "solve_exact needs a piecewise-linear score; linearize first")
@@ -208,12 +208,12 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
                                     points), "vertex")
 
     # merge the support points by lowest-index argmax profile (lossless)
-    support = np.flatnonzero(sol.x > SUPPORT_MASS)
+    support, weights = sol.support(SUPPORT_MASS)
     w = points[support]
     profile = np.einsum("va,cia->vci", w, ue).argmax(axis=2)
     profiles, group = np.unique(profile, axis=0, return_inverse=True)
     pi = np.zeros((profiles.shape[0], na))
-    np.add.at(pi, group.ravel(), sol.x[support, None] * w)
+    np.add.at(pi, group.ravel(), weights[:, None] * w)
     scheme = SignalingScheme(
         tuple("-".join(map(str, p)) for p in profiles.tolist()), pi)
     violation = certify_obedience(prior, score, scheme)

@@ -16,7 +16,8 @@ segment; from ``_SEGMENT_MIN_POINTS`` points on no grid is built, and the
 LP gets a ``_kernels.SegmentCost`` defined by K, whose points ascend along
 the segment by construction.  It computes u_B only in the blocks that a
 convexity bound cannot rule out (the proof is in
-``_kernels._segment_tables``), with the same pivots and answer.
+``_kernels._segment_tables``), with the same pivots and answer, and holds
+no array as long as the grid.
 fptas-eb's LP, with its per-grid-point achievability rows, runs on the
 dense tableau of ``lp.solve_lp``.  Every
 answer must pass a feasibility-residual and a duality-gap certificate.
@@ -65,9 +66,8 @@ def _check_args(delta: float, grid_k: int | None = None,
         raise ValidationError(f"delta={delta!r} must be finite and positive")
     if grid_k is not None:
         check_count("grid_k", grid_k)
-    if cap_grid_points is not None and cap_grid_points < 1:
-        raise ValidationError(
-            f"cap_grid_points={cap_grid_points} must be at least 1")
+    if cap_grid_points is not None:
+        check_count("cap_grid_points", cap_grid_points)
 
 
 def epsilon_for_delta(delta: float, n_bob: int, L: float, alpha: float,
@@ -305,6 +305,10 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
     more than GRID_GAP_TOL from the returned scheme's u_B raises
     NumericalFailure.  It builds no tableau, so ``cap_grid_points`` alone
     sizes and refuses K, also at |A| = 1 (one grid point, mu_A, at K = 1).
+    At |A| = 2 from ``_SEGMENT_MIN_POINTS`` points on it builds no grid
+    either: the memory is O(K / 1,024) plus the blocks the LP costs, and
+    the cap bounds K and the time.  The scheme's signals are the basic
+    columns of weight above ``core.ZERO_SIGNAL_MASS``, ascending.
     """
     _check_args(delta, grid_k, cap_grid_points)
     na = prior.n_alice
@@ -318,12 +322,12 @@ def fptas_a_const(prior: JointPrior, score: ScoreSpec, delta: float,
         costs = (_kernels.ub_grid_wa(grid, table, score), grid)
     sol = _envelope_lp(table.mu_a, costs, "grid")
 
-    support = np.nonzero(sol.x > core.ZERO_SIGNAL_MASS)[0]
+    support, weights = sol.support(core.ZERO_SIGNAL_MASS)
     rows = _kernels.segment_rows(k, support) if segment else grid[support]
-    scheme = scheme_from_posteriors(prior, list(zip(sol.x[support], rows)))
+    scheme = scheme_from_posteriors(prior, list(zip(weights, rows)))
     bob = _certified_bob(prior, score, scheme, sol, "grid")
     diag.update({
-        "grid_points": sol.x.shape[0],
+        "grid_points": count_k_uniform(na, k),
         "lp_objective": sol.objective,
         "lp_iterations": sol.iterations,
         "lp_duality_gap": sol.duality_gap,

@@ -34,9 +34,12 @@ from K; a Dantzig pivot costs and prices only the blocks of 1,024 columns
 that a convexity bound on u_B cannot rule out, and enters the column a
 full pass would (``_kernels.envelope_iterate``; the proof is in
 ``_kernels._segment_tables``).  On fptas-a's 10^6-point grids that costs
-2-4% of the points.  A NaN or infinite cost raises NumericalFailure
-before any pivot uses it.  The solution's ``columns_priced`` counts the
-reduced costs computed and ``columns_costed`` the costs.
+2-4% of the points.  Each costed block has its own array, and the
+solution is the optimal basis, ``basis`` and ``x_basis``, with no dense x,
+so that LP allocates nothing as long as the grid.  A NaN or infinite cost
+raises NumericalFailure before any pivot uses it.  The solution's
+``columns_priced`` counts the reduced costs computed and
+``columns_costed`` the costs.
 """
 
 from __future__ import annotations
@@ -113,6 +116,18 @@ class LPSolution:
     # (``solve_envelope``)
     columns_priced: int | None = None
     columns_costed: int | None = None
+    # the revised simplex's basic solution, in place of x: the basic
+    # columns, in basis order, and their values
+    basis: np.ndarray | None = None
+    x_basis: np.ndarray | None = None
+
+    def support(self, threshold: float):
+        """The basic columns whose value exceeds ``threshold``, ascending,
+        and those values: for a threshold of 0 or more, the columns and
+        values of the dense x above it, in its order."""
+        order = np.argsort(self.basis, kind="stable")
+        keep = order[self.x_basis[order] > threshold]
+        return self.basis[keep], self.x_basis[keep]
 
 
 def tableau_cells(n_vars: int, m_ub: int, m_eq: int,
@@ -266,26 +281,26 @@ def solve_envelope(costs: tuple[np.ndarray, np.ndarray] | _kernels.SegmentCost,
     ``costs`` is the pair (cost, points): n costs and n rows on the
     probability simplex over m outcomes, every vertex e_a among them; or a
     ``_kernels.SegmentCost``, fptas-a's |A| = 2 grid, which is its own
-    points and whose costs the pivots compute as they need them.  ``mu``
-    lies on the simplex too, so the LP is always feasible and bounded.  The
-    solution carries ``dual_eq`` = y with reduced costs cost - y points^T
-    >= -FEAS_TOL, a ``feasibility_residual`` of max(|points^T x - mu|,
-    |sum x - 1|, max(-x, 0)), and a ``duality_gap`` that bounds how far
-    cost.x lies above the optimum: |cost.x - y.mu| plus the most negative
-    reduced cost, since every feasible x sums to 1.  ``columns_priced``
-    counts the reduced costs computed, (iterations + 1) n for a cost
-    vector, and ``columns_costed`` the costs: n for a cost vector.
+    points and whose costs the pivots compute as they need them, block by
+    block.  ``mu`` lies on the simplex too, so the LP is always feasible
+    and bounded.  The solution is the optimal basis: ``basis`` and
+    ``x_basis`` (x is None; ``LPSolution.support`` reads it out), with
+    ``dual_eq`` = y and reduced costs cost - y points^T >= -FEAS_TOL, a
+    ``feasibility_residual`` of max(|points^T x - mu|, |sum x - 1|,
+    max(-x, 0)), and a ``duality_gap`` that bounds how far cost.x lies
+    above the optimum: |cost.x - y.mu| plus the most negative reduced
+    cost, since every feasible x sums to 1.  ``columns_priced`` counts the
+    reduced costs computed, (iterations + 1) n for a cost vector, and
+    ``columns_costed`` the costs: n for a cost vector.
 
     Raises ValidationError when a vertex is missing from ``points``, and
     NumericalFailure when a cost is NaN or infinite (a cost vector is
     checked before the first pivot, a SegmentCost's costs as they are
     computed) or pivoting exceeds 50*(rows+cols) iterations.
     """
-    segment = None
     if isinstance(costs, _kernels.SegmentCost):
-        segment, n, m = costs, costs.k + 1, 2
-        ext = np.empty((m + 1, n))
-        _kernels.segment_rows(costs.k, np.arange(n, dtype=float), ext[:m])
+        n, m = costs.k + 1, 2
+        columns = _kernels._SegmentCosts(costs)
         basis = np.array([n - 1, 0])      # the vertices e_0 and e_1
     else:
         cost, points = costs
@@ -301,10 +316,11 @@ def solve_envelope(costs: tuple[np.ndarray, np.ndarray] | _kernels.SegmentCost,
         if not (ext[np.arange(m), basis] == 1.0).all():
             raise ValidationError("envelope LP points must include every "
                                   "vertex of the simplex")
+        columns = _kernels._CostVector(ext)
     x_b = np.array(mu, dtype=float)
     max_iter = 50 * (m + n)
     status, iters, y, least, priced, costed = _kernels.envelope_iterate(
-        ext, basis, x_b, FEAS_TOL, max_iter, DEGENERACY_LIMIT, segment)
+        columns, basis, x_b, FEAS_TOL, max_iter, DEGENERACY_LIMIT)
     if status == _kernels._STATUS_NONFINITE:
         raise NumericalFailure("envelope LP cost is not finite")
     if status == _kernels._STATUS_ITERLIMIT:
@@ -313,12 +329,12 @@ def solve_envelope(costs: tuple[np.ndarray, np.ndarray] | _kernels.SegmentCost,
         return LPSolution(LPStatus.UNBOUNDED, None, None, None, None, iters,
                           columns_priced=priced, columns_costed=costed)
 
-    x = np.zeros(n)
-    x[basis] = x_b
-    objective = float(ext[m, basis] @ x_b)
-    resid = max(float(np.abs(ext[:m, basis] @ x_b - mu).max()),
+    points_b, cost_b = columns.columns(basis)
+    objective = float(cost_b @ x_b)
+    resid = max(float(np.abs(points_b @ x_b - mu).max()),
                 abs(float(x_b.sum()) - 1.0), max(0.0, -float(x_b.min())))
     gap = abs(objective - float(y @ mu)) + max(0.0, -least)
-    return LPSolution(LPStatus.OPTIMAL, x, objective, y, None, iters,
+    return LPSolution(LPStatus.OPTIMAL, None, objective, y, None, iters,
                       duality_gap=gap, feasibility_residual=resid,
-                      columns_priced=priced, columns_costed=costed)
+                      columns_priced=priced, columns_costed=costed,
+                      basis=basis, x_basis=x_b)

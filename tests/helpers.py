@@ -463,6 +463,14 @@ def envelope_lp_tableau(cost, points, mu):
     return -sol.objective
 
 
+def dense_x(sol, n: int) -> np.ndarray:
+    """The x of n columns that an envelope LP solution's basis gives: its
+    basic values at its basic columns, 0 elsewhere."""
+    x = np.zeros(n)
+    x[sol.basis] = sol.x_basis
+    return x
+
+
 def envelope_simplex_loop(cost, points, mu, degen_limit: int,
                           tol: float = 1e-9):
     """``lp.solve_envelope``'s pivot rules written out one column at a time,

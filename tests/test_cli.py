@@ -214,18 +214,31 @@ COUNT_CALLS = {
 }
 
 
+# each solver's size cap, called at a given value
+CAP_CALLS = {
+    "cap_grid_points-a": lambda prior, k: fptas.fptas_a_const(
+        prior, quadratic_score(), 0.5, cap_grid_points=k),
+    "cap_grid_points-eb": lambda prior, k: fptas.fptas_eb_const(
+        prior, quadratic_score(), 0.5, cap_grid_points=k),
+    "cap_lp_vars": lambda prior, k: exact.classify_substitutes(
+        prior, quadratic_score(), cap_lp_vars=k),
+}
+INTEGER_CALLS = {**COUNT_CALLS, **CAP_CALLS}
+
+
 @pytest.mark.parametrize("value", (2.5, 2.0, np.float64(3.0), True, "3"),
                          ids=["2.5", "2.0", "float64", "True", "str"])
-@pytest.mark.parametrize("name", COUNT_CALLS)
+@pytest.mark.parametrize("name", INTEGER_CALLS)
 def test_non_integer_count_is_a_validation_error(name, value):
     # a float, a bool or a string is refused before any array is sized
     # by it: a float used to raise a bare TypeError, True ran as K = 1
-    # and tangent_k = 2.5 linearized at points summing to 0.8
+    # and tangent_k = 2.5 linearized at points summing to 0.8; a cap of
+    # True raised SizeCapExceeded, a solver failure, and 30.5 ran
     _, prior = instances.xor_instance()
     field = name.split("-")[0]
     with pytest.raises(ValidationError, match=re.escape(
             f"{field}={value!r} must be an integer")):
-        COUNT_CALLS[name](prior, value)
+        INTEGER_CALLS[name](prior, value)
 
 
 @pytest.mark.parametrize("name", COUNT_CALLS)

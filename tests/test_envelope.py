@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from abasolve import _kernels, exact, fptas, lp
+from abasolve import _kernels, core, exact, fptas, lp
 from abasolve.core import JointPrior, marginals_and_conditionals
 from abasolve.errors import NumericalFailure, ValidationError
 from abasolve.fptas import enumerate_k_uniform
@@ -28,7 +28,7 @@ from abasolve.lp import FEAS_TOL, LPStatus, solve_envelope
 from abasolve.scoring import log_score, piecewise_score, quadratic_score, \
     spherical_score
 
-from helpers import envelope_iterate_frozen, envelope_lp_tableau, \
+from helpers import dense_x, envelope_iterate_frozen, envelope_lp_tableau, \
     envelope_simplex_loop, random_piecewise, random_prior
 
 GRID_K = {2: 40, 3: 12, 4: 7}
@@ -54,11 +54,12 @@ def _case(rng, na, kind):
 
 def _certify(sol, cost, points, mu):
     assert sol.status is LPStatus.OPTIMAL
-    assert sol.x.min() >= -1e-12
-    assert np.abs(points.T @ sol.x - mu).max() <= 1e-12
-    assert abs(sol.x.sum() - 1.0) <= 1e-12
+    x = dense_x(sol, len(points))
+    assert x.min() >= -1e-12
+    assert np.abs(points.T @ x - mu).max() <= 1e-12
+    assert abs(x.sum() - 1.0) <= 1e-12
     assert sol.feasibility_residual <= 1e-12
-    assert sol.objective == pytest.approx(cost @ sol.x, abs=1e-12)
+    assert sol.objective == pytest.approx(cost @ x, abs=1e-12)
     red = cost - points @ sol.dual_eq
     assert red.min() >= -FEAS_TOL
     assert sol.duality_gap <= 2 * FEAS_TOL
@@ -92,7 +93,8 @@ def test_envelope_follows_pivot_rules(monkeypatch, na, degen_limit):
         sol = solve_envelope((cost, points), mu)
         x, y, pivots = envelope_simplex_loop(cost, points, mu, degen_limit)
         assert sol.iterations == pivots
-        np.testing.assert_allclose(sol.x, x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense_x(sol, len(points)), x, rtol=0,
+                                   atol=1e-12)
         np.testing.assert_allclose(sol.dual_eq, y, rtol=0, atol=1e-12)
         _certify(sol, cost, points, mu)
 
@@ -117,7 +119,7 @@ def test_envelope_ratio_tie_leaves_smallest_basis_index():
     sol = solve_envelope((np.array([0.0, -1.0, 0.0]),
                           enumerate_k_uniform(2, 2)), np.array([0.5, 0.5]))
     assert sol.iterations == 1
-    assert sol.x.tolist() == [0.0, 1.0, 0.0]
+    assert dense_x(sol, 3).tolist() == [0.0, 1.0, 0.0]
     assert sol.dual_eq.tolist() == [0.0, -2.0]
 
 
@@ -127,7 +129,8 @@ def test_envelope_starts_at_the_vertex_basis():
     cost = points @ np.array([1.0, 2.0, 3.0])
     sol = solve_envelope((cost, points), np.array([0.2, 0.3, 0.5]))
     assert sol.iterations == 0
-    assert sol.x[np.argmax(points, axis=0)].tolist() == [0.2, 0.3, 0.5]
+    assert dense_x(sol, len(points))[np.argmax(points, axis=0)].tolist() == \
+        [0.2, 0.3, 0.5]
     assert sol.dual_eq.tolist() == [1.0, 2.0, 3.0]
 
 
@@ -141,7 +144,7 @@ def test_envelope_requires_every_vertex():
 def test_envelope_iteration_cap_raises(monkeypatch):
     seen = []
 
-    def stalled(ext, basis, x_b, tol, max_iter, degen_limit, segment):
+    def stalled(columns, basis, x_b, tol, max_iter, degen_limit):
         seen.append(max_iter)
         return _kernels._STATUS_ITERLIMIT, max_iter, None, None, None, None
 
@@ -160,7 +163,8 @@ def test_envelope_kernel_stops_at_max_iter():
     ext = np.vstack((points.T, cost))
     basis = np.argmax(points, axis=0)
     status, iters, _, _, _, _ = _kernels.envelope_iterate(
-        ext, basis, mu.copy(), FEAS_TOL, 1, lp.DEGENERACY_LIMIT)
+        _kernels._CostVector(ext), basis, mu.copy(), FEAS_TOL, 1,
+        lp.DEGENERACY_LIMIT)
     assert (status, iters) == (_kernels._STATUS_ITERLIMIT, 1)
 
 
@@ -175,11 +179,12 @@ def test_array_path_is_the_full_pass():
             cost, points, mu = _case(rng, na, kind)
             ext = np.ascontiguousarray(np.vstack((points.T, cost)))
             runs = []
-            for kernel in (_kernels.envelope_iterate,
-                           envelope_iterate_frozen):
+            for kernel, columns in (
+                    (_kernels.envelope_iterate, _kernels._CostVector(ext)),
+                    (envelope_iterate_frozen, ext)):
                 basis = np.argmax(points, axis=0)
                 x_b = mu.copy()
-                runs.append(kernel(ext, basis, x_b, FEAS_TOL, 300,
+                runs.append(kernel(columns, basis, x_b, FEAS_TOL, 300,
                                    lp.DEGENERACY_LIMIT) + (basis, x_b))
             new, frozen = runs
             _assert_same_run(new[:4] + new[6:], frozen)
@@ -219,41 +224,44 @@ def _segment_case(rng, kind, zero_b):
     return table, score
 
 
-def _segment_ext(k):
-    """The (3, K + 1) ``ext`` that ``solve_envelope`` builds for a
-    ``SegmentCost`` at K = k, its cost row NaN, and its vertex basis."""
-    ext = np.full((3, k + 1), np.nan)
-    _kernels.segment_rows(k, np.arange(k + 1, dtype=float), ext[:2])
-    return ext, np.array([k, 0])
+def _segment_costs(k, table, score):
+    """The segment LP's columns at K = k, none costed, and its vertex
+    basis, as ``solve_envelope`` starts them."""
+    return (_kernels._SegmentCosts(_kernels.SegmentCost(k, table, score)),
+            np.array([k, 0]))
+
+
+def _costed(costs):
+    """The indices of the blocks that ``costs`` has costed."""
+    return [i for i, block in enumerate(costs.blocks) if block is not None]
 
 
 def _assert_segment_matches_frozen(k, table, score, mu, max_iter,
                                    degen_limit):
-    """The segment kernel on ``SegmentCost(k, ...)``, from a cost row of
-    NaN, against the frozen kernel over the full u_B row of
-    ``enumerate_k_uniform(2, k)``: status, pivots, basis, x_b, y and the
-    least reduced cost bit for bit, and every costed column equal to the
-    full row's, in whole blocks, two ends per block counted besides."""
+    """The segment kernel on ``SegmentCost(k, ...)`` against the frozen
+    kernel over the full u_B row of ``enumerate_k_uniform(2, k)``: status,
+    pivots, basis, x_b, y and the least reduced cost bit for bit, and
+    every costed block's array equal to the full row's points over its
+    costs, each block whole, two ends per block counted besides."""
     points = enumerate_k_uniform(2, k)
     n = k + 1
     full = _kernels.ub_grid_wa(points, table, score)
-    seg_ext, seg_basis = _segment_ext(k)
-    x_b = mu.copy()
-    new = _kernels.envelope_iterate(
-        seg_ext, seg_basis, x_b, FEAS_TOL, max_iter, degen_limit,
-        _kernels.SegmentCost(k, table, score)) + (seg_basis, x_b)
     ext = np.vstack((points.T, full))
+    costs, seg_basis = _segment_costs(k, table, score)
+    x_b = mu.copy()
+    new = _kernels.envelope_iterate(costs, seg_basis, x_b, FEAS_TOL,
+                                    max_iter, degen_limit) + (seg_basis, x_b)
     basis = np.argmax(points, axis=0)
     x_b = mu.copy()
     frozen = envelope_iterate_frozen(ext, basis, x_b, FEAS_TOL, max_iter,
                                      degen_limit) + (basis, x_b)
     _assert_same_run(new[:4] + new[6:], frozen)
-    done = ~np.isnan(seg_ext[2])
-    assert seg_ext[2, done].tobytes() == full[done].tobytes()
-    blocks = -(-n // BLOCK)
-    by_block = np.append(done, np.repeat(done[-1], blocks * BLOCK - n))
-    assert (by_block.reshape(blocks, BLOCK) == by_block[::BLOCK, None]).all()
-    assert new[5] == 2 * blocks + done.sum()
+    costed = 0
+    for i in _costed(costs):
+        lo, hi = i * BLOCK, min((i + 1) * BLOCK, n)
+        assert costs.blocks[i].tobytes() == ext[:, lo:hi].tobytes()
+        costed += hi - lo
+    assert new[5] == 2 * len(costs.blocks) + costed
     return new
 
 
@@ -271,13 +279,43 @@ def _assert_same_run(new, frozen):
 
 
 def _assert_same_solution(sol, ref):
-    """Pivots, x, y, objective, gap and residual of two envelope LP
-    solutions, bit for bit."""
+    """Pivots, basis, x_B, y, objective, gap and residual of two envelope
+    LP solutions, bit for bit."""
     assert sol.iterations == ref.iterations
-    for got, want in ((sol.x, ref.x), (sol.dual_eq, ref.dual_eq)):
+    assert sol.basis.tolist() == ref.basis.tolist()
+    for got, want in ((sol.x_basis, ref.x_basis), (sol.dual_eq, ref.dual_eq)):
         assert got.tobytes() == want.tobytes()
     assert (sol.objective, sol.duality_gap, sol.feasibility_residual) == \
         (ref.objective, ref.duality_gap, ref.feasibility_residual)
+
+
+def test_support_reads_a_degenerate_basis_as_the_dense_x_did():
+    # an unsorted basis whose x_B holds 0, -0.0, a tiny negative, values at
+    # and below ZERO_SIGNAL_MASS and above it: the support, its weights and
+    # the scheme rows fptas-a forms from them are those that
+    # np.nonzero(x > ZERO_SIGNAL_MASS) gave over the dense x, in its order
+    k, cut = 40, core.ZERO_SIGNAL_MASS
+    grid = enumerate_k_uniform(2, k)
+    rng = np.random.default_rng(31)
+    values = np.array([0.0, -0.0, -1e-18, cut, cut / 2, 2 * cut, 0.25, 0.5])
+    cases = [(np.array([7, 2, 30, 0, 15]),
+              np.array([0.3, 0.0, cut, 0.5, 0.2]))]
+    for _ in range(30):
+        m = int(rng.integers(1, 6))
+        cases.append((rng.choice(k + 1, size=m, replace=False),
+                      rng.choice(values, size=m)))
+    for basis, x_b in cases:
+        sol = lp.LPSolution(LPStatus.OPTIMAL, None, 0.0, None, None, 0,
+                            basis=basis, x_basis=x_b)
+        x = dense_x(sol, k + 1)
+        want = np.nonzero(x > cut)[0]
+        support, weights = sol.support(cut)
+        assert support.tolist() == want.tolist()
+        assert weights.tobytes() == x[want].tobytes()
+        assert _kernels.segment_rows(k, support).tobytes() == \
+            grid[want].tobytes()
+        if basis is cases[0][0]:
+            assert support.tolist() == [0, 7, 15]
 
 
 @pytest.mark.parametrize("k", (ENGAGE - 1, 3 * BLOCK + 517, 999_999))
@@ -288,9 +326,9 @@ def test_segment_rows_are_the_k_uniform_grid(k):
     rows = _kernels.segment_rows(k, np.arange(k + 1))
     assert rows.flags.c_contiguous
     assert rows.tobytes() == grid.tobytes()
-    ext, basis = _segment_ext(k)
-    assert ext[:2].tobytes() == np.ascontiguousarray(grid.T).tobytes()
-    assert ext[:2, basis].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    cols = _kernels.segment_rows(k, np.arange(k + 1), np.empty((2, k + 1)))
+    assert cols.tobytes() == np.ascontiguousarray(grid.T).tobytes()
+    assert cols[:, [k, 0]].tolist() == [[1.0, 0.0], [0.0, 1.0]]
     some = np.random.default_rng(k).integers(0, k + 1, size=50)
     assert _kernels.segment_rows(k, some).tobytes() == grid[some].tobytes()
 
@@ -358,19 +396,18 @@ def test_segment_bounds_hold_for_every_column(kind):
     for trial in range(6):
         n = SEGMENT_N[trial]
         table, score = _segment_case(rng, kind, trial % 2 == 1)
-        ext, basis = _segment_ext(n - 1)
-        costs = _kernels._SegmentCosts(
-            ext, _kernels.SegmentCost(n - 1, table, score))
+        costs, basis = _segment_costs(n - 1, table, score)
         costs.start(basis)
-        costs.fill(np.arange(costs.done.size))
+        costs.fill(np.arange(len(costs.blocks)))
         assert costs.tables is not None
+        ext = np.hstack(costs.blocks)
         opt = solve_envelope((ext[2], ext[:2].T), table.mu_a).dual_eq
         scale = np.abs(ext[2]).max()
         for y in (ext[2, basis], opt, opt + 1e-6 * rng.normal(size=2),
                   opt + 1e-3 * rng.normal(size=2),
                   scale * rng.normal(size=2)):
             bound = costs.bounds(y)
-            red = np.full(costs.done.size * BLOCK, np.inf)
+            red = np.full(len(costs.blocks) * BLOCK, np.inf)
             red[:n] = np.append(-y, 1.0) @ ext
             least = red.reshape(-1, BLOCK).min(axis=1)
             assert (bound <= least).all(), (trial, np.flatnonzero(
@@ -459,19 +496,17 @@ def test_segment_beyond_the_bound_limits_costs_every_block():
                              for _ in range(4)])
     k = 2 * ENGAGE + 517
     n = k + 1
-    ext, basis = _segment_ext(k)
-    costs = _kernels._SegmentCosts(ext, _kernels.SegmentCost(k, table,
-                                                             score))
+    costs, basis = _segment_costs(k, table, score)
     costs.start(basis)
     assert costs.tables is None
-    assert np.flatnonzero(costs.done).tolist() == [0, costs.done.size - 1]
+    assert _costed(costs) == [0, len(costs.blocks) - 1]
     points = enumerate_k_uniform(2, k)
     sol = solve_envelope(_kernels.SegmentCost(k, table, score), table.mu_a)
     ref = solve_envelope((_kernels.ub_grid_wa(points, table, score), points),
                          table.mu_a)
     assert sol.iterations >= 1
     _assert_same_solution(sol, ref)
-    assert sol.columns_costed == 2 * costs.done.size + n
+    assert sol.columns_costed == 2 * len(costs.blocks) + n
     assert sol.columns_priced == (sol.iterations + 1) * n
 
 

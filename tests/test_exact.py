@@ -617,9 +617,9 @@ def test_solve_exact_raises_when_phase_2_stops_early(monkeypatch, na):
     assert report.diagnostics["lp_duality_gap"] <= fptas.GRID_GAP_TOL
     real = _kernels.envelope_iterate
 
-    def stop_at_once(ext, basis, x_b, tol, max_iter, degen_limit, segment):
+    def stop_at_once(columns, basis, x_b, tol, max_iter, degen_limit):
         return (_kernels._STATUS_OPTIMAL,
-                *real(ext, basis, x_b, tol, 0, degen_limit, segment)[1:])
+                *real(columns, basis, x_b, tol, 0, degen_limit)[1:])
 
     monkeypatch.setattr(_kernels, "envelope_iterate", stop_at_once)
     with pytest.raises(NumericalFailure, match="duality gap"):

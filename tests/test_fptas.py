@@ -20,8 +20,8 @@ from abasolve.oracle import oracle_optimal
 from abasolve.scoring import (HolderParams, log_score, quadratic_score,
                               spherical_score)
 
-from helpers import (random_piecewise, random_prior, stop_simplex_early,
-                     time_limit)
+from helpers import (dense_x, random_piecewise, random_prior,
+                     stop_simplex_early, time_limit)
 
 
 def test_epsilon_for_delta_lipschitz_branch():
@@ -392,13 +392,32 @@ def test_fptas_a_memory_is_grid_plus_a_few_buffers(quad):
     assert peak <= grid_and_ub + 6 * n * 8
 
 
+@pytest.mark.parametrize("k", (999_999, fptas.DEFAULT_GRID_CAP - 1))
+def test_fptas_a_segment_lp_memory_is_per_block(k):
+    # the |A| = 2 segment LP holds each block it costs in its own array and
+    # no array as long as the grid: under 4 MB at the peak, where one
+    # length-K row of floats takes 8 MB at K = 999,999 and 40 MB at
+    # 4,999,999
+    prior = random_prior(np.random.default_rng(7), ne=3, na=2, nb=4)
+    fptas_a_const(prior, log_score(), 0.05, grid_k=9)
+    tracemalloc.start()
+    try:
+        report = fptas_a_const(prior, log_score(), 0.05, grid_k=k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.diagnostics["grid_points"] == k + 1
+    assert peak < 4_000_000
+
+
 def _feasibility_residual(sol, points, mu):
-    return max(np.abs(points.T @ sol.x - mu).max(), abs(sol.x.sum() - 1.0),
-               max(0.0, -sol.x.min()))
+    x = dense_x(sol, len(points))
+    return max(np.abs(points.T @ x - mu).max(), abs(x.sum() - 1.0),
+               max(0.0, -x.min()))
 
 
 def _scale_x(sol, points, mu):
-    moved = dataclasses.replace(sol, x=sol.x * (1.0 + 1e-6))
+    moved = dataclasses.replace(sol, x_basis=sol.x_basis * (1.0 + 1e-6))
     return dataclasses.replace(
         moved, feasibility_residual=_feasibility_residual(moved, points, mu))
 
@@ -725,13 +744,18 @@ def test_continuity_bound_veb_parameterization(quad):
 
 def test_support_cut_reads_zero_signal_mass_at_call_time(monkeypatch,
                                                         quad):
-    # below every weight, the cut keeps each grid point as a signal
+    # below every weight, fptas-eb's cut keeps each grid point as a signal
+    # and fptas-a's each basic column, the LP's support: on a prior whose
+    # mu_A is a vertex, one of the two carries weight 0
     prior = random_prior(np.random.default_rng(5), 2, 2, 2)
+    p = prior.p.copy()
+    p[:, 1, :] = 0.0
+    vertex = JointPrior(p / p.sum())
+    assert fptas_a_const(vertex, quad, 0.5, grid_k=20).scheme.n_signals == 1
     monkeypatch.setattr(core, "ZERO_SIGNAL_MASS", -1.0)
-    for solve, k in ((fptas_a_const, 20), (fptas_eb_const, 2)):
-        report = solve(prior, quad, 0.5, grid_k=k)
-        assert report.scheme.pi.shape[0] == \
-            report.diagnostics["grid_points"], solve.__name__
+    assert fptas_a_const(vertex, quad, 0.5, grid_k=20).scheme.n_signals == 2
+    report = fptas_eb_const(prior, quad, 0.5, grid_k=2)
+    assert report.scheme.pi.shape[0] == report.diagnostics["grid_points"]
 
 
 def test_bob_utility_from_vEB_flat_vector(quad):
