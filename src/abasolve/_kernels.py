@@ -40,6 +40,7 @@ dispatch reads, is defined here and re-exported by ``scoring``.
 from __future__ import annotations
 
 import enum
+import math
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -76,7 +77,8 @@ _SEGMENT_MARGIN = 2.0 ** -30
 
 def g_rows_np(p: np.ndarray, score: ScoreSpec) -> np.ndarray:
     """Evaluate G row-wise on an (N, n) array of simplex points."""
-    p = np.atleast_2d(p)
+    if getattr(p, "ndim", 0) != 2:
+        p = np.atleast_2d(p)
     kind = score.kind
     if kind is ScoreKind.QUADRATIC:
         return np.einsum("ij,ij->i", p, p)
@@ -102,7 +104,7 @@ def weighted_g(numer: np.ndarray, mass: np.ndarray,
     When every mass is positive neither guard changes a value, so both
     passes are skipped.
     """
-    if np.all(mass > 0.0):
+    if (mass > 0.0).all():
         safe = weight = mass
     else:
         safe = np.where(mass > 0.0, mass, 1.0)
@@ -608,7 +610,9 @@ def envelope_iterate(columns, basis: np.ndarray, x_b: np.ndarray,
     columns and ``x_b`` their values, both updated in place.  Each pivot
     solves B^T y = c_B and prices the columns, red = [-y, 1] @ [P^T; c] =
     c - y P^T; optimality is all reduced costs >= -tol.  Pricing and the
-    ratio test follow ``simplex_iterate``.  Returns (status, iterations,
+    ratio test follow ``simplex_iterate``; the ratio test runs over the m
+    basic values as Python floats, whose division and comparisons round
+    as numpy's do.  Returns (status, iterations,
     y, least, priced, costed): y and the least reduced cost (np.argmin's
     entry) from the last pricing pass, the count of reduced costs
     computed over the run and the count of costs computed.  A NaN or
@@ -651,17 +655,18 @@ def envelope_iterate(columns, basis: np.ndarray, x_b: np.ndarray,
                 status = _STATUS_ITERLIMIT
             else:
                 d = np.linalg.solve(b, columns.column(enter))
-                pos = d > tol
-                if not pos.any():
+                ratios = [x / di if di > tol else math.inf
+                          for x, di in zip(x_b.tolist(), d.tolist())]
+                rmin = min(ratios)
+                if rmin == math.inf:
                     status = _STATUS_UNBOUNDED
             if status is not None:
                 least = columns.least() if bland else reduced
                 return (status, iters, y, float(least), priced,
                         columns.count)
-            ratios = np.where(pos, x_b / np.where(pos, d, 1.0), np.inf)
-            rmin = ratios.min()
-            cand = np.nonzero(ratios <= rmin + 1e-12)[0]
-            leave = int(cand[np.argmin(basis[cand])])
+            cut = rmin + 1e-12
+            leave = min((i for i in range(m) if ratios[i] <= cut),
+                        key=basis.__getitem__)
             if rmin <= 1e-12:
                 degen += 1
                 if degen > degen_limit:

@@ -11,10 +11,11 @@ posterior w over A, and by a posterior v over E x B.
 A scheme's posteriors are formed in one place, ``_posterior_terms``, for
 all signals at once; the per-label functions index into its result.  Its
 coefficients mu(e|a), mu(b|a) and mu(e|a,b) come from the prior's own
-``ConditionalTable``, computed once per prior.  A scheme's two u_B terms
-are computed once per (prior, score) and kept on the scheme, matched by
-identity (see ``core``), so the functionals below and ``oracle``'s
-cross-belief payoffs share one evaluation.
+``ConditionalTable``, computed once per prior.  A scheme's posterior terms
+are computed once per prior (``_scheme_posteriors``) and its two u_B terms
+once per (prior, score), both kept on the scheme and matched by identity
+(see ``core``), so the functionals below, ``oracle``'s cross-belief
+payoffs and ``exact.certify_obedience`` share one evaluation.
 """
 
 from __future__ import annotations
@@ -61,6 +62,19 @@ def _posterior_terms(pi: np.ndarray, table: ConditionalTable):
     the masses and numerators of Pr(e|s) and Pr(e|s,b)."""
     return (pi.sum(axis=1), pi @ table.e_given_a, pi @ table.b_given_a,
             np.einsum("sa,aeb->sbe", pi, table.eb_given_a))
+
+
+def _scheme_posteriors(prior: JointPrior, scheme: SignalingScheme):
+    """``_posterior_terms`` of every row of ``scheme.pi``, computed once
+    per prior and stored on ``scheme`` (matched by identity), read-only."""
+    memo = scheme._posteriors
+    if memo is not None and memo[0] is prior:
+        return memo[1]
+    terms = _posterior_terms(scheme.pi, marginals_and_conditionals(prior))
+    for term in terms:
+        term.setflags(write=False)
+    object.__setattr__(scheme, "_posteriors", (prior, terms))
+    return terms
 
 
 def _signal_terms(prior: JointPrior, scheme: SignalingScheme, s: str):
@@ -113,8 +127,7 @@ def _scheme_terms(prior: JointPrior, score: ScoreSpec,
     if memo is not None and memo[0] is prior and memo[1] is score:
         return memo[2]
     scheme.validate(prior)
-    mass, numer, mass_b, numer_b = _posterior_terms(
-        scheme.pi, marginals_and_conditionals(prior))
+    mass, numer, mass_b, numer_b = _scheme_posteriors(prior, scheme)
     out = (float(_kernels.weighted_g(numer, mass, score).sum()),
            float(_kernels.weighted_g(numer_b, mass_b, score).sum()))
     object.__setattr__(scheme, "_terms", (prior, score, out))

@@ -10,8 +10,10 @@ computes it, and every later call shares it, read-only.
 Priors and schemes are frozen and their arrays read-only, so what is
 derived from them is kept on them, in private fields outside ``repr`` and
 ``==``.  A prior keeps the two terms of V for the last score it was asked
-about; a scheme remembers the last prior it validated against, and its
-u_B terms (``belief``) for the last (prior, score).  Every such memo holds
+about; a scheme remembers the last prior it validated against, its
+posterior terms Pr(s), Pr(s, e), Pr(s, b) and Pr(s, b, e) for the last
+prior, and its u_B terms for the last (prior, score) (both ``belief``).
+Every such memo holds
 the objects it is keyed by and matches them with ``is``: an equal but
 distinct prior, scheme or score recomputes.
 """
@@ -138,6 +140,10 @@ class SignalingScheme:
     pi: np.ndarray
     # the prior the last ``validate`` passed
     _validated: JointPrior | None = field(
+        default=None, init=False, repr=False, compare=False)
+    # (prior, (Pr(s), Pr(s, e), Pr(s, b), Pr(s, b, e))), set by
+    # ``belief._scheme_posteriors``
+    _posteriors: tuple | None = field(
         default=None, init=False, repr=False, compare=False)
     # (prior, score, (E_s G(p_s), E_{s,b} G(p_{s,b}))), set by
     # ``belief._scheme_terms``
@@ -335,10 +341,10 @@ def _value_terms(prior: JointPrior, score: ScoreSpec) -> tuple[float, float]:
     if memo is not None and memo[0] is score:
         return memo[1]
     table = marginals_and_conditionals(prior)
-    terms = _kernels.weighted_g(np.moveaxis(prior.p, 0, 2), table.mu_ab, score)
-    bad = np.argwhere(~np.isfinite(terms))
-    if bad.size:
-        a, b = (int(i) for i in bad[0])
+    terms = _kernels.weighted_g(prior.p.transpose(1, 2, 0), table.mu_ab,
+                                score)
+    if not np.isfinite(terms).all():
+        a, b = (int(i) for i in np.argwhere(~np.isfinite(terms))[0])
         raise NonFiniteScore(
             f"G is not finite at the posterior for (a={a}, b={b})")
     g0 = scoring.eval_G(score, table.mu_e)

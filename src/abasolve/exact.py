@@ -29,6 +29,16 @@ with its lowest-index argmax recommendation profile (i_0, i_1, ..., i_|B|),
 and vertices that share a profile merge into one signal, pi rows summed.
 This is lossless: a profile that is an argmax at every merged vertex is
 one at their mixture, by linearity, so objective and obedience carry over.
+
+A classify solve is small: from 7 to a few hundred candidates and an LP
+of |A| rows.  Its time is the fixed cost of its numpy calls, so each stage
+makes few: ``_cross`` forms each minor once, a level at a time; one
+``ub_grid_wa`` call costs the candidates and both benchmarks (the LP's
+first |A| points are the vertices e_a, which full revelation uses, and
+one row more holds mu_A / M for no revelation); the merge groups at most
+|A| support points as Python tuples; and the obedience certificate and
+the u_B check share the scheme's posterior terms.  The tests hold each
+stage to a frozen straightforward form of it, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +50,7 @@ import numpy as np
 
 from . import _kernels, belief, lp, scoring
 from .core import Classification, ConditionalTable, JointPrior, Method, \
-    SignalingScheme, SolveReport, marginals_and_conditionals, total_value, \
-    full_reveal_scheme, no_reveal_scheme
+    SignalingScheme, SolveReport, marginals_and_conditionals, total_value
 from .errors import NumericalFailure, SizeCapExceeded, ValidationError, \
     check_count
 from .fptas import _certified_bob, _envelope_lp
@@ -83,7 +92,7 @@ def _obedience_blocks(table: ConditionalTable, score: ScoreSpec):
     u = score.utilities                          # (k, ne)
     ue_a = np.einsum("ie,ae->ia", u, table.e_given_a)       # (k, na)
     ue_ab = np.einsum("ie,abe,ab->iab", u, table.e_given_ab, table.b_given_a)
-    return np.concatenate((ue_a[None], np.moveaxis(ue_ab, 2, 0)))
+    return np.concatenate((ue_a[None], ue_ab.transpose(2, 0, 1)))
 
 
 def _components(ue: np.ndarray) -> np.ndarray:
@@ -131,16 +140,32 @@ def build_obedience_lp(prior: JointPrior, score: ScoreSpec,
 
 
 def _cross(sub: np.ndarray) -> np.ndarray:
-    """Generalised cross products of a stack of (n-1) x n matrices: their
-    signed (n-1)-minors, by Laplace expansion along the first row, so a
-    minor whose terms all vanish is exactly zero."""
+    """Generalised cross products of a stack of (n-1) x n matrices, n >= 2:
+    their signed (n-1)-minors, by Laplace expansion along the first row,
+    so a minor whose terms all vanish is exactly zero.
+
+    Entry a is (-1)^a s(S - a), S the n columns, where s(T) for a column
+    set T of size k expands the last k rows along their first: s(T) =
+    sum_j sub[n-1-k, T_j] ((-1)^j s(T - T_j)), T ascending, and s of the
+    empty set is 1.  s(T) depends on T alone, so each is computed once, a
+    level of all C(n, k) sets at a time from the level below (a recursion
+    one minor at a time computes n! / 2 of them at the deepest level).
+    Each level's products are laid out C-contiguous, so numpy sums them
+    over their contiguous last axis, as that recursion sums them; a sum
+    of one term is numpy's 0.0 + term."""
     n = sub.shape[-1]
-    if n == 1:
-        return np.ones(sub.shape[:-2] + (1,))
-    return np.stack([(-1) ** a * (np.delete(sub[..., 0, :], a, axis=-1) *
-                                  _cross(np.delete(sub[..., 1:, :], a,
-                                                   axis=-1))).sum(axis=-1)
-                     for a in range(n)], axis=-1)
+    s = sub[..., -1, :] + 0.0           # s({c}) = 0.0 + sub[-1, c] s({})
+    index = {(c,): c for c in range(n)}
+    for k in range(2, n):
+        sets = list(itertools.combinations(range(n), k))
+        below = [[index[t[:j] + t[j + 1:]] for j in range(k)] for t in sets]
+        terms = np.multiply(sub[..., n - 1 - k, sets], s[..., below],
+                            order="C")
+        terms *= (-1.0) ** np.arange(k)     # exact, as on either factor
+        s = terms.sum(axis=-1)
+        index = {t: i for i, t in enumerate(sets)}
+    # the sets of size n - 1 come in the order S - (n-1), ..., S - 0
+    return s[..., ::-1] * (-1.0) ** np.arange(n)
 
 
 def _arrangement_points(ue: np.ndarray) -> np.ndarray:
@@ -150,21 +175,23 @@ def _arrangement_points(ue: np.ndarray) -> np.ndarray:
     For |A| = 1, Delta_A is the one point e_0 and nothing else is built.
     Otherwise each (|A|-1)-subset of the rows (the nonzero after-reveal
     normals ue[1+b, i] - ue[1+b, j] of ``_obedience_blocks``' weights for
-    i < j, then the facets e_a) gives its generalised cross product v, the
-    signed minors, kept when its entries share one sign and scaled to sum
-    1.  A vertex on a face of Delta_A is also the cross product of a subset
-    that holds the face's facets, and ``_cross`` computes its entries off
-    the face as exact zeros, so rounding does not drop it.
+    i < j, in ``itertools.combinations`` order, then the facets e_a) gives
+    its generalised cross product v, the signed minors, kept when its
+    entries share one sign and scaled to sum 1.  A vertex on a face of
+    Delta_A is also the cross product of a subset that holds the face's
+    facets, and ``_cross`` computes its entries off the face as exact
+    zeros, so rounding does not drop it.
 
     Subsets go in chunks of ``_POINT_CHUNK``.  Peak memory (tracemalloc,
-    |A| = 3) is about 10 MB of chunk temporaries plus 16|A| B per kept
+    |A| = 3) is about 14 MB of chunk temporaries plus 16|A| B per kept
     point: at the default cap of 2,000,000 candidates, at most about
     110 MB.
     """
     _, k, na = ue.shape
     if na == 1:
         return np.eye(1)
-    i, j = np.triu_indices(k, 1)
+    i, j = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2).T
     # the pre-reveal normals ue[0, i] - ue[0, j] are left out: u_B is
     # concave across them, so no envelope vertex needs one (module doc)
     normals = (ue[1:, i] - ue[1:, j]).reshape(-1, na)
@@ -172,13 +199,37 @@ def _arrangement_points(ue: np.ndarray) -> np.ndarray:
                            np.eye(na)))
     points = [np.eye(na)]
     subsets = itertools.combinations(range(rows.shape[0]), na - 1)
-    while (flat := np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(subsets, _POINT_CHUNK)), dtype=np.intp)).size:
+    for _ in range(0, math.comb(rows.shape[0], na - 1), _POINT_CHUNK):
+        flat = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(subsets, _POINT_CHUNK)), dtype=np.intp)
         v = _cross(rows[flat.reshape(-1, na - 1)])
         v *= np.where(v.sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
         v = v[(v >= 0.0).all(axis=1) & (v > 0.0).any(axis=1)]
         points.append(v / v.sum(axis=1, keepdims=True))
     return np.concatenate(points)
+
+
+def _merge_profiles(w: np.ndarray, weights: np.ndarray, ue: np.ndarray):
+    """The revelation scheme of the support points ``w`` (rows, with LP
+    weights ``weights``): (labels, pi).
+
+    Each point is labelled with its lowest-index argmax profile under
+    ``ue``, and points that share a profile merge into one signal (see the
+    module docstring).  Signals go in ascending profile order, and each
+    pi row adds its points' ``weight * w`` to 0.0 in support order, as
+    np.unique(axis=0) and np.add.at do; the support has at most |A|
+    points, so the groups are formed over Python tuples."""
+    profiles = np.einsum("va,cia->vci", w, ue).argmax(axis=2).tolist()
+    rows = weights[:, None] * w
+    groups: dict[tuple, list[int]] = {}
+    for v, profile in enumerate(profiles):
+        groups.setdefault(tuple(profile), []).append(v)
+    keys = sorted(groups)
+    pi = np.zeros((len(keys), w.shape[1]))
+    for s, key in enumerate(keys):
+        for v in groups[key]:
+            pi[s] += rows[v]
+    return tuple("-".join(map(str, key)) for key in keys), pi
 
 
 def solve_exact(prior: JointPrior, score: ScoreSpec,
@@ -204,18 +255,14 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     table = marginals_and_conditionals(prior)
     ue = _obedience_blocks(table, score)
     points = _arrangement_points(ue)
-    sol = _envelope_lp(table.mu_a, (_kernels.ub_grid_wa(points, table, score),
-                                    points), "vertex")
+    mu = table.mu_a
+    # u_B at the candidates, then at mu_A / M for the no-reveal benchmark;
+    # each row's value depends on that row alone (``ub_grid_wa``)
+    u = _kernels.ub_grid_wa(np.vstack((points, mu / mu.sum())), table, score)
+    sol = _envelope_lp(mu, (u[:-1], points), "vertex")
 
-    # merge the support points by lowest-index argmax profile (lossless)
     support, weights = sol.support(SUPPORT_MASS)
-    w = points[support]
-    profile = np.einsum("va,cia->vci", w, ue).argmax(axis=2)
-    profiles, group = np.unique(profile, axis=0, return_inverse=True)
-    pi = np.zeros((profiles.shape[0], na))
-    np.add.at(pi, group.ravel(), weights[:, None] * w)
-    scheme = SignalingScheme(
-        tuple("-".join(map(str, p)) for p in profiles.tolist()), pi)
+    scheme = SignalingScheme(*_merge_profiles(points[support], weights, ue))
     violation = certify_obedience(prior, score, scheme)
     if not violation <= OBEDIENCE_TOL:
         raise NumericalFailure(f"scheme violates obedience by {violation!r}, "
@@ -225,7 +272,8 @@ def solve_exact(prior: JointPrior, score: ScoreSpec,
     optimum = -sol.objective
     return SolveReport(
         scheme, bob, total_value(prior, score),
-        _classify_against_benchmarks(prior, score, optimum), Method.EXACT,
+        _classify_against_benchmarks(
+            optimum, *_benchmark_objectives(mu, u[:na], u[-1])), Method.EXACT,
         {"lp_objective": optimum, "lp_vars": points.shape[0], "lp_rows": na,
          "lp_iterations": sol.iterations, "lp_duality_gap": sol.duality_gap,
          "signals_kept": scheme.n_signals, "pieces": k,
@@ -274,22 +322,43 @@ def certify_obedience(prior: JointPrior, score: ScoreSpec,
         bad = next(s for s in labels if not _is_profile(s, n_rec, n_act))
         raise ValidationError(f"signal label {bad!r} is not a profile of "
                               f"{n_rec} action indices below {n_act}")
-    mass, numer, mass_b, numer_b = belief._posterior_terms(
-        scheme.pi[live], marginals_and_conditionals(prior))
+    if live.size == scheme.n_signals:
+        mass, numer, mass_b, numer_b = belief._scheme_posteriors(prior,
+                                                                 scheme)
+    else:
+        mass, numer, mass_b, numer_b = belief._posterior_terms(
+            scheme.pi[live], marginals_and_conditionals(prior))
     # column 0: Pr(e|s) before Bob reveals; column 1 + b: Pr(e|s, b)
-    masses = np.column_stack((mass, mass_b))
+    masses = np.concatenate((mass[:, None], mass_b), axis=1)
     on = masses > SUPPORT_MASS
     vals = np.concatenate((numer[:, None], numer_b), axis=1) \
         @ u.T / np.where(on, masses, 1.0)[..., None]
-    gap = vals.max(axis=2) - np.take_along_axis(vals, rec[..., None],
-                                                axis=2)[..., 0]
+    gap = vals.max(axis=2) - vals[np.arange(live.size)[:, None],
+                                  np.arange(n_rec), rec]
     return float(np.max(gap[on], initial=0.0))
 
 
-def _classify_against_benchmarks(prior: JointPrior, score: ScoreSpec,
-                                 optimum: float) -> Classification:
-    full = belief.sender_objective(prior, score, full_reveal_scheme(prior))
-    none = belief.sender_objective(prior, score, no_reveal_scheme(prior))
+def _benchmark_objectives(mu: np.ndarray, u_vertices: np.ndarray,
+                          u_mean: float) -> tuple[float, float]:
+    """Alice's objective under full and under no revelation, from u_B at
+    the vertices e_a (``u_vertices``) and at mu_A / M (``u_mean``), where
+    M = sum_a mu(a).
+
+    Full revelation sends mass mu(a) to the posterior e_a, so its u_B is
+    sum_a mu(a) u_B(e_a); an outcome with mu(a) = 0 adds 0, as its dropped
+    signal does in ``belief``.  No revelation sends mass M to mu_A / M, so
+    its u_B is M u_B(mu_A / M).  Both agree with ``belief.sender_objective``
+    of ``core.full_reveal_scheme`` and ``core.no_reveal_scheme`` up to
+    rounding, without building either scheme."""
+    return -float(mu @ u_vertices), -float(mu.sum() * u_mean)
+
+
+def _classify_against_benchmarks(optimum: float, full: float,
+                                 none: float) -> Classification:
+    """Classify by which benchmark objectives, ``full`` (full revelation)
+    and ``none`` (no revelation), Alice's ``optimum`` attains to
+    CLASSIFY_TOL: both Indifferent, full Substitutes, none Complements,
+    neither Neither."""
     full_opt = abs(optimum - full) <= CLASSIFY_TOL
     none_opt = abs(optimum - none) <= CLASSIFY_TOL
     if full_opt and none_opt:

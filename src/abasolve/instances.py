@@ -83,6 +83,9 @@ def _number(v, where: str) -> float:
 def _numbers(obj, where: str) -> list:
     if not isinstance(obj, list):
         raise ParseError(f"{where}: expected an array of numbers")
+    # the usual array, finite floats only, passes without a call per entry
+    if set(map(type, obj)) <= {float} and all(map(math.isfinite, obj)):
+        return obj
     for i, v in enumerate(obj):
         if not _finite(v):
             raise ParseError(f"{where}[{i}]: expected a finite number")
@@ -150,14 +153,14 @@ def parse_instance(path: str | Path
     prior_rows = doc["prior"]
     if not isinstance(prior_rows, list) or len(prior_rows) != ne:
         raise ParseError(f"prior: expected {ne} event slices")
-    tensor = np.empty((ne, na, nb))
     for e, slab in enumerate(prior_rows):
         if not isinstance(slab, list) or len(slab) != na:
             raise ParseError(f"prior[{e}]: expected {na} rows")
         for a, row in enumerate(slab):
             if not isinstance(row, list) or len(row) != nb:
                 raise ParseError(f"prior[{e}][{a}]: expected {nb} entries")
-            tensor[e, a] = _numbers(row, f"prior[{e}][{a}]")
+            _numbers(row, f"prior[{e}][{a}]")
+    tensor = np.array(prior_rows, dtype=float).reshape(ne, na, nb)
     return spaces, JointPrior(tensor), score_from_json(doc["score"])
 
 
@@ -191,7 +194,8 @@ def parse_scheme(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
 def _read_json(path: str | Path):
     """The JSON document at ``path``, or ParseError."""
     try:
-        return json.loads(Path(path).read_text())
+        with open(path) as f:
+            return json.loads(f.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -199,45 +203,56 @@ def _read_json(path: str | Path):
 
 
 def write_json(obj, path: str | Path | None) -> str:
-    """Serialize with fixed key order and 17-significant-digit floats; a
+    """Serialize ``obj`` and return the text; write it to ``path`` too
+    unless that is None.
+
+    Dicts keep their key order and go one key to a line, two spaces an
+    indent level; a list of scalars goes on one line.  Floats are written
+    with 17 significant digits, so they read back bit for bit, and a
     non-finite float raises NonFiniteScore rather than writing invalid
-    JSON."""
+    JSON.  Strings are quoted as ``json.dumps`` quotes them (ASCII, with
+    escapes).  An OSError from writing ``path`` propagates."""
     text = _dumps(obj, 0) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text
 
 
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
+_SCALARS = (int, float, str, bool, type(None))
+
+
 def _dumps(obj, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(k)}: {_dumps(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        flat = all(isinstance(v, (int, float, str, bool, type(None)))
-                   for v in seq)
-        if flat:
-            return "[" + ", ".join(_dumps(v, indent + 1) for v in seq) + "]"
-        items = [f"{inner}{_dumps(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)) or obj is None:
-        return json.dumps(bool(obj) if obj is not None else None)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         if not math.isfinite(obj):
             raise NonFiniteScore(f"cannot write {float(obj)!r}: JSON has no "
                                  "non-finite numbers")
         return format(float(obj), ".17g")
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = "\n" + "  " * (indent + 1)
+        items = [(_quote(k) if isinstance(k, str) else json.dumps(k)) + ": " +
+                 _dumps(v, indent + 1) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + "\n" + \
+            "  " * indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_dumps(v, indent + 1) for v in obj]
+        if all(isinstance(v, _SCALARS) for v in obj):
+            return "[" + ", ".join(items) + "]"
+        inner = "\n" + "  " * (indent + 1)
+        return "[" + inner + ("," + inner).join(items) + "\n" + \
+            "  " * indent + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -251,7 +266,7 @@ def report_to_json(report: SolveReport) -> dict:
         "classification": report.classification.value,
         "scheme": {
             "signals": list(report.scheme.signal_labels),
-            "pi": [list(row) for row in report.scheme.pi],
+            "pi": report.scheme.pi.tolist(),
         },
         "diagnostics": diagnostics,
     }

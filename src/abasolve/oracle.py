@@ -142,7 +142,7 @@ def cross_belief_utilities(prior: JointPrior, score: ScoreSpec,
     t = marginals_and_conditionals(prior)
     believed.validate(prior)
     e_s_term = belief._scheme_terms(prior, score, actual)[0]
-    _, _, mass_b, numer_b = belief._posterior_terms(actual.pi, t)
+    _, _, mass_b, numer_b = belief._scheme_posteriors(prior, actual)
     reports, off = _bob_reports(believed, actual.signal_labels, t)
     sent = mass_b > 0.0
     pair_mass = mass_b[sent]

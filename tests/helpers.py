@@ -563,3 +563,75 @@ def envelope_iterate_frozen(ext, basis, x_b, tol, max_iter, degen_limit):
         x_b[leave] = rmin
         basis[leave] = enter
         iters += 1
+
+
+# -- frozen copies of the exact solver's small-solve stages, as they were
+# before their constant costs were cut; the bit-for-bit tests in
+# test_exact.py compare the solver against them
+
+def cross_frozen(sub: np.ndarray) -> np.ndarray:
+    """``exact._cross`` by Laplace recursion with np.delete."""
+    n = sub.shape[-1]
+    if n == 1:
+        return np.ones(sub.shape[:-2] + (1,))
+    return np.stack([(-1) ** a * (np.delete(sub[..., 0, :], a, axis=-1) *
+                                  cross_frozen(np.delete(sub[..., 1:, :], a,
+                                                         axis=-1))).sum(axis=-1)
+                     for a in range(n)], axis=-1)
+
+
+def arrangement_points_frozen(ue: np.ndarray,
+                              chunk: int = 65_536) -> np.ndarray:
+    """``exact._arrangement_points`` with np.triu_indices and
+    ``cross_frozen``."""
+    _, k, na = ue.shape
+    if na == 1:
+        return np.eye(1)
+    i, j = np.triu_indices(k, 1)
+    normals = (ue[1:, i] - ue[1:, j]).reshape(-1, na)
+    rows = np.concatenate((normals[np.abs(normals).max(axis=1) > 0.0],
+                           np.eye(na)))
+    points = [np.eye(na)]
+    subsets = itertools.combinations(range(rows.shape[0]), na - 1)
+    while (flat := np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(subsets, chunk)), dtype=np.intp)).size:
+        v = cross_frozen(rows[flat.reshape(-1, na - 1)])
+        v *= np.where(v.sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
+        v = v[(v >= 0.0).all(axis=1) & (v > 0.0).any(axis=1)]
+        points.append(v / v.sum(axis=1, keepdims=True))
+    return np.concatenate(points)
+
+
+def merge_profiles_frozen(w: np.ndarray, weights: np.ndarray,
+                          ue: np.ndarray):
+    """``solve_exact``'s merge of its support points by lowest-index argmax
+    profile, with np.unique(axis=0) and np.add.at: (labels, pi)."""
+    profile = np.einsum("va,cia->vci", w, ue).argmax(axis=2)
+    profiles, group = np.unique(profile, axis=0, return_inverse=True)
+    pi = np.zeros((profiles.shape[0], w.shape[1]))
+    np.add.at(pi, group.ravel(), weights[:, None] * w)
+    return tuple("-".join(map(str, p)) for p in profiles.tolist()), pi
+
+
+def classify_against_benchmarks_frozen(prior: JointPrior, score: ScoreSpec,
+                                       optimum: float):
+    """``exact._classify_against_benchmarks`` through the two benchmark
+    schemes' sender objectives: (classification, full-reveal objective,
+    no-reveal objective)."""
+    from abasolve import belief
+    from abasolve.core import Classification, no_reveal_scheme
+    from abasolve.exact import CLASSIFY_TOL
+
+    full = belief.sender_objective(prior, score, full_reveal_scheme(prior))
+    none = belief.sender_objective(prior, score, no_reveal_scheme(prior))
+    full_opt = abs(optimum - full) <= CLASSIFY_TOL
+    none_opt = abs(optimum - none) <= CLASSIFY_TOL
+    if full_opt and none_opt:
+        label = Classification.INDIFFERENT
+    elif full_opt:
+        label = Classification.SUBSTITUTES
+    elif none_opt:
+        label = Classification.COMPLEMENTS
+    else:
+        label = Classification.NEITHER
+    return label, full, none

@@ -350,3 +350,48 @@ def test_per_label_posteriors_match_frozen_formulas():
                                                        b).weights,
                           lambda: posterior_e_given_sb_ref(prior, scheme, s,
                                                            b, t))
+
+
+def test_scheme_posteriors_are_formed_once_per_prior(monkeypatch):
+    """A scheme's Pr(s), Pr(s, e), Pr(s, b) and Pr(s, b, e) are formed once
+    for a prior object, bit for bit as ``_posterior_terms`` forms them, and
+    read-only; an equal but distinct prior forms them again.  The verify
+    chain's u_B, cross-belief payoffs and the exact solver's obedience
+    certificate all read them."""
+    from abasolve import belief, exact, oracle
+
+    rng = np.random.default_rng(401)
+    prior = random_prior(rng, ne=2, na=3, nb=2)
+    score = quadratic_score()
+    scheme, other = random_scheme(rng, prior, 4), random_scheme(rng, prior, 3)
+    want = belief._posterior_terms(scheme.pi,
+                                   marginals_and_conditionals(prior))
+    calls = []
+    real = belief._posterior_terms
+
+    def counted(pi, table):
+        calls.append(pi)
+        return real(pi, table)
+
+    monkeypatch.setattr(belief, "_posterior_terms", counted)
+    terms = belief._scheme_posteriors(prior, scheme)
+    assert [t.tobytes() for t in terms] == [t.tobytes() for t in want]
+    assert all(not t.flags.writeable for t in terms)
+    assert belief._scheme_posteriors(prior, scheme) is terms
+    pair = sorted((scheme, other),
+                  key=lambda x: belief.sender_objective(prior, score, x))
+    oracle.deviation_check(prior, score, *pair)
+    belief.alice_total_utility(prior, score, scheme)
+    own = [pi for pi in calls if pi is scheme.pi or pi is other.pi]
+    assert len(own) == 2                  # once per scheme
+    twin = JointPrior(prior.p.copy())
+    assert belief._scheme_posteriors(twin, scheme) is not terms
+    assert len(calls) == len(own) + 3 + 1  # _bob_reports' 3, the twin
+
+    labels = tuple(f"{i}-0-0" for i in range(scheme.n_signals))
+    labelled = SignalingScheme(labels, scheme.pi)
+    pieces = random_piecewise(rng, ne=2, k=scheme.n_signals)
+    calls.clear()
+    exact.certify_obedience(prior, pieces, labelled)
+    bob_utility_of_scheme(prior, pieces, labelled)
+    assert len(calls) == 1

@@ -439,3 +439,69 @@ def test_run_config_direct_use(xor_path, tmp_path):
     with pytest.raises(ValidationError):
         RunConfig(command="solve", instance_path=str(xor_path),
                   method="fptas-a")  # delta missing
+
+
+@pytest.mark.parametrize("command", ("solve", "classify", "value",
+                                     "simulate"))
+def test_cli_unwritable_out_is_a_validation_error(xor_path, scheme_paths,
+                                                  tmp_path, capsys, command):
+    """An ``--out`` path that cannot be written exits 2 with one line that
+    names it, as an unreadable input does, and no traceback."""
+    full, noise = scheme_paths
+    extra = {"simulate": ["--belief", str(full), "--actual", str(noise)]}
+    for out in (tmp_path / "no-such-dir" / "x.json", tmp_path):
+        status = cli.main([command, str(xor_path), *extra.get(command, []),
+                           "--out", str(out)])
+        assert status == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "no-such-dir").exists()
+
+
+def test_write_json_quotes_strings_as_json_dumps():
+    """Keys and string values are quoted as ``json.dumps`` quotes a str:
+    ASCII only, with escapes; numbers in a flat list keep 17 digits, and
+    a non-finite one is refused wherever it sits."""
+    texts = ["plain", 'a "quote" and a \\ back slash', "tab\tand\nnewline",
+             "\x00\x1f", "ünïcödé", " ", "emoji \U0001F600", ""]
+    doc = {s: [s, 0.1, True, None, 3] for s in texts}
+    doc["nested"] = [{"k": [0.1, 2.0 / 3.0]}, []]
+    want = "{\n" + "".join(
+        f"  {json.dumps(s)}: [{json.dumps(s)}, 0.10000000000000001, true, "
+        f"null, 3],\n" for s in texts) + \
+        '  "nested": [\n    {\n      "k": [0.10000000000000001, ' \
+        '0.66666666666666663]\n    },\n    []\n  ]\n}\n'
+    assert write_json(doc, None) == want
+    assert json.loads(want) == json.loads(json.dumps(doc))
+    for row in ([float("inf"), 0.5], [0.5, np.float64("nan")], ["x", -math.inf]):
+        with pytest.raises(NonFiniteScore, match="cannot write"):
+            write_json({"pi": [row]}, None)
+
+
+@pytest.mark.parametrize("token", ("NaN", "Infinity", "-Infinity", "1e999"))
+def test_parsers_refuse_non_finite_array_entries(tmp_path, xor_path, token):
+    """A non-finite entry in a prior row, a piece or a scheme row is a
+    ParseError that names it, among finite floats and ints alike."""
+    doc = json.loads(xor_path.read_text())
+    doc["prior"][0][1] = [0, 0.25]
+    doc["score"] = {"kind": "piecewise",
+                    "pieces": [{"r": [0.5, 0.5], "b": 0}]}
+    cases = {"prior[0][1][1]": ("prior", 0, 1, 1),
+             "score.pieces[0].r[0]": ("score", "pieces", 0, "r", 0)}
+    for where, keys in cases.items():
+        edited = json.loads(json.dumps(doc))
+        node = edited
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = "TOKEN"
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(edited).replace('"TOKEN"', token))
+        with pytest.raises(ParseError,
+                           match=re.escape(f"{where}: expected a finite")):
+            parse_instance(path)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text('{"signals": ["s"], "pi": [[0.5, %s]]}' % token)
+    with pytest.raises(ParseError,
+                       match=re.escape("scheme.pi[0][1]: expected a finite")):
+        instances.parse_scheme(scheme)

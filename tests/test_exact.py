@@ -23,10 +23,12 @@ from abasolve.oracle import oracle_optimal
 from abasolve.scoring import (default_tangent_grid, linearize_smooth,
                               log_score, piecewise_score, quadratic_score)
 
-from helpers import (certify_obedience_loop, compact_lp_highs,
-                     degenerate_cases, obedience_lp_loop,
-                     posterior_e_given_s_ref, posterior_e_given_sb_ref,
-                     random_piecewise, random_prior)
+from helpers import (arrangement_points_frozen, certify_obedience_loop,
+                     classify_against_benchmarks_frozen, compact_lp_highs,
+                     cross_frozen, degenerate_cases, merge_profiles_frozen,
+                     obedience_lp_loop, posterior_e_given_s_ref,
+                     posterior_e_given_sb_ref, random_piecewise,
+                     random_prior)
 
 
 def _linearized_quadratic(prior, k=20):
@@ -690,3 +692,155 @@ def test_cli_maps_certificate_failure_to_solver_exit(tmp_path, monkeypatch,
                         lambda *args, **kwargs: 1.0)
     assert cli.main(["classify", str(path)]) == cli.EXIT_SOLVER
     assert "solver failure" in capsys.readouterr().err
+
+
+# -- bit for bit against the frozen small-solve stages ------------------------
+#
+# ``_cross``, ``_arrangement_points`` and ``_merge_profiles`` must give what
+# their frozen copies in helpers.py give, byte for byte (signed zeros
+# included), and the benchmarks the classification the benchmark schemes
+# give.
+
+def _bytes(a: np.ndarray):
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_cross_matches_frozen_bit_for_bit(n):
+    """Random stacks with 0.0, -0.0, 1.0 and repeated rows, whose minors
+    vanish or cancel."""
+    rng = np.random.default_rng(300 + n)
+    for _ in range(40):
+        sub = rng.normal(size=(int(rng.integers(1, 40)), n - 1, n))
+        mask = rng.random(sub.shape)
+        sub[mask < 0.2] = 0.0
+        sub[mask > 0.8] = -0.0
+        sub[(mask > 0.5) & (mask < 0.6)] = 1.0
+        if n > 2:
+            sub[::3, -1] = sub[::3, 0]
+        assert _bytes(exact_module._cross(sub)) == _bytes(cross_frozen(sub))
+
+
+@pytest.mark.parametrize("n", (3, 9, 10))
+def test_cross_expands_along_its_first_row_bit_for_bit(n):
+    """Each entry is the frozen expansion's sum along the first row over
+    the minors of the lower rows, bit for bit; at n >= 9 that sum has 8
+    or more terms, which numpy adds pairwise over a contiguous axis, so
+    the sum's layout matters.  (The frozen recursion itself takes
+    seconds there.)"""
+    rng = np.random.default_rng(330 + n)
+    sub = rng.normal(size=(4, n - 1, n))
+    sub[:, :, ::3] *= 1e16
+    got = exact_module._cross(sub)
+    for a in range(n):
+        lower = exact_module._cross(np.delete(sub[:, 1:], a, axis=-1))
+        want = (-1) ** a * (np.delete(sub[:, 0], a, axis=-1) *
+                            lower).sum(axis=-1)
+        assert got[:, a].tobytes() == want.tobytes()
+
+
+def _arrangement_cases(rng, na):
+    """(prior, score) pairs at |A| = na: a plain prior, one with a zero-mass
+    A outcome and one with a zero-mass B outcome, each with duplicate
+    pieces and pieces whose utilities have both signs, so ``ue`` holds
+    -0.0 where mu(a, b) = 0."""
+    for zero_axis in (None, 1, 2):
+        nb = int(rng.integers(1, 3))
+        ne = int(rng.integers(2, 4))
+        p = random_prior(rng, ne=ne, na=na, nb=nb).p.copy()
+        if zero_axis is not None and p.shape[zero_axis] > 1:
+            np.moveaxis(p, zero_axis, 0)[
+                int(rng.integers(p.shape[zero_axis]))] = 0.0
+        k = int(rng.integers(2, 5 if na < 5 else 4))
+        drawn = random_piecewise(rng, ne, k=k)
+        pieces = list(zip(drawn.pieces_r, drawn.pieces_b))
+        yield JointPrior(p / p.sum()), piecewise_score(pieces + pieces[:1])
+
+
+@pytest.mark.parametrize("na", (1, 2, 3, 4, 5))
+def test_arrangement_points_and_merge_match_frozen_bit_for_bit(na):
+    """The candidate points, then the scheme read off the LP's support:
+    labels and pi, against the frozen arrangement and merge."""
+    rng = np.random.default_rng(310 + na)
+    for prior, score in _arrangement_cases(rng, na):
+        table = marginals_and_conditionals(prior)
+        ue = exact_module._obedience_blocks(table, score)
+        points = exact_module._arrangement_points(ue)
+        assert _bytes(points) == _bytes(arrangement_points_frozen(ue))
+        cost = _kernels.ub_grid_wa(points, table, score)
+        sol = lp.solve_envelope((cost, points), table.mu_a)
+        support, weights = sol.support(exact_module.SUPPORT_MASS)
+        labels, pi = exact_module._merge_profiles(points[support], weights,
+                                                  ue)
+        want_labels, want_pi = merge_profiles_frozen(points[support],
+                                                     weights, ue)
+        assert labels == want_labels
+        assert _bytes(pi) == _bytes(want_pi)
+        report = solve_exact(prior, score)
+        assert report.scheme.signal_labels == want_labels
+        assert _bytes(report.scheme.pi) == _bytes(want_pi)
+
+
+def test_merge_profiles_matches_frozen_bit_for_bit():
+    """Support points that share profiles in any order, with -0.0 entries,
+    which a pi row's sum from 0.0 turns into 0.0."""
+    rng = np.random.default_rng(320)
+    for na in (2, 3, 4):
+        for _ in range(30):
+            nb, k = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            ue = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(1 + nb, k, na))
+            w = rng.dirichlet(np.ones(na), size=int(rng.integers(1, na + 1)))
+            w[rng.random(w.shape) < 0.3] = -0.0
+            w[int(rng.integers(w.shape[0]))] = w[0]
+            weights = rng.random(w.shape[0])
+            labels, pi = exact_module._merge_profiles(w, weights, ue)
+            want_labels, want_pi = merge_profiles_frozen(w, weights, ue)
+            assert labels == want_labels
+            assert _bytes(pi) == _bytes(want_pi)
+
+
+_NAMED_PRIORS = {"xor": instances.xor_instance,
+                 "copy": instances.copy_instance,
+                 "independent": instances.independent_instance}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), na=st.integers(1, 3), nb=st.integers(1, 3),
+       ne=st.integers(2, 3))
+def test_benchmarks_match_the_benchmark_schemes(data, na, nb, ne):
+    """The full- and no-revelation objectives read from u_B at the vertices
+    and at mu_A / M lie within 1e-12 of ``belief.sender_objective`` of the
+    two benchmark schemes, and ``solve_exact`` classifies as the frozen
+    comparison against those schemes does, on random priors (zero-mass
+    outcomes included) and the bundled instances."""
+    name = data.draw(st.sampled_from(["random", *_NAMED_PRIORS]))
+    if name == "random":
+        p = data.draw(arrays(float, (ne, na, nb), elements=_prior_entries))
+        if p.sum() <= 0.0:
+            p[0, 0, 0] = 1.0
+        prior = JointPrior(p / p.sum())
+    else:
+        prior = _NAMED_PRIORS[name]()[1]
+        ne = na = nb = 2
+    kind = data.draw(st.sampled_from(["pieces", "quadratic", "log"]))
+    if kind == "pieces":
+        k = data.draw(st.integers(1, 6))
+        r = data.draw(arrays(float, (k, ne), elements=_piece_entries))
+        b = data.draw(arrays(float, (k,), elements=_piece_entries))
+        score = piecewise_score(list(zip(r, b)))
+    else:
+        smooth = quadratic_score() if kind == "quadratic" else log_score()
+        # up to 7 pieces at |E| = 2, 15 at |E| = 3
+        score = linearize_smooth(smooth, default_tangent_grid(
+            smooth, ne, data.draw(st.integers(3, 8 if ne == 2 else 4))))
+    table = marginals_and_conditionals(prior)
+    mu = table.mu_a
+    u = _kernels.ub_grid_wa(np.vstack((np.eye(mu.size), mu / mu.sum())),
+                            table, score)
+    full, none = exact_module._benchmark_objectives(mu, u[:-1], u[-1])
+    report = solve_exact(prior, score)
+    want, want_full, want_none = classify_against_benchmarks_frozen(
+        prior, score, report.diagnostics["lp_objective"])
+    assert abs(full - want_full) <= 1e-12
+    assert abs(none - want_none) <= 1e-12
+    assert report.classification is want
