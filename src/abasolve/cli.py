@@ -82,19 +82,6 @@ def _solve(config: RunConfig, prior: JointPrior, score: ScoreSpec):
     raise ValidationError(f"unknown method {config.method!r}")
 
 
-class _CannotWrite(Exception):
-    """Writing a document to ``--out`` failed."""
-
-
-def _write(write, obj, path: str | None) -> str:
-    """``write(obj, path)``, ``instances.write_json`` or ``emit_report``; an
-    OSError from writing ``path`` becomes _CannotWrite, naming the path."""
-    try:
-        return write(obj, path)
-    except OSError as exc:
-        raise _CannotWrite(f"cannot write {path}: {exc}") from exc
-
-
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
     try:
@@ -106,7 +93,7 @@ def run(config: RunConfig) -> int:
     try:
         if config.command in ("solve", "classify", "oracle"):
             report = _solve(config, prior, score)
-            text = _write(instances.emit_report, report, config.output_path)
+            text = instances.emit_report(report, config.output_path)
             print(f"{report.method.value}: objective "
                   f"{report.sender_objective:.9g}, bob utility "
                   f"{report.bob_utility:.9g}, V {report.total_value_V:.9g}, "
@@ -116,7 +103,7 @@ def run(config: RunConfig) -> int:
             return EXIT_OK
         if config.command == "value":
             v = total_value(prior, score)
-            text = _write(instances.write_json, {"V": v}, config.output_path)
+            text = instances.write_json({"V": v}, config.output_path)
             print(f"V = {v:.9g}")
             if config.output_path is None:
                 print(text, end="")
@@ -138,7 +125,7 @@ def run(config: RunConfig) -> int:
                 "off_path_mass": payoff.off_path_mass,
                 "chain": {k: check.details[k] for k in sorted(check.details)},
             }
-            text = _write(instances.write_json, doc, config.output_path)
+            text = instances.write_json(doc, config.output_path)
             print(f"deviation chain {'holds' if check.passed else 'FAILS'}: "
                   f"u_B(pi;pi*) {check.details['u_b_cross']:.9g} <= "
                   f"u_B(pi*;pi*) {check.details['u_b_star']:.9g} <= "
@@ -147,7 +134,7 @@ def run(config: RunConfig) -> int:
                 print(text, end="")
             return EXIT_OK
         raise ValidationError(f"unknown command {config.command!r}")
-    except (ParseError, ValidationError, _CannotWrite) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SizeCapExceeded, NumericalFailure, SolverError) as exc:

@@ -148,8 +148,11 @@ def _cross(sub: np.ndarray) -> np.ndarray:
     set T of size k expands the last k rows along their first: s(T) =
     sum_j sub[n-1-k, T_j] ((-1)^j s(T - T_j)), T ascending, and s of the
     empty set is 1.  s(T) depends on T alone, so each is computed once, a
-    level of all C(n, k) sets at a time from the level below (a recursion
-    one minor at a time computes n! / 2 of them at the deepest level).
+    level of all C(n, k) sets at a time from the level below.  A
+    recursion one minor at a time computes n! / 2 of them at the deepest
+    level, and even at n = 2 and 3 it makes more numpy calls: over
+    classify-ladder's pool it takes the arrangement stage about 1.4 times
+    as long.
     Each level's products are laid out C-contiguous, so numpy sums them
     over their contiguous last axis, as that recursion sums them; a sum
     of one term is numpy's 0.0 + term."""
@@ -182,14 +185,19 @@ def _arrangement_points(ue: np.ndarray) -> np.ndarray:
     facets, and ``_cross`` computes its entries off the face as exact
     zeros, so rounding does not drop it.
 
-    Subsets go in chunks of ``_POINT_CHUNK``.  Peak memory (tracemalloc,
-    |A| = 3) is about 14 MB of chunk temporaries plus 16|A| B per kept
-    point: at the default cap of 2,000,000 candidates, at most about
-    110 MB.
+    Subsets go in chunks.  ``_cross``'s widest level holds C(|A|, j) j
+    entries per subset, 6 at |A| = 3, so a chunk holds ``_POINT_CHUNK``
+    subsets at |A| <= 3 and proportionally fewer above: its temporaries
+    stay near |A| = 3's at every |A|.  Peak memory (tracemalloc, 80,000
+    to 280,000 subsets keeping 14,000 to 20,000 points) is 15-19 MB at
+    |A| = 3 to 6.  Each kept point adds 16|A| B: at |A| = 3 and the
+    default cap of 2,000,000 candidates, at most about 110 MB.
     """
     _, k, na = ue.shape
     if na == 1:
         return np.eye(1)
+    width = max([6] + [math.comb(na, j) * j for j in range(2, na)])
+    chunk = _POINT_CHUNK * 6 // width
     i, j = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2).T
     # the pre-reveal normals ue[0, i] - ue[0, j] are left out: u_B is
@@ -199,9 +207,9 @@ def _arrangement_points(ue: np.ndarray) -> np.ndarray:
                            np.eye(na)))
     points = [np.eye(na)]
     subsets = itertools.combinations(range(rows.shape[0]), na - 1)
-    for _ in range(0, math.comb(rows.shape[0], na - 1), _POINT_CHUNK):
+    for _ in range(0, math.comb(rows.shape[0], na - 1), chunk):
         flat = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(subsets, _POINT_CHUNK)), dtype=np.intp)
+            itertools.islice(subsets, chunk)), dtype=np.intp)
         v = _cross(rows[flat.reshape(-1, na - 1)])
         v *= np.where(v.sum(axis=1) < 0.0, -1.0, 1.0)[:, None]
         v = v[(v >= 0.0).all(axis=1) & (v > 0.0).any(axis=1)]
@@ -349,7 +357,10 @@ def _benchmark_objectives(mu: np.ndarray, u_vertices: np.ndarray,
     signal does in ``belief``.  No revelation sends mass M to mu_A / M, so
     its u_B is M u_B(mu_A / M).  Both agree with ``belief.sender_objective``
     of ``core.full_reveal_scheme`` and ``core.no_reveal_scheme`` up to
-    rounding, without building either scheme."""
+    rounding, without building either scheme.  They are not those values
+    bit for bit (the tests hold them within 1e-12), so an instance whose
+    |optimum - benchmark| lies within about 1e-12 of CLASSIFY_TOL can be
+    classified differently than through the two schemes."""
     return -float(mu @ u_vertices), -float(mu.sum() * u_mean)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import JointPrior, OutcomeSpaces, SolveReport
-from .errors import NonFiniteScore, ParseError
+from .errors import NonFiniteScore, ParseError, ValidationError
 from .scoring import HolderParams, ScoreKind, ScoreSpec, piecewise_score
 
 _FLOAT_MAX = sys.float_info.max
@@ -211,10 +211,15 @@ def write_json(obj, path: str | Path | None) -> str:
     with 17 significant digits, so they read back bit for bit, and a
     non-finite float raises NonFiniteScore rather than writing invalid
     JSON.  Strings are quoted as ``json.dumps`` quotes them (ASCII, with
-    escapes).  An OSError from writing ``path`` propagates."""
+    escapes).  A ``path`` that cannot be written raises ValidationError
+    naming it, as ``_read_json`` raises ParseError for one that cannot be
+    read."""
     text = _dumps(obj, 0) + "\n"
     if path is not None:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
     return text
 
 

@@ -16,7 +16,7 @@ BENCH = ROOT / "perfbench"
 def _abtime(a: Path, b: Path, *extra: str):
     return subprocess.run([sys.executable, str(ABTIME), str(a), str(b),
                            "--workload", "classify-ladder", "--limit", "3",
-                           "--passes", "1", *extra],
+                           *extra],
                           capture_output=True, text=True, timeout=120)
 
 
@@ -24,7 +24,7 @@ def test_abtime_times_both_sides_and_matches_hashes():
     before = {p: p.stat().st_mtime_ns for p in BENCH.rglob("*")}
     done = _abtime(ROOT, ROOT, "--rounds", "2")
     assert done.returncode == 0, done.stdout + done.stderr
-    rounds = re.findall(r"^round (\d) \((AB|BA), 3 solves a side\): "
+    rounds = re.findall(r"^round (\d) \((AB|BA), 9 solves a side\): "
                         r"A [\d.]+ ms, B [\d.]+ ms, B/A [\d.]+$",
                         done.stdout, re.MULTILINE)
     assert rounds == [("1", "AB"), ("2", "BA")]

@@ -781,6 +781,24 @@ def test_arrangement_points_and_merge_match_frozen_bit_for_bit(na):
         assert _bytes(report.scheme.pi) == _bytes(want_pi)
 
 
+@pytest.mark.parametrize("na, nb, k", ((4, 3, 8), (5, 2, 7)))
+def test_arrangement_points_chunk_memory_stays_bounded(na, nb, k):
+    """Over 100,000 subsets, in several chunks: the points are the frozen
+    form's, which takes 65,536 subsets at a time, bit for bit, and the
+    peak stays under 24 MB, where chunks of 65,536 subsets through
+    ``_cross``'s widest level reach 36 MB at |A| = 4 and 76 MB at 5."""
+    ue = np.random.default_rng(na).normal(size=(1 + nb, k, na))
+    want = arrangement_points_frozen(ue)
+    tracemalloc.start()
+    try:
+        points = exact_module._arrangement_points(ue)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _bytes(points) == _bytes(want)
+    assert peak < 24_000_000
+
+
 def test_merge_profiles_matches_frozen_bit_for_bit():
     """Support points that share profiles in any order, with -0.0 entries,
     which a pi row's sum from 0.0 turns into 0.0."""

@@ -2,16 +2,21 @@
 """Time two checkouts in-process over one benchmark workload's seed-0 pool.
 
     python3 tools/abtime.py A B --workload classify-ladder [--rounds 4]
-                            [--passes 3] [--limit N]
+                            [--limit N]
 
 Each round runs one fresh child interpreter per checkout, alternating
 which side goes first, so that the two sides see the host's drift alike.
 A child builds the workload's seed-0 pool with perfbench's own
 ``prepare`` and solves it with perfbench's ``make_solver``, from the
 checkout it times, as ``tools/replay.py`` does; it solves the pool once
-untimed, then ``--passes`` times under the clock.  The instance documents
-go to a temporary directory and no bytecode is written, so both checkouts
-are left as they were.
+untimed, then PASSES times under the clock.  The instance documents go to
+a temporary directory and no bytecode is written, so both checkouts are
+left as they were.
+
+On a shared host one round's ratio can swing by 10-30%, so the number of
+rounds a comparison needs grows as the difference it looks for shrinks:
+a 50% change shows in four rounds, while a 3% one stayed unresolved
+after ten.  ``--limit`` takes the pool's first N instances, for a quick check.
 
 The output is each round's milliseconds per solve on both sides and their
 ratio B / A, the median of those ratios, and whether the sha256 over every
@@ -35,11 +40,12 @@ from time import perf_counter
 sys.dont_write_bytecode = True
 
 HERE = Path(__file__).resolve()
+PASSES = 3  # timed passes over the pool per child
 
 
-def child(root: Path, name: str, passes: int, limit: int | None) -> dict:
-    """One side of one round: ms per solve over ``passes`` timed passes
-    of the pool, and the sha256 of the untimed pass's emitted texts."""
+def child(root: Path, name: str, limit: int | None) -> dict:
+    """One side of one round: ms per solve over PASSES timed passes of
+    the pool, and the sha256 of the untimed pass's emitted texts."""
     sys.path.insert(0, str(HERE.parent))
     import replay
     ab, run, workloads, _ = replay.load_bench(root)
@@ -58,22 +64,22 @@ def child(root: Path, name: str, passes: int, limit: int | None) -> dict:
                 digest.update(text.encode())
                 digest.update(b"\0")
         t0 = perf_counter()
-        for _ in range(passes):
+        for _ in range(PASSES):
             for inst in pool:
                 try:
                     solve(inst)
                 except ab.SolverError:
                     pass
         seconds = perf_counter() - t0
-    return {"ms_per_solve": 1e3 * seconds / (passes * len(pool)),
-            "solves": passes * len(pool), "sha256": digest.hexdigest()}
+    return {"ms_per_solve": 1e3 * seconds / (PASSES * len(pool)),
+            "solves": PASSES * len(pool), "sha256": digest.hexdigest()}
 
 
-def spawn(root: Path, name: str, passes: int, limit: int | None) -> dict:
+def spawn(root: Path, name: str, limit: int | None) -> dict:
     """Run ``child`` in a fresh interpreter; exit 2 with its standard
     error when it fails."""
     cmd = [sys.executable, str(HERE), "--child", str(root), "--workload",
-           name, "--passes", str(passes)]
+           name]
     if limit is not None:
         cmd += ["--limit", str(limit)]
     done = subprocess.run(cmd, capture_output=True, text=True)
@@ -89,20 +95,19 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("checkouts", nargs="*", type=Path, metavar="CHECKOUT",
                    help="the two checkouts, A then B")
     p.add_argument("--workload", required=True)
-    p.add_argument("--rounds", type=int, default=4)
-    p.add_argument("--passes", type=int, default=3,
-                   help="timed passes over the pool per child")
+    p.add_argument("--rounds", type=int, default=4,
+                   help="A/B rounds; more resolve a smaller difference")
     p.add_argument("--limit", type=int, default=None,
                    help="use only the pool's first N instances")
     p.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    for opt in ("rounds", "passes", "limit"):
+    for opt in ("rounds", "limit"):
         value = getattr(args, opt)
         if value is not None and value < 1:
             p.error(f"--{opt} must be at least 1")
     if args.child is not None:
         print(json.dumps(child(args.child.resolve(), args.workload,
-                               args.passes, args.limit)))
+                               args.limit)))
         return 0
     if len(args.checkouts) != 2:
         p.error("give two checkouts, A and B")
@@ -114,8 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         order = (0, 1) if r % 2 == 0 else (1, 0)
         out = [None, None]
         for side in order:
-            out[side] = spawn(roots[side], args.workload, args.passes,
-                              args.limit)
+            out[side] = spawn(roots[side], args.workload, args.limit)
             hashes[side].add(out[side]["sha256"])
         ratio = out[1]["ms_per_solve"] / out[0]["ms_per_solve"]
         ratios.append(ratio)
