@@ -10,12 +10,15 @@ kernels cost their before-report posteriors, whose mass is 1, with
 none.  ``pivot`` is shared by ``simplex_iterate`` and the LP driver's
 artificial drive-out.  ``envelope_iterate`` is the pivot loop of the
 revised simplex: it keeps no tableau, only an m x m basis, and reads the
-columns it needs from a ``_CostVector`` or a ``_SegmentCosts``.  On
-fptas-a's |A| = 2 grid, a ``SegmentCost`` defined by K, it computes u_B
-only in the column blocks that a convexity bound on u_B cannot rule out,
-and prices only those, with the full pass's pivots bit for bit
-(``_segment_tables``); each such block gets its own small array, and no
-array is as long as the grid.
+columns it needs from a ``_CostVector`` or a ``_SegmentCosts``.  Each
+pivot makes one pricing pass, which gives the entering column and the
+least reduced cost together.  On fptas-a's |A| = 2 grid, a
+``SegmentCost`` defined by K, that pass goes block by block under every
+pricing rule: a Dantzig pivot computes u_B only in the column blocks that
+a convexity bound on u_B cannot rule out, and prices only those, with the
+full pass's pivots bit for bit (``_segment_tables``); each such block gets
+its own small array, every block is priced at the full block width, and
+no array is as long as the grid.
 
 ``ub_grid_wa`` keeps the grid index as the fastest axis: its numerator is
 one BLAS matmul of a precomputed (|B||E|, |A|) matrix with a chunk of the
@@ -77,8 +80,6 @@ _SEGMENT_MARGIN = 2.0 ** -30
 
 def g_rows_np(p: np.ndarray, score: ScoreSpec) -> np.ndarray:
     """Evaluate G row-wise on an (N, n) array of simplex points."""
-    if getattr(p, "ndim", 0) != 2:
-        p = np.atleast_2d(p)
     kind = score.kind
     if kind is ScoreKind.QUADRATIC:
         return np.einsum("ij,ij->i", p, p)
@@ -321,18 +322,14 @@ class _CostVector:
         return self.ext[:-1, j]
 
     def price(self, weights: np.ndarray, y, tol: float):
-        """The entering column, its reduced cost and the count priced: the
-        first column below -tol under Bland's rule (y None), or column 0
-        where there is none, else np.argmin's column."""
+        """The entering column, its reduced cost, the least reduced cost and
+        the count priced, by one whole-row np.dot: np.argmin's column, or
+        under Bland's rule (y None) the first below -tol, else column 0."""
         red = self.red
         np.dot(weights, self.ext, out=red)
-        enter = int(np.argmax(red < -tol)) if y is None \
-            else int(np.argmin(red))
-        return enter, red[enter], red.size
-
-    def least(self):
-        """The least reduced cost of the last pricing pass."""
-        return self.red[int(np.argmin(self.red))]
+        least = int(np.argmin(red))
+        enter = least if y is not None else int(np.argmax(red < -tol))
+        return enter, red[enter], red[least], red.size
 
 
 class _SegmentCosts:
@@ -346,21 +343,20 @@ class _SegmentCosts:
     memory is O(K / ``_PRICE_BLOCK``) plus the blocks it costs: an array
     of 4 MB or more would be backed by 2 MB huge pages where the kernel
     gives them on request, and its sparse touches would fault in whole
-    pages.  ``tables`` holds the bound's y-independent part
-    (``_segment_tables``), or None where the proof's limits leave no
-    bound.  ``row`` holds the reduced costs of the last pass over every
-    block, the one pass that forms a row as long as the grid.  ``count``
-    is the number of u_B values computed: the two ends of every block,
-    then every costed block.
+    pages.  ``red`` holds the block priced last's reduced costs, and
+    ``pad`` the short last block, zero-padded.  ``tables`` holds the bound's
+    y-independent part (``_segment_tables``), or None where the proof's
+    limits leave no bound.  ``count`` is the number of u_B values
+    computed: the two ends of every block, then every costed block.
     """
 
     def __init__(self, cost: SegmentCost):
         self.cost, self.n = cost, cost.k + 1
         self.blocks = [None] * -(-self.n // _PRICE_BLOCK)
         self.red = np.empty(_PRICE_BLOCK)
+        self.pad = np.zeros((3, _PRICE_BLOCK))
         self.count = 0
         self.tables = None
-        self.row = None
 
     def start(self, basis: np.ndarray) -> None:
         """Cost the blocks' ends and the blocks that hold the basis."""
@@ -420,48 +416,54 @@ class _SegmentCosts:
 
     def _least_in(self, weights: np.ndarray, k: int):
         """Block k's first column of least reduced cost, that cost and the
-        block's size, by np.dot on the block's array."""
+        block's size, by one np.dot into ``red`` at the full width
+        ``_PRICE_BLOCK``: the short last block's through ``pad``."""
         block = self.blocks[k]
-        red = self.red[:block.shape[1]]
-        np.dot(weights, block, out=red)
+        size = block.shape[1]
+        if size < _PRICE_BLOCK:
+            self.pad[:, :size] = block
+            block = self.pad
+        np.dot(weights, block, out=self.red)
+        red = self.red[:size]
         i = int(red.argmin())
-        return k * _PRICE_BLOCK + i, red[i], red.size
+        return k * _PRICE_BLOCK + i, red[i], size
 
     def price(self, weights: np.ndarray, y, tol: float):
-        """The entering column, its reduced cost and the count of reduced
-        costs computed: Dantzig's column, priced only in the blocks whose
-        bound leaves them a chance to hold it.  With y None (Bland's rule),
-        or where ``bounds`` gives none, every block is costed and priced
-        into one row, as ``_CostVector.price`` prices it.
-
-        The block of least bound is priced first; its least reduced cost v
-        bounds the entering one from above, and a block whose bound
-        exceeds v holds only columns above v.  The blocks whose bound is at
-        most v, the first block among them, are priced in ascending order,
-        one argmin per block, and np.argmin over the blocks' minima keeps
-        the first, which makes the column np.argmin's over the whole row.
+        """The entering column, its reduced cost, the least reduced cost and
+        the count of reduced costs computed, in one pass over the blocks
+        that can hold the entering column, in ascending order: every block
+        under Bland's rule (y None) or where ``bounds`` gives none.  Under
+        Dantzig's rule the block of least bound is priced first; a block
+        whose bound exceeds its least reduced cost v holds only columns
+        above v, so the pass takes the blocks whose bound is at most v.  A
+        block's first least column replaces the one kept only when strictly
+        less, which keeps np.argmin's column over the whole row.  Bland's
+        rule enters the first column below -tol, or else np.argmin's, whose
+        reduced cost is then at least -tol.
         """
         bound = None if y is None else self.bounds(y)
+        first = -1
         if bound is None:
-            self.fill(np.arange(len(self.blocks)))
-            self.row = red = np.concatenate(
-                [np.dot(weights, block) for block in self.blocks])
-            enter = int(np.argmax(red < -tol)) if y is None \
-                else int(np.argmin(red))
-            return enter, red[enter], red.size
-        first = int(np.argmin(bound))
-        self.fill(np.array([first]))
-        head = self._least_in(weights, first)
-        blocks = np.flatnonzero(bound <= head[1])
-        self.fill(blocks)
-        cand = [head if k == first else self._least_in(weights, k)
-                for k in blocks.tolist()]
-        col, red, _ = cand[int(np.argmin([red for _, red, _ in cand]))]
-        return col, red, sum(size for _, _, size in cand)
-
-    def least(self):
-        """The least reduced cost of the last pass over every block."""
-        return self.row[int(np.argmin(self.row))]
+            todo = np.arange(len(self.blocks))
+        else:
+            first = int(np.argmin(bound))
+            self.fill(np.array([first]))
+            head = self._least_in(weights, first)
+            todo = np.flatnonzero(bound <= head[1])
+        self.fill(todo)
+        least, enter, count = math.inf, None, 0
+        for k in todo.tolist():
+            col, red, size = head if k == first else \
+                self._least_in(weights, k)
+            count += size
+            if red < least:
+                best, least = col, red
+            if y is None and enter is None and red < -tol:
+                i = int(np.argmax(self.red[:size] < -tol))
+                enter, reduced = k * _PRICE_BLOCK + i, self.red[i]
+        if enter is None:
+            enter, reduced = best, least
+        return enter, reduced, least, count
 
 
 def _segment_tables(costs: _SegmentCosts):
@@ -608,32 +610,35 @@ def envelope_iterate(columns, basis: np.ndarray, x_b: np.ndarray,
     ``columns`` gives the LP's columns, P^T over the cost row c: a
     ``_CostVector`` or a ``_SegmentCosts``.  ``basis`` holds the m basic
     columns and ``x_b`` their values, both updated in place.  Each pivot
-    solves B^T y = c_B and prices the columns, red = [-y, 1] @ [P^T; c] =
-    c - y P^T; optimality is all reduced costs >= -tol.  Pricing and the
-    ratio test follow ``simplex_iterate``; the ratio test runs over the m
-    basic values as Python floats, whose division and comparisons round
-    as numpy's do.  Returns (status, iterations,
-    y, least, priced, costed): y and the least reduced cost (np.argmin's
-    entry) from the last pricing pass, the count of reduced costs
-    computed over the run and the count of costs computed.  A NaN or
+    solves B^T y = c_B and makes one pricing pass, red = c - y P^T, that
+    gives the entering column and the least reduced cost; optimality is
+    all reduced costs >= -tol.  Pricing and the ratio test follow
+    ``simplex_iterate``; the ratio test runs over Python floats, which
+    round as numpy's do.  Returns (status, iterations, y, least, priced,
+    costed): y and the least reduced cost (np.argmin's entry) of the last
+    pass, and the counts of reduced costs and of costs computed.  A NaN or
     infinite cost stops the run with ``_STATUS_NONFINITE`` (y and least
     None) as soon as it is computed.
 
-    A ``_CostVector`` prices every column in one np.dot per pivot.  A
-    ``_SegmentCosts`` holds only the blocks of ``_PRICE_BLOCK`` columns it
-    has costed, each in its own array: the blocks that hold the basis are
-    costed before the first y, and a Dantzig pivot costs and prices only
-    the blocks whose lower bound on the reduced costs can hold the
-    entering column (the bound and the proof of its margin are in
-    ``_segment_tables``).  Bland's rule, and a pivot beyond the bound's
-    limits, cost every block and price them block by block.  A block's
-    reduced costs are the full product's bit for bit: its np.dot starts
-    at a column that is a multiple of 64, where the BLAS vector loop is in
-    step with the full product's, and a block is too small for BLAS to
-    split across threads, so a segment LP's pivots do not depend on the
-    BLAS thread count.  (A whole-row product of more than about 4.6*10^5
-    entries is split across OpenBLAS threads, and the columns at the split
-    round differently.)
+    No pivot is unbounded.  Every point sums to 1: a cost vector's by
+    ``lp.solve_envelope``'s precondition, a segment's t + s to within 2^-50
+    (``_segment_tables``).  So 1^T B = 1^T, and the entering direction
+    d = B^-1 p has 1^T d = 1^T p = 1: some d_i is at least 1/m, far above
+    tol.  (Points off the simplex can leave an infinite basis, which then
+    pivots to ``max_iter``.)
+
+    A ``_SegmentCosts`` costs the blocks that hold the basis before the
+    first y; a Dantzig pivot costs and prices only the blocks whose lower
+    bound (``_segment_tables``) can hold the entering column, and Bland's
+    rule or a pivot beyond the bound's limits costs every block.  Every
+    block's np.dot starts at a multiple of 64 columns, where the BLAS
+    vector loop is in step with the whole row's, and runs at the full width
+    ``_PRICE_BLOCK`` (the short last block over a zero-padded copy: alone,
+    its columns round differently), so its reduced costs are the whole-row
+    product's bit for bit; and a block is too small for BLAS to split
+    across threads (a whole-row product of more than about 4.6*10^5 entries
+    is split, and the columns at the split round differently), so a
+    segment LP's pivots do not depend on the BLAS thread count.
     """
     m = basis.size
     weights = np.ones(m + 1)
@@ -645,25 +650,17 @@ def envelope_iterate(columns, basis: np.ndarray, x_b: np.ndarray,
             b, c_b = columns.columns(basis)
             y = np.linalg.solve(b.T, c_b)
             weights[:m] = -y
-            enter, reduced, count = columns.price(weights,
-                                                  None if bland else y, tol)
+            enter, reduced, least, count = columns.price(
+                weights, None if bland else y, tol)
             priced += count
-            status = None
-            if reduced >= -tol:
-                status = _STATUS_OPTIMAL
-            elif iters >= max_iter:
-                status = _STATUS_ITERLIMIT
-            else:
-                d = np.linalg.solve(b, columns.column(enter))
-                ratios = [x / di if di > tol else math.inf
-                          for x, di in zip(x_b.tolist(), d.tolist())]
-                rmin = min(ratios)
-                if rmin == math.inf:
-                    status = _STATUS_UNBOUNDED
-            if status is not None:
-                least = columns.least() if bland else reduced
-                return (status, iters, y, float(least), priced,
+            if reduced >= -tol or iters >= max_iter:
+                return (_STATUS_OPTIMAL if reduced >= -tol else
+                        _STATUS_ITERLIMIT, iters, y, float(least), priced,
                         columns.count)
+            d = np.linalg.solve(b, columns.column(enter))
+            ratios = [x / di if di > tol else math.inf
+                      for x, di in zip(x_b.tolist(), d.tolist())]
+            rmin = min(ratios)
             cut = rmin + 1e-12
             leave = min((i for i in range(m) if ratios[i] <= cut),
                         key=basis.__getitem__)

@@ -95,12 +95,6 @@ def _obedience_blocks(table: ConditionalTable, score: ScoreSpec):
     return np.concatenate((ue_a[None], ue_ab.transpose(2, 0, 1)))
 
 
-def _components(ue: np.ndarray) -> np.ndarray:
-    """(1+|B|, k, k, |A|): entry [c, i, j, a] weights pi(s, a) in profile
-    column c's row 'recommended i beats j'."""
-    return ue[:, :, None, :] - ue[:, None, :, :]
-
-
 def build_obedience_lp(prior: JointPrior, score: ScoreSpec,
                        signals: np.ndarray | None = None,
                        cap_lp_vars: int = DEFAULT_LP_VAR_CAP) -> LinearProgram:
@@ -133,8 +127,10 @@ def build_obedience_lp(prior: JointPrior, score: ScoreSpec,
     sig, row = np.divmod(np.arange(n_rows), k + k * nb)
     comp, j = np.divmod(row, k)
     a_ub = np.zeros((n_rows, n_vars))
+    # row (s, c, j) holds -(ue[c, i] - ue[c, j]) with i = signals[s, c]:
+    # 'recommended i beats j' in profile column c, stored as <= 0
     a_ub[np.arange(n_rows)[:, None], sig[:, None] * na + np.arange(na)] = \
-        -_components(ue)[comp, signals[sig, comp], j]
+        -(ue[comp, signals[sig, comp]] - ue[comp, j])
     return LinearProgram(objective, np.tile(np.eye(na), n_signals),
                          table.mu_a, a_ub, np.zeros(n_rows))
 

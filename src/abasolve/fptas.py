@@ -119,7 +119,8 @@ def enumerate_k_uniform(d: int, k: int,
 
 def sample_k_uniform(w: np.ndarray, k: int, n_samples: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Empirical distributions of K draws from w (each row is K-uniform)."""
+    """Empirical distributions of K draws from w (each row is K-uniform):
+    public API for the paper's K-sample fact behind ``grid_size_K``."""
     w = np.asarray(w, dtype=float)
     return rng.multinomial(k, w, size=n_samples) / k
 

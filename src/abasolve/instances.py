@@ -166,6 +166,8 @@ def parse_instance(path: str | Path
 
 def instance_to_json(spaces: OutcomeSpaces, prior: JointPrior,
                      score: ScoreSpec) -> dict:
+    """``parse_instance``'s inverse, with which the tests write their
+    instance files."""
     return {
         "events": list(spaces.event_labels),
         "alice_signals": list(spaces.alice_labels),

@@ -21,25 +21,18 @@ LP builders can check the cell cap before allocating their own matrices.
 
 ``solve_envelope`` minimizes c.x subject to P^T x = mu, x >= 0, where P's
 rows lie on the probability simplex and include its vertices: the
-concavification LP (Kamenica & Gentzkow 2011) over fptas-a's posterior grid
-or over the exact solver's arrangement vertices.  It
-keeps only the m = |A| independent rows (x sums to 1 because every row of
-P does) and starts from the vertex basis B = I, x_B = mu, so it needs no
-phase 1, no artificials and no tableau; each pivot is a pricing pass over
-the columns plus m x m solves (Dantzig & Orchard-Hays 1954), with the same
-pricing rules and tolerances as ``solve_lp``.  A cost vector is priced
-in full, one np.dot per pivot.  fptas-a's |A| = 2 grid comes instead as a
-``_kernels.SegmentCost`` defined by K, its points and vertices formed
-from K; a Dantzig pivot costs and prices only the blocks of 1,024 columns
-that a convexity bound on u_B cannot rule out, and enters the column a
-full pass would (``_kernels.envelope_iterate``; the proof is in
-``_kernels._segment_tables``).  On fptas-a's 10^6-point grids that costs
-2-4% of the points.  Each costed block has its own array, and the
-solution is the optimal basis, ``basis`` and ``x_basis``, with no dense x,
-so that LP allocates nothing as long as the grid.  A NaN or infinite cost
-raises NumericalFailure before any pivot uses it.  The solution's
-``columns_priced`` counts the reduced costs computed and
-``columns_costed`` the costs.
+concavification LP (Kamenica & Gentzkow 2011) over fptas-a's posterior
+grid or the exact solver's arrangement vertices.  It keeps the m = |A|
+independent rows and starts from the vertex basis B = I, x_B = mu, so it
+needs no phase 1 and no tableau (Dantzig & Orchard-Hays 1954); its pricing
+rules and tolerances are ``solve_lp``'s.  The LP is always feasible and
+bounded, so it returns Optimal or raises.  A cost vector is priced in one
+np.dot per pivot.  fptas-a's |A| = 2 grid comes as a
+``_kernels.SegmentCost`` defined by K, whose blocks of 1,024 columns are
+costed and priced, block by block, only where a convexity bound on u_B
+requires, with the full pass's pivots (``_kernels.envelope_iterate``).
+The solution is the optimal basis, with no dense x, so that LP holds no
+array as long as the grid.
 """
 
 from __future__ import annotations
@@ -95,10 +88,6 @@ class LinearProgram:
     @property
     def n_vars(self) -> int:
         return self.objective.shape[0]
-
-    @property
-    def n_rows(self) -> int:
-        return self.a_eq.shape[0] + self.a_ub.shape[0]
 
 
 @dataclass(frozen=True)
@@ -282,21 +271,24 @@ def solve_envelope(costs: tuple[np.ndarray, np.ndarray] | _kernels.SegmentCost,
     probability simplex over m outcomes, every vertex e_a among them; or a
     ``_kernels.SegmentCost``, fptas-a's |A| = 2 grid, which is its own
     points and whose costs the pivots compute as they need them, block by
-    block.  ``mu`` lies on the simplex too, so the LP is always feasible
-    and bounded.  The solution is the optimal basis: ``basis`` and
-    ``x_basis`` (x is None; ``LPSolution.support`` reads it out), with
-    ``dual_eq`` = y and reduced costs cost - y points^T >= -FEAS_TOL, a
-    ``feasibility_residual`` of max(|points^T x - mu|, |sum x - 1|,
-    max(-x, 0)), and a ``duality_gap`` that bounds how far cost.x lies
-    above the optimum: |cost.x - y.mu| plus the most negative reduced
-    cost, since every feasible x sums to 1.  ``columns_priced`` counts the
-    reduced costs computed, (iterations + 1) n for a cost vector, and
-    ``columns_costed`` the costs: n for a cost vector.
+    block.  ``mu`` lies on the simplex too, so the LP is feasible and
+    bounded, and the one status returned is Optimal: every point sums to 1,
+    so no pivot finds an unbounded direction (``_kernels.envelope_iterate``).
+    The solution is the optimal basis, ``basis`` and ``x_basis`` (x is None;
+    ``LPSolution.support`` reads it out), with ``dual_eq`` = y and reduced
+    costs cost - y points^T >= -FEAS_TOL, a ``feasibility_residual`` of
+    max(|points^T x - mu|, |sum x - 1|, max(-x, 0)), and a ``duality_gap``
+    that bounds how far cost.x lies above the optimum: |cost.x - y.mu| plus
+    the most negative reduced cost, since every feasible x sums to 1.
+    ``columns_priced`` counts the reduced costs computed, (iterations + 1) n
+    for a cost vector, and ``columns_costed`` the costs: n for a cost vector.
 
     Raises ValidationError when a vertex is missing from ``points``, and
     NumericalFailure when a cost is NaN or infinite (a cost vector is
     checked before the first pivot, a SegmentCost's costs as they are
-    computed) or pivoting exceeds 50*(rows+cols) iterations.
+    computed) or pivoting exceeds 50*(rows+cols) iterations.  Points off
+    the simplex are not checked: an unbounded direction leaves an infinite
+    basis, which pivots to that cap or fails the caller's certificate.
 
     At the exact solver's sizes, m <= 3 and at most a few hundred points,
     a solve is fixed cost: about 45-60 us for the set-up, the first
@@ -332,9 +324,6 @@ def solve_envelope(costs: tuple[np.ndarray, np.ndarray] | _kernels.SegmentCost,
         raise NumericalFailure("envelope LP cost is not finite")
     if status == _kernels._STATUS_ITERLIMIT:
         raise NumericalFailure(f"revised simplex exceeded {max_iter} pivots")
-    if status == _kernels._STATUS_UNBOUNDED:
-        return LPSolution(LPStatus.UNBOUNDED, None, None, None, None, iters,
-                          columns_priced=priced, columns_costed=costed)
 
     points_b, cost_b = columns.columns(basis)
     objective = float(cost_b @ x_b)

@@ -154,8 +154,18 @@ def _weights(p) -> np.ndarray:
 
 
 def eval_G(score: ScoreSpec, p) -> float:
-    """G(p).  For the log rule, boundary points use the limit 0*log 0 = 0."""
-    return float(_kernels.weighted_g(_weights(p), np.float64(1.0), score))
+    """G(p).  For the log rule, boundary points use the limit 0*log 0 = 0.
+    ``p`` must be a nonempty, finite vector, as wide as a piecewise score's
+    pieces, with no entry below -1e-12 (``belief.PosteriorDistribution``'s
+    bound), or ValidationError; its sum is not checked."""
+    w = _weights(p)
+    width = score.pieces_r.shape[1] if score.kind is ScoreKind.PIECEWISE \
+        else w.size or -1
+    if w.shape != (width,) or not np.isfinite(w).all() or w.min() < -1e-12:
+        raise ValidationError("G needs a nonempty, finite vector with no entry "
+                              f"below -1e-12, as wide as the pieces; got "
+                              f"{w.tolist()!r}")
+    return float(_kernels.weighted_g(w, np.float64(1.0), score))
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -259,7 +269,8 @@ def check_holder(score: ScoreSpec, n_events: int | None = None,
     """Sample simplex pairs within the locality radius and test the bound.
 
     Returns a failing witness pair if |G(x)-G(y)| exceeds
-    alpha*|x-y|_1^beta by more than 1e-9.
+    alpha*|x-y|_1^beta by more than 1e-9.  Public API for the paper's
+    local Holder condition, whose constants fptas's guarantee reads.
     """
     if n_events is None:
         if score.kind is not ScoreKind.PIECEWISE:
@@ -284,7 +295,8 @@ def check_holder(score: ScoreSpec, n_events: int | None = None,
 
 
 def holder_from_niceness(lam: float, n: int) -> tuple[float, float]:
-    """Holder constants (n^(1-lambda), lambda) implied by lambda-niceness."""
+    """Holder constants (n^(1-lambda), lambda) implied by lambda-niceness:
+    public API for the paper's fact behind the log score's default."""
     if not (0 < lam <= 1):
         raise ValidationError("lambda must lie in (0, 1]")
     if n < 2:

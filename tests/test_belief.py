@@ -13,6 +13,7 @@ from abasolve.core import (JointPrior, SignalingScheme, full_reveal_scheme,
                            total_value)
 from abasolve.errors import (PreconditionViolated, ValidationError,
                              ZeroProbabilityPair, ZeroProbabilitySignal)
+from abasolve.instances import xor_instance
 from abasolve.scoring import eval_G, log_score, quadratic_score, \
     spherical_score
 
@@ -395,3 +396,26 @@ def test_scheme_posteriors_are_formed_once_per_prior(monkeypatch):
     exact.certify_obedience(prior, pieces, labelled)
     bob_utility_of_scheme(prior, pieces, labelled)
     assert len(calls) == 1
+
+
+def _never_sent():
+    _, prior = xor_instance()
+    scheme = SignalingScheme(("s0", "s1"), [[0.5, 0.5], [0.0, 0.0]])
+    return induced_posterior_over_A(scheme.validate(prior), "s1")
+
+
+BELIEF_REFUSALS = {
+    "wA-length": (lambda: bob_utility_from_wA(xor_instance()[1],
+                                              quadratic_score(),
+                                              [0.2, 0.3, 0.5]),
+                  ValidationError, "posterior over A must have 2 entries"),
+    "never-sent-signal": (_never_sent, ZeroProbabilitySignal,
+                          "signal 's1' is never sent"),
+}
+
+
+@pytest.mark.parametrize("case", BELIEF_REFUSALS)
+def test_belief_refusals(case):
+    make, error, match = BELIEF_REFUSALS[case]
+    with pytest.raises(error, match=f"^{match}"):
+        make()

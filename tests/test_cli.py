@@ -505,3 +505,61 @@ def test_parsers_refuse_non_finite_array_entries(tmp_path, xor_path, token):
     with pytest.raises(ParseError,
                        match=re.escape("scheme.pi[0][1]: expected a finite")):
         instances.parse_scheme(scheme)
+
+
+def _with(key, value):
+    """An edit of the xor instance document that sets ``key``."""
+    return lambda doc: {**doc, key: value}
+
+
+PIECE = {"r": [1.0, 0.0], "b": 0.0}
+INSTANCE_REFUSALS = {
+    "document-not-object": (lambda doc: [doc], "instance: expected an object"),
+    "score-not-object": (_with("score", "quadratic"),
+                         "score: expected an object"),
+    "holder-not-object": (
+        _with("score", {"kind": "quadratic", "holder": [2.0, 1.0]}),
+        "score.holder: expected an object"),
+    "piece-not-object": (_with("score", {"kind": "piecewise",
+                                         "pieces": [[1.0, 0.0]]}),
+                         r"score\.pieces\[0\]: expected an object"),
+    "missing-key": (lambda doc: {k: v for k, v in doc.items()
+                                 if k != "bob_signals"},
+                    "instance: missing key 'bob_signals'"),
+    "labels-not-array": (_with("events", "01"),
+                         "events: expected an array of strings"),
+    "numbers-not-array": (
+        _with("score", {"kind": "piecewise", "pieces": [{"r": 1.0, "b": 0.0}]}),
+        r"score\.pieces\[0\]\.r: expected an array of numbers"),
+    "piecewise-without-pieces": (
+        _with("score", {"kind": "piecewise", "pieces": []}),
+        "score: piecewise needs a nonempty pieces array"),
+    "ragged-r": (_with("score", {"kind": "piecewise",
+                                 "pieces": [PIECE, {"r": [1.0], "b": 0.0}]}),
+                 "score: pieces must share one r length"),
+    "smooth-with-pieces": (_with("score", {"kind": "log", "pieces": [PIECE]}),
+                           "score: log does not take pieces"),
+    "unknown-kind": (_with("score", {"kind": "cubic"}),
+                     "score: unknown kind 'cubic'"),
+    "prior-slices": (lambda doc: {**doc, "prior": doc["prior"][:1]},
+                     "prior: expected 2 event slices"),
+    "prior-rows": (lambda doc: {**doc, "prior": [doc["prior"][0][:1],
+                                                 doc["prior"][1]]},
+                   r"prior\[0\]: expected 2 rows"),
+    "scheme-rows-not-labels": (
+        lambda doc: {"signals": ["a0", "a1"], "pi": [[0.5, 0.5]]},
+        "scheme: need one pi row per signal"),
+}
+
+
+@pytest.mark.parametrize("case", INSTANCE_REFUSALS)
+def test_instance_refusals(tmp_path, xor_path, case):
+    # each edit of the xor instance document (or, for the scheme case, a
+    # scheme document) is refused with a ParseError that names the place
+    edit, match = INSTANCE_REFUSALS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads(xor_path.read_text()))))
+    parse = instances.parse_scheme if case.startswith("scheme") \
+        else parse_instance
+    with pytest.raises(ParseError, match=f"^{match}"):
+        parse(bad)

@@ -201,3 +201,39 @@ def test_spaces_violations():
     assert OutcomeSpaces(("0",), ("a",), ("b",)).violations()
     assert OutcomeSpaces(("0", "0"), ("a",), ("b",)).violations()
     assert not OutcomeSpaces(("0", "1"), ("a",), ("b",)).violations()
+
+
+def _refuse(violations):
+    """Raise violations returned as data, as ``SignalingScheme.validate``
+    and the CLI do."""
+    if violations:
+        raise ValidationError("; ".join(violations))
+
+
+XOR = instances.xor_instance()[1]
+CORE_REFUSALS = {
+    "empty-label": (lambda: _refuse(OutcomeSpaces(("0", ""), ("a",),
+                                                  ("b",)).violations()),
+                    "events: labels must be nonempty strings"),
+    "prior-not-3d": (lambda: JointPrior(np.full((2, 2), 0.25)),
+                     "prior tensor must be 3-d, got 2-d"),
+    "pi-rows-not-labels": (lambda: SignalingScheme(("s0",), np.eye(2)),
+                           "one pi row per signal label required"),
+    "duplicate-signals": (
+        lambda: SignalingScheme(("s", "s"), 0.5 * np.eye(2)).validate(XOR),
+        "scheme: signal labels must be distinct"),
+    "pi-width": (lambda: SignalingScheme(("s",), [[0.5, 0.25, 0.25]])
+                 .validate(XOR),
+                 "scheme: 3 columns for 2 alice outcomes"),
+    "negative-pi": (lambda: SignalingScheme(("s", "t"),
+                                            [[0.75, 0.5], [-0.25, 0.0]])
+                    .validate(XOR),
+                    "scheme: negative entry"),
+}
+
+
+@pytest.mark.parametrize("case", CORE_REFUSALS)
+def test_core_refusals(case):
+    make, match = CORE_REFUSALS[case]
+    with pytest.raises(ValidationError, match=f"^{match}"):
+        make()

@@ -13,11 +13,12 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from abasolve import _kernels, core, exact, fptas, lp
@@ -351,13 +352,23 @@ def test_segment_rows_meet_the_bound_preconditions_at_the_largest_k():
        zero_b=st.booleans(), vertex_mu=st.booleans(),
        degen_limit=st.sampled_from((0, lp.DEGENERACY_LIMIT)),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(n=131_075, kind="log", zero_b=False, vertex_mu=True,
+         degen_limit=lp.DEGENERACY_LIMIT, seed=128)
+@example(n=32_767, kind="quadratic", zero_b=False, vertex_mu=True,
+         degen_limit=lp.DEGENERACY_LIMIT, seed=0)
+@example(n=32_769, kind="quadratic", zero_b=False, vertex_mu=True,
+         degen_limit=0, seed=0)
 def test_screened_pricing_matches_full_pass_bit_for_bit(n, kind, zero_b,
                                                         vertex_mu,
                                                         degen_limit, seed):
     # mu at a vertex makes every pivot degenerate, so with degen_limit = 0
     # Bland's rule takes over at the first pivot and costs every block;
     # it can take thousands of pivots, so a run stops at 300 and is
-    # compared at that point
+    # compared at that point.  The first two examples end on a least
+    # reduced cost in a short last block (3 and 1,023 columns), which
+    # rounds as the whole row does only when priced at the full block
+    # width; in the third, Bland's rule enters a column that is not the
+    # least, and the least at the stop lies outside the entering block
     rng = np.random.default_rng(seed)
     table, score = _segment_case(rng, kind, zero_b)
     mu = np.array([1.0, 0.0]) if vertex_mu else table.mu_a
@@ -508,6 +519,26 @@ def test_segment_beyond_the_bound_limits_costs_every_block():
     _assert_same_solution(sol, ref)
     assert sol.columns_costed == 2 * len(costs.blocks) + n
     assert sol.columns_priced == (sol.iterations + 1) * n
+
+
+def test_bland_pass_holds_no_k_long_row():
+    # mu at a vertex and degen_limit 0 put every pivot under Bland's rule,
+    # which costs and prices every block of a 10^6-point grid; its pass
+    # goes block by block, so the peak beyond the costed blocks is the
+    # costing of their runs (15.6 MB), where pricing into one K-long row
+    # (8 MB, and as much again for the blocks' products) read 24.3 MB
+    table, score = _segment_case(np.random.default_rng(0), "quadratic", False)
+    costs, basis = _segment_costs(999_999, table, score)
+    tracemalloc.start()
+    try:
+        status, iters, _, _, _, _ = _kernels.envelope_iterate(
+            costs, basis, np.array([1.0, 0.0]), FEAS_TOL, 20, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (status, iters) == (_kernels._STATUS_ITERLIMIT, 20)
+    assert len(_costed(costs)) == len(costs.blocks)
+    assert peak - sum(block.nbytes for block in costs.blocks) <= 20_000_000
 
 
 def test_nan_cost_raises_before_the_first_pivot():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from abasolve import _kernels, core, fptas, lp
+from abasolve import _kernels, core, fptas, instances, lp
 from abasolve.belief import (bob_utility_from_vEB, bob_utility_from_wA,
                              bob_utility_of_scheme, induced_posterior_over_A)
 from abasolve.core import JointPrior, no_reveal_scheme
@@ -765,3 +765,40 @@ def test_bob_utility_from_vEB_flat_vector(quad):
         pytest.approx(0.5)
     with pytest.raises(ValidationError, match="matrix"):
         bob_utility_from_vEB(quad, corr)
+
+
+XOR_PRIOR = instances.xor_instance()[1]
+EPS_RANGE = r"need L, alpha > 0, beta in \(0,1\], \|B\| >= 1"
+FPTAS_REFUSALS = {
+    "delta-zero": (lambda: epsilon_for_delta(0.0, 2, 1.0, 2.0, 1.0),
+                   ValidationError, "delta=0.0 must be finite and positive"),
+    "L-zero": (lambda: epsilon_for_delta(0.1, 2, 0.0, 2.0, 1.0),
+               ValidationError, EPS_RANGE),
+    "alpha-negative": (lambda: epsilon_for_delta(0.1, 2, 1.0, -2.0, 1.0),
+                       ValidationError, EPS_RANGE),
+    "beta-above-one": (lambda: epsilon_for_delta(0.1, 2, 1.0, 2.0, 1.5),
+                       ValidationError, EPS_RANGE),
+    "no-bob-outcome": (lambda: epsilon_for_delta(0.1, 0, 1.0, 2.0, 1.0),
+                       ValidationError, EPS_RANGE),
+    "no-posteriors": (lambda: scheme_from_posteriors(XOR_PRIOR, []),
+                      ValidationError,
+                      "need posteriors over A with matching dimension"),
+    "posterior-width": (
+        lambda: scheme_from_posteriors(XOR_PRIOR, [(1.0, [0.5, 0.25, 0.25])]),
+        ValidationError, "need posteriors over A with matching dimension"),
+    "weights-sum": (
+        lambda: scheme_from_posteriors(XOR_PRIOR, [(0.5, [1.0, 0.0]),
+                                                   (0.4, [0.0, 1.0])]),
+        BayesPlausibilityViolated, "weights sum to 0.9, not 1"),
+    "negative-weight": (
+        lambda: scheme_from_posteriors(XOR_PRIOR, [(1.5, [0.5, 0.5]),
+                                                   (-0.5, [0.5, 0.5])]),
+        BayesPlausibilityViolated, "weights sum to 1.0, not 1"),
+}
+
+
+@pytest.mark.parametrize("case", FPTAS_REFUSALS)
+def test_fptas_refusals(case):
+    make, error, match = FPTAS_REFUSALS[case]
+    with pytest.raises(error, match=f"^{match}"):
+        make()

@@ -35,6 +35,43 @@ def test_eval_G_spherical():
     assert eval_G(sp, np.array([0.5, 0.5])) == pytest.approx(math.sqrt(0.5))
 
 
+EVAL_G_REFUSALS = {
+    "negative-entry": (log_score(), [1.5, -0.5], r"got \[1\.5, -0\.5\]"),
+    "scalar": (quadratic_score(), 0.5, "got 0.5$"),
+    "empty": (quadratic_score(), [], r"got \[\]"),
+    "matrix": (quadratic_score(), [[0.5, 0.5]], r"got \[\[0\.5, 0\.5\]\]"),
+    "non-finite": (spherical_score(), [0.5, math.nan], r"got \[0\.5, nan\]"),
+    "wrong-width": (piecewise_score([((1.0, 0.0), 0.0), ((0.0, 1.0), 0.0)]),
+                    [0.2, 0.3, 0.5], r"got \[0\.2, 0\.3, 0\.5\]"),
+}
+
+
+@pytest.mark.parametrize("case", EVAL_G_REFUSALS)
+def test_eval_G_refuses_a_malformed_point(case):
+    # log G read 372.83 at (1.5, -0.5); a scalar raised IndexError and the
+    # others numpy's ValueError
+    score, p, match = EVAL_G_REFUSALS[case]
+    with pytest.raises(ValidationError, match="^G needs a nonempty, finite "
+                       "vector with no entry below -1e-12, as wide as the "
+                       "pieces; " + match):
+        eval_G(score, p)
+
+
+def test_eval_G_takes_zero_rows_and_tiny_negatives_unchanged():
+    # no sum is checked: the all-zero row of an undefined conditional costs
+    # G(0); an entry at -1e-12 passes; every value is weighted_g's
+    from abasolve import _kernels
+    rng = np.random.default_rng(3)
+    for score in (quadratic_score(), log_score(), spherical_score(),
+                  random_piecewise(rng, ne=3, k=4)):
+        for p in (np.zeros(3), np.array([0.5, 0.5 + 1e-12, -1e-12]),
+                  rng.dirichlet(np.ones(3))):
+            want = float(_kernels.weighted_g(p, np.float64(1.0), score))
+            assert math.isfinite(want)
+            assert np.float64(eval_G(score, p)).tobytes() == \
+                np.float64(want).tobytes()
+
+
 def test_score_R_quadratic():
     q = quadratic_score()
     # 2*0.7 - (0.49 + 0.09)
@@ -310,3 +347,37 @@ def test_linearize_rejects_origin_and_empty():
         linearize_smooth(spherical_score(), np.array([[0.5, 0.5], [0.0, 0.0]]))
     with pytest.raises(ValidationError, match="at least one"):
         linearize_smooth(quadratic_score(), [])
+
+
+SCORING_REFUSALS = {
+    "piecewise-without-pieces": (lambda: ScoreSpec(ScoreKind.PIECEWISE),
+                                 "piecewise score requires pieces"),
+    "non-finite-coefficient": (
+        lambda: piecewise_score([((1.0, math.inf), 0.0)]),
+        "piecewise coefficients must be finite"),
+    "linearize-piecewise": (
+        lambda: linearize_smooth(piecewise_score([((1.0, 0.0), 0.0)]),
+                                 [[0.5, 0.5]]),
+        "score is already piecewise-linear"),
+    "check-holder-needs-n-events": (lambda: check_holder(quadratic_score()),
+                                    "n_events required for built-in kinds"),
+    "niceness-lambda-zero": (lambda: holder_from_niceness(0.0, 2),
+                             r"lambda must lie in \(0, 1\]"),
+    "niceness-lambda-above-one": (lambda: holder_from_niceness(1.5, 2),
+                                  r"lambda must lie in \(0, 1\]"),
+    "niceness-dimension-one": (lambda: holder_from_niceness(0.5, 1),
+                               "dimension must be at least 2"),
+}
+
+
+@pytest.mark.parametrize("case", SCORING_REFUSALS)
+def test_scoring_refusals(case):
+    make, match = SCORING_REFUSALS[case]
+    with pytest.raises(ValidationError, match=match):
+        make()
+
+
+def test_check_holder_reads_n_events_off_the_pieces():
+    # a piecewise score needs no n_events: its pieces' width is |E|
+    score = piecewise_score([((1.0, 0.0, 0.0), 0.0), ((0.0, 1.0, 0.5), 0.0)])
+    assert check_holder(score, sample_pairs=50).passed
