@@ -11,10 +11,10 @@ fptas-a's LP is the concavification LP over the grid, |A| rows wide.  It
 goes through ``_envelope_lp``, the pipeline it shares with the exact
 solver's LP over arrangement vertices: u_B at each point by
 ``_kernels.ub_grid_wa``, ``lp.solve_envelope``'s revised simplex, then the
-status check and the certificate.  At |A| = 2 every posterior lies on one
-segment; from ``_SEGMENT_MIN_POINTS`` points on no grid is built, and the
-LP gets a ``_kernels.SegmentCost`` defined by K, whose points ascend along
-the segment by construction.  It computes u_B only in the blocks that a
+certificate.  At |A| = 2 every posterior lies on one segment; from
+``_SEGMENT_MIN_POINTS`` points on no grid is built, and the LP gets a
+``_kernels.SegmentCost`` defined by K, whose points ascend along the
+segment by construction.  It computes u_B only in the blocks that a
 convexity bound cannot rule out (the proof is in
 ``_kernels._segment_tables``), with the same pivots and answer, and holds
 no array as long as the grid.
@@ -54,9 +54,9 @@ EPS_CEILING = 0.49  # grid_size_K needs eps < 1; beyond this the grid is tiny an
 GRID_FEAS_TOL = 1e-9
 GRID_GAP_TOL = 1e-7
 # fptas-a's |A| = 2 grids of at least this many points go to the LP as a
-# ``_kernels.SegmentCost``.  On one BLAS thread, u_B plus the LP took 1.7x
-# as long as costing every point at 8,000 points, 1.2x at 16,000, 0.97x
-# at 24,000, 0.82x at 32,000 and 0.65x at 49,000
+# ``_kernels.SegmentCost``.  On one BLAS thread, a whole solve took 1.5x as
+# long as on the grid at 1,000 points, 1.6x at 8,000, 1.5x at 10,000,
+# 0.98x at 16,384, 0.82x at 20,000 and 0.78x at 32,768 (16 random priors)
 _SEGMENT_MIN_POINTS = 32 * 1024
 
 
@@ -232,13 +232,25 @@ def scheme_from_posteriors(prior: JointPrior, posteriors) -> SignalingScheme:
     weights summing to 1 and weighted posteriors averaging to mu(a);
     pi(s_j, a) = weight_j * w_j[a].  Each posterior must be nonnegative and
     sum to 1, and both sums and the mean to within SCHEME_MARGINAL_ATOL.
+    A pair that is not a number and a vector of |A| numbers raises
+    ValidationError naming it.
     """
     atol = core.SCHEME_MARGINAL_ATOL
-    lams = np.array([float(p[0]) for p in posteriors])
-    ws = np.array([np.asarray(getattr(p[1], "weights", p[1]), dtype=float)
-                   for p in posteriors])
-    if lams.size == 0 or ws.shape[1] != prior.n_alice:
+    lams, ws = [], []
+    for j, p in enumerate(posteriors):
+        try:
+            lams.append(float(p[0]))
+            ws.append(np.asarray(getattr(p[1], "weights", p[1]), dtype=float))
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValidationError(f"posterior {j} is not a (weight, "
+                                  "posterior over A) pair") from exc
+        if ws[j].shape != (prior.n_alice,):
+            raise ValidationError(
+                f"need posteriors over A with matching dimension: posterior "
+                f"{j} has shape {ws[j].shape}, not ({prior.n_alice},)")
+    if not lams:
         raise ValidationError("need posteriors over A with matching dimension")
+    lams, ws = np.array(lams), np.array(ws)
     bad = (ws < 0.0).any(axis=1) | (np.abs(ws.sum(axis=1) - 1.0) > atol)
     if bad.any():
         raise ValidationError(f"posterior {int(np.argmax(bad))} is not a "
@@ -269,13 +281,9 @@ def _certify_lp(sol: LPSolution, name: str) -> None:
 
 
 def _envelope_lp(mu: np.ndarray, costs, name: str) -> LPSolution:
-    """``solve_envelope(costs, mu)``, checked optimal and certified;
-    ``name`` labels the LP in the NumericalFailure messages."""
+    """``solve_envelope(costs, mu)``, certified (it returns Optimal or
+    raises); ``name`` labels the LP in the NumericalFailure messages."""
     sol = solve_envelope(costs, mu)
-    if sol.status is not LPStatus.OPTIMAL:
-        raise NumericalFailure(f"{name} LP reported {sol.status.value}; the "
-                               f"prior marginal always lies in the {name} "
-                               "hull")
     _certify_lp(sol, name)
     return sol
 

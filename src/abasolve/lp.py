@@ -2,12 +2,14 @@
 a revised simplex for the small-row envelope LP.
 
 ``solve_lp`` maximizes c.x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= 0
-over an explicit tableau; fptas-eb's achievability LP and the obedience-LP
-reference in ``exact`` use it.  Pricing is Dantzig's rule, switching permanently
-to Bland's rule after a run of degenerate pivots; ties in the ratio test
-break toward the smallest basis index.  Artificial columns stay in the
-tableau (barred from entering) so dual values can be read off the final
-objective row.
+with b_eq, b_ub >= 0 over one explicit tableau, [A_ub; A_eq | I | b], in
+which each ub row starts with its slack basic and each eq row with its
+artificial.  fptas-eb's achievability LP and the obedience-LP reference in
+``exact`` use it, both with b_ub = 0 and b_eq = mu_A.  Pricing is Dantzig's
+rule, switching permanently to Bland's rule after a run of degenerate
+pivots; ties in the ratio test break toward the smallest basis index.
+Artificial columns stay in the tableau (barred from entering) so dual
+values can be read off the final objective row.
 
 The pivot loop itself lives in ``_kernels``.  A pivot updates only the
 rows with a nonzero entry in the entering column: the other rows would
@@ -58,7 +60,8 @@ class LPStatus(str, enum.Enum):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective.x  s.t.  a_eq x = b_eq, a_ub x <= b_ub, x >= 0."""
+    """max objective.x  s.t.  a_eq x = b_eq, a_ub x <= b_ub, x >= 0, with
+    b_eq >= 0 and b_ub >= 0: a negative entry raises ValidationError."""
 
     objective: np.ndarray
     a_eq: np.ndarray
@@ -82,6 +85,10 @@ class LinearProgram:
         for name, arr in arrays.items():
             if arr.size and not np.isfinite(arr).all():
                 raise ValidationError(f"{name} contains NaN or Inf")
+            if name.startswith("b_") and (arr < 0.0).any():
+                i = int(np.argmax(arr < 0.0))
+                raise ValidationError(f"{name}[{i}] = {float(arr[i])!r} is "
+                                      "negative; solve_lp needs b >= 0")
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
@@ -99,7 +106,6 @@ class LPSolution:
     dual_ub: np.ndarray | None
     iterations: int
     duality_gap: float | None = None
-    comp_slack_residual: float | None = None
     feasibility_residual: float | None = None
     # reduced costs and costs computed by the revised simplex
     # (``solve_envelope``)
@@ -119,13 +125,11 @@ class LPSolution:
         return self.basis[keep], self.x_basis[keep]
 
 
-def tableau_cells(n_vars: int, m_ub: int, m_eq: int,
-                  n_neg_ub: int = 0) -> int:
-    """Cells of the tableau ``solve_lp`` builds: a row per constraint plus
-    the objective row; a column per variable, per ub slack, per artificial
-    (eq rows and the ``n_neg_ub`` ub rows with negative rhs) plus the rhs."""
+def tableau_cells(n_vars: int, m_ub: int, m_eq: int) -> int:
+    """Cells of ``solve_lp``'s tableau, [A_ub; A_eq | I | b] over the
+    objective row: m_ub + m_eq + 1 rows of n_vars + m_ub + m_eq + 1."""
     m = m_ub + m_eq
-    return (m + 1) * (n_vars + m_ub + n_neg_ub + m_eq + 1)
+    return (m + 1) * (n_vars + m + 1)
 
 
 def check_cell_cap(cells: int, cell_cap: int) -> None:
@@ -137,6 +141,10 @@ def check_cell_cap(cells: int, cell_cap: int) -> None:
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Solve to an optimal vertex, or report Infeasible/Unbounded.
+
+    The tableau is [A_ub; A_eq | I | b] over the objective row: with b >= 0
+    (``LinearProgram`` checks), row i starts with column n + i basic, and
+    the duals are the objective row's entries in those columns.
 
     The solution's ``duality_gap`` is |b.y - c.x| plus the dual
     infeasibility of the final basis: the most negative reduced cost in the
@@ -152,44 +160,27 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     m_ub = lp.a_ub.shape[0]
     m_eq = lp.a_eq.shape[0]
     m = m_ub + m_eq
+    n_total = n + m
+    check_cell_cap(tableau_cells(n, m_ub, m_eq), DEFAULT_CELL_CAP)
 
-    # Standard form: ub rows get slacks; rows with negative rhs are negated
-    # (turning the slack coefficient to -1) and, like eq rows, get artificials.
-    rhs = np.concatenate((lp.b_ub, lp.b_eq))
-    neg = rhs < 0.0
-    rhs = np.abs(rhs)
-    slack_sign = np.where(neg[:m_ub], -1.0, 1.0)
-    needs_art = np.concatenate((neg[:m_ub], np.ones(m_eq, dtype=bool)))
-    art_rows = np.nonzero(needs_art)[0]
-    n_art = art_rows.size
-
-    n_total = n + m_ub + n_art
-    check_cell_cap(tableau_cells(n, m_ub, m_eq, n_art - m_eq),
-                   DEFAULT_CELL_CAP)
-
+    # np.abs turns a -0.0 rhs into +0.0
+    rhs = np.abs(np.concatenate((lp.b_ub, lp.b_eq)))
     t = np.zeros((m + 1, n_total + 1))
     t[:m_ub, :n] = lp.a_ub
     t[m_ub:m, :n] = lp.a_eq
-    neg_rows = np.nonzero(neg)[0]
-    t[neg_rows, :n] = -t[neg_rows, :n]
-    ub_rows = np.arange(m_ub)
-    t[ub_rows, n + ub_rows] = slack_sign
-    art_cols = n + m_ub + np.arange(n_art)
-    t[art_rows, art_cols] = 1.0
+    t[np.arange(m), n + np.arange(m)] = 1.0
     t[:m, n_total] = rhs
-
     basis = n + np.arange(m, dtype=np.int64)
-    basis[art_rows] = art_cols
 
     allowed = np.ones(n_total, dtype=np.bool_)
     allowed[n + m_ub:] = False  # artificials never enter
     max_iter = 50 * (m + n_total)
     total_iters = 0
 
-    if n_art:
+    if m_eq:
         # phase 1: maximize -(sum of artificials); reduced costs from the
-        # artificial rows themselves
-        t[m, :] = -t[art_rows, :].sum(axis=0)
+        # eq rows themselves
+        t[m, :] = -t[m_ub:m, :].sum(axis=0)
         t[m, n + m_ub:n_total] = 0.0
         status, iters = _kernels.simplex_iterate(
             t, basis, allowed, FEAS_TOL, max_iter, DEGENERACY_LIMIT)
@@ -197,7 +188,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         if status == _kernels._STATUS_ITERLIMIT:
             raise NumericalFailure(f"phase 1 exceeded {max_iter} pivots")
         infeas = -t[m, n_total]
-        if infeas > 1e-7 * max(1.0, float(np.abs(rhs).max(initial=0.0))):
+        if infeas > 1e-7 * max(1.0, float(rhs.max(initial=0.0))):
             return LPSolution(LPStatus.INFEASIBLE, None, None, None, None,
                               total_iters)
         # drive remaining zero-level artificials out of the basis; a pivot
@@ -229,28 +220,15 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     x[basis] = t[:m, n_total]
     xs = x[:n].copy()
     objective = float(lp.objective @ xs)
-
-    # duals from the objective-row entries of slack/artificial columns
-    dual = np.empty(m)
-    dual[:m_ub] = t[m, n:n + m_ub] * slack_sign
-    dual[art_rows] = t[m, art_cols]
-    dual[neg] = -dual[neg]
-    dual_ub = dual[:m_ub].copy()
-    dual_eq = dual[m_ub:].copy()
+    dual_ub = t[m, n:n + m_ub].copy()
+    dual_eq = t[m, n + m_ub:n_total].copy()
 
     resid = 0.0
     if m_eq:
         resid = max(resid, float(np.abs(lp.a_eq @ xs - lp.b_eq).max()))
-    slack_ub = np.zeros(0)
     if m_ub:
-        slack_ub = lp.b_ub - lp.a_ub @ xs
-        resid = max(resid, float(max(0.0, -slack_ub.min())))
+        resid = max(resid, float(max(0.0, -(lp.b_ub - lp.a_ub @ xs).min())))
     resid = max(resid, float(max(0.0, -xs.min(initial=0.0))))
-    reduced = (dual_ub @ lp.a_ub if m_ub else 0.0) + \
-        (dual_eq @ lp.a_eq if m_eq else 0.0) - lp.objective
-    comp = float(np.abs(xs * reduced).sum())
-    if m_ub:
-        comp += float(np.abs(dual_ub * slack_ub).sum())
     dual_obj = float((dual_ub @ lp.b_ub if m_ub else 0.0) +
                      (dual_eq @ lp.b_eq if m_eq else 0.0))
     # b.y = c.x holds at every basis, so the gap adds the dual infeasibility
@@ -260,7 +238,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     return LPSolution(LPStatus.OPTIMAL, xs, objective, dual_eq, dual_ub,
                       total_iters,
                       duality_gap=abs(dual_obj - objective) + dual_infeas,
-                      comp_slack_residual=comp, feasibility_residual=resid)
+                      feasibility_residual=resid)
 
 
 def solve_envelope(costs: tuple[np.ndarray, np.ndarray] | _kernels.SegmentCost,

@@ -18,13 +18,14 @@ from . import _kernels, belief, scoring
 from .core import CheckReport, Classification, ConditionalTable, JointPrior, \
     Method, SignalingScheme, SolveReport, _value_terms, \
     marginals_and_conditionals, total_value
-from .errors import PreconditionViolated, SizeCapExceeded, ValidationError, \
-    check_count
+from .errors import NumericalFailure, PreconditionViolated, \
+    SizeCapExceeded, ValidationError, check_count
 from .fptas import _continuity_modulus
 from .scoring import ScoreKind, ScoreSpec
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
 DEVIATION_TOL = 1e-9
+SCAN_TOL = 1e-9  # the scan's value against its scheme's sender objective
 
 
 def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
@@ -35,7 +36,9 @@ def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
     a composition of 1 in multiples of grid_step.  The best scheme found is
     within the continuity modulus of one grid step of the true optimum
     (reported in diagnostics).  More than DEFAULT_CANDIDATE_CAP candidates
-    raise SizeCapExceeded before the scan.
+    raise SizeCapExceeded before the scan.  The scan's best value is the
+    sender objective of the returned scheme recomputed by ``belief``, or
+    NumericalFailure is raised when the two differ by more than SCAN_TOL.
     """
     na, nb, ne = prior.n_alice, prior.n_bob, prior.n_events
     if not 0 < grid_step <= 1:
@@ -64,6 +67,10 @@ def oracle_optimal(prior: JointPrior, score: ScoreSpec, grid_step: float = 0.02,
     scheme = SignalingScheme(labels, pi).prune_zero_signals()
 
     bob = belief.bob_utility_of_scheme(prior, score, scheme)
+    if not abs(best_val + bob) <= SCAN_TOL:
+        raise NumericalFailure(
+            f"oracle scan value {best_val!r} and the scheme's sender "
+            f"objective {-bob!r} differ by more than {SCAN_TOL!r}")
     alpha, beta, _ = score.resolved_holder(ne)
     L = score.resolved_bound(ne)
     return SolveReport(

@@ -13,6 +13,7 @@ from abasolve.core import JointPrior, SignalingScheme, full_reveal_scheme, \
     marginals_and_conditionals
 from abasolve.errors import ValidationError, ZeroProbabilityPair, \
     ZeroProbabilitySignal
+from abasolve.lp import LinearProgram
 from abasolve.scoring import ScoreKind, ScoreSpec, eval_G, log_score, \
     piecewise_score, quadratic_score, spherical_score
 
@@ -52,6 +53,44 @@ def random_piecewise(rng: np.random.Generator, ne: int = 2,
     pieces = [(rng.uniform(-1.0, 1.0, size=ne), rng.uniform(-1.0, 1.0))
               for _ in range(k)]
     return piecewise_score(pieces)
+
+
+LP_KINDS = ("feasible", "infeasible", "unbounded", "degenerate")
+
+
+def sparse_normal(rng, shape, density):
+    return rng.normal(size=shape) * (rng.random(shape) < density)
+
+
+def random_lp(rng, kind):
+    """A random ``LinearProgram`` of one of ``LP_KINDS`` with zeros
+    scattered through it."""
+    n = int(rng.integers(3, 9))
+    m_ub = int(rng.integers(2, 7))
+    m_eq = int(rng.integers(0, 3))
+    c = rng.normal(size=n)
+    a_ub = sparse_normal(rng, (m_ub, n), 0.5)
+    b_ub = rng.uniform(0.2, 2.0, size=m_ub)
+    a_eq = rng.uniform(0.1, 1.0, size=(m_eq, n)) * (rng.random((m_eq, n)) < 0.7)
+    a_eq[:, 0] = 1.0  # every eq row reachable, so feasibility is the norm
+    b_eq = rng.uniform(0.5, 1.5, size=m_eq)
+    if kind == "degenerate":
+        b_ub[: m_ub // 2 + 1] = 0.0
+    if kind == "unbounded":
+        # variable 1 only ever loosens the ub rows and appears in no eq row
+        a_ub[:, 1] = -np.abs(a_ub[:, 1])
+        a_eq[:, 1] = 0.0
+        c[1] = abs(c[1]) + 0.5
+    else:
+        a_ub = np.vstack((a_ub, np.ones((1, n))))
+        b_ub = np.concatenate((b_ub, [3.0]))
+    if kind == "infeasible":
+        # x0 + x1 = 4 against the bounding row sum(x) <= 3
+        row = np.zeros(n)
+        row[:2] = 1.0
+        a_eq = np.vstack((a_eq, row))
+        b_eq = np.concatenate((b_eq, [4.0]))
+    return LinearProgram(c, a_eq, b_eq, a_ub, b_ub)
 
 
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -432,15 +471,19 @@ def compact_lp_highs(prior, score) -> float:
     for j, b in itertools.product(range(k), range(nb)):
         a_ub[j, b, :, j * na:(j + 1) * na] = ue[1 + b]
         a_ub[j, b, :, k * na + j * nb + b] = -1.0
-    res = linprog(np.concatenate((-ue[0].ravel(), np.ones(k * nb))),
-                  A_ub=a_ub.reshape(k * nb * k, -1), b_ub=np.zeros(k * nb * k),
-                  A_eq=np.hstack((np.tile(np.eye(na), k),
-                                  np.zeros((na, k * nb)))),
-                  b_eq=table.mu_a,
-                  bounds=[(0.0, None)] * (k * na) + [(None, None)] * (k * nb),
-                  method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+    lp = dict(c=np.concatenate((-ue[0].ravel(), np.ones(k * nb))),
+              A_ub=a_ub.reshape(k * nb * k, -1), b_ub=np.zeros(k * nb * k),
+              A_eq=np.hstack((np.tile(np.eye(na), k), np.zeros((na, k * nb)))),
+              b_eq=table.mu_a,
+              bounds=[(0.0, None)] * (k * na) + [(None, None)] * (k * nb),
+              options={"primal_feasibility_tolerance": 1e-10,
+                       "dual_feasibility_tolerance": 1e-10})
+    res = linprog(method="highs", **lp)
+    if res.status == 4:
+        # HiGHS's simplex can end with model status Unknown where rows
+        # mix entries near 1e-9 with entries near 1; its interior-point
+        # method with crossover then solves the same LP
+        res = linprog(method="highs-ipm", **lp)
     assert res.status == 0, res.message
     return -res.fun
 
@@ -450,7 +493,7 @@ def envelope_lp_tableau(cost, points, mu):
     reference for ``lp.solve_envelope``: maximize -cost.x over the |A|
     marginal rows plus the redundant sum(x) = 1 row.  Returns the minimum
     of cost.x."""
-    from abasolve.lp import LinearProgram, LPStatus, solve_lp
+    from abasolve.lp import LPStatus, solve_lp
 
     n, na = points.shape
     a_eq = np.empty((na + 1, n))
@@ -522,6 +565,106 @@ def duplicate_piece_indices_loop(score: ScoreSpec) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i + 1, k)
             if (score.pieces_r[i] == score.pieces_r[j]).all()
             and score.pieces_b[i] == score.pieces_b[j]]
+
+
+def solve_lp_frozen(lp):
+    """``lp.solve_lp`` as it was before the tableau took one layout, kept
+    verbatim as its reference, less the cell cap, the complementary-
+    slackness residual and the iteration-cap errors (asserted instead): a
+    row with negative rhs is negated and gets an artificial, as eq rows
+    do, and the duals are read back through the sign flips."""
+    from abasolve import lp as lp_module
+    from abasolve.lp import LPSolution, LPStatus
+
+    n = lp.n_vars
+    m_ub = lp.a_ub.shape[0]
+    m_eq = lp.a_eq.shape[0]
+    m = m_ub + m_eq
+
+    rhs = np.concatenate((lp.b_ub, lp.b_eq))
+    neg = rhs < 0.0
+    rhs = np.abs(rhs)
+    slack_sign = np.where(neg[:m_ub], -1.0, 1.0)
+    needs_art = np.concatenate((neg[:m_ub], np.ones(m_eq, dtype=bool)))
+    art_rows = np.nonzero(needs_art)[0]
+    n_art = art_rows.size
+
+    n_total = n + m_ub + n_art
+    t = np.zeros((m + 1, n_total + 1))
+    t[:m_ub, :n] = lp.a_ub
+    t[m_ub:m, :n] = lp.a_eq
+    neg_rows = np.nonzero(neg)[0]
+    t[neg_rows, :n] = -t[neg_rows, :n]
+    ub_rows = np.arange(m_ub)
+    t[ub_rows, n + ub_rows] = slack_sign
+    art_cols = n + m_ub + np.arange(n_art)
+    t[art_rows, art_cols] = 1.0
+    t[:m, n_total] = rhs
+
+    basis = n + np.arange(m, dtype=np.int64)
+    basis[art_rows] = art_cols
+
+    allowed = np.ones(n_total, dtype=np.bool_)
+    allowed[n + m_ub:] = False
+    max_iter = 50 * (m + n_total)
+    total_iters = 0
+    tol, degen_limit = lp_module.FEAS_TOL, lp_module.DEGENERACY_LIMIT
+
+    if n_art:
+        t[m, :] = -t[art_rows, :].sum(axis=0)
+        t[m, n + m_ub:n_total] = 0.0
+        status, iters = _kernels.simplex_iterate(
+            t, basis, allowed, tol, max_iter, degen_limit)
+        total_iters += iters
+        assert status != _kernels._STATUS_ITERLIMIT
+        infeas = -t[m, n_total]
+        if infeas > 1e-7 * max(1.0, float(np.abs(rhs).max(initial=0.0))):
+            return LPSolution(LPStatus.INFEASIBLE, None, None, None, None,
+                              total_iters)
+        for i in np.nonzero(basis >= n + m_ub)[0]:
+            ok = np.nonzero(np.abs(t[i, :n + m_ub]) > 1e-9)[0]
+            if ok.size:
+                _kernels.pivot(t, basis, i, int(ok[0]))
+
+    c_full = np.zeros(n_total + 1)
+    c_full[:n] = lp.objective
+    t[m, :] = -c_full
+    for i in np.nonzero(c_full[basis])[0]:
+        t[m, :] += c_full[basis[i]] * t[i, :]
+    status, iters = _kernels.simplex_iterate(
+        t, basis, allowed, tol, max_iter, degen_limit)
+    total_iters += iters
+    assert status != _kernels._STATUS_ITERLIMIT
+    if status == _kernels._STATUS_UNBOUNDED:
+        return LPSolution(LPStatus.UNBOUNDED, None, None, None, None,
+                          total_iters)
+
+    x = np.zeros(n_total)
+    x[basis] = t[:m, n_total]
+    xs = x[:n].copy()
+    objective = float(lp.objective @ xs)
+
+    dual = np.empty(m)
+    dual[:m_ub] = t[m, n:n + m_ub] * slack_sign
+    dual[art_rows] = t[m, art_cols]
+    dual[neg] = -dual[neg]
+    dual_ub = dual[:m_ub].copy()
+    dual_eq = dual[m_ub:].copy()
+
+    resid = 0.0
+    if m_eq:
+        resid = max(resid, float(np.abs(lp.a_eq @ xs - lp.b_eq).max()))
+    if m_ub:
+        slack_ub = lp.b_ub - lp.a_ub @ xs
+        resid = max(resid, float(max(0.0, -slack_ub.min())))
+    resid = max(resid, float(max(0.0, -xs.min(initial=0.0))))
+    dual_obj = float((dual_ub @ lp.b_ub if m_ub else 0.0) +
+                     (dual_eq @ lp.b_eq if m_eq else 0.0))
+    dual_infeas = max(0.0, -float(t[m, :n + m_ub].min(initial=0.0)))
+    return LPSolution(LPStatus.OPTIMAL, xs, objective, dual_eq, dual_ub,
+                      total_iters,
+                      duality_gap=abs(dual_obj - objective) + dual_infeas,
+                      feasibility_residual=resid)
 
 
 def envelope_iterate_frozen(ext, basis, x_b, tol, max_iter, degen_limit):

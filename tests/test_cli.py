@@ -294,25 +294,40 @@ def test_cli_solver_failure_exit_code(xor_path):
     assert status == cli.EXIT_SOLVER
 
 
+def test_cli_oracle_scan_off_its_scheme_is_solver_failure(
+        xor_path, monkeypatch, capsys):
+    # a scan value 1e-6 off the sender objective of the scheme it names
+    scan = oracle._kernels.oracle_scan
+
+    def off(*args, **kwargs):
+        value, index = scan(*args, **kwargs)
+        return value + 1e-6, index
+
+    monkeypatch.setattr(oracle._kernels, "oracle_scan", off)
+    _, prior = instances.xor_instance()
+    message = "oracle scan value .* differ by more than 1e-09"
+    with pytest.raises(NumericalFailure, match=message):
+        oracle.oracle_optimal(prior, quadratic_score())
+    status = cli.main(["solve", str(xor_path), "--method", "oracle"])
+    assert status == cli.EXIT_SOLVER
+    assert re.search(f"solver failure: {message}", capsys.readouterr().err)
+
+
 def _infeasible(*args, **kwargs):
     return LPSolution(LPStatus.INFEASIBLE, None, None, None, None, 0)
 
 
+# the envelope LPs of exact and fptas-a return Optimal or raise, so only
+# fptas-eb's achievability LP has an Infeasible outcome to turn into a fault
 @pytest.mark.parametrize("module, lp_routine, method, solve, message", [
-    (fptas, "solve_envelope", "exact", lambda prior: exact.solve_exact(
-        prior, piecewise_score([([0.0, 0.0], 0.0), ([1.0, -1.0], 0.0)])),
-     "vertex LP reported Infeasible"),
-    (fptas, "solve_envelope", "fptas-a", lambda prior: fptas.fptas_a_const(
-        prior, quadratic_score(), 0.5, grid_k=4),
-     "grid LP reported Infeasible"),
     (fptas, "solve_lp", "fptas-eb", lambda prior: fptas.fptas_eb_const(
         prior, quadratic_score(), 0.5, grid_k=2),
      "achievability LP stayed Infeasible after 4 eta doublings"),
-], ids=["exact", "fptas-a", "fptas-eb"])
+], ids=["fptas-eb"])
 def test_cli_impossible_lp_outcome_is_solver_failure(
         xor_path, monkeypatch, capsys, module, lp_routine, method, solve,
         message):
-    # each LP always has a feasible point, so Infeasible is a solver fault
+    # the LP always has a feasible point, so Infeasible is a solver fault
     monkeypatch.setattr(module, lp_routine, _infeasible)
     _, prior = instances.xor_instance()
     with pytest.raises(NumericalFailure, match=message):

@@ -483,6 +483,16 @@ def test_solve_exact_at_four_alice_outcomes_matches_compact_lp(data, nb, ne,
         pytest.approx(compact_lp_highs(prior, score), abs=1e-9)
 
 
+def test_solve_exact_matches_compact_lp_where_highs_simplex_fails():
+    # the four-outcome property test drew this: HiGHS's simplex reports
+    # model status Unknown on its compact LP, whose rows mix 5e-9 and 0.5
+    prior = JointPrior(np.full((2, 4, 1), 0.125))
+    score = piecewise_score([([1e-8, 0.0], 0.0), ([-0.5, 0.0], 0.5),
+                             ([0.0, 0.0], 0.5)])
+    assert solve_exact(prior, score).diagnostics["lp_objective"] == \
+        pytest.approx(compact_lp_highs(prior, score), abs=1e-9)
+
+
 def test_solve_exact_matches_obedience_lp_log_boundary_tangents():
     # tangents down to 0.1 and posteriors within 1e-9 of the boundary
     rng = np.random.default_rng(229)

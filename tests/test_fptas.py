@@ -786,6 +786,20 @@ FPTAS_REFUSALS = {
     "posterior-width": (
         lambda: scheme_from_posteriors(XOR_PRIOR, [(1.0, [0.5, 0.25, 0.25])]),
         ValidationError, "need posteriors over A with matching dimension"),
+    "ragged-posteriors": (
+        lambda: scheme_from_posteriors(XOR_PRIOR, [(0.5, [1, 0]),
+                                                   (0.5, [0, 1, 0])]),
+        ValidationError, "need posteriors over A with matching dimension: "
+        r"posterior 1 has shape \(3,\), not \(2,\)"),
+    "weight-not-a-number": (
+        lambda: scheme_from_posteriors(XOR_PRIOR, [("x", [1, 0]),
+                                                   (0.5, [0, 1])]),
+        ValidationError, r"posterior 0 is not a \(weight, posterior over A\) "
+        "pair"),
+    "scalar-posteriors": (
+        lambda: scheme_from_posteriors(XOR_PRIOR, [(0.5, 1.0), (0.5, 0.0)]),
+        ValidationError, "need posteriors over A with matching dimension: "
+        r"posterior 0 has shape \(\), not \(2,\)"),
     "weights-sum": (
         lambda: scheme_from_posteriors(XOR_PRIOR, [(0.5, [1.0, 0.0]),
                                                    (0.4, [0.0, 1.0])]),

@@ -11,11 +11,13 @@ import pytest
 
 from abasolve import _kernels
 from abasolve import lp as lp_module
-from abasolve.lp import LinearProgram, LPStatus, solve_lp
+from abasolve.lp import LPStatus, solve_lp
 
 # Bound at import: the tests below patch the module attribute
 # ``_kernels.simplex_iterate`` with a checker that calls this function.
 from abasolve._kernels import simplex_iterate
+
+from helpers import LP_KINDS, random_lp, sparse_normal
 
 
 def dense_pivot(t, basis, row, col):
@@ -65,49 +67,12 @@ def simplex_iterate_dense(t, basis, allowed, tol, max_iter, degen_limit):
         iters += 1
 
 
-def _sparse(rng, shape, density):
-    return rng.normal(size=shape) * (rng.random(shape) < density)
-
-
-def random_lp(rng, kind):
-    """A random LP of the given kind with zeros scattered through it."""
-    n = int(rng.integers(3, 9))
-    m_ub = int(rng.integers(2, 7))
-    m_eq = int(rng.integers(0, 3))
-    c = rng.normal(size=n)
-    a_ub = _sparse(rng, (m_ub, n), 0.5)
-    b_ub = rng.uniform(0.2, 2.0, size=m_ub)
-    a_eq = rng.uniform(0.1, 1.0, size=(m_eq, n)) * (rng.random((m_eq, n)) < 0.7)
-    a_eq[:, 0] = 1.0  # every eq row reachable, so feasibility is the norm
-    b_eq = rng.uniform(0.5, 1.5, size=m_eq)
-    if kind == "degenerate":
-        b_ub[: m_ub // 2 + 1] = 0.0
-    if kind == "unbounded":
-        # variable 1 only ever loosens the ub rows and appears in no eq row
-        a_ub[:, 1] = -np.abs(a_ub[:, 1])
-        a_eq[:, 1] = 0.0
-        c[1] = abs(c[1]) + 0.5
-    else:
-        a_ub = np.vstack((a_ub, np.ones((1, n))))
-        b_ub = np.concatenate((b_ub, [3.0]))
-    if kind == "infeasible":
-        # x0 + x1 >= 4 against the bounding row sum(x) <= 3
-        row = np.zeros(n)
-        row[:2] = -1.0
-        a_ub = np.vstack((a_ub, row))
-        b_ub = np.concatenate((b_ub, [-4.0]))
-    return LinearProgram(c, a_eq, b_eq, a_ub, b_ub)
-
-
-KINDS = ("feasible", "infeasible", "unbounded", "degenerate")
-
-
 def test_pivot_matches_dense_reference():
     rng = np.random.default_rng(5)
     for _ in range(200):
         m = int(rng.integers(1, 12))
         n = int(rng.integers(1, 15))
-        t = _sparse(rng, (m + 1, n + 1), float(rng.uniform(0.1, 1.0)))
+        t = sparse_normal(rng, (m + 1, n + 1), float(rng.uniform(0.1, 1.0)))
         row = int(rng.integers(0, m + 1))
         col = int(rng.integers(0, n + 1))
         t[row, col] = rng.uniform(0.5, 2.0)
@@ -143,7 +108,7 @@ def test_simplex_iterate_matches_dense_reference(monkeypatch, degen_limit):
     monkeypatch.setattr(lp_module, "DEGENERACY_LIMIT", degen_limit)
     rng = np.random.default_rng(83)
     statuses = set()
-    for kind in KINDS:
+    for kind in LP_KINDS:
         for _ in range(25):
             statuses.add(solve_lp(random_lp(rng, kind)).status)
     assert statuses == set(LPStatus)
@@ -188,7 +153,7 @@ def test_objective_matches_highs():
     rng = np.random.default_rng(89)
     expected_status = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE,
                        3: LPStatus.UNBOUNDED}
-    for kind in KINDS:
+    for kind in LP_KINDS:
         for _ in range(25):
             lp = random_lp(rng, kind)
             ref = linprog(-lp.objective, A_ub=lp.a_ub, b_ub=lp.b_ub,
